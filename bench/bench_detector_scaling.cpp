@@ -8,9 +8,13 @@
 // exchange, suppression) across shards x scan threads on a 10k-node / 1%
 // density trace. `--smoke` runs only that family at reduced size — the
 // ctest entry BenchDetectorScaling.Smoke keeps the wiring from rotting.
+//
+// BM_HotRowInsert times the sparse backend's worst-case row insert: one
+// row filled with 1k/10k/100k distinct raters in shuffled order.
 #include <benchmark/benchmark.h>
 
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/basic_detector.h"
@@ -324,6 +328,34 @@ BENCHMARK(BM_ParallelEpochService)
     ->ArgsProduct({{1, 2, 4}, {0, 2, 4}})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
+
+// Sparse-row insert cost on one hot row: Arg 0 distinct raters arrive in
+// shuffled order, the worst case for the sorted-run layout (every new cell
+// lands mid-row). items_per_second (new cells/s) falls only with
+// sqrt(row size) because the tail is capped at ~sqrt(row size) cells; a
+// plain sorted insert would fall linearly with the row.
+void BM_HotRowInsert(benchmark::State& state) {
+  const auto cells = static_cast<std::size_t>(state.range(0));
+  std::vector<rating::NodeId> raters(cells);
+  for (std::size_t k = 0; k < cells; ++k)
+    raters[k] = static_cast<rating::NodeId>(k + 1);
+  util::Rng rng(cells);
+  for (std::size_t k = cells - 1; k > 0; --k)
+    std::swap(raters[k], raters[rng.next_below(k + 1)]);
+
+  rating::RatingMatrix m(cells + 1, rating::MatrixBackend::kSparse);
+  for (auto _ : state) {
+    for (rating::NodeId rater : raters)
+      m.add_rating(0, rater, rating::Score::kPositive);
+    benchmark::DoNotOptimize(m.totals(0));
+    state.PauseTiming();
+    m.clear_window();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells));
+}
+BENCHMARK(BM_HotRowInsert)->Arg(1'000)->Arg(10'000)->Arg(100'000);
 
 }  // namespace
 

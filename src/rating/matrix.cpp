@@ -1,5 +1,6 @@
 #include "rating/matrix.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -43,18 +44,79 @@ RatingMatrix RatingMatrix::build(const RatingStore& store,
     store.for_each_window_rater(
         i, [&m, i, frequency_threshold, &meta](NodeId rater,
                                                const PairStats& stats) {
-          m.mutable_cell(i, rater) = stats;
+          if (m.backend_ == MatrixBackend::kDense) {
+            m.dense_(i, rater) = stats;
+          } else {
+            m.sparse_[i].cells.emplace_back(rater, stats);
+          }
           if (frequency_threshold > 0 && stats.total >= frequency_threshold)
             meta.frequent_totals += stats;
         });
+    if (m.backend_ == MatrixBackend::kSparse) {
+      // The store enumerates raters unordered: sort once into the main run.
+      SparseRow& row = m.sparse_[i];
+      std::sort(row.cells.begin(), row.cells.end(), RaterLess{});
+      row.main_len = static_cast<std::uint32_t>(row.cells.size());
+    }
   }
   return m;
+}
+
+PairStats& RatingMatrix::SparseRow::find_or_insert(NodeId rater) {
+  if (const PairStats* hit = find(rater)) return const_cast<PairStats&>(*hit);
+  if (main_len == cells.size()) {
+    // No tail yet. An ascending append is O(1) amortized, and a small row
+    // stays one sorted run: its direct insert moves < kFlatRowCells cells.
+    if (cells.empty() || cells.back().first < rater) {
+      ++main_len;
+      return cells.emplace_back(rater, PairStats{}).second;
+    }
+    if (cells.size() < kFlatRowCells) {
+      ++main_len;
+      const auto pos =
+          std::lower_bound(cells.begin(), cells.end(), rater, RaterLess{});
+      return cells.emplace(pos, rater, PairStats{})->second;
+    }
+  }
+  // Fold a tail longer than sqrt(size) into the main run, so an insert
+  // moves amortized O(sqrt(size)) cells instead of O(size).
+  const std::size_t tail = cells.size() - main_len;
+  if (tail * tail > cells.size()) {
+    std::inplace_merge(cells.begin(), cells.begin() + main_len, cells.end(),
+                       RaterLess{});
+    main_len = static_cast<std::uint32_t>(cells.size());
+  }
+  const auto pos = std::lower_bound(cells.begin() + main_len, cells.end(),
+                                    rater, RaterLess{});
+  return cells.emplace(pos, rater, PairStats{})->second;
+}
+
+std::uint32_t RatingMatrix::SparseRow::seek_from(std::uint32_t from,
+                                                 std::uint32_t lo,
+                                                 std::uint32_t hi,
+                                                 NodeId rater) const {
+  const auto lower_bound = [&](std::uint32_t first, std::uint32_t last) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(cells.begin() + first, cells.begin() + last, rater,
+                         RaterLess{}) -
+        cells.begin());
+  };
+  if (from < lo || from > hi || (from > lo && cells[from - 1].first >= rater))
+    return lower_bound(lo, hi);
+  for (std::uint32_t step = 1; from < hi && cells[from].first < rater;
+       step *= 2) {
+    const std::uint32_t next = from + step;
+    if (next >= hi || cells[next].first >= rater)
+      return lower_bound(from + 1, next < hi ? next : hi);
+    from = next;
+  }
+  return from;
 }
 
 PairStats& RatingMatrix::mutable_cell(NodeId ratee, NodeId rater) {
   assert(ratee < size() && rater < size());
   if (backend_ == MatrixBackend::kDense) return dense_(ratee, rater);
-  return sparse_[ratee][rater];
+  return sparse_[ratee].find_or_insert(rater);
 }
 
 std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
@@ -63,12 +125,9 @@ std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
   if (backend_ == MatrixBackend::kDense) {
     bytes += dense_.rows() * dense_.cols() * sizeof(PairStats);
   } else {
-    for (const SparseRow& row : sparse_) {
-      bytes += sizeof(SparseRow);
-      bytes += row.bucket_count() * sizeof(void*);
-      bytes += row.size() *
-               (sizeof(std::pair<const NodeId, PairStats>) + 2 * sizeof(void*));
-    }
+    bytes += sparse_.capacity() * sizeof(SparseRow);
+    for (const SparseRow& row : sparse_)
+      bytes += row.cells.capacity() * sizeof(SparseCell);
   }
   bytes += checked_.bucket_count() * sizeof(void*);
   bytes += checked_.size() * (sizeof(std::uint64_t) + 2 * sizeof(void*));
@@ -117,7 +176,7 @@ void RatingMatrix::clear_window() {
       auto row = dense_.row(i);
       std::fill(row.begin(), row.end(), PairStats{});
     } else {
-      sparse_[i].clear();
+      sparse_[i] = SparseRow{};  // frees the row's storage
     }
     meta.totals = PairStats{};
     meta.frequent_totals = PairStats{};
@@ -157,7 +216,7 @@ std::vector<std::pair<NodeId, PairStats>> RatingMatrix::take_row(
     auto row = dense_.row(ratee);
     std::fill(row.begin(), row.end(), PairStats{});
   } else {
-    sparse_[ratee].clear();
+    sparse_[ratee] = SparseRow{};  // frees the row's storage
   }
   meta_[ratee].totals = PairStats{};
   meta_[ratee].frequent_totals = PairStats{};

@@ -63,6 +63,32 @@ inline Trace make_trace(std::uint64_t seed) {
   return t;
 }
 
+/// Organic-only traffic at scale: `ratings` ratings over `n` nodes with
+/// make_trace's zipf rater/ratee skew and score mix, no planted pairs. For
+/// tests that need a realistically shaped matrix rather than verdicts
+/// (e.g. the matrix memory-model check).
+inline Trace make_zipf_trace(std::uint64_t seed, std::size_t n,
+                             std::size_t ratings) {
+  util::Rng rng(seed);
+  Trace t;
+  t.n = n;
+  t.ratings.reserve(ratings);
+  for (rating::Tick tick = 0; tick < ratings; ++tick) {
+    const auto rater = static_cast<rating::NodeId>(util::zipf(rng, n));
+    auto ratee = static_cast<rating::NodeId>(util::zipf(rng, n, 0.8));
+    if (ratee == rater) ratee = static_cast<rating::NodeId>((ratee + 1) % n);
+    rating::Score score;
+    if (rng.chance(0.85))
+      score = rating::Score::kPositive;
+    else if (rng.chance(0.1))
+      score = rating::Score::kNeutral;
+    else
+      score = rating::Score::kNegative;
+    t.ratings.push_back({rater, ratee, score, tick});
+  }
+  return t;
+}
+
 /// Host reputations derived deterministically from the store's lifetime
 /// summation values, normalized to [0, 1]. Colluding pairs land high (C1).
 inline std::vector<double> reputations_of(const rating::RatingStore& store) {

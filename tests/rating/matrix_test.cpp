@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace p2prep::rating {
 namespace {
@@ -136,6 +141,192 @@ TEST(RatingMatrixTest, SparseFootprintBeatsDenseOracle) {
             RatingMatrix::dense_footprint_bytes(kNodes));
   EXPECT_LT(dense.approx_memory_bytes(),
             RatingMatrix::dense_footprint_bytes(kNodes) + 4096);
+}
+
+// A hot sparse row: 100k distinct raters arriving in shuffled order, the
+// worst case for a sorted row layout (every insert lands mid-row). Raters
+// are the even ids, so every odd id is an absent cell between two stored
+// ones.
+class HotSparseRowTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kRaters = 100'000;
+  static constexpr NodeId kRatee = 0;
+
+  static Score score_of(NodeId rater) {
+    switch (rater % 3) {
+      case 0: return Score::kPositive;
+      case 1: return Score::kNegative;
+      default: return Score::kNeutral;
+    }
+  }
+
+  /// The even rater ids 2, 4, ..., 2 * kRaters in a seeded shuffle.
+  static std::vector<NodeId> shuffled_raters(std::uint64_t seed) {
+    std::vector<NodeId> raters(kRaters);
+    for (std::size_t k = 0; k < kRaters; ++k)
+      raters[k] = static_cast<NodeId>(2 * (k + 1));
+    util::Rng rng(seed);
+    for (std::size_t k = kRaters - 1; k > 0; --k)
+      std::swap(raters[k], raters[rng.next_below(k + 1)]);
+    return raters;
+  }
+
+  /// Rates kRatee once from every rater, then once more from every
+  /// seventh (repeat ratings on existing cells); returns the seconds the
+  /// first, cell-creating pass took.
+  double fill(std::uint64_t seed) {
+    const std::vector<NodeId> raters = shuffled_raters(seed);
+    const auto start = std::chrono::steady_clock::now();
+    for (NodeId rater : raters) m_.add_rating(kRatee, rater, score_of(rater));
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    for (NodeId rater : raters) {
+      if (rater % 7 == 0) m_.add_rating(kRatee, rater, Score::kPositive);
+    }
+    return took.count();
+  }
+
+  static PairStats expected(NodeId rater) {
+    PairStats stats;
+    stats.add(score_of(rater));
+    if (rater % 7 == 0) stats.add(Score::kPositive);
+    return stats;
+  }
+
+  void expect_full_row() const {
+    PairStats totals;
+    for (NodeId k = 0; k <= 2 * kRaters + 1; ++k) {
+      if (k % 2 == 1 || k == 0) {
+        ASSERT_EQ(m_.cell(kRatee, k), PairStats{}) << "absent rater " << k;
+        ASSERT_EQ(m_.cell_or_null(kRatee, k), nullptr);
+      } else {
+        ASSERT_EQ(m_.cell(kRatee, k), expected(k)) << "rater " << k;
+        totals += expected(k);
+      }
+    }
+    EXPECT_EQ(m_.totals(kRatee), totals);
+
+    std::vector<NodeId> order;
+    m_.for_each_nonzero_cell(kRatee, [&](NodeId k, const PairStats& stats) {
+      EXPECT_EQ(stats, expected(k));
+      order.push_back(k);
+    });
+    ASSERT_EQ(order.size(), kRaters);
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+    EXPECT_EQ(std::adjacent_find(order.begin(), order.end()), order.end());
+    std::size_t visited = 0;
+    NodeId last = 0;
+    m_.for_each_cell(kRatee, [&](NodeId k, const PairStats&) {
+      EXPECT_GT(k, last);
+      last = k;
+      ++visited;
+    });
+    EXPECT_EQ(visited, kRaters);
+  }
+
+  void expect_empty_row() const {
+    EXPECT_EQ(m_.totals(kRatee), PairStats{});
+    EXPECT_EQ(m_.cell(kRatee, 2), PairStats{});
+    std::size_t visited = 0;
+    m_.for_each_cell(kRatee, [&](NodeId, const PairStats&) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+  }
+
+  RatingMatrix m_{2 * kRaters + 2, MatrixBackend::kSparse};
+};
+
+TEST_F(HotSparseRowTest, ShuffledInsertsStayOrderedAndFast) {
+  const std::size_t empty_bytes = m_.approx_memory_bytes();
+  // A sorted-vector row with plain mid-row inserts takes ~1.7 s here; the
+  // sqrt-tail layout takes a few hundredths of a second.
+  EXPECT_LT(fill(1), 1.0);
+  expect_full_row();
+  EXPECT_GE(m_.approx_memory_bytes(),
+            empty_bytes + kRaters * sizeof(std::pair<NodeId, PairStats>));
+}
+
+TEST_F(HotSparseRowTest, TakeRowAndClearWindowFreeThenRefill) {
+  const std::size_t empty_bytes = m_.approx_memory_bytes();
+  fill(2);
+  const auto taken = m_.take_row(kRatee);
+  ASSERT_EQ(taken.size(), kRaters);
+  for (std::size_t k = 0; k < kRaters; ++k) {
+    ASSERT_EQ(taken[k].first, static_cast<NodeId>(2 * (k + 1)));
+    ASSERT_EQ(taken[k].second, expected(taken[k].first));
+  }
+  expect_empty_row();
+  EXPECT_EQ(m_.approx_memory_bytes(), empty_bytes);  // storage freed
+
+  fill(3);
+  expect_full_row();
+  m_.clear_window();
+  expect_empty_row();
+  EXPECT_EQ(m_.approx_memory_bytes(), empty_bytes);
+
+  fill(4);
+  expect_full_row();
+}
+
+// Sparse reads resume from a per-thread finger left by the previous read.
+// Interleave reads in every order (ascending sweeps, descending, random,
+// hopping between rows and between matrices) with inserts, take_row and
+// clear_window, and check every read against a reference map.
+TEST(RatingMatrixTest, SparseReadsMatchReferenceUnderAnyProbeOrder) {
+  constexpr std::size_t kNodes = 300;
+  util::Rng rng(5);
+  std::vector<RatingMatrix> matrices;
+  std::vector<std::vector<std::vector<PairStats>>> expected;
+  for (int k = 0; k < 2; ++k) {
+    matrices.emplace_back(kNodes, MatrixBackend::kSparse);
+    expected.emplace_back(kNodes, std::vector<PairStats>(kNodes));
+  }
+  const auto check = [&](std::size_t m, NodeId i, NodeId j) {
+    ASSERT_EQ(matrices[m].cell(i, j), expected[m][i][j])
+        << "matrix " << m << " cell (" << i << ", " << j << ")";
+  };
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t m = rng.next_below(2);
+    const auto i = static_cast<NodeId>(rng.next_below(8));  // few hot rows
+    switch (rng.next_below(8)) {
+      case 0:  // ascending sweep, as the pair sweeps read a row
+        for (NodeId j = 0; j < kNodes; ++j) check(m, i, j);
+        break;
+      case 1:  // descending sweep
+        for (NodeId j = kNodes; j-- > 0;) check(m, i, j);
+        break;
+      case 2:  // random probes hopping between rows and matrices
+        for (int k = 0; k < 200; ++k) {
+          check(rng.next_below(2), static_cast<NodeId>(rng.next_below(8)),
+                static_cast<NodeId>(rng.next_below(kNodes)));
+        }
+        break;
+      case 3: {  // empty a row
+        const auto taken = matrices[m].take_row(i);
+        std::size_t stored = 0;
+        for (const PairStats& stats : expected[m][i])
+          stored += stats.total > 0 ? 1 : 0;
+        EXPECT_EQ(taken.size(), stored);
+        expected[m][i].assign(kNodes, PairStats{});
+        break;
+      }
+      case 4:
+        if (rng.next_below(4) == 0) {
+          matrices[m].clear_window();
+          for (auto& row : expected[m]) row.assign(kNodes, PairStats{});
+        }
+        break;
+      default:  // inserts, interleaved with ascending reads of the row
+        for (int k = 0; k < 40; ++k) {
+          const auto j = static_cast<NodeId>(rng.next_below(kNodes));
+          if (j != i) {
+            matrices[m].add_rating(i, j, Score::kPositive);
+            expected[m][i][j].add(Score::kPositive);
+          }
+          check(m, i, static_cast<NodeId>(k * 7));
+        }
+        break;
+    }
+  }
 }
 
 TEST(RatingMatrixTest, MarkCheckedIsSymmetric) {

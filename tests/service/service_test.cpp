@@ -236,6 +236,44 @@ TEST(ServiceTest, VirtualTimeCadenceFiresEpochs) {
   EXPECT_EQ(svc.metrics().epochs_completed, 3u);
 }
 
+// A long-running server (`p2prep_cli serve`) never reads report_log(), so
+// it turns record_reports off: then no number of global epochs may grow
+// the log, and detection itself must be unaffected.
+TEST(ServiceTest, RecordReportsOffKeepsReportLogEmptyAcrossEpochs) {
+  constexpr std::size_t kN = 40;
+  const std::vector<Rating> workload = collusion_workload(11, kN);
+  struct Run {
+    std::string log;
+    std::uint64_t epochs = 0;
+    std::vector<bool> suspected;
+  };
+  const auto run = [&](bool record_reports) {
+    ServiceConfig cfg = base_config(kN, 2);
+    cfg.epoch_ratings = 16;
+    cfg.record_reports = record_reports;
+    ReputationService svc(cfg);
+    for (const Rating& r : workload) EXPECT_TRUE(svc.ingest(r));
+    for (int k = 0; k < 100; ++k) svc.force_epoch();
+    svc.drain();
+    Run out;
+    out.log = svc.report_log();
+    out.epochs = svc.metrics().epochs_completed;
+    const ServiceSnapshot snap = svc.snapshot();
+    for (rating::NodeId i = 0; i < kN; ++i)
+      out.suspected.push_back(snap.suspected(i));
+    return out;
+  };
+
+  const Run off = run(false);
+  const Run on = run(true);
+  EXPECT_GE(off.epochs, 100u);
+  EXPECT_EQ(off.log, "");
+  EXPECT_NE(on.log, "");  // the same epochs do produce reports when kept
+  EXPECT_EQ(off.epochs, on.epochs);
+  EXPECT_EQ(off.suspected, on.suspected);
+  EXPECT_TRUE(off.suspected[0] && off.suspected[1]);
+}
+
 TEST(ServiceTest, DropOldestPreservesConservation) {
   ServiceConfig cfg = base_config(20, 2);
   cfg.queue_capacity = 2;

@@ -600,6 +600,9 @@ int cmd_serve(const Args& args) {
 
   service::ServiceConfig cfg;
   if (!service_config_from(args, num_nodes, cfg)) return usage();
+  // A long-running server never reads report_log(); recording it would
+  // grow one report per epoch for the life of the process.
+  cfg.record_reports = false;
 
   rpc::RpcServerConfig rcfg;
   rcfg.port = static_cast<std::uint16_t>(args.get_u64("listen", 0));
