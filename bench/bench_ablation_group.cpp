@@ -6,9 +6,9 @@
 // method's order, far below the Basic method's.
 #include <cstdio>
 
-#include "core/basic_detector.h"
 #include "core/group_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "detect/registry.h"
 #include "detect/snapshot.h"
 #include "rating/matrix.h"

@@ -1,13 +1,15 @@
-// Ablation: thread-pool parallelization of the detector sweeps and the
-// EigenTrust mat-vec (the library's two CPU-heavy inner loops).
+// Ablation: parallelizing the Basic / Optimized pair sweeps by lending
+// them a thread pool through EpochSnapshot::executor (the seam the
+// service's global epoch uses), against the serial sweep over the same
+// one-matrix snapshot.
 #include <benchmark/benchmark.h>
 
-#include "core/basic_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/executor.h"
+#include "detect/pair_sweep.h"
+#include "detect/snapshot.h"
 #include "rating/matrix.h"
 #include "rating/store.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -47,33 +49,36 @@ rating::RatingMatrix make_world(std::size_t n) {
   return rating::RatingMatrix::build(store, reps, 0.05);
 }
 
-void BM_BasicSerial(benchmark::State& state) {
+/// Runs `sweep` over a one-matrix snapshot of an n-node world, through
+/// `executor` (serial when null).
+template <typename Sweep>
+void run_sweep(benchmark::State& state, Sweep sweep,
+               detect::Executor* executor) {
   const auto matrix = make_world(static_cast<std::size_t>(state.range(0)));
-  core::BasicCollusionDetector detector(config());
-  for (auto _ : state) benchmark::DoNotOptimize(detector.detect(matrix));
+  auto snapshot = detect::EpochSnapshot::of(matrix);
+  snapshot.executor = executor;
+  for (auto _ : state) benchmark::DoNotOptimize(sweep(snapshot, config()));
+}
+
+void BM_BasicSerial(benchmark::State& state) {
+  run_sweep(state, detect::sweep_basic, nullptr);
 }
 BENCHMARK(BM_BasicSerial)->Arg(200)->Arg(600);
 
 void BM_BasicParallel(benchmark::State& state) {
-  const auto matrix = make_world(static_cast<std::size_t>(state.range(0)));
-  util::ThreadPool pool;
-  core::BasicCollusionDetector detector(config(), &pool);
-  for (auto _ : state) benchmark::DoNotOptimize(detector.detect(matrix));
+  detect::ThreadPoolExecutor executor;
+  run_sweep(state, detect::sweep_basic, &executor);
 }
 BENCHMARK(BM_BasicParallel)->Arg(200)->Arg(600);
 
 void BM_OptimizedSerial(benchmark::State& state) {
-  const auto matrix = make_world(static_cast<std::size_t>(state.range(0)));
-  core::OptimizedCollusionDetector detector(config());
-  for (auto _ : state) benchmark::DoNotOptimize(detector.detect(matrix));
+  run_sweep(state, detect::sweep_optimized, nullptr);
 }
 BENCHMARK(BM_OptimizedSerial)->Arg(600)->Arg(2000);
 
 void BM_OptimizedParallel(benchmark::State& state) {
-  const auto matrix = make_world(static_cast<std::size_t>(state.range(0)));
-  util::ThreadPool pool;
-  core::OptimizedCollusionDetector detector(config(), &pool);
-  for (auto _ : state) benchmark::DoNotOptimize(detector.detect(matrix));
+  detect::ThreadPoolExecutor executor;
+  run_sweep(state, detect::sweep_optimized, &executor);
 }
 BENCHMARK(BM_OptimizedParallel)->Arg(600)->Arg(2000);
 

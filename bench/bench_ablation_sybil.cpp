@@ -6,7 +6,7 @@
 // exposure this harness also measures.
 #include <cstdio>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "net/simulator.h"
 #include "reputation/weighted.h"
 #include "util/table.h"

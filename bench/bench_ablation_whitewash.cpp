@@ -5,7 +5,7 @@
 // amnesty, not throughput — while the identity pool burns down.
 #include <cstdio>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "net/simulator.h"
 #include "reputation/weighted.h"
 #include "util/table.h"

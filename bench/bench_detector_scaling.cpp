@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/basic_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "detect/registry.h"
 #include "detect/ring_detector.h"
 #include "detect/snapshot.h"

@@ -6,8 +6,8 @@
 // pretrusted nodes end with reputation 0; the clean pretrusted node (id 3)
 // keeps a high reputation; normal nodes gain. Note: detecting the
 // compromised pretrusted nodes requires the accomplice-propagation
-// extension (core/accomplice.h) — their good service erases the paper's
-// C2 evidence, so the pairwise predicate alone cannot flag them.
+// extension (detect/accomplice_exchange.h) — their good service erases the
+// paper's C2 evidence, so the pairwise predicate alone cannot flag them.
 #include <cstdio>
 
 #include "bench/common.h"

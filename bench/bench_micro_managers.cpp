@@ -5,7 +5,7 @@
 // O(n^2) per pass, incremental pays O(1) per rating plus O(n) per epoch.
 #include <benchmark/benchmark.h>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "managers/centralized.h"
 #include "managers/incremental.h"
 #include "reputation/summation.h"

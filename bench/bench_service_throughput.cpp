@@ -1,12 +1,16 @@
 // Sharded-service throughput scaling: streams a fixed synthetic workload
-// through ReputationService in per-shard epoch scope at 1/2/4/8 shards and
-// reports ingested ratings/sec plus epoch-latency percentiles.
+// through ReputationService at 1/2/4/8 shards, in per-shard or global
+// epoch scope, and reports ingested ratings/sec plus epoch-latency
+// percentiles.
 //
-// Why sharding pays even on few cores: the epoch cadence is per-shard
-// applied-rating count, so the stream-wide number of detection epochs is
-// fixed (~events / epoch_ratings) while each epoch's optimized sweep runs
-// over one shard's partition — high-reputed rows divided by S — cutting
-// the dominant detection term by the shard count.
+// Why sharding pays in per-shard scope even on few cores: the epoch
+// cadence is per-shard applied-rating count, so the stream-wide number of
+// detection epochs is fixed (~events / epoch_ratings) while each epoch's
+// optimized sweep runs over one shard's partition — high-reputed rows
+// divided by S — cutting the dominant detection term by the shard count.
+// Global scope sweeps every shard's rows at each epoch barrier (and checks
+// the pairs that span shards, which per-shard scope never does); the
+// scope column measures what that costs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -40,6 +44,7 @@ std::vector<rating::Rating> workload() {
 }
 
 // Arg 0: shard count. Arg 1: matrix backend (0 = dense, 1 = sparse).
+// Arg 2: epoch scope (0 = per-shard, 1 = global).
 // The backend dimension shows the memory trade directly: dense shard
 // matrices cost num_shards * kNodes^2 cells regardless of traffic, sparse
 // ones O(nnz) — the matrix_bytes counter reports the aggregate gauge.
@@ -53,7 +58,8 @@ void BM_ServiceIngestThroughput(benchmark::State& state) {
   cfg.matrix_backend = state.range(1) == 0 ? rating::MatrixBackend::kDense
                                            : rating::MatrixBackend::kSparse;
   cfg.queue_capacity = 4096;
-  cfg.epoch_scope = service::EpochScope::kPerShard;
+  cfg.epoch_scope = state.range(2) == 0 ? service::EpochScope::kPerShard
+                                         : service::EpochScope::kGlobal;
   cfg.epoch_ratings = 1024;
   cfg.detector = "optimized";
   cfg.detector_config.positive_fraction_min = 0.8;
@@ -86,7 +92,8 @@ void BM_ServiceIngestThroughput(benchmark::State& state) {
       static_cast<double>(total_ratings), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ServiceIngestThroughput)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
+    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}, {0, 1}})
+    ->ArgNames({"shards", "sparse", "global"})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -9,7 +9,7 @@
 // full parameter sweeps behind each row.
 #include <cstdio>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "net/simulator.h"
 #include "reputation/weighted.h"
 #include "util/table.h"

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "net/simulator.h"
 #include "reputation/weighted.h"
 #include "util/table.h"

@@ -8,7 +8,7 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "managers/centralized.h"
 #include "reputation/summation.h"
 

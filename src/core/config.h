@@ -57,7 +57,8 @@ struct DetectorConfig {
   /// After the pairwise pass, flag nodes in a mutual frequent
   /// mostly-positive rating relationship with an already-flagged colluder
   /// (fixpoint). Needed to catch compromised pretrusted nodes, whose good
-  /// service erases the C2 evidence (paper Fig. 11; see core/accomplice.h).
+  /// service erases the C2 evidence (paper Fig. 11; see
+  /// detect/accomplice_exchange.h).
   bool flag_accomplices = true;
 
   // --- Ring detection (detect::RingDetector; ignored by the pairwise

@@ -41,33 +41,15 @@ class ScanTimer {
 void BasicAdapter::on_epoch(const EpochSnapshot& snapshot,
                             core::DetectionReport& report) {
   const ScanTimer timer(stats_);
-  if (snapshot.matrices.size() == 1) {
-    // Single-matrix hosts keep the core detector verbatim — the
-    // differential suite proves this path byte-identical (cost included)
-    // to direct instantiation.
-    report = inner_.detect(single_matrix(snapshot, name()));
-    stats_.accomplice_rounds = 0;
-    return;
-  }
-  // Multi-matrix (sharded) snapshots go through the range-partitioned
-  // sweep + flagged-set exchange; reports match the single-matrix path
-  // byte-for-byte after format_epoch_report (which excludes cost).
   report = sweep_basic(snapshot, config_);
-  stats_.accomplice_rounds =
-      detect::propagate_accomplices(snapshot, config_, report);
+  stats_.accomplice_rounds = propagate_accomplices(snapshot, config_, report);
 }
 
 void OptimizedAdapter::on_epoch(const EpochSnapshot& snapshot,
                                 core::DetectionReport& report) {
   const ScanTimer timer(stats_);
-  if (snapshot.matrices.size() == 1) {
-    report = inner_.detect(single_matrix(snapshot, name()));
-    stats_.accomplice_rounds = 0;
-    return;
-  }
   report = sweep_optimized(snapshot, config_);
-  stats_.accomplice_rounds =
-      detect::propagate_accomplices(snapshot, config_, report);
+  stats_.accomplice_rounds = propagate_accomplices(snapshot, config_, report);
 }
 
 void GroupAdapter::on_epoch(const EpochSnapshot& snapshot,

@@ -1,34 +1,27 @@
-// Registry adapters for the three pre-existing core detectors. Each wraps
-// the core implementation unchanged — the differential suite proves the
-// adapted reports byte-identical to direct instantiation — and translates
-// its output into the shared core::DetectionReport shape:
+// Registry adapters for the pairwise methods and the group detector,
+// translating each into the shared core::DetectionReport shape:
 //
-//  * BasicAdapter / OptimizedAdapter — pass the snapshot's matrix through
-//    core::{Basic,Optimized}CollusionDetector::detect verbatim.
+//  * BasicAdapter / OptimizedAdapter — run detect::sweep_{basic,optimized}
+//    plus the accomplice exchange over the snapshot, one matrix or S shard
+//    matrices alike: the same code core::{Basic,Optimized}
+//    CollusionDetector::detect runs, so the reports (cost included) are
+//    identical to direct instantiation.
 //  * GroupAdapter — runs core::GroupCollusionDetector and re-expresses
 //    each CollusionGroup as a RingEvidence record (members + inside /
 //    outside aggregates), so group membership flows through the same
-//    suppression, accomplice and RPC paths as ring membership.
-//
-// Basic/Optimized accept multi-matrix (sharded) snapshots too: those run
-// the range-partitioned detect::sweep_{basic,optimized} plus the
-// cross-shard accomplice exchange, byte-identical after
-// format_epoch_report to the single-matrix path. Group stays
-// single-matrix (the service restricts it to one shard), so a
-// multi-matrix snapshot there is a host bug — std::logic_error.
+//    suppression, accomplice and RPC paths as ring membership. Group
+//    stays single-matrix (the service restricts it to one shard), so a
+//    multi-matrix snapshot there is a host bug — std::logic_error.
 #pragma once
 
-#include "core/basic_detector.h"
 #include "core/group_detector.h"
-#include "core/optimized_detector.h"
 #include "detect/detector.h"
 
 namespace p2prep::detect {
 
 class BasicAdapter final : public Detector {
  public:
-  explicit BasicAdapter(core::DetectorConfig config)
-      : Detector(config), inner_(config) {}
+  using Detector::Detector;
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "basic";
@@ -36,15 +29,11 @@ class BasicAdapter final : public Detector {
 
   void on_epoch(const EpochSnapshot& snapshot,
                 core::DetectionReport& report) override;
-
- private:
-  core::BasicCollusionDetector inner_;
 };
 
 class OptimizedAdapter final : public Detector {
  public:
-  explicit OptimizedAdapter(core::DetectorConfig config)
-      : Detector(config), inner_(config) {}
+  using Detector::Detector;
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "optimized";
@@ -52,9 +41,6 @@ class OptimizedAdapter final : public Detector {
 
   void on_epoch(const EpochSnapshot& snapshot,
                 core::DetectionReport& report) override;
-
- private:
-  core::OptimizedCollusionDetector inner_;
 };
 
 class GroupAdapter final : public Detector {

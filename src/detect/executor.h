@@ -9,8 +9,8 @@
 // caller merges in task-index order after run() returns.
 //
 // Hosts provide the labor: the service's global epoch runs tasks on its
-// scan pool and on shard workers parked at the epoch barrier; benches use
-// a plain thread-pool adapter; a null executor on the snapshot means
+// scan pool and on shard workers parked at the epoch barrier; benches and
+// tests use ThreadPoolExecutor below; a null executor on the snapshot means
 // serial (the caller's own thread runs every task in index order). Since
 // any executor yields the same merged output as the serial path, recovery
 // replay may run parallel or serial and still reproduce every byte.
@@ -18,6 +18,8 @@
 
 #include <cstddef>
 #include <functional>
+
+#include "util/thread_pool.h"
 
 namespace p2prep::detect {
 
@@ -36,6 +38,24 @@ class Executor {
   [[nodiscard]] virtual std::size_t concurrency() const noexcept {
     return 1;
   }
+};
+
+/// Lends a plain util::ThreadPool to the detect layer.
+class ThreadPoolExecutor final : public Executor {
+ public:
+  /// `threads` as for util::ThreadPool (0 = hardware concurrency).
+  explicit ThreadPoolExecutor(std::size_t threads = 0) : pool_(threads) {}
+
+  void run(std::size_t num_tasks,
+           const std::function<void(std::size_t)>& fn) override {
+    pool_.parallel_for(0, num_tasks, fn);
+  }
+  [[nodiscard]] std::size_t concurrency() const noexcept override {
+    return pool_.size();
+  }
+
+ private:
+  util::ThreadPool pool_;
 };
 
 /// Runs the tasks through `exec` when non-null, else serially in index

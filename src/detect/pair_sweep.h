@@ -1,12 +1,19 @@
-// Range-partitioned cross-shard pair sweeps (DESIGN.md §15).
+// Range-partitioned pair sweeps (DESIGN.md §15): the one implementation
+// of the paper's Basic / Optimized pairwise scans.
 //
-// These are the Basic / Optimized pairwise scans of the paper, lifted
-// from the service's global-epoch body into the detect layer and
-// generalized over an EpochSnapshot: every quantity about node i (row,
+// Generalized over an EpochSnapshot: every quantity about node i (row,
 // totals, frequent aggregate, window reputation) is read from
 // snapshot.matrix_of(i) — the owner shard's matrix — so the same code
-// serves one matrix or S shard matrices, and a single-owner snapshot
-// reproduces the single-matrix sweep exactly.
+// serves one matrix (core::{Basic,Optimized}CollusionDetector, per-shard
+// epochs) or S shard matrices (the service's global epoch).
+//
+// Cost: every counter equals what the paper-literal serial loops charge
+// on one matrix holding all rows, on either backend
+// (tests/detect/pair_sweep_test.cpp). The Basic method's per-pair
+// complement scan of row i is charged from its stored-cell count
+// (RatingMatrix::stored_cells) while its sums come from the row
+// aggregates; matrices built with a frequency threshold other than T_N
+// recompute the frequent-rater aggregate from the row.
 //
 // Parallelism: the outer node index [0, n) is split into contiguous
 // ranges, one task per range, run through snapshot.executor (serial when
@@ -27,9 +34,10 @@
 namespace p2prep::detect {
 
 /// Basic-method sweep: each unordered pair examined once, from its first
-/// high-reputed endpoint in ascending order, with the paper's full-row
-/// complement scan charged per direction. Returns the canonicalized
-/// report (pairs only — rings never come from the pairwise methods).
+/// high-reputed endpoint in ascending order (the paper's checked-pair
+/// marks), with the paper's complement row scan charged per direction.
+/// Returns the canonicalized report (pairs only — rings never come from
+/// the pairwise methods).
 [[nodiscard]] core::DetectionReport sweep_basic(
     const EpochSnapshot& snapshot, const core::DetectorConfig& config);
 

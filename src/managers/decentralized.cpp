@@ -261,10 +261,11 @@ DecentralizedReputationSystem::run_detection(DetectionMethod method,
     }
   }
 
-  // Accomplice propagation across shards (see core/accomplice.h): once a
-  // node is flagged, any mutual frequent mostly-positive partner of it is
-  // flagged too. The partner-side pair stats live at the partner's
-  // manager, so each probe that crosses shards is another routed request.
+  // Accomplice propagation across shards (see
+  // detect/accomplice_exchange.h): once a node is flagged, any mutual
+  // frequent mostly-positive partner of it is flagged too. The
+  // partner-side pair stats live at the partner's manager, so each probe
+  // that crosses shards is another routed request.
   if (config_.detector.flag_accomplices) {
     std::unordered_set<std::uint64_t> known;
     std::vector<rating::NodeId> worklist;

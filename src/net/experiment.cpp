@@ -3,8 +3,8 @@
 #include <memory>
 #include <unordered_set>
 
-#include "core/basic_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "net/simulator.h"
 #include "reputation/eigentrust.h"
 #include "reputation/gossiptrust.h"

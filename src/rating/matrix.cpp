@@ -6,17 +6,6 @@
 
 namespace p2prep::rating {
 
-namespace {
-
-/// Canonical key of the unordered pair {i, j} for the checked-pair marks.
-constexpr std::uint64_t unordered_pair_key(NodeId i, NodeId j) noexcept {
-  const NodeId lo = i < j ? i : j;
-  const NodeId hi = i < j ? j : i;
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
-}  // namespace
-
 RatingMatrix::RatingMatrix(std::size_t num_nodes, MatrixBackend backend)
     : backend_(backend), meta_(num_nodes) {
   if (backend_ == MatrixBackend::kDense) {
@@ -129,8 +118,6 @@ std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
     for (const SparseRow& row : sparse_)
       bytes += row.cells.capacity() * sizeof(SparseCell);
   }
-  bytes += checked_.bucket_count() * sizeof(void*);
-  bytes += checked_.size() * (sizeof(std::uint64_t) + 2 * sizeof(void*));
   return bytes;
 }
 
@@ -181,7 +168,6 @@ void RatingMatrix::clear_window() {
     meta.totals = PairStats{};
     meta.frequent_totals = PairStats{};
   }
-  if (!checked_.empty()) clear_marks();
   if (dirty_on_) {
     // Cells were wiped wholesale without per-cell dirty records; the next
     // delta cannot describe the change, so force a full rebuild.
@@ -193,6 +179,7 @@ void RatingMatrix::clear_window() {
 void RatingMatrix::restore_cell(NodeId ratee, NodeId rater,
                                 const PairStats& stats) {
   assert(ratee < size() && rater < size() && ratee != rater);
+  if (stats.total == 0) return;
   PairStats& cell = mutable_cell(ratee, rater);
   assert(cell.total == 0 && "restore_cell target must be empty");
   cell = stats;
@@ -250,17 +237,5 @@ DirtyCells RatingMatrix::take_dirty_cells() {
   dirty_complete_ = true;
   return result;
 }
-
-bool RatingMatrix::checked(NodeId i, NodeId j) const {
-  assert(i < size() && j < size());
-  return checked_.contains(unordered_pair_key(i, j));
-}
-
-void RatingMatrix::mark_checked(NodeId i, NodeId j) {
-  assert(i < size() && j < size());
-  checked_.insert(unordered_pair_key(i, j));
-}
-
-void RatingMatrix::clear_marks() { checked_.clear(); }
 
 }  // namespace p2prep::rating

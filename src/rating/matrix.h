@@ -33,16 +33,19 @@
 //
 // A cell read searches the main run, then the tail. Each search resumes
 // from a per-thread finger left by the previous read of the same row, so
-// the pair sweeps' ascending probes a_i0, a_i1, ..., a_i(n-1) cost O(1)
-// each instead of a binary search; any other access pattern falls back to
-// a binary search. approx_memory_bytes() counts each row's vector header
-// and allocated cell capacity — about half the bytes per rating of the
-// hash-map rows this layout replaced.
+// ascending probes along one row — the pair sweeps' a_i0, a_i1, ...,
+// a_i(n-1), the group detector's edge pass, the ring detector's
+// dirty-cell reads — cost O(1) each instead of a binary search; any other
+// access pattern falls back to a binary search. approx_memory_bytes()
+// counts each row's vector header and allocated cell capacity — about
+// half the bytes per rating of the hash-map rows this layout replaced.
 //
 // Detector hot paths consume rows through the backend-agnostic visitors
-// (for_each_cell / cell_or_null) instead of indexing a dense span, so the
-// Basic method's inner scan is O(stored cells of the row): n on the dense
-// oracle (the paper's cost), row nnz on the sparse backend.
+// (for_each_cell / for_each_nonzero_cell) instead of indexing a dense
+// span. Row scans the paper's cost model charges element by element (the
+// Basic method's complement scan) are charged from stored_cells(): n on
+// the dense oracle (the paper's full-row scan), row nnz on the sparse
+// backend.
 //
 // Two reputation views coexist on purpose:
 //  * `global_reputation` — whatever the host reputation system computed
@@ -166,6 +169,13 @@ class RatingMatrix {
     return stats.total > 0 ? &stats : nullptr;
   }
 
+  /// Number of cells for_each_cell visits in row `ratee`: n on the dense
+  /// backend, the row's non-empty cells on the sparse one.
+  [[nodiscard]] std::size_t stored_cells(NodeId ratee) const {
+    return backend_ == MatrixBackend::kDense ? size()
+                                             : sparse_.at(ratee).cells.size();
+  }
+
   /// Visits every STORED cell of row `ratee` as fn(rater, stats), in
   /// ascending rater order on both backends. The dense backend stores all
   /// n columns (including empty ones — the paper's full-row scan); the
@@ -207,8 +217,8 @@ class RatingMatrix {
     }
   }
 
-  /// Resident-memory estimate of this matrix (cells + row metadata + pair
-  /// marks), in bytes. Exact for the dense backend; for the sparse backend
+  /// Resident-memory estimate of this matrix (cells + row metadata), in
+  /// bytes. Exact for the dense backend; for the sparse backend
   /// the row headers plus each row's allocated cell capacity (16 bytes a
   /// cell), which tests/rating/matrix_memory_test.cpp holds within 20% of
   /// the measured heap growth. The bench memory columns and the footprint
@@ -230,8 +240,8 @@ class RatingMatrix {
     frequency_threshold_ = t;
   }
 
-  /// Resets the update window in place: zeroes every cell, the per-row
-  /// totals / frequent aggregates, and the checked-pair marks. Global
+  /// Resets the update window in place: zeroes every cell and the per-row
+  /// totals / frequent aggregates. Global
   /// reputations, high-reputed flags, and the frequency threshold are
   /// preserved — they belong to the host system, not the window. Rows
   /// whose totals are already zero are skipped, so the cost is
@@ -240,7 +250,9 @@ class RatingMatrix {
 
   /// Restores a window cell verbatim (checkpoint recovery): installs
   /// `stats` at (ratee, rater) and folds it into the row totals and, when
-  /// frequent, the frequent aggregate. The target cell must be empty.
+  /// frequent, the frequent aggregate. The target cell must be empty; an
+  /// empty `stats` restores nothing, so the sparse backend keeps storing
+  /// only non-empty cells.
   void restore_cell(NodeId ratee, NodeId rater, const PairStats& stats);
 
   /// Extracts row `ratee` for a shard handoff: returns its non-empty
@@ -265,13 +277,6 @@ class RatingMatrix {
   /// ascending (ratee, rater) order, plus whether the delta is complete
   /// (see DirtyCells). Resets the recorder to a complete empty delta.
   [[nodiscard]] DirtyCells take_dirty_cells();
-
-  // --- Checked-pair marking (paper: "the manager marks a_ij and a_ji") ---
-
-  [[nodiscard]] bool checked(NodeId i, NodeId j) const;
-  /// Marks the unordered pair {i, j}: both a_ij and a_ji.
-  void mark_checked(NodeId i, NodeId j);
-  void clear_marks();
 
  private:
   struct RowMeta {
@@ -391,7 +396,6 @@ class RatingMatrix {
   util::Matrix<PairStats> dense_;  // kDense cells (empty under kSparse)
   std::vector<SparseRow> sparse_;  // kSparse rows (empty under kDense)
   std::vector<RowMeta> meta_;
-  std::unordered_set<std::uint64_t> checked_;  // unordered-pair mark keys
   std::size_t high_count_ = 0;
   std::uint32_t frequency_threshold_ = 0;
   bool dirty_on_ = false;

@@ -7,8 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "detect/accomplice_exchange.h"
-#include "detect/pair_sweep.h"
 #include "detect/registry.h"
 
 namespace p2prep::service {
@@ -1056,7 +1054,7 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
                                                 std::memory_order_relaxed)) {
     }
   }
-  ring_scan_us_.store(global_detector_ ? global_detector_->stats().scan_us : 0,
+  ring_scan_us_.store(global_detector_->stats().scan_us,
                       std::memory_order_relaxed);
 
   if (overlap) {
@@ -1093,14 +1091,6 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
 
 void ReputationService::make_global_detector(const ShardMap&) {
   if (config_.epoch_scope != EpochScope::kGlobal) return;
-  if (config_.detector == "basic" || config_.detector == "optimized") {
-    // global_detect() runs these inline via the range-partitioned
-    // detect::sweep_* plus the cross-shard accomplice exchange — which
-    // reproduce the pre-registry reports byte-for-byte at any shard
-    // count — so no plugin instance is needed.
-    global_detector_.reset();
-    return;
-  }
   global_detector_ = detect::DetectorRegistry::global().create(
       config_.detector, config_.detector_config);
 }
@@ -1119,31 +1109,17 @@ core::DetectionReport ReputationService::global_detect(
   // the detect layer; a null executor keeps every sweep serial.
   if (config_.parallel_epoch) snap.executor = &scan_executor_;
 
-  // Plugin path: any registry detector other than basic/optimized runs
-  // over the snapshot of all shard matrices (the adapters handle
-  // multi-matrix natively, accomplice exchange included).
-  if (global_detector_) {
-    if (global_detector_->wants_dirty_tracking()) {
-      snap.dirty.reserve(slots.size());
-      for (const auto& slot : slots)
-        snap.dirty.push_back(slot->shard.manager().take_dirty_cells());
-    }
-    global_detector_->on_epoch(snap, report);
-    accomplice_rounds_.store(global_detector_->stats().accomplice_rounds,
-                             std::memory_order_relaxed);
-    return report;
+  // The registry detector runs over the snapshot of all shard matrices
+  // (the detect layer handles multi-matrix natively, accomplice exchange
+  // included).
+  if (global_detector_->wants_dirty_tracking()) {
+    snap.dirty.reserve(slots.size());
+    for (const auto& slot : slots)
+      snap.dirty.push_back(slot->shard.manager().take_dirty_cells());
   }
-
-  // basic/optimized: range-partitioned sweep plus the cross-shard
-  // accomplice exchange. Both reproduce the pre-registry inline sweeps'
-  // reports byte-for-byte at any shard count
-  // (tests/differential/parallel_epoch_test.cpp).
-  report = config_.detector == "basic"
-               ? detect::sweep_basic(snap, config_.detector_config)
-               : detect::sweep_optimized(snap, config_.detector_config);
-  accomplice_rounds_.store(
-      detect::propagate_accomplices(snap, config_.detector_config, report),
-      std::memory_order_relaxed);
+  global_detector_->on_epoch(snap, report);
+  accomplice_rounds_.store(global_detector_->stats().accomplice_rounds,
+                           std::memory_order_relaxed);
   return report;
 }
 

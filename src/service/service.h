@@ -292,12 +292,9 @@ class ReputationService {
   void make_global_detector(const ShardMap& map);
 
   ServiceConfig config_;
-  /// Cross-shard detector instance for global epochs: any registry plugin
-  /// other than basic/optimized. Basic/optimized always go through the
-  /// range-partitioned detect::sweep_{basic,optimized} plus the
-  /// cross-shard accomplice exchange inline in global_detect(), so they
-  /// need no plugin instance. Null in per-shard scope, where each shard
-  /// owns its detector.
+  /// Cross-shard detector instance for global epochs, created through the
+  /// registry for every detector name. Null in per-shard scope, where each
+  /// shard owns its detector.
   std::unique_ptr<detect::Detector> global_detector_;
   /// Lends the coordinator's scan labor pool to detect-layer sweeps.
   struct ScanExecutor final : detect::Executor {

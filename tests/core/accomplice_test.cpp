@@ -1,8 +1,8 @@
-// Direct unit tests of the accomplice-propagation pass (core/accomplice.h).
-#include "core/accomplice.h"
-
+// Direct unit tests of the accomplice-propagation pass
+// (detect/accomplice_exchange.h) over one-matrix snapshots.
 #include <gtest/gtest.h>
 
+#include "detect/accomplice_exchange.h"
 #include "tests/core/scenario.h"
 
 namespace p2prep::core {
@@ -18,6 +18,12 @@ DetectorConfig config() {
   c.high_rep_threshold = 0.05;
   c.flag_accomplices = true;
   return c;
+}
+
+void propagate_accomplices(const rating::RatingMatrix& matrix,
+                           const DetectorConfig& cfg, DetectionReport& report) {
+  detect::propagate_accomplices(detect::EpochSnapshot::of(matrix), cfg,
+                                report);
 }
 
 PairEvidence seed_pair(rating::NodeId a, rating::NodeId b) {

@@ -1,9 +1,8 @@
-#include "core/basic_detector.h"
+#include "detect/basic_detector.h"
 
 #include <gtest/gtest.h>
 
 #include "tests/core/scenario.h"
-#include "util/thread_pool.h"
 
 namespace p2prep::core {
 namespace {
@@ -177,26 +176,6 @@ TEST(BasicDetectorTest, CostChargedAndScalesWithMatrix) {
   big.crowd(3, 120, 1, 0.1);
   const auto big_report = BasicCollusionDetector(config()).detect(big.build());
   EXPECT_GT(big_report.cost.total(), small_report.cost.total());
-}
-
-TEST(BasicDetectorTest, ParallelMatchesSerialPairs) {
-  util::ThreadPool pool(4);
-  Scenario s(150);
-  s.collude(0, 1, 30).collude(10, 11, 40).collude(70, 140, 25);
-  for (rating::NodeId id : {0u, 1u, 10u, 11u, 70u, 140u}) {
-    s.crowd(20, 60, id, 0.05);
-    s.set_rep(id, 0.2);
-  }
-  const auto matrix = s.build();
-  BasicCollusionDetector serial(config());
-  BasicCollusionDetector parallel(config(), &pool);
-  const auto rs = serial.detect(matrix);
-  const auto rp = parallel.detect(matrix);
-  ASSERT_EQ(rs.pairs.size(), rp.pairs.size());
-  for (std::size_t i = 0; i < rs.pairs.size(); ++i) {
-    EXPECT_EQ(rs.pairs[i].first, rp.pairs[i].first);
-    EXPECT_EQ(rs.pairs[i].second, rp.pairs[i].second);
-  }
 }
 
 TEST(BasicDetectorTest, EmptyMatrixYieldsNothing) {

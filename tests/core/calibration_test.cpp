@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/basic_detector.h"
+#include "detect/basic_detector.h"
 #include "rating/matrix.h"
 #include "util/rng.h"
 

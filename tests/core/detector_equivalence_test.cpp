@@ -8,8 +8,8 @@
 
 #include <algorithm>
 
-#include "core/basic_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "tests/core/scenario.h"
 #include "util/rng.h"
 

@@ -6,8 +6,8 @@
 
 #include <tuple>
 
-#include "core/basic_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "rating/matrix.h"
 #include "rating/store.h"
 

@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "core/basic_detector.h"
 #include "core/group_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "managers/incremental.h"
 #include "rating/matrix.h"
 #include "rating/store.h"

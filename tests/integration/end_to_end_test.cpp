@@ -4,8 +4,8 @@
 
 #include <algorithm>
 
-#include "core/basic_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "managers/decentralized.h"
 #include "net/experiment.h"
 #include "net/simulator.h"

@@ -5,9 +5,9 @@
 #include <sstream>
 #include <string>
 
-#include "core/basic_detector.h"
 #include "core/group_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "dht/chord.h"
 #include "rating/matrix.h"
 #include "trace/io.h"

@@ -4,7 +4,7 @@
 
 #include <chrono>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "managers/incremental.h"
 #include "reputation/summation.h"
 #include "util/rng.h"

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/basic_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "rating/matrix.h"
 
 namespace p2prep::managers {

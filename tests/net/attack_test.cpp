@@ -3,7 +3,7 @@
 // pairwise collusion (its stated future work).
 #include <gtest/gtest.h>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "net/simulator.h"
 #include "reputation/weighted.h"
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "reputation/weighted.h"
 
 namespace p2prep::net {

@@ -2,7 +2,7 @@
 // under fresh ones.
 #include <gtest/gtest.h>
 
-#include "core/optimized_detector.h"
+#include "detect/optimized_detector.h"
 #include "net/simulator.h"
 #include "reputation/weighted.h"
 

@@ -329,17 +329,6 @@ TEST(RatingMatrixTest, SparseReadsMatchReferenceUnderAnyProbeOrder) {
   }
 }
 
-TEST(RatingMatrixTest, MarkCheckedIsSymmetric) {
-  RatingMatrix m(3);
-  EXPECT_FALSE(m.checked(0, 1));
-  m.mark_checked(0, 1);
-  EXPECT_TRUE(m.checked(0, 1));
-  EXPECT_TRUE(m.checked(1, 0));
-  EXPECT_FALSE(m.checked(0, 2));
-  m.clear_marks();
-  EXPECT_FALSE(m.checked(0, 1));
-}
-
 TEST(RatingMatrixTest, BuildFlagsNothingWhenAllLow) {
   RatingStore store(3);
   const std::vector<double> reps{0.0, 0.0, 0.0};

@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "core/basic_detector.h"
-#include "core/optimized_detector.h"
+#include "detect/basic_detector.h"
+#include "detect/optimized_detector.h"
 #include "managers/incremental.h"
 #include "reputation/summation.h"
 #include "service/service.h"
