@@ -2,16 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <utility>
 
 namespace p2prep::rating {
 
+namespace {
+
+/// Whether (rep, high) is the host meta an untouched row reads as. A -0.0
+/// reputation is kept in a row so it reads back bit for bit.
+bool host_default(double rep, bool high) {
+  return !high && rep == 0.0 && !std::signbit(rep);
+}
+
+}  // namespace
+
+const RatingMatrix::Row RatingMatrix::kEmptyRow{};
+
 RatingMatrix::RatingMatrix(std::size_t num_nodes, MatrixBackend backend)
-    : backend_(backend), meta_(num_nodes) {
+    : backend_(backend), rows_(num_nodes) {
   if (backend_ == MatrixBackend::kDense) {
     dense_ = util::Matrix<PairStats>(num_nodes, num_nodes);
-  } else {
-    sparse_.resize(num_nodes);
+    allocated_.reserve(num_nodes);
+    for (NodeId i = 0; i < num_nodes; ++i) materialize(i);
   }
 }
 
@@ -25,27 +38,27 @@ RatingMatrix RatingMatrix::build(const RatingStore& store,
   RatingMatrix m(n, backend);
   m.frequency_threshold_ = frequency_threshold;
   for (NodeId i = 0; i < n; ++i) {
-    auto& meta = m.meta_[i];
-    meta.global_rep = global_reps[i];
-    meta.totals = store.window_totals(i);
-    meta.high_reputed = global_reps[i] > high_rep_threshold;
-    if (meta.high_reputed) ++m.high_count_;
+    m.set_global_reputation(i, global_reps[i], high_rep_threshold);
+    const PairStats& totals = store.window_totals(i);
+    if (totals.total == 0) continue;  // no window raters
+    Row& row = m.materialize(i);
+    row.totals = totals;
     store.for_each_window_rater(
-        i, [&m, i, frequency_threshold, &meta](NodeId rater,
-                                               const PairStats& stats) {
+        i, [&m, i, frequency_threshold, &row](NodeId rater,
+                                              const PairStats& stats) {
           if (m.backend_ == MatrixBackend::kDense) {
             m.dense_(i, rater) = stats;
           } else {
-            m.sparse_[i].cells.emplace_back(rater, stats);
+            row.sparse.cells.emplace_back(rater, stats);
           }
           if (frequency_threshold > 0 && stats.total >= frequency_threshold)
-            meta.frequent_totals += stats;
+            row.frequent_totals += stats;
         });
     if (m.backend_ == MatrixBackend::kSparse) {
       // The store enumerates raters unordered: sort once into the main run.
-      SparseRow& row = m.sparse_[i];
-      std::sort(row.cells.begin(), row.cells.end(), RaterLess{});
-      row.main_len = static_cast<std::uint32_t>(row.cells.size());
+      std::vector<SparseCell>& cells = row.sparse.cells;
+      std::sort(cells.begin(), cells.end(), RaterLess{});
+      row.sparse.main_len = static_cast<std::uint32_t>(cells.size());
     }
   }
   return m;
@@ -102,45 +115,87 @@ std::uint32_t RatingMatrix::SparseRow::seek_from(std::uint32_t from,
   return from;
 }
 
-PairStats& RatingMatrix::mutable_cell(NodeId ratee, NodeId rater) {
+RatingMatrix::Row& RatingMatrix::materialize(NodeId i) {
+  std::unique_ptr<Row>& slot = rows_[i];
+  if (slot == nullptr) {
+    slot = std::make_unique<Row>();
+    slot->list_pos = static_cast<std::uint32_t>(allocated_.size());
+    allocated_.push_back(i);
+  }
+  return *slot;
+}
+
+void RatingMatrix::release_if_unused(NodeId i) {
+  const Row& row = *rows_[i];
+  if (backend_ == MatrixBackend::kDense || !row.sparse.cells.empty() ||
+      !host_default(row.global_rep, row.high_reputed))
+    return;
+  // Swap-remove i from the existing-row list.
+  const NodeId last = allocated_.back();
+  allocated_[row.list_pos] = last;
+  rows_[last]->list_pos = row.list_pos;
+  allocated_.pop_back();
+  if (allocated_.empty()) allocated_ = std::vector<NodeId>();  // free it
+  rows_[i].reset();
+}
+
+void RatingMatrix::clear_row(NodeId i, Row& row) {
+  if (backend_ == MatrixBackend::kDense) {
+    auto cells = dense_.row(i);
+    std::fill(cells.begin(), cells.end(), PairStats{});
+  } else {
+    row.sparse = SparseRow{};  // frees the row's cell storage
+  }
+  row.totals = PairStats{};
+  row.frequent_totals = PairStats{};
+  release_if_unused(i);
+}
+
+PairStats& RatingMatrix::mutable_cell(Row& row, NodeId ratee, NodeId rater) {
   assert(ratee < size() && rater < size());
   if (backend_ == MatrixBackend::kDense) return dense_(ratee, rater);
-  return sparse_[ratee].find_or_insert(rater);
+  return row.sparse.find_or_insert(rater);
 }
 
 std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
-  std::size_t bytes = sizeof(RatingMatrix);
-  bytes += meta_.capacity() * sizeof(RowMeta);
+  std::size_t bytes = sizeof(RatingMatrix) +
+                      rows_.capacity() * sizeof(std::unique_ptr<Row>) +
+                      allocated_.capacity() * sizeof(NodeId) +
+                      allocated_.size() * sizeof(Row);
   if (backend_ == MatrixBackend::kDense) {
     bytes += dense_.rows() * dense_.cols() * sizeof(PairStats);
   } else {
-    bytes += sparse_.capacity() * sizeof(SparseRow);
-    for (const SparseRow& row : sparse_)
-      bytes += row.cells.capacity() * sizeof(SparseCell);
+    for (const NodeId i : allocated_)
+      bytes += rows_[i]->sparse.cells.capacity() * sizeof(SparseCell);
   }
   return bytes;
 }
 
 std::size_t RatingMatrix::dense_footprint_bytes(std::size_t num_nodes) noexcept {
-  return sizeof(RatingMatrix) + num_nodes * sizeof(RowMeta) +
+  return sizeof(RatingMatrix) +
+         num_nodes * (sizeof(std::unique_ptr<Row>) + sizeof(NodeId) +
+                      sizeof(Row)) +
          num_nodes * num_nodes * sizeof(PairStats);
 }
 
 void RatingMatrix::set_global_reputation(NodeId i, double rep,
                                          double high_rep_threshold) {
-  auto& meta = meta_.at(i);
-  const bool was_high = meta.high_reputed;
-  meta.global_rep = rep;
-  meta.high_reputed = rep > high_rep_threshold;
-  if (meta.high_reputed && !was_high) ++high_count_;
-  if (!meta.high_reputed && was_high) --high_count_;
+  const bool high = rep > high_rep_threshold;
+  if (rows_.at(i) == nullptr && host_default(rep, high)) return;
+  Row& row = materialize(i);
+  if (high && !row.high_reputed) ++high_count_;
+  if (!high && row.high_reputed) --high_count_;
+  row.global_rep = rep;
+  row.high_reputed = high;
+  release_if_unused(i);
 }
 
 void RatingMatrix::add_rating(NodeId ratee, NodeId rater, Score score) {
   assert(ratee < size() && rater < size() && ratee != rater);
-  PairStats& cell = mutable_cell(ratee, rater);
+  Row& row = materialize(ratee);
+  PairStats& cell = mutable_cell(row, ratee, rater);
   cell.add(score);
-  meta_[ratee].totals.add(score);
+  row.totals.add(score);
   mark_dirty(ratee, rater);
   // Incremental frequent-rater aggregate: when a cell crosses the
   // threshold its whole history joins the aggregate; afterwards each new
@@ -148,25 +203,20 @@ void RatingMatrix::add_rating(NodeId ratee, NodeId rater, Score score) {
   // keeps the joint-complement state at O(1) per rating.
   if (frequency_threshold_ > 0 && cell.total >= frequency_threshold_) {
     if (cell.total == frequency_threshold_) {
-      meta_[ratee].frequent_totals += cell;
+      row.frequent_totals += cell;
     } else {
-      meta_[ratee].frequent_totals.add(score);
+      row.frequent_totals.add(score);
     }
   }
 }
 
 void RatingMatrix::clear_window() {
-  for (NodeId i = 0; i < size(); ++i) {
-    auto& meta = meta_[i];
-    if (meta.totals.total == 0) continue;  // row never touched this window
-    if (backend_ == MatrixBackend::kDense) {
-      auto row = dense_.row(i);
-      std::fill(row.begin(), row.end(), PairStats{});
-    } else {
-      sparse_[i] = SparseRow{};  // frees the row's storage
-    }
-    meta.totals = PairStats{};
-    meta.frequent_totals = PairStats{};
+  // Backwards, so a freed row's swap-remove only moves an entry that was
+  // already visited.
+  for (std::size_t k = allocated_.size(); k-- > 0;) {
+    const NodeId i = allocated_[k];
+    Row& row = *rows_[i];
+    if (row.totals.total != 0) clear_row(i, row);  // written this window
   }
   if (dirty_on_) {
     // Cells were wiped wholesale without per-cell dirty records; the next
@@ -180,12 +230,13 @@ void RatingMatrix::restore_cell(NodeId ratee, NodeId rater,
                                 const PairStats& stats) {
   assert(ratee < size() && rater < size() && ratee != rater);
   if (stats.total == 0) return;
-  PairStats& cell = mutable_cell(ratee, rater);
+  Row& row = materialize(ratee);
+  PairStats& cell = mutable_cell(row, ratee, rater);
   assert(cell.total == 0 && "restore_cell target must be empty");
   cell = stats;
-  meta_[ratee].totals += stats;
+  row.totals += stats;
   if (frequency_threshold_ > 0 && stats.total >= frequency_threshold_) {
-    meta_[ratee].frequent_totals += stats;
+    row.frequent_totals += stats;
   }
   mark_dirty(ratee, rater);
 }
@@ -199,14 +250,7 @@ std::vector<std::pair<NodeId, PairStats>> RatingMatrix::take_row(
   });
   if (cells.empty()) return cells;
 
-  if (backend_ == MatrixBackend::kDense) {
-    auto row = dense_.row(ratee);
-    std::fill(row.begin(), row.end(), PairStats{});
-  } else {
-    sparse_[ratee] = SparseRow{};  // frees the row's storage
-  }
-  meta_[ratee].totals = PairStats{};
-  meta_[ratee].frequent_totals = PairStats{};
+  clear_row(ratee, *rows_[ratee]);  // it holds cells, so it exists
   if (dirty_on_) {
     // Drop stale dirty keys for the row; the removal itself is not
     // expressible as a delta, so force a full rebuild on the next take.

@@ -3,9 +3,22 @@
 // Row i describes ratee n_i; cell (i, j) holds the PairStats of rater n_j
 // for n_i over the current update window T — exactly the paper's
 // a_ij = <ID_i, R_i, N_(i,j), N+_(i,j)>. Per the paper, rows are only
-// "non-empty" for high-reputed nodes (R_i > T_R); we keep all rows
-// allocated but flag which are live, which is equivalent and lets the
-// detectors charge the same costs the paper's algorithm would.
+// "non-empty" for nodes that receive ratings, and a decentralized manager
+// (Sec. IV-D) stores only the rows of the nodes it is responsible for.
+// A sharded service routes each rating to its ratee's shard, so each
+// shard matrix writes only ~n/S of its n rows.
+//
+// Row storage. Every node has one 8-byte slot; its row (host meta —
+// global reputation and high-reputed flag — window totals, frequent
+// aggregate and, on the sparse backend, the cells) is allocated on the
+// row's first write. On the sparse backend a row exists exactly while it
+// holds a cell or non-default host meta: take_row, clear_window and
+// set_global_reputation free it again once neither holds. An empty slot
+// reads as an untouched row through every accessor (zero totals, no
+// cells, global reputation 0, not high-reputed), so detectors charge the
+// same costs either way. The dense oracle allocates every row up front
+// and never frees one. clear_window and approx_memory_bytes walk a list
+// of the existing rows, so they cost time in proportion to those rows.
 //
 // Two storage backends implement the same cell contract (MatrixBackend):
 //  * kDense  — one contiguous n x n block (util::Matrix). Element access
@@ -37,8 +50,8 @@
 // a_i(n-1), the group detector's edge pass, the ring detector's
 // dirty-cell reads — cost O(1) each instead of a binary search; any other
 // access pattern falls back to a binary search. approx_memory_bytes()
-// counts each row's vector header and allocated cell capacity — about
-// half the bytes per rating of the hash-map rows this layout replaced.
+// counts the 8-byte row slots, each allocated row (72 bytes) and its
+// allocated cell capacity.
 //
 // Detector hot paths consume rows through the backend-agnostic visitors
 // (for_each_cell / for_each_nonzero_cell) instead of indexing a dense
@@ -58,6 +71,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <unordered_set>
@@ -117,7 +131,7 @@ class RatingMatrix {
 
   [[nodiscard]] MatrixBackend backend() const noexcept { return backend_; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return meta_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
 
   /// Number of live (high-reputed) rows — the paper's m.
   [[nodiscard]] std::size_t high_reputed_count() const noexcept {
@@ -125,24 +139,24 @@ class RatingMatrix {
   }
 
   [[nodiscard]] bool high_reputed(NodeId i) const {
-    return meta_.at(i).high_reputed;
+    return row(i).high_reputed;
   }
   [[nodiscard]] double global_reputation(NodeId i) const {
-    return meta_.at(i).global_rep;
+    return row(i).global_rep;
   }
   /// Window totals N_i / N+_i / N-_i for ratee i.
   [[nodiscard]] const PairStats& totals(NodeId i) const {
-    return meta_.at(i).totals;
+    return row(i).totals;
   }
   /// Summation reputation over the window: N+_i - N-_i.
   [[nodiscard]] std::int64_t window_reputation(NodeId i) const {
-    return meta_.at(i).totals.reputation_delta();
+    return row(i).totals.reputation_delta();
   }
 
   /// Aggregate over row i's frequent raters (N_(i,k) >= the matrix's
   /// frequency threshold). Zero stats when no threshold was configured.
   [[nodiscard]] const PairStats& frequent_totals(NodeId i) const {
-    return meta_.at(i).frequent_totals;
+    return row(i).frequent_totals;
   }
   /// The frequency threshold the frequent aggregates were built with
   /// (0 = none).
@@ -157,7 +171,8 @@ class RatingMatrix {
   /// per-pair read.
   [[nodiscard]] const PairStats& cell(NodeId ratee, NodeId rater) const {
     if (backend_ == MatrixBackend::kDense) return dense_(ratee, rater);
-    const PairStats* stats = sparse_.at(ratee).find(rater);
+    const Row* row = rows_.at(ratee).get();
+    const PairStats* stats = row != nullptr ? row->sparse.find(rater) : nullptr;
     return stats != nullptr ? *stats : kEmptyCell;
   }
 
@@ -173,7 +188,7 @@ class RatingMatrix {
   /// backend, the row's non-empty cells on the sparse one.
   [[nodiscard]] std::size_t stored_cells(NodeId ratee) const {
     return backend_ == MatrixBackend::kDense ? size()
-                                             : sparse_.at(ratee).cells.size();
+                                             : row(ratee).sparse.cells.size();
   }
 
   /// Visits every STORED cell of row `ratee` as fn(rater, stats), in
@@ -187,7 +202,7 @@ class RatingMatrix {
       const auto row = dense_.row(ratee);
       for (NodeId k = 0; k < row.size(); ++k) fn(k, row[k]);
     } else {
-      sparse_.at(ratee).for_each(fn);
+      row(ratee).sparse.for_each(fn);
     }
   }
 
@@ -217,12 +232,12 @@ class RatingMatrix {
     }
   }
 
-  /// Resident-memory estimate of this matrix (cells + row metadata), in
-  /// bytes. Exact for the dense backend; for the sparse backend
-  /// the row headers plus each row's allocated cell capacity (16 bytes a
-  /// cell), which tests/rating/matrix_memory_test.cpp holds within 20% of
-  /// the measured heap growth. The bench memory columns and the footprint
-  /// regression test read this.
+  /// Resident-memory estimate of this matrix (cells + rows), in bytes:
+  /// the row slots, the existing-row list, each existing row and its
+  /// allocated cell capacity (16 bytes a cell). Exact for the dense
+  /// backend; tests/rating/matrix_memory_test.cpp holds the sparse one
+  /// within 20% of the measured heap growth. The bench memory columns and
+  /// the footprint regression test read this.
   [[nodiscard]] std::size_t approx_memory_bytes() const noexcept;
 
   /// What a dense matrix of `num_nodes` costs, without allocating it —
@@ -243,9 +258,9 @@ class RatingMatrix {
   /// Resets the update window in place: zeroes every cell and the per-row
   /// totals / frequent aggregates. Global
   /// reputations, high-reputed flags, and the frequency threshold are
-  /// preserved — they belong to the host system, not the window. Rows
-  /// whose totals are already zero are skipped, so the cost is
-  /// proportional to the touched part of the matrix.
+  /// preserved — they belong to the host system, not the window. Only
+  /// existing rows are visited, so the cost is proportional to them; a
+  /// sparse row whose host meta is at its default is freed.
   void clear_window();
 
   /// Restores a window cell verbatim (checkpoint recovery): installs
@@ -260,8 +275,9 @@ class RatingMatrix {
   /// reinstalls on the receiving matrix), then clears the cells and the
   /// row's totals / frequent aggregate. Global reputation and the
   /// high-reputed flag are left in place — every shard tracks those for
-  /// all nodes. Dirty tracking cannot express a removal, so a non-empty
-  /// take marks the next delta incomplete (full detector rebuild).
+  /// all nodes — and a sparse row without them is freed. Dirty tracking
+  /// cannot express a removal, so a non-empty take marks the next delta
+  /// incomplete (full detector rebuild).
   [[nodiscard]] std::vector<std::pair<NodeId, PairStats>> take_row(
       NodeId ratee);
 
@@ -279,12 +295,6 @@ class RatingMatrix {
   [[nodiscard]] DirtyCells take_dirty_cells();
 
  private:
-  struct RowMeta {
-    double global_rep = 0.0;
-    PairStats totals;
-    PairStats frequent_totals;
-    bool high_reputed = false;
-  };
   using SparseCell = std::pair<NodeId, PairStats>;
 
   /// Orders cells (and cells against a rater id) by rater.
@@ -380,11 +390,40 @@ class RatingMatrix {
     }
   };
 
+  /// One allocated row: the host meta, the window aggregates and, on the
+  /// sparse backend, the cells.
+  struct Row {
+    double global_rep = 0.0;
+    PairStats totals;
+    PairStats frequent_totals;
+    bool high_reputed = false;
+    std::uint32_t list_pos = 0;  ///< index of this row's node in allocated_
+    SparseRow sparse;            ///< kSparse cells (empty under kDense)
+  };
+  static_assert(sizeof(Row) <= 72, "the row size the memory notes quote");
+
   /// What an absent sparse cell reads as.
   static constexpr PairStats kEmptyCell{};
+  /// What an empty row slot reads as.
+  static const Row kEmptyRow;
 
-  /// Writable cell reference; creates the cell on the sparse backend.
-  PairStats& mutable_cell(NodeId ratee, NodeId rater);
+  /// Row i, or kEmptyRow while its slot is empty.
+  [[nodiscard]] const Row& row(NodeId i) const {
+    const Row* r = rows_.at(i).get();
+    return r != nullptr ? *r : kEmptyRow;
+  }
+  /// Row i, allocated on first use.
+  Row& materialize(NodeId i);
+  /// Frees sparse row i once it holds no cell and its host meta is at the
+  /// default; a no-op on the dense backend.
+  void release_if_unused(NodeId i);
+  /// Zeroes row i's cells and window aggregates (`row` is row i), then
+  /// frees the row if that left it unused.
+  void clear_row(NodeId i, Row& row);
+
+  /// Writable cell reference into `row` (row `ratee`); creates the cell on
+  /// the sparse backend.
+  PairStats& mutable_cell(Row& row, NodeId ratee, NodeId rater);
 
   /// Records (ratee, rater) in the dirty set when tracking is on.
   void mark_dirty(NodeId ratee, NodeId rater) {
@@ -394,8 +433,8 @@ class RatingMatrix {
 
   MatrixBackend backend_ = MatrixBackend::kDense;
   util::Matrix<PairStats> dense_;  // kDense cells (empty under kSparse)
-  std::vector<SparseRow> sparse_;  // kSparse rows (empty under kDense)
-  std::vector<RowMeta> meta_;
+  std::vector<std::unique_ptr<Row>> rows_;  // one slot per node
+  std::vector<NodeId> allocated_;  // nodes whose slot holds a row, any order
   std::size_t high_count_ = 0;
   std::uint32_t frequency_threshold_ = 0;
   bool dirty_on_ = false;

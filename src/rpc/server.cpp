@@ -257,6 +257,10 @@ bool RpcServer::read_ready(Connection& c) {
       bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
                           std::memory_order_relaxed);
       got_bytes = true;
+      // A short read drained the socket; poll() is level-triggered, so
+      // bytes that arrive meanwhile wake it again. Only a full buffer
+      // reads on, which spares each request a recv() that fails EAGAIN.
+      if (static_cast<std::size_t>(n) < sizeof buf) break;
       continue;
     }
     if (n == 0) return false;  // peer closed

@@ -140,7 +140,8 @@ class RpcServer {
 
   void worker_loop(std::size_t index);
   void accept_ready(Worker& w);
-  /// Reads all available bytes; returns false when the connection died.
+  /// Reads the available bytes, stopping at the first short read; returns
+  /// false when the connection died.
   bool read_ready(Connection& c);
   /// Decodes and handles every complete frame in c.rbuf; returns false on
   /// a corrupt stream.

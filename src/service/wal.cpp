@@ -68,22 +68,27 @@ struct Cursor {
   [[nodiscard]] bool done() const noexcept { return pos == data.size(); }
 };
 
-std::string encode_payload(const WalRecord& rec) {
-  std::string payload;
-  put_u8(payload, static_cast<std::uint8_t>(rec.kind));
+/// Appends the payload of `rec` to `out` (no frame header).
+void encode_payload(std::string& out, const WalRecord& rec) {
+  put_u8(out, static_cast<std::uint8_t>(rec.kind));
   if (rec.kind == WalRecordKind::kRating) {
-    put_u32(payload, rec.rating.rater);
-    put_u32(payload, rec.rating.ratee);
-    put_u8(payload,
+    put_u32(out, rec.rating.rater);
+    put_u32(out, rec.rating.ratee);
+    put_u8(out,
            static_cast<std::uint8_t>(rating::score_value(rec.rating.score) + 1));
-    put_u64(payload, rec.rating.time);
+    put_u64(out, rec.rating.time);
   } else if (rec.kind == WalRecordKind::kShardMapChange) {
-    put_u64(payload, rec.epoch_seq);
-    put_u32(payload, rec.num_shards);
+    put_u64(out, rec.epoch_seq);
+    put_u32(out, rec.num_shards);
   } else if (rec.kind == WalRecordKind::kEpochMarker) {
-    put_u64(payload, rec.epoch_seq);
+    put_u64(out, rec.epoch_seq);
   }
-  return payload;
+}
+
+/// Overwrites the four bytes at out[at] with `v`, little-endian.
+void store_u32(std::string& out, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i)
+    out[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 bool decode_payload(std::string_view payload, WalRecord& rec) {
@@ -112,12 +117,6 @@ bool decode_payload(std::string_view payload, WalRecord& rec) {
   return c.done();
 }
 
-std::string encode_frame(const WalRecord& rec) {
-  std::string frame;
-  append_wal_frame(frame, rec);
-  return frame;
-}
-
 std::string encode_header(std::uint64_t generation, std::uint64_t map_epoch,
                           std::uint32_t num_shards) {
   std::string header;
@@ -136,11 +135,15 @@ void append_wal_header(std::string& out, std::uint64_t generation,
 }
 
 void append_wal_frame(std::string& out, const WalRecord& rec) {
-  const std::string payload = encode_payload(rec);
-  out.reserve(out.size() + kFrameBytes + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload.data(), payload.size()));
-  out += payload;
+  // The payload is encoded in place after a placeholder frame header,
+  // which is then filled in with its length and CRC.
+  const std::size_t frame_at = out.size();
+  out.append(kFrameBytes, '\0');
+  encode_payload(out, rec);
+  const std::size_t payload_at = frame_at + kFrameBytes;
+  const std::size_t payload_len = out.size() - payload_at;
+  store_u32(out, frame_at, static_cast<std::uint32_t>(payload_len));
+  store_u32(out, frame_at + 4, crc32(out.data() + payload_at, payload_len));
 }
 
 std::uint32_t crc32(const void* data, std::size_t len) noexcept {
@@ -219,13 +222,14 @@ WalWriter WalWriter::resume(const std::string& path, std::uint64_t generation,
 }
 
 void WalWriter::append(const WalRecord& rec) {
-  const std::string frame = encode_frame(rec);
   util::MutexLock lock(mu_);
-  out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  frame_.clear();  // keeps its capacity: no allocation per record
+  append_wal_frame(frame_, rec);
+  out_.write(frame_.data(), static_cast<std::streamsize>(frame_.size()));
   out_.flush();
   if (!out_) throw std::runtime_error("wal: write failed on " + path_);
   ++records_;
-  bytes_ += frame.size();
+  bytes_ += frame_.size();
 }
 
 void WalWriter::rotate() {

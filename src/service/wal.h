@@ -180,6 +180,7 @@ class WalWriter {
   std::uint32_t num_shards_ P2PREP_GUARDED_BY(mu_) = 1;
   std::uint64_t records_ P2PREP_GUARDED_BY(mu_) = 0;
   std::uint64_t bytes_ P2PREP_GUARDED_BY(mu_) = 0;
+  std::string frame_ P2PREP_GUARDED_BY(mu_);  ///< append()'s encode buffer
 };
 
 struct WalReadResult {

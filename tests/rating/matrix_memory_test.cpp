@@ -8,6 +8,7 @@
 // which includes allocator headers and vector growth slack.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -59,15 +60,27 @@ struct Measurement {
   std::size_t heap = 0;
 };
 
-/// Heap growth across `make` (which returns the matrix on the heap, so its
-/// header is counted too) against the model of the matrix it built.
+constexpr std::size_t kShards = 4;
+using Shards = std::array<std::unique_ptr<RatingMatrix>, kShards>;
+
+std::size_t model_bytes(const std::unique_ptr<RatingMatrix>& m) {
+  return m->approx_memory_bytes();
+}
+std::size_t model_bytes(const Shards& shards) {
+  std::size_t bytes = 0;
+  for (const auto& m : shards) bytes += m->approx_memory_bytes();
+  return bytes;
+}
+
+/// Heap growth across `make` (which returns the matrices on the heap, so
+/// their headers are counted too) against the model of what it built.
 template <typename Make>
 Measurement measure(Make make) {
 #if defined(P2PREP_HAVE_MALLINFO2) && !defined(P2PREP_SANITIZED_HEAP)
   const std::size_t before = heap_in_use();
-  const std::unique_ptr<RatingMatrix> m = make();
+  const auto built = make();
   const std::size_t after = heap_in_use();
-  return {m->approx_memory_bytes(), after - before};
+  return {model_bytes(built), after - before};
 #else
   (void)make;
   return {};
@@ -90,7 +103,7 @@ void expect_model_tracks_heap(const Measurement& got, const char* what) {
       << " B";
 }
 
-class MatrixMemoryModelTest : public ::testing::TestWithParam<MatrixBackend> {
+class HeapStatsTest : public ::testing::Test {
  protected:
   void SetUp() override {
 #if !defined(P2PREP_HAVE_MALLINFO2)
@@ -100,6 +113,10 @@ class MatrixMemoryModelTest : public ::testing::TestWithParam<MatrixBackend> {
 #endif
   }
 };
+
+class MatrixMemoryModelTest
+    : public HeapStatsTest,
+      public ::testing::WithParamInterface<MatrixBackend> {};
 
 TEST_P(MatrixMemoryModelTest, BuiltFromStoreWithinTwentyPercentOfHeap) {
   RatingStore store(kNodes);
@@ -122,6 +139,28 @@ TEST_P(MatrixMemoryModelTest, IncrementalAddsWithinTwentyPercentOfHeap) {
     return m;
   });
   expect_model_tracks_heap(got, "add_rating");
+}
+
+// The sharded service's shape: kShards sparse matrices over the same n
+// nodes, each rated only on the rows it owns (ratings route by ratee).
+// Most rows of each matrix are never written, so the empty-row slots
+// dominate its footprint; the model must still track the heap.
+using MatrixMemoryModelShardedTest = HeapStatsTest;
+
+TEST_F(MatrixMemoryModelShardedTest, QuarterOwnedRowsWithinTwentyPercentOfHeap) {
+  constexpr std::size_t kShardNodes = 10'000;
+  const testgen::Trace t = testgen::make_zipf_trace(43, kShardNodes, 160'000);
+  const Measurement got = measure([&] {
+    Shards shards;
+    for (auto& m : shards) {
+      m = std::make_unique<RatingMatrix>(kShardNodes, MatrixBackend::kSparse);
+      m->set_frequency_threshold(10);
+    }
+    for (const Rating& r : t.ratings)
+      shards[r.ratee % kShards]->add_rating(r.ratee, r.rater, r.score);
+    return shards;
+  });
+  expect_model_tracks_heap(got, "sharded");
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MatrixMemoryModelTest,

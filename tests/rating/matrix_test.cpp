@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -141,6 +143,143 @@ TEST(RatingMatrixTest, SparseFootprintBeatsDenseOracle) {
             RatingMatrix::dense_footprint_bytes(kNodes));
   EXPECT_LT(dense.approx_memory_bytes(),
             RatingMatrix::dense_footprint_bytes(kNodes) + 4096);
+}
+
+// Row lifecycle. A sparse row is allocated on its first write and freed
+// once it holds no cell and its host meta is at the default; the dense
+// oracle holds every row. Either way an unwritten row reads as empty.
+class RatingMatrixRowLifecycleTest
+    : public ::testing::TestWithParam<MatrixBackend> {
+ protected:
+  static constexpr std::size_t kNodes = 16;
+  static constexpr double kHighRep = 0.05;
+
+  RatingMatrixRowLifecycleTest() { m_.set_frequency_threshold(2); }
+
+  /// Every accessor reads row `i` as a row no rating or reputation ever
+  /// reached.
+  void expect_untouched(NodeId i) const {
+    EXPECT_FALSE(m_.high_reputed(i));
+    EXPECT_EQ(m_.global_reputation(i), 0.0);
+    EXPECT_EQ(m_.totals(i), PairStats{});
+    EXPECT_EQ(m_.frequent_totals(i), PairStats{});
+    EXPECT_EQ(m_.window_reputation(i), 0);
+    for (NodeId j = 0; j < kNodes; ++j) {
+      EXPECT_EQ(m_.cell(i, j), PairStats{}) << "cell (" << i << ", " << j << ")";
+      EXPECT_EQ(m_.cell_or_null(i, j), nullptr);
+    }
+    const std::size_t stored =
+        GetParam() == MatrixBackend::kDense ? kNodes : 0;
+    EXPECT_EQ(m_.stored_cells(i), stored);
+    std::size_t visited = 0;
+    m_.for_each_cell(i, [&](NodeId, const PairStats& stats) {
+      EXPECT_EQ(stats, PairStats{});
+      ++visited;
+    });
+    EXPECT_EQ(visited, stored);
+    m_.for_each_nonzero_cell(i, [&](NodeId k, const PairStats&) {
+      ADD_FAILURE() << "row " << i << " visited rater " << k;
+    });
+  }
+
+  /// Rates row `i` from three raters, two of them frequent.
+  void write_row(NodeId i) {
+    for (NodeId k = 1; k <= 3; ++k) {
+      const auto rater = static_cast<NodeId>((i + k) % kNodes);
+      for (NodeId n = 0; n < k; ++n) m_.add_rating(i, rater, Score::kPositive);
+    }
+  }
+
+  RatingMatrix m_{kNodes, GetParam()};
+};
+
+TEST_P(RatingMatrixRowLifecycleTest, UnwrittenRowsReadAsEmpty) {
+  const std::size_t empty_bytes = m_.approx_memory_bytes();
+  write_row(3);
+  std::size_t cells = 0;
+  m_.for_each_nonzero_cell_in_rows(0, kNodes,
+                                   [&](NodeId i, NodeId, const PairStats&) {
+                                     EXPECT_EQ(i, 3u);
+                                     ++cells;
+                                   });
+  EXPECT_EQ(cells, 3u);
+  for (NodeId i = 0; i < kNodes; ++i) {
+    if (i != 3) expect_untouched(i);
+  }
+  if (GetParam() == MatrixBackend::kSparse)
+    EXPECT_GT(m_.approx_memory_bytes(), empty_bytes);
+
+  // A zero reputation below the threshold is the default: no row appears.
+  const std::size_t bytes = m_.approx_memory_bytes();
+  m_.set_global_reputation(5, 0.0, kHighRep);
+  m_.set_global_reputation(6, 0.0, 0.0);
+  EXPECT_EQ(m_.approx_memory_bytes(), bytes);
+  expect_untouched(5);
+  expect_untouched(6);
+  EXPECT_EQ(m_.high_reputed_count(), 0u);
+
+  // Under a negative threshold a zero reputation is high: that row exists.
+  m_.set_global_reputation(7, 0.0, -1.0);
+  EXPECT_TRUE(m_.high_reputed(7));
+  EXPECT_EQ(m_.high_reputed_count(), 1u);
+}
+
+TEST_P(RatingMatrixRowLifecycleTest, TakeRowAndClearWindowRestoreEmptyFootprint) {
+  const std::size_t empty_bytes = m_.approx_memory_bytes();
+  write_row(3);
+  EXPECT_EQ(m_.take_row(3).size(), 3u);
+  expect_untouched(3);
+  EXPECT_EQ(m_.approx_memory_bytes(), empty_bytes);
+
+  write_row(3);
+  write_row(9);
+  m_.restore_cell(12, 0, m_.cell(3, 4));
+  m_.clear_window();
+  for (NodeId i = 0; i < kNodes; ++i) expect_untouched(i);
+  EXPECT_EQ(m_.approx_memory_bytes(), empty_bytes);
+
+  // A reputation that falls back to the default frees its empty row too.
+  m_.set_global_reputation(4, 2.0, kHighRep);
+  m_.set_global_reputation(4, 0.0, kHighRep);
+  expect_untouched(4);
+  EXPECT_EQ(m_.approx_memory_bytes(), empty_bytes);
+}
+
+TEST_P(RatingMatrixRowLifecycleTest, HostMetaSurvivesTakeRowAndClearWindow) {
+  m_.set_global_reputation(3, 2.0, kHighRep);
+  m_.set_global_reputation(8, -0.0, kHighRep);
+  write_row(3);
+  write_row(8);
+  EXPECT_EQ(m_.take_row(3).size(), 3u);
+  EXPECT_TRUE(m_.high_reputed(3));
+  EXPECT_EQ(m_.global_reputation(3), 2.0);
+  EXPECT_EQ(m_.high_reputed_count(), 1u);
+  EXPECT_EQ(m_.totals(3), PairStats{});
+  EXPECT_EQ(m_.stored_cells(3),
+            GetParam() == MatrixBackend::kDense ? kNodes : 0u);
+
+  write_row(3);
+  m_.clear_window();
+  EXPECT_TRUE(m_.high_reputed(3));
+  EXPECT_EQ(m_.global_reputation(3), 2.0);
+  EXPECT_EQ(m_.high_reputed_count(), 1u);
+  EXPECT_EQ(m_.frequent_totals(3), PairStats{});
+  // A negative zero reads back bit for bit.
+  EXPECT_TRUE(std::signbit(m_.global_reputation(8)));
+  EXPECT_EQ(m_.totals(8), PairStats{});
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, RatingMatrixRowLifecycleTest,
+                         ::testing::Values(MatrixBackend::kSparse,
+                                           MatrixBackend::kDense),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+// With no ratings, a sparse matrix costs its row slots and little else.
+TEST(RatingMatrixTest, EmptySparse10kMatrixUnder100KB) {
+  const RatingMatrix m(10'000, MatrixBackend::kSparse);
+  EXPECT_LE(m.approx_memory_bytes(), 100'000u);
 }
 
 // A hot sparse row: 100k distinct raters arriving in shuffled order, the

@@ -16,6 +16,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rating/types.h"
@@ -304,6 +305,39 @@ TEST(RpcLoopback, UnknownTypeAnsweredWithoutDroppingConnection) {
   h = parse_response(*payload);
   ASSERT_TRUE(h.has_value());
   EXPECT_EQ(h->status, Status::kOk);
+  svc.stop();
+}
+
+// The server stops reading at a short recv() and relies on poll() waking
+// it for whatever is left: pipelined requests in one segment and a
+// request trickled in byte by byte are both answered, in order.
+TEST(RpcLoopback, PipelinedAndBytewiseRequestsAnsweredInOrder) {
+  service::ReputationService svc(svc_config());
+  RpcServer server(svc, RpcServerConfig{});
+  RawConn raw(server.port());
+  ASSERT_TRUE(raw.connected());
+  const auto ping = [](std::uint64_t request_id) {
+    return framed_request(kProtocolVersion,
+                          static_cast<std::uint8_t>(MsgType::kPing),
+                          request_id);
+  };
+  const auto expect_ok_reply = [&raw](std::uint64_t request_id) {
+    const auto payload = raw.recv_frame();
+    ASSERT_TRUE(payload.has_value()) << "no reply to " << request_id;
+    const auto h = parse_response(*payload);
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->status, Status::kOk);
+    EXPECT_EQ(h->request_id, request_id);
+  };
+
+  ASSERT_TRUE(raw.send_bytes(ping(1) + ping(2) + ping(3)));
+  for (std::uint64_t id = 1; id <= 3; ++id) expect_ok_reply(id);
+
+  for (const char byte : ping(4)) {
+    ASSERT_TRUE(raw.send_bytes(std::string_view(&byte, 1)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  expect_ok_reply(4);
   svc.stop();
 }
 
