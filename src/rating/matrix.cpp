@@ -23,7 +23,6 @@ RatingMatrix::RatingMatrix(std::size_t num_nodes, MatrixBackend backend)
     : backend_(backend), rows_(num_nodes) {
   if (backend_ == MatrixBackend::kDense) {
     dense_ = util::Matrix<PairStats>(num_nodes, num_nodes);
-    allocated_.reserve(num_nodes);
     for (NodeId i = 0; i < num_nodes; ++i) materialize(i);
   }
 }
@@ -49,7 +48,8 @@ RatingMatrix RatingMatrix::build(const RatingStore& store,
           if (m.backend_ == MatrixBackend::kDense) {
             m.dense_(i, rater) = stats;
           } else {
-            row.sparse.cells.emplace_back(rater, stats);
+            row.sparse.cells.push_back(
+                {rater, m.store_counts(i, rater, stats)});
           }
           if (frequency_threshold > 0 && stats.total >= frequency_threshold)
             row.frequent_totals += stats;
@@ -64,20 +64,21 @@ RatingMatrix RatingMatrix::build(const RatingStore& store,
   return m;
 }
 
-PairStats& RatingMatrix::SparseRow::find_or_insert(NodeId rater) {
-  if (const PairStats* hit = find(rater)) return const_cast<PairStats&>(*hit);
+void RatingMatrix::SparseRow::insert(SparseCell cell) {
   if (main_len == cells.size()) {
     // No tail yet. An ascending append is O(1) amortized, and a small row
     // stays one sorted run: its direct insert moves < kFlatRowCells cells.
-    if (cells.empty() || cells.back().first < rater) {
+    if (cells.empty() || cells.back().rater < cell.rater) {
       ++main_len;
-      return cells.emplace_back(rater, PairStats{}).second;
+      cells.push_back(cell);
+      return;
     }
     if (cells.size() < kFlatRowCells) {
       ++main_len;
-      const auto pos =
-          std::lower_bound(cells.begin(), cells.end(), rater, RaterLess{});
-      return cells.emplace(pos, rater, PairStats{})->second;
+      cells.insert(std::lower_bound(cells.begin(), cells.end(), cell.rater,
+                                    RaterLess{}),
+                   cell);
+      return;
     }
   }
   // Fold a tail longer than sqrt(size) into the main run, so an insert
@@ -88,9 +89,9 @@ PairStats& RatingMatrix::SparseRow::find_or_insert(NodeId rater) {
                        RaterLess{});
     main_len = static_cast<std::uint32_t>(cells.size());
   }
-  const auto pos = std::lower_bound(cells.begin() + main_len, cells.end(),
-                                    rater, RaterLess{});
-  return cells.emplace(pos, rater, PairStats{})->second;
+  cells.insert(std::lower_bound(cells.begin() + main_len, cells.end(),
+                                cell.rater, RaterLess{}),
+               cell);
 }
 
 std::uint32_t RatingMatrix::SparseRow::seek_from(std::uint32_t from,
@@ -103,12 +104,12 @@ std::uint32_t RatingMatrix::SparseRow::seek_from(std::uint32_t from,
                          RaterLess{}) -
         cells.begin());
   };
-  if (from < lo || from > hi || (from > lo && cells[from - 1].first >= rater))
+  if (from < lo || from > hi || (from > lo && cells[from - 1].rater >= rater))
     return lower_bound(lo, hi);
-  for (std::uint32_t step = 1; from < hi && cells[from].first < rater;
+  for (std::uint32_t step = 1; from < hi && cells[from].rater < rater;
        step *= 2) {
     const std::uint32_t next = from + step;
-    if (next >= hi || cells[next].first >= rater)
+    if (next >= hi || cells[next].rater >= rater)
       return lower_bound(from + 1, next < hi ? next : hi);
     from = next;
   }
@@ -144,6 +145,7 @@ void RatingMatrix::clear_row(NodeId i, Row& row) {
     auto cells = dense_.row(i);
     std::fill(cells.begin(), cells.end(), PairStats{});
   } else {
+    drop_escaped(i, row.sparse);
     row.sparse = SparseRow{};  // frees the row's cell storage
   }
   row.totals = PairStats{};
@@ -151,10 +153,49 @@ void RatingMatrix::clear_row(NodeId i, Row& row) {
   release_if_unused(i);
 }
 
-PairStats& RatingMatrix::mutable_cell(Row& row, NodeId ratee, NodeId rater) {
+PairStats RatingMatrix::escaped_cell(NodeId ratee, NodeId rater) const {
+  return escaped_.at(cell_key(ratee, rater));
+}
+
+std::uint32_t RatingMatrix::store_counts(NodeId ratee, NodeId rater,
+                                         const PairStats& stats) {
+  assert(stats.total > 0 && "a stored sparse cell is never empty");
+  if (packable(stats)) return pack(stats);
+  escaped_.insert_or_assign(cell_key(ratee, rater), stats);
+  return kEscaped;
+}
+
+PairStats RatingMatrix::add_to_cell(Row& row, NodeId ratee, NodeId rater,
+                                    Score score) {
   assert(ratee < size() && rater < size());
-  if (backend_ == MatrixBackend::kDense) return dense_(ratee, rater);
-  return row.sparse.find_or_insert(rater);
+  if (backend_ == MatrixBackend::kDense) {
+    PairStats& cell = dense_(ratee, rater);
+    cell.add(score);
+    return cell;
+  }
+  std::uint32_t* counts = row.sparse.find(rater);
+  if (counts == nullptr) {
+    PairStats cell;
+    cell.add(score);  // a single rating always packs
+    row.sparse.insert({rater, pack(cell)});
+    return cell;
+  }
+  if (*counts == kEscaped) {
+    PairStats& cell = escaped_.at(cell_key(ratee, rater));
+    cell.add(score);
+    return cell;
+  }
+  PairStats cell = unpack(*counts);
+  cell.add(score);
+  *counts = store_counts(ratee, rater, cell);
+  return cell;
+}
+
+void RatingMatrix::drop_escaped(NodeId i, const SparseRow& row) {
+  if (escaped_.empty()) return;
+  for (const SparseCell& c : row.cells)
+    if (c.counts == kEscaped) escaped_.erase(cell_key(i, c.rater));
+  if (escaped_.empty()) escaped_ = decltype(escaped_)();  // free the buckets
 }
 
 std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
@@ -167,6 +208,13 @@ std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
   } else {
     for (const NodeId i : allocated_)
       bytes += rows_[i]->sparse.cells.capacity() * sizeof(SparseCell);
+    // The escape store: its bucket array and one node per escaped cell (a
+    // next pointer beside the key and stats), once it holds any.
+    if (!escaped_.empty())
+      bytes += escaped_.bucket_count() * sizeof(void*) +
+               escaped_.size() *
+                   (sizeof(void*) +
+                    sizeof(decltype(escaped_)::value_type));
   }
   return bytes;
 }
@@ -193,8 +241,7 @@ void RatingMatrix::set_global_reputation(NodeId i, double rep,
 void RatingMatrix::add_rating(NodeId ratee, NodeId rater, Score score) {
   assert(ratee < size() && rater < size() && ratee != rater);
   Row& row = materialize(ratee);
-  PairStats& cell = mutable_cell(row, ratee, rater);
-  cell.add(score);
+  const PairStats cell = add_to_cell(row, ratee, rater, score);
   row.totals.add(score);
   mark_dirty(ratee, rater);
   // Incremental frequent-rater aggregate: when a cell crosses the
@@ -230,10 +277,13 @@ void RatingMatrix::restore_cell(NodeId ratee, NodeId rater,
                                 const PairStats& stats) {
   assert(ratee < size() && rater < size() && ratee != rater);
   if (stats.total == 0) return;
+  assert(cell(ratee, rater).total == 0 && "restore_cell target must be empty");
   Row& row = materialize(ratee);
-  PairStats& cell = mutable_cell(row, ratee, rater);
-  assert(cell.total == 0 && "restore_cell target must be empty");
-  cell = stats;
+  if (backend_ == MatrixBackend::kDense) {
+    dense_(ratee, rater) = stats;
+  } else {
+    row.sparse.insert({rater, store_counts(ratee, rater, stats)});
+  }
   row.totals += stats;
   if (frequency_threshold_ > 0 && stats.total >= frequency_threshold_) {
     row.frequent_totals += stats;

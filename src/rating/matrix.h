@@ -32,17 +32,28 @@
 //    Sharded service managers default to this backend.
 //
 // Sparse row layout. A row is a sorted main run plus a sorted tail of at
-// most ~sqrt(row size) cells, in one std::vector<pair<NodeId, PairStats>>:
-// 16 bytes per cell, no per-cell heap node. A new cell that sorts after
-// every stored one (restore_cell replay, build()) is an O(1) append to the
-// main run, and a row under kFlatRowCells cells takes a direct sorted
-// insert. Any other new cell goes into the tail, and once the tail
-// outgrows sqrt(row size) it is folded into the main run with
-// std::inplace_merge. An insert therefore moves amortized O(sqrt(row
-// size)) cells: a row filled with 100k distinct raters in shuffled order
-// takes ~0.03 s, where a plain sorted insert takes ~1.3 s. Every row walk
-// merges the two runs on the fly, so all visitors see ascending rater
-// order with no per-row allocation or sort.
+// most ~sqrt(row size) cells, in one std::vector of 8-byte cells and no
+// per-cell heap node. A new cell that sorts after every stored one
+// (restore_cell replay, build()) is an O(1) append to the main run, and a
+// row under kFlatRowCells cells takes a direct sorted insert. Any other
+// new cell goes into the tail, and once the tail outgrows sqrt(row size)
+// it is folded into the main run with std::inplace_merge. An insert
+// therefore moves amortized O(sqrt(row size)) cells: a row filled with
+// 100k distinct raters in shuffled order takes ~0.03 s, where a plain
+// sorted insert takes ~1.3 s. Every row walk merges the two runs on the
+// fly, so all visitors see ascending rater order with no per-row
+// allocation or sort.
+//
+// Packed cells. A cell is its rater plus one word that packs N+ (11
+// bits), N- (11 bits) and the neutral count (10 bits); N is their sum.
+// A cell whose count outgrows its field stores the reserved word 0 (no
+// stored cell is empty, so no packed cell is 0), and its exact stats move
+// to a per-matrix escape store keyed by (ratee, rater). Rows carry no
+// bytes for the store, and reading a packed cell never touches it. So
+// every count stays exact; cell() returns a PairStats by value because a
+// packed cell has none in memory. take_row and clear_window drop a row's
+// escaped entries with its cells, and the store frees its buckets once it
+// is empty.
 //
 // A cell read searches the main run, then the tail. Each search resumes
 // from a per-thread finger left by the previous read of the same row, so
@@ -50,8 +61,8 @@
 // a_i(n-1), the group detector's edge pass, the ring detector's
 // dirty-cell reads — cost O(1) each instead of a binary search; any other
 // access pattern falls back to a binary search. approx_memory_bytes()
-// counts the 8-byte row slots, each allocated row (72 bytes) and its
-// allocated cell capacity.
+// counts the 8-byte row slots, each allocated row (72 bytes), its
+// allocated cell capacity (8 bytes a cell) and the escape store.
 //
 // Detector hot paths consume rows through the backend-agnostic visitors
 // (for_each_cell / for_each_nonzero_cell) instead of indexing a dense
@@ -70,10 +81,12 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -107,6 +120,23 @@ struct DirtyCells {
   bool complete = false;
   /// (ratee, rater) pairs, ascending — deterministic consumption order.
   std::vector<std::pair<NodeId, NodeId>> cells;
+};
+
+/// RatingMatrix::cell_or_null's result: the cell's stats when it holds
+/// ratings, and equal to nullptr otherwise. It reads like the pointer a
+/// cell lookup would return (`!= nullptr`, `->`), but holds a copy, since
+/// a packed sparse cell has no PairStats in memory to point at.
+class NonEmptyCell {
+ public:
+  explicit NonEmptyCell(const PairStats& stats) : stats_(stats) {}
+  const PairStats* operator->() const { return &stats_; }
+  const PairStats& operator*() const { return stats_; }
+  friend bool operator==(const NonEmptyCell& c, std::nullptr_t) {
+    return c.stats_.total == 0;
+  }
+
+ private:
+  PairStats stats_;
 };
 
 class RatingMatrix {
@@ -164,24 +194,29 @@ class RatingMatrix {
     return frequency_threshold_;
   }
 
-  /// a_(ratee,rater). On the sparse backend an absent cell reads as the
-  /// empty aggregate, exactly like an untouched dense cell. O(1) on the
-  /// dense backend; on the sparse one O(1) per step of an ascending sweep
-  /// along a row and O(log row nnz) otherwise — the Optimized method's
-  /// per-pair read.
-  [[nodiscard]] const PairStats& cell(NodeId ratee, NodeId rater) const {
+  /// a_(ratee,rater), by value: a sparse cell is stored packed (see the
+  /// layout note at the top of this file), so there is no PairStats in
+  /// memory to refer to. An absent sparse cell reads as the empty
+  /// aggregate, exactly like an untouched dense cell. O(1) on the dense
+  /// backend; on the sparse one O(1) per step of an ascending sweep along
+  /// a row and O(log row nnz) otherwise — the Optimized method's per-pair
+  /// read. Forced inline: the pair sweeps call it n times per high row,
+  /// and GCC 12 otherwise emits an out-of-line call per probe, which made
+  /// a serial Optimized sweep ~15% slower.
+  [[nodiscard, gnu::always_inline]] PairStats cell(NodeId ratee,
+                                                   NodeId rater) const {
     if (backend_ == MatrixBackend::kDense) return dense_(ratee, rater);
     const Row* row = rows_.at(ratee).get();
-    const PairStats* stats = row != nullptr ? row->sparse.find(rater) : nullptr;
-    return stats != nullptr ? *stats : kEmptyCell;
+    const std::uint32_t* counts =
+        row != nullptr ? row->sparse.find(rater) : nullptr;
+    if (counts == nullptr) return {};
+    return stats_of(ratee, rater, *counts);
   }
 
-  /// Pointer to a_(ratee,rater) when the cell holds ratings (total > 0),
-  /// nullptr otherwise — identical across backends.
-  [[nodiscard]] const PairStats* cell_or_null(NodeId ratee,
-                                              NodeId rater) const {
-    const PairStats& stats = cell(ratee, rater);
-    return stats.total > 0 ? &stats : nullptr;
+  /// a_(ratee,rater) when the cell holds ratings (total > 0); otherwise a
+  /// result that compares equal to nullptr — identical across backends.
+  [[nodiscard]] NonEmptyCell cell_or_null(NodeId ratee, NodeId rater) const {
+    return NonEmptyCell(cell(ratee, rater));
   }
 
   /// Number of cells for_each_cell visits in row `ratee`: n on the dense
@@ -202,7 +237,9 @@ class RatingMatrix {
       const auto row = dense_.row(ratee);
       for (NodeId k = 0; k < row.size(); ++k) fn(k, row[k]);
     } else {
-      row(ratee).sparse.for_each(fn);
+      row(ratee).sparse.for_each([&](const SparseCell& c) {
+        fn(c.rater, stats_of(ratee, c.rater, c.counts));
+      });
     }
   }
 
@@ -233,8 +270,9 @@ class RatingMatrix {
   }
 
   /// Resident-memory estimate of this matrix (cells + rows), in bytes:
-  /// the row slots, the existing-row list, each existing row and its
-  /// allocated cell capacity (16 bytes a cell). Exact for the dense
+  /// the row slots, the existing-row list, each existing row, its
+  /// allocated cell capacity (8 bytes a sparse cell) and the escape
+  /// store's buckets and nodes. Exact for the dense
   /// backend; tests/rating/matrix_memory_test.cpp holds the sparse one
   /// within 20% of the measured heap growth. The bench memory columns and
   /// the footprint regression test read this.
@@ -295,15 +333,51 @@ class RatingMatrix {
   [[nodiscard]] DirtyCells take_dirty_cells();
 
  private:
-  using SparseCell = std::pair<NodeId, PairStats>;
+  /// One stored sparse cell: the rater and its packed counters.
+  struct SparseCell {
+    NodeId rater;
+    std::uint32_t counts;  ///< pack(stats), or kEscaped
+  };
+  static_assert(sizeof(SparseCell) == 8,
+                "the cell size the memory notes quote");
+
+  // Packed counters: N+ in bits 0-10, N- in bits 11-21 and the neutral
+  // count in bits 22-31; N is their sum.
+  static constexpr unsigned kSignBits = 11;
+  static constexpr std::uint32_t kSignMax = (1u << kSignBits) - 1;
+  static constexpr std::uint32_t kNeutralMax =
+      (1u << (32 - 2 * kSignBits)) - 1;
+  /// The counts of a cell held in the escape store. A stored cell is never
+  /// empty, so no packed cell takes this value.
+  static constexpr std::uint32_t kEscaped = 0;
+
+  /// Whether `s` fits the packed fields. An inconsistent aggregate (N below
+  /// N+ + N-) has a wrapped neutral count and does not, so it escapes and
+  /// still reads back verbatim.
+  [[nodiscard]] static constexpr bool packable(const PairStats& s) noexcept {
+    return s.positive <= kSignMax && s.negative <= kSignMax &&
+           s.neutral() <= kNeutralMax;
+  }
+  [[nodiscard]] static constexpr std::uint32_t pack(
+      const PairStats& s) noexcept {
+    return s.positive | s.negative << kSignBits |
+           s.neutral() << (2 * kSignBits);
+  }
+  [[nodiscard]] static constexpr PairStats unpack(std::uint32_t c) noexcept {
+    PairStats s;
+    s.positive = c & kSignMax;
+    s.negative = (c >> kSignBits) & kSignMax;
+    s.total = s.positive + s.negative + (c >> (2 * kSignBits));
+    return s;
+  }
 
   /// Orders cells (and cells against a rater id) by rater.
   struct RaterLess {
     bool operator()(const SparseCell& a, const SparseCell& b) const {
-      return a.first < b.first;
+      return a.rater < b.rater;
     }
     bool operator()(const SparseCell& a, NodeId rater) const {
-      return a.first < rater;
+      return a.rater < rater;
     }
   };
 
@@ -313,44 +387,46 @@ class RatingMatrix {
   struct SparseRow {
     using Iter = std::vector<SparseCell>::const_iterator;
 
-    /// Rows below this size keep no tail (see find_or_insert).
+    /// Rows below this size keep no tail (see insert).
     static constexpr std::size_t kFlatRowCells = 64;
 
     std::vector<SparseCell> cells;
     std::uint32_t main_len = 0;
 
-    [[nodiscard]] const PairStats* find(NodeId rater) const {
+    /// The packed counts of `rater`'s cell, nullptr when absent.
+    [[nodiscard]] const std::uint32_t* find(NodeId rater) const {
       Finger& f = finger();
       if (f.row != this) f = {this, 0, main_len};
       const std::uint32_t in_main = seek(f.main, 0, main_len, rater);
       f.main = in_main;
-      if (in_main < main_len && cells[in_main].first == rater)
-        return &cells[in_main].second;
+      if (in_main < main_len && cells[in_main].rater == rater)
+        return &cells[in_main].counts;
       const auto size = static_cast<std::uint32_t>(cells.size());
       if (main_len == size) return nullptr;  // no tail
       const std::uint32_t in_tail = seek(f.tail, main_len, size, rater);
       f.tail = in_tail;
-      if (in_tail < size && cells[in_tail].first == rater)
-        return &cells[in_tail].second;
+      if (in_tail < size && cells[in_tail].rater == rater)
+        return &cells[in_tail].counts;
       return nullptr;
     }
+    [[nodiscard]] std::uint32_t* find(NodeId rater) {
+      return const_cast<std::uint32_t*>(std::as_const(*this).find(rater));
+    }
 
-    /// The cell of `rater`, inserted empty when absent (see the row
-    /// layout note at the top of this file).
-    PairStats& find_or_insert(NodeId rater);
+    /// Stores `cell`, whose rater must be absent (see the row layout note
+    /// at the top of this file).
+    void insert(SparseCell cell);
 
-    /// fn(rater, stats) over both runs, merged into ascending order.
+    /// fn(cell) over both runs, merged into ascending rater order.
     template <typename Fn>
-    void for_each(Fn& fn) const {
+    void for_each(Fn&& fn) const {
       Iter a = cells.begin();
       const Iter a_end = a + main_len;
       Iter b = a_end;
-      while (a != a_end && b != cells.end()) {
-        const SparseCell& c = a->first < b->first ? *a++ : *b++;
-        fn(c.first, c.second);
-      }
-      for (; a != a_end; ++a) fn(a->first, a->second);
-      for (; b != cells.end(); ++b) fn(b->first, b->second);
+      while (a != a_end && b != cells.end())
+        fn(a->rater < b->rater ? *a++ : *b++);
+      for (; a != a_end; ++a) fn(*a);
+      for (; b != cells.end(); ++b) fn(*b);
     }
 
     /// Index of the first cell of the sorted run cells[lo, hi) whose
@@ -360,8 +436,8 @@ class RatingMatrix {
     [[nodiscard]] std::uint32_t seek(std::uint32_t from, std::uint32_t lo,
                                      std::uint32_t hi, NodeId rater) const {
       if (from >= lo && from <= hi &&
-          (from == lo || cells[from - 1].first < rater) &&
-          (from == hi || cells[from].first >= rater))
+          (from == lo || cells[from - 1].rater < rater) &&
+          (from == hi || cells[from].rater >= rater))
         return from;
       return seek_from(from, lo, hi, rater);
     }
@@ -402,8 +478,6 @@ class RatingMatrix {
   };
   static_assert(sizeof(Row) <= 72, "the row size the memory notes quote");
 
-  /// What an absent sparse cell reads as.
-  static constexpr PairStats kEmptyCell{};
   /// What an empty row slot reads as.
   static const Row kEmptyRow;
 
@@ -421,20 +495,44 @@ class RatingMatrix {
   /// frees the row if that left it unused.
   void clear_row(NodeId i, Row& row);
 
-  /// Writable cell reference into `row` (row `ratee`); creates the cell on
-  /// the sparse backend.
-  PairStats& mutable_cell(Row& row, NodeId ratee, NodeId rater);
+  /// The (ratee, rater) key of the escape store and the dirty set.
+  [[nodiscard]] static std::uint64_t cell_key(NodeId ratee, NodeId rater) {
+    return (static_cast<std::uint64_t>(ratee) << 32) | rater;
+  }
+  /// The stats of sparse cell (ratee, rater), whose stored counts are
+  /// `counts`.
+  [[nodiscard]] PairStats stats_of(NodeId ratee, NodeId rater,
+                                   std::uint32_t counts) const {
+    if (counts == kEscaped) [[unlikely]]
+      return escaped_cell(ratee, rater);
+    return unpack(counts);
+  }
+  /// An escaped cell's stats (the cold half of stats_of).
+  [[nodiscard]] PairStats escaped_cell(NodeId ratee, NodeId rater) const;
+  /// The counts to store for non-empty sparse cell (ratee, rater):
+  /// pack(stats) when it fits, else kEscaped after (re)writing the cell
+  /// into the escape store.
+  std::uint32_t store_counts(NodeId ratee, NodeId rater,
+                             const PairStats& stats);
+  /// Adds one `score` rating to cell (ratee, rater) of `row` (row `ratee`)
+  /// and returns the cell's new stats; creates the cell on the sparse
+  /// backend.
+  PairStats add_to_cell(Row& row, NodeId ratee, NodeId rater, Score score);
+  /// Drops row i's escaped cells from the escape store, releasing its
+  /// storage once it is empty.
+  void drop_escaped(NodeId i, const SparseRow& row);
 
   /// Records (ratee, rater) in the dirty set when tracking is on.
   void mark_dirty(NodeId ratee, NodeId rater) {
-    if (dirty_on_)
-      dirty_.insert((static_cast<std::uint64_t>(ratee) << 32) | rater);
+    if (dirty_on_) dirty_.insert(cell_key(ratee, rater));
   }
 
   MatrixBackend backend_ = MatrixBackend::kDense;
   util::Matrix<PairStats> dense_;  // kDense cells (empty under kSparse)
   std::vector<std::unique_ptr<Row>> rows_;  // one slot per node
   std::vector<NodeId> allocated_;  // nodes whose slot holds a row, any order
+  // Sparse cells whose counts overflow a packed field, exact, by cell_key.
+  std::unordered_map<std::uint64_t, PairStats> escaped_;
   std::size_t high_count_ = 0;
   std::uint32_t frequency_threshold_ = 0;
   bool dirty_on_ = false;

@@ -147,7 +147,9 @@ void RpcServer::worker_loop(std::size_t index) {
     if (!draining) pfds.push_back({listen_fd_, POLLIN, 0});
     const std::size_t conn_base = pfds.size();
     for (const Connection& c : w.conns) {
-      short events = POLLIN;
+      // Backlog gate: a peer that does not read its responses is not read
+      // from either, so its unsent responses stay bounded.
+      short events = backlogged(c) ? 0 : POLLIN;
       if (!c.wbuf.empty()) events |= POLLOUT;
       pfds.push_back({c.fd, events, 0});
     }
@@ -178,6 +180,9 @@ void RpcServer::worker_loop(std::size_t index) {
       }
       if (alive && (revents & POLLIN) != 0) alive = read_ready(c);
       if (alive && !c.wbuf.empty()) alive = flush_writes(c);
+      // A drained backlog resumes the frames the gate left in rbuf.
+      if (alive && !c.rbuf.empty() && !backlogged(c))
+        alive = process_frames(c);
       if (c.failed) alive = false;
 
       if (alive) {
@@ -259,8 +264,11 @@ bool RpcServer::read_ready(Connection& c) {
       got_bytes = true;
       // A short read drained the socket; poll() is level-triggered, so
       // bytes that arrive meanwhile wake it again. Only a full buffer
-      // reads on, which spares each request a recv() that fails EAGAIN.
-      if (static_cast<std::size_t>(n) < sizeof buf) break;
+      // reads on, which spares each request a recv() that fails EAGAIN,
+      // and only until rbuf holds a maximal frame, which bounds it.
+      if (static_cast<std::size_t>(n) < sizeof buf ||
+          c.rbuf.size() > config_.max_frame_bytes)
+        break;
       continue;
     }
     if (n == 0) return false;  // peer closed
@@ -275,7 +283,7 @@ bool RpcServer::read_ready(Connection& c) {
 bool RpcServer::process_frames(Connection& c) {
   std::size_t off = 0;
   const std::string_view whole(c.rbuf);
-  for (;;) {
+  while (!backlogged(c)) {
     std::string_view payload;
     std::size_t consumed = 0;
     const FrameResult res =
@@ -295,7 +303,10 @@ bool RpcServer::process_frames(Connection& c) {
   c.rbuf.erase(0, off);
   if (c.rbuf.empty()) {
     c.partial_since.reset();
-  } else if (!c.partial_since) {
+  } else if (!c.partial_since || off > 0) {
+    // The request-timeout clock runs from the last complete frame, so a
+    // pipelining peer held back by the backlog gate is not timed out
+    // while it reads its responses.
     c.partial_since = Clock::now();
   }
   return true;

@@ -126,7 +126,8 @@ class RpcServer {
     std::string rbuf;
     std::string wbuf;
     Clock::time_point last_activity;
-    /// Set while rbuf holds an incomplete frame (request-timeout clock).
+    /// Set while rbuf holds unhandled bytes; restarts at each handled
+    /// frame (request-timeout clock).
     std::optional<Clock::time_point> partial_since;
     bool failed = false;  ///< Corrupt stream; close without draining.
   };
@@ -140,12 +141,18 @@ class RpcServer {
 
   void worker_loop(std::size_t index);
   void accept_ready(Worker& w);
-  /// Reads the available bytes, stopping at the first short read; returns
-  /// false when the connection died.
+  /// Reads the available bytes, stopping at the first short read or once
+  /// rbuf holds more than max_frame_bytes; returns false when the
+  /// connection died.
   bool read_ready(Connection& c);
-  /// Decodes and handles every complete frame in c.rbuf; returns false on
-  /// a corrupt stream.
+  /// Decodes and handles the complete frames in c.rbuf until the backlog
+  /// gate closes; returns false on a corrupt stream.
   bool process_frames(Connection& c);
+  /// Whether c's unsent responses exceed max_frame_bytes. While they do,
+  /// the connection is neither read nor answered further.
+  [[nodiscard]] bool backlogged(const Connection& c) const {
+    return c.wbuf.size() > config_.max_frame_bytes;
+  }
   void handle_payload(Connection& c, std::string_view payload);
   /// Flushes as much of c.wbuf as the socket accepts; false when dead.
   bool flush_writes(Connection& c);

@@ -17,6 +17,7 @@
 #include "rating/matrix.h"
 #include "rating/store.h"
 #include "tests/differential/trace_gen.h"
+#include "util/rng.h"
 
 #if defined(__GLIBC__) && \
     (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
@@ -161,6 +162,49 @@ TEST_F(MatrixMemoryModelShardedTest, QuarterOwnedRowsWithinTwentyPercentOfHeap) 
     return shards;
   });
   expect_model_tracks_heap(got, "sharded");
+}
+
+// perfbench detect_sweep's shape: kShards sparse matrices over 10k nodes,
+// ~140k organic ratings spread over nearly as many distinct cells (most
+// cells hold one rating), 250 mutual pairs of 50 ratings per direction,
+// and a host reputation for each rated node on its owner shard. Cells are
+// most of this shape's footprint, so it pins the packed 8-byte cell term
+// of the model.
+TEST_F(MatrixMemoryModelShardedTest, DetectSweepShapeWithinTwentyPercentOfHeap) {
+  constexpr std::size_t kShardNodes = 10'000;
+  constexpr std::size_t kPairs = 250;
+  std::vector<Rating> ratings;
+  util::Rng rng(44);
+  for (rating::Tick t = 0; t < 140'000; ++t) {
+    const auto rater = static_cast<NodeId>(rng.next_below(kShardNodes));
+    auto ratee = static_cast<NodeId>(rng.next_below(kShardNodes));
+    if (ratee == rater) ratee = static_cast<NodeId>((ratee + 1) % kShardNodes);
+    ratings.push_back({rater, ratee,
+                       rng.chance(0.85) ? Score::kPositive : Score::kNegative,
+                       t});
+  }
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    const auto a = static_cast<NodeId>(2 * p);
+    for (int k = 0; k < 50; ++k) {
+      ratings.push_back({a, a + 1, Score::kPositive, 0});
+      ratings.push_back({a + 1, a, Score::kPositive, 0});
+    }
+  }
+  std::vector<double> reps(kShardNodes, 0.0);
+  for (const Rating& r : ratings) reps[r.ratee] += 1.0 / 64;
+  const Measurement got = measure([&] {
+    Shards shards;
+    for (auto& m : shards) {
+      m = std::make_unique<RatingMatrix>(kShardNodes, MatrixBackend::kSparse);
+      m->set_frequency_threshold(20);
+    }
+    for (const Rating& r : ratings)
+      shards[r.ratee % kShards]->add_rating(r.ratee, r.rater, r.score);
+    for (NodeId i = 0; i < kShardNodes; ++i)
+      shards[i % kShards]->set_global_reputation(i, reps[i], 0.5);
+    return shards;
+  });
+  expect_model_tracks_heap(got, "detect_sweep");
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MatrixMemoryModelTest,

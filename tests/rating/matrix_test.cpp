@@ -380,8 +380,9 @@ TEST_F(HotSparseRowTest, ShuffledInsertsStayOrderedAndFast) {
   // sqrt-tail layout takes a few hundredths of a second.
   EXPECT_LT(fill(1), 1.0);
   expect_full_row();
+  // A stored cell is the rater plus its packed counters: 8 bytes.
   EXPECT_GE(m_.approx_memory_bytes(),
-            empty_bytes + kRaters * sizeof(std::pair<NodeId, PairStats>));
+            empty_bytes + kRaters * (sizeof(NodeId) + sizeof(std::uint32_t)));
 }
 
 TEST_F(HotSparseRowTest, TakeRowAndClearWindowFreeThenRefill) {

@@ -66,6 +66,10 @@ class RawConn {
 
   [[nodiscard]] bool connected() const { return connected_; }
 
+  /// Shuts both directions, which also fails a send() blocked in another
+  /// thread.
+  void hang_up() { ::shutdown(fd_, SHUT_RDWR); }
+
   bool send_bytes(std::string_view data) {
     std::size_t off = 0;
     while (off < data.size()) {
@@ -338,6 +342,75 @@ TEST(RpcLoopback, PipelinedAndBytewiseRequestsAnsweredInOrder) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   expect_ok_reply(4);
+  svc.stop();
+}
+
+// Backlog gate: a peer that pipelines requests without reading its
+// responses is not read from while its unsent responses exceed
+// max_frame_bytes, so neither buffer grows without bound. Once the peer
+// reads, every response arrives, in order.
+TEST(RpcLoopback, UnreadResponsesStopReadingUntilDrained) {
+  service::ReputationService svc(svc_config());
+  RpcServerConfig cfg;
+  cfg.max_frame_bytes = 4096;
+  RpcServer server(svc, cfg);
+  RawConn raw(server.port());
+  ASSERT_TRUE(raw.connected());
+
+  constexpr std::uint64_t kPings = 500'000;
+  std::string pings;
+  for (std::uint64_t id = 1; id <= kPings; ++id)
+    pings += framed_request(kProtocolVersion,
+                            static_cast<std::uint8_t>(MsgType::kPing), id);
+  std::string reply;
+  encode_response_header(reply, ResponseHeader{});
+  const std::size_t reply_bytes = encode_frame(reply).size();
+
+  // The kernel buffers fill, then send() blocks: send from a thread. If an
+  // assertion below returns early, hang up so the blocked send fails and
+  // the thread can be joined.
+  bool sent = false;
+  std::thread sender([&] { sent = raw.send_bytes(pings); });
+  struct JoinOnExit {
+    RawConn& raw;
+    std::thread& thread;
+    ~JoinOnExit() {
+      if (!thread.joinable()) return;
+      raw.hang_up();
+      thread.join();
+    }
+  } join_on_exit{raw, sender};
+
+  // Wait until the server has stopped reading: bytes_in unchanged for
+  // 300 ms. The kernel socket buffers absorb a few MB first, and the
+  // server's send buffer grows slowly (~6 s on Linux 6.x loopback).
+  RpcServerStats stalled = server.stats();
+  int quiet_ticks = 0;
+  for (int tick = 0; tick < 180 && quiet_ticks < 6; ++tick) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const RpcServerStats now = server.stats();
+    quiet_ticks = now.bytes_in == stalled.bytes_in ? quiet_ticks + 1 : 0;
+    stalled = now;
+  }
+  EXPECT_EQ(quiet_ticks, 6) << "bytes_in kept growing";
+  EXPECT_LT(stalled.bytes_in, pings.size());
+  // Encoded but unsent responses: at most the cap plus the one that
+  // crossed it.
+  const std::uint64_t backlog =
+      stalled.responses * reply_bytes - stalled.bytes_out;
+  EXPECT_LE(backlog, cfg.max_frame_bytes + reply_bytes);
+
+  for (std::uint64_t id = 1; id <= kPings; ++id) {
+    const auto payload = raw.recv_frame();
+    ASSERT_TRUE(payload.has_value()) << "no reply to " << id;
+    const auto h = parse_response(*payload);
+    ASSERT_TRUE(h.has_value());
+    ASSERT_EQ(h->status, Status::kOk);
+    ASSERT_EQ(h->request_id, id);
+  }
+  sender.join();
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(server.stats().bytes_in, pings.size());
   svc.stop();
 }
 
