@@ -122,23 +122,6 @@ struct DirtyCells {
   std::vector<std::pair<NodeId, NodeId>> cells;
 };
 
-/// RatingMatrix::cell_or_null's result: the cell's stats when it holds
-/// ratings, and equal to nullptr otherwise. It reads like the pointer a
-/// cell lookup would return (`!= nullptr`, `->`), but holds a copy, since
-/// a packed sparse cell has no PairStats in memory to point at.
-class NonEmptyCell {
- public:
-  explicit NonEmptyCell(const PairStats& stats) : stats_(stats) {}
-  const PairStats* operator->() const { return &stats_; }
-  const PairStats& operator*() const { return stats_; }
-  friend bool operator==(const NonEmptyCell& c, std::nullptr_t) {
-    return c.stats_.total == 0;
-  }
-
- private:
-  PairStats stats_;
-};
-
 class RatingMatrix {
  public:
   RatingMatrix() = default;
@@ -211,12 +194,6 @@ class RatingMatrix {
         row != nullptr ? row->sparse.find(rater) : nullptr;
     if (counts == nullptr) return {};
     return stats_of(ratee, rater, *counts);
-  }
-
-  /// a_(ratee,rater) when the cell holds ratings (total > 0); otherwise a
-  /// result that compares equal to nullptr — identical across backends.
-  [[nodiscard]] NonEmptyCell cell_or_null(NodeId ratee, NodeId rater) const {
-    return NonEmptyCell(cell(ratee, rater));
   }
 
   /// Number of cells for_each_cell visits in row `ratee`: n on the dense

@@ -229,7 +229,9 @@ void RpcServer::accept_ready(Worker& w) {
     if (draining_.load(std::memory_order_acquire) ||
         active_.load(std::memory_order_acquire) >= config_.max_connections) {
       // Doorman refusal: one kGoAway frame with the backoff hint, then
-      // close — the client backs off instead of queueing invisibly.
+      // close — the client backs off instead of queueing invisibly. Counted
+      // first, so a peer that sees the close also sees the count.
+      rejected_.fetch_add(1, std::memory_order_relaxed);
       const std::string frame = goaway_frame(
           draining_.load(std::memory_order_acquire) ? Status::kShuttingDown
                                                     : Status::kRetryLater);
@@ -238,7 +240,6 @@ void RpcServer::accept_ready(Worker& w) {
         bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
                              std::memory_order_relaxed);
       ::close(fd);
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     const int one = 1;

@@ -178,8 +178,7 @@ TEST(DetectRingTest, PairOnlyTracesProduceZeroRingFlags) {
       const auto rater = static_cast<NodeId>(rng.next_below(n));
       auto ratee = static_cast<NodeId>(rng.next_below(n));
       if (ratee == rater) ratee = static_cast<NodeId>((ratee + 1) % n);
-      const rating::NonEmptyCell cell = matrix.cell_or_null(ratee, rater);
-      if (cell != nullptr && cell->total + 1 >= cfg.frequency_min)
+      if (matrix.cell(ratee, rater).total + 1 >= cfg.frequency_min)
         continue;  // keep every organic cell sub-threshold
       matrix.add_rating(ratee, rater,
                         rng.chance(0.8) ? Score::kPositive

@@ -61,8 +61,7 @@ void expect_matrices_identical(const RatingMatrix& dense,
     for (NodeId j = 0; j < dense.size(); ++j) {
       EXPECT_EQ(dense.cell(i, j), sparse.cell(i, j))
           << "cell (" << i << ", " << j << ")";
-      EXPECT_EQ(dense.cell_or_null(i, j) != nullptr,
-                sparse.cell_or_null(i, j) != nullptr)
+      EXPECT_EQ(dense.cell(i, j).total > 0, sparse.cell(i, j).total > 0)
           << "cell (" << i << ", " << j << ")";
     }
     // The deterministic enumeration must agree element for element.

@@ -50,9 +50,7 @@ void expect_row_exact(const RatingMatrix& m, NodeId ratee, const Row& want) {
   for (const auto& [rater, s] : want) {
     EXPECT_EQ(m.cell(ratee, rater), s) << "cell (" << ratee << ", " << rater
                                        << ")";
-    const NonEmptyCell read = m.cell_or_null(ratee, rater);
-    ASSERT_NE(read, nullptr);
-    EXPECT_EQ(*read, s);
+    EXPECT_GT(m.cell(ratee, rater).total, 0u);
     totals += s;
     if (m.frequency_threshold() > 0 && s.total >= m.frequency_threshold())
       frequent += s;

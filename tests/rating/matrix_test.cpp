@@ -93,8 +93,8 @@ TEST(RatingMatrixTest, CellVisitorMatchesCells) {
   EXPECT_EQ(visited, 3u);
   EXPECT_EQ(m.cell(1, 2).positive, 1u);
   EXPECT_EQ(m.cell(1, 0).total, 0u);
-  EXPECT_NE(m.cell_or_null(1, 2), nullptr);
-  EXPECT_EQ(m.cell_or_null(1, 0), nullptr);
+  EXPECT_GT(m.cell(1, 2).total, 0u);
+  EXPECT_EQ(m.cell(1, 0).total, 0u);
 }
 
 TEST(RatingMatrixTest, SparseBackendStoresOnlyTouchedCells) {
@@ -110,7 +110,7 @@ TEST(RatingMatrixTest, SparseBackendStoresOnlyTouchedCells) {
 
   EXPECT_EQ(m.cell(1, 0).total, 2u);
   EXPECT_EQ(m.cell(1, 2).total, 0u);  // absent cell reads as empty
-  EXPECT_EQ(m.cell_or_null(1, 2), nullptr);
+  EXPECT_EQ(m.cell(1, 2).total, 0u);
   EXPECT_EQ(m.totals(1).total, 3u);
   EXPECT_EQ(m.window_reputation(1), 1);
 
@@ -166,7 +166,7 @@ class RatingMatrixRowLifecycleTest
     EXPECT_EQ(m_.window_reputation(i), 0);
     for (NodeId j = 0; j < kNodes; ++j) {
       EXPECT_EQ(m_.cell(i, j), PairStats{}) << "cell (" << i << ", " << j << ")";
-      EXPECT_EQ(m_.cell_or_null(i, j), nullptr);
+      EXPECT_EQ(m_.cell(i, j).total, 0u);
     }
     const std::size_t stored =
         GetParam() == MatrixBackend::kDense ? kNodes : 0;
@@ -337,7 +337,7 @@ class HotSparseRowTest : public ::testing::Test {
     for (NodeId k = 0; k <= 2 * kRaters + 1; ++k) {
       if (k % 2 == 1 || k == 0) {
         ASSERT_EQ(m_.cell(kRatee, k), PairStats{}) << "absent rater " << k;
-        ASSERT_EQ(m_.cell_or_null(kRatee, k), nullptr);
+        ASSERT_EQ(m_.cell(kRatee, k).total, 0u);
       } else {
         ASSERT_EQ(m_.cell(kRatee, k), expected(k)) << "rater " << k;
         totals += expected(k);

@@ -48,6 +48,27 @@ RpcClientConfig client_config(std::uint16_t port) {
 }
 
 /// Minimal raw TCP peer speaking just enough framing to misbehave.
+/// Fixes SO_SNDBUF on this process's listening socket for `port`. Linux
+/// copies the setting to every socket accepted from it afterwards.
+bool limit_listener_send_buffer(std::uint16_t port, int bytes) {
+  for (int fd = 0; fd < 1024; ++fd) {
+    int listening = 0;
+    socklen_t len = sizeof(listening);
+    if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &len) != 0 ||
+        listening == 0)
+      continue;
+    sockaddr_in addr = {};
+    socklen_t addr_len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) !=
+            0 ||
+        addr.sin_family != AF_INET || ntohs(addr.sin_port) != port)
+      continue;
+    return ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)) ==
+           0;
+  }
+  return false;
+}
+
 class RawConn {
  public:
   explicit RawConn(std::uint16_t port) {
@@ -354,6 +375,10 @@ TEST(RpcLoopback, UnreadResponsesStopReadingUntilDrained) {
   RpcServerConfig cfg;
   cfg.max_frame_bytes = 4096;
   RpcServer server(svc, cfg);
+  // A small fixed send buffer on the server's side of the connection:
+  // otherwise the kernel grows it for seconds before the replies back up,
+  // and the gate engages only then.
+  ASSERT_TRUE(limit_listener_send_buffer(server.port(), 4096));
   RawConn raw(server.port());
   ASSERT_TRUE(raw.connected());
 
@@ -382,8 +407,8 @@ TEST(RpcLoopback, UnreadResponsesStopReadingUntilDrained) {
   } join_on_exit{raw, sender};
 
   // Wait until the server has stopped reading: bytes_in unchanged for
-  // 300 ms. The kernel socket buffers absorb a few MB first, and the
-  // server's send buffer grows slowly (~6 s on Linux 6.x loopback).
+  // 300 ms. With the send buffer fixed above this takes about a second;
+  // the 9 s budget is headroom for a slow host.
   RpcServerStats stalled = server.stats();
   int quiet_ticks = 0;
   for (int tick = 0; tick < 180 && quiet_ticks < 6; ++tick) {

@@ -4,25 +4,29 @@
 Usage (from the repository root):
 
     python3 tools/bench_compare.py BENCH_detect_sweep.json [more ledgers]
-        [--benchmark BENCHMARK.json] [--claim METRIC]
+        [--benchmark BENCHMARK.json]
 
 A ledger (BENCH_<workload>.json) holds the result lines of `runs`: one
 entry per seed with a "parent" and a "change" result, each as printed by
 perfbench/run.py ({"correct", "attempted", "failed", "metrics"}). The
-claimed metric comes from --claim, else from the ledger's "claim" field,
-else there is none.
+ledger's optional "claim" field names the metric the change claims to
+improve.
 
 For every metric the ledger holds, the report prints each side's quantile
 ladder (min, q1, median, q3, max), the relative change of the medians, and
 how many pairs the change won. It then judges the end-to-end metrics that
 BENCHMARK.json declares:
 
-  * the claimed metric passes only if the change wins at least 9 of every
-    10 pairs and the medians differ, in the better direction, by more than
-    the parent's interquartile range;
+  * the claimed metric must be an end-to-end metric present in the runs,
+    and passes only if the change wins at least 9 of every 10 pairs and
+    the medians differ, in the better direction, by more than the
+    parent's interquartile range;
   * every other end-to-end metric must not be worse at the median than
     its bound allows; one that is worse is "unresolved": the pairs do not
-    show that the change is safe, so rerun them or explain the gap;
+    show that the change is safe, so rerun them or explain the gap. So is
+    one whose parent interquartile range, as a share of the parent
+    median, is wider than its bound, unless every change run beats every
+    parent run: the pairs are too noisy to show it held;
   * every run must be correct, and the change's share of failed
     operations must not exceed the parent's.
 
@@ -75,16 +79,14 @@ def pairs_of(ledger):
                    for s in SIDES)]
 
 
-def judge(ledger, benchmark, claim=None):
+def judge(ledger, benchmark):
     """Returns the report as a dict: per-metric rows, checks, verdict."""
     declared = {m["name"]: m for m in benchmark["end_to_end"]}
     declared.update({m["name"]: dict(m, per_layer=True)
                      for m in benchmark.get("per_layer", [])})
-    claim = claim if claim is not None else ledger.get("claim")
+    claim = ledger.get("claim")
     pairs = pairs_of(ledger)
     problems = []
-    if claim is not None and claim not in declared:
-        problems.append(f"claimed metric {claim!r} is not in BENCHMARK.json")
 
     names = []
     for r in pairs:
@@ -127,12 +129,26 @@ def judge(ledger, benchmark, claim=None):
                 failed.append(name)
         elif end_to_end:
             bound = spec["bound"]
-            ok = worse <= bound
+            spread = rel_change(parent["median"], parent["median"]
+                                + parent["q3"] - parent["q1"])
+            worst, best = ((change["max"], parent["min"])
+                           if direction == "lower"
+                           else (change["min"], parent["max"]))
+            separated = better(worst, best, direction)
+            ok = worse <= bound and (spread <= bound or separated)
             row["status"] = "within bound" if ok else "unresolved"
-            row["detail"] = f"worse by {worse:+.1%} (bound {bound:.0%})"
+            row["detail"] = (f"worse by {worse:+.1%} (bound {bound:.0%}), "
+                             f"parent IQR {spread:.1%} of median")
             if not ok:
                 unresolved.append(name)
         rows.append(row)
+
+    if claim is not None and not any(
+            r["metric"] == claim and r["status"].startswith("claim")
+            for r in rows):
+        problems.append(f"claimed metric {claim!r} was not judged: it must "
+                        "be an end-to-end metric of BENCHMARK.json present "
+                        "on both sides of the runs")
 
     checks = {}
     for side in SIDES:
@@ -203,8 +219,6 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("ledgers", nargs="+", help="BENCH_<workload>.json files")
     p.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"))
-    p.add_argument("--claim", default=None,
-                   help="claimed metric (default: the ledger's \"claim\")")
     args = p.parse_args(argv)
     with open(args.benchmark) as f:
         benchmark = json.load(f)
@@ -212,7 +226,7 @@ def main(argv=None):
     for path in args.ledgers:
         with open(path) as f:
             ledger = json.load(f)
-        report = judge(ledger, benchmark, args.claim)
+        report = judge(ledger, benchmark)
         print(render(report))
         print()
         verdicts.append(report["verdict"])

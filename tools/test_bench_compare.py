@@ -52,8 +52,8 @@ PARENT_MEM = [20.0, 20.1, 19.9, 20.2, 19.8, 20.0, 20.1, 19.9, 20.0, 20.05]
 
 
 class JudgeTest(unittest.TestCase):
-    def judge(self, led, claim=None):
-        return bench_compare.judge(led, BENCHMARK, claim)
+    def judge(self, led):
+        return bench_compare.judge(led, BENCHMARK)
 
     def row(self, report, name):
         return next(r for r in report["rows"] if r["metric"] == name)
@@ -112,10 +112,38 @@ class JudgeTest(unittest.TestCase):
                          "within bound")  # +2.5%, bound 5%
         self.assertEqual(report["verdict"], "PASS")
 
-    def test_claim_argument_overrides_the_ledger(self):
-        led = ledger(PARENT_MEM, [m - 5 for m in PARENT_MEM], claim=None)
-        report = self.judge(led, claim="ingest_rps")  # equal: not met
+    def test_unclaimed_metric_inside_noisy_parent_is_unresolved(self):
+        # Parent IQR is ~30% of its median, wider than the 25% bound, so
+        # an unchanged median does not show the metric held.
+        parent_rps = [70.0, 130.0] * 5
+        report = self.judge(ledger(PARENT_MEM, [m - 5 for m in PARENT_MEM],
+                                   parent_rps, list(parent_rps)))
+        self.assertEqual(report["verdict"], "UNRESOLVED")
+        self.assertEqual(report["unresolved"], ["ingest_rps"])
+
+    def test_noisy_parent_passes_when_every_change_run_is_better(self):
+        parent_rps = [70.0, 130.0] * 5
+        report = self.judge(ledger(PARENT_MEM, [m - 5 for m in PARENT_MEM],
+                                   parent_rps, [131.0] * 10))
+        self.assertEqual(self.row(report, "ingest_rps")["status"],
+                         "within bound")
+        self.assertEqual(report["verdict"], "PASS")
+
+    def test_per_layer_claim_fails(self):
+        led = ledger(PARENT_MEM, [m - 5 for m in PARENT_MEM],
+                     claim="detect.sweep_ms_p50")  # wins 10/10, per-layer
+        report = self.judge(led)
         self.assertEqual(report["verdict"], "FAIL")
+        self.assertEqual(self.row(report, "detect.sweep_ms_p50")["status"],
+                         "info")
+
+    def test_claim_absent_from_the_runs_fails(self):
+        led = ledger(PARENT_MEM, [m - 5 for m in PARENT_MEM],
+                     claim="ttd_ms_p50")
+        report = self.judge(led)
+        self.assertEqual(report["verdict"], "FAIL")
+        self.assertFalse(any(r["metric"] == "ttd_ms_p50"
+                             for r in report["rows"]))
 
     def test_per_layer_metrics_are_reported_not_judged(self):
         report = self.judge(ledger(PARENT_MEM, [m - 5 for m in PARENT_MEM]))
