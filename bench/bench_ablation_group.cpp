@@ -1,6 +1,6 @@
 // Ablation: group collusion (the paper's future work). Injects mutually
 // rating collectives of growing size into rating matrices and compares the
-// pairwise detectors against the GroupCollusionDetector: all catch every
+// pairwise detectors against core::detect_groups: all catch every
 // member (a clique is just many pairs), but only the group detector names
 // the collective and its structure; its cost stays on the Optimized
 // method's order, far below the Basic method's.
@@ -98,10 +98,12 @@ int main() {
 
   for (std::size_t size : {2u, 3u, 4u, 6u, 8u}) {
     const auto matrix = make_world(kNodes, size);
-    const auto basic = core::BasicCollusionDetector(config()).detect(matrix);
+    const auto snapshot = detect::EpochSnapshot::of(matrix);
+    const auto basic =
+        detect::BasicDetector(config()).on_epoch(snapshot);
     const auto optimized =
-        core::OptimizedCollusionDetector(config()).detect(matrix);
-    const auto groups = core::GroupCollusionDetector(config()).detect(matrix);
+        detect::OptimizedDetector(config()).on_epoch(snapshot);
+    const auto groups = core::detect_groups(matrix, config());
 
     std::string group_desc = "none";
     if (!groups.groups.empty()) {
@@ -133,12 +135,12 @@ int main() {
                      "optimized cost", "ring detector", "ring cost"});
   for (std::size_t size : {2u, 3u, 4u, 5u, 6u}) {
     const auto matrix = make_ring_world(kNodes, size);
+    const auto snapshot = detect::EpochSnapshot::of(matrix);
     const auto optimized =
-        core::OptimizedCollusionDetector(config()).detect(matrix);
+        detect::OptimizedDetector(config()).on_epoch(snapshot);
     const auto detector =
         detect::DetectorRegistry::global().create("ring", config());
-    core::DetectionReport ring_report;
-    detector->on_epoch(detect::EpochSnapshot::of(matrix), ring_report);
+    const core::DetectionReport ring_report = detector->on_epoch(snapshot);
 
     std::string ring_desc = "none";
     if (!ring_report.rings.empty()) {

@@ -36,7 +36,7 @@ Outcome run(const net::NodeRoles& roles, bool require_mutual,
   dc.require_mutual = require_mutual;
 
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(dc);
+  detect::OptimizedDetector detector(dc);
   net::Simulator sim(config, roles, engine, &detector);
   sim.run();
 

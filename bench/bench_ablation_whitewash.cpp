@@ -34,7 +34,7 @@ Row run(bool whitewash, bool detect) {
   dc.high_rep_threshold = 0.05;
 
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(dc);
+  detect::OptimizedDetector detector(dc);
   net::Simulator sim(config, net::paper_roles(8, 3), engine,
                      detect ? &detector : nullptr);
   sim.run();

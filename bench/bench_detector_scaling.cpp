@@ -83,10 +83,10 @@ rating::MatrixBackend backend_of(const benchmark::State& state) {
 void BM_BasicDetect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto matrix = make_world(n, backend_of(state));
-  core::BasicCollusionDetector detector(config());
+  detect::BasicDetector detector(config());
   std::uint64_t work = 0;
   for (auto _ : state) {
-    const auto report = detector.detect(matrix);
+    const auto report = detector.on_epoch(detect::EpochSnapshot::of(matrix));
     work = report.cost.total();
     benchmark::DoNotOptimize(report);
   }
@@ -138,10 +138,10 @@ rating::RatingMatrix make_ring_world(std::size_t n,
 void BM_OptimizedDetect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto matrix = make_world(n, backend_of(state));
-  core::OptimizedCollusionDetector detector(config());
+  detect::OptimizedDetector detector(config());
   std::uint64_t work = 0;
   for (auto _ : state) {
-    const auto report = detector.detect(matrix);
+    const auto report = detector.on_epoch(detect::EpochSnapshot::of(matrix));
     work = report.cost.total();
     benchmark::DoNotOptimize(report);
   }
@@ -166,8 +166,8 @@ void BM_RingDetect(benchmark::State& state) {
   std::uint64_t work = 0;
   std::size_t rings = 0;
   for (auto _ : state) {
-    core::DetectionReport report;
-    detector->on_epoch(detect::EpochSnapshot::of(matrix), report);
+    const core::DetectionReport report =
+        detector->on_epoch(detect::EpochSnapshot::of(matrix));
     work = report.cost.total();
     rings = report.rings.size();
     benchmark::DoNotOptimize(report);
@@ -224,8 +224,7 @@ void BM_RingEpoch10k(benchmark::State& state) {
     // this pass is a full rebuild.
     detect::EpochSnapshot prime = detect::EpochSnapshot::of(matrix);
     prime.dirty.push_back(matrix.take_dirty_cells());
-    core::DetectionReport report;
-    detector.on_epoch(prime, report);
+    (void)detector.on_epoch(prime);
   }
 
   std::uint64_t work = 0;
@@ -243,10 +242,9 @@ void BM_RingEpoch10k(benchmark::State& state) {
     }
     detect::EpochSnapshot snap = detect::EpochSnapshot::of(matrix);
     if (incremental) snap.dirty.push_back(matrix.take_dirty_cells());
-    core::DetectionReport report;
     state.ResumeTiming();
 
-    detector.on_epoch(snap, report);
+    const core::DetectionReport report = detector.on_epoch(snap);
 
     work = report.cost.total();
     rings = report.rings.size();

@@ -43,7 +43,7 @@ std::vector<rating::Rating> workload(std::size_t n, std::size_t events) {
 void BM_SnapshotManagerCycle(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto ratings = workload(n, n * 20);
-  core::OptimizedCollusionDetector detector(config());
+  detect::OptimizedDetector detector(config());
   for (auto _ : state) {
     state.PauseTiming();
     reputation::SummationEngine engine;
@@ -60,7 +60,7 @@ BENCHMARK(BM_SnapshotManagerCycle)->Arg(100)->Arg(200)->Arg(400);
 void BM_IncrementalManagerCycle(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto ratings = workload(n, n * 20);
-  core::OptimizedCollusionDetector detector(config());
+  detect::OptimizedDetector detector(config());
   for (auto _ : state) {
     state.PauseTiming();
     reputation::SummationEngine engine;

@@ -35,7 +35,7 @@ Outcome run(const net::SimConfig& config, const net::NodeRoles& roles,
   dc.require_mutual = !one_sided;
 
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(dc);
+  detect::OptimizedDetector detector(dc);
   net::Simulator sim(config, roles, engine, &detector);
   sim.run();
 

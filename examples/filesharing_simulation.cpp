@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   // Run 2: EigenTrust + Optimized collusion detection.
   reputation::WeightedFeedbackEngine protected_engine;
-  core::OptimizedCollusionDetector detector(detector_config);
+  detect::OptimizedDetector detector(detector_config);
   net::Simulator defended(config, roles, protected_engine, &detector);
   defended.run();
 

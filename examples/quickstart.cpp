@@ -53,7 +53,7 @@ int main() {
     std::printf("  node %u: %.3f%s\n", id, engine.reputation(id),
                 id <= 1 ? "   <- colluder (boosted!)" : "");
 
-  core::OptimizedCollusionDetector detector(config);
+  detect::OptimizedDetector detector(config);
   const core::DetectionReport report = manager.run_detection(detector);
 
   std::printf("\ndetected %zu colluding pair(s) at cost %llu work units:\n",

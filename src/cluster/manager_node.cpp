@@ -16,7 +16,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "managers/centralized.h"
 #include "service/wal.h"
 #include "util/rng.h"
 
@@ -732,7 +731,6 @@ rpc::Status ManagerNode::handle_colluder_set(rpc::Reader& r,
   for (rating::NodeId id : req->flagged)
     if (id >= config_.service.num_nodes)
       return rpc::Status::kInvalidArgument;
-  using SuppressionMode = managers::CentralizedManager::SuppressionMode;
   std::uint64_t completed = 0;
   {
     const util::MutexLock lock(state_mu_);
@@ -759,22 +757,13 @@ rpc::Status ManagerNode::handle_colluder_set(rpc::Reader& r,
       // verdicts to owned ids, update again, close the epoch.
       store->shard.manager().update_reputations();
       std::vector<rating::NodeId> owned;
-      if (config_.service.suppression != SuppressionMode::kNone &&
-          !req->flagged.empty()) {
-        for (rating::NodeId id : req->flagged) {
-          if (map_.owner(id) != store->range) continue;
-          owned.push_back(id);
-          store->shard.manager().restore_detected({id});
-          if (config_.service.suppression == SuppressionMode::kPin)
-            store->shard.engine().suppress(id);
-          else
-            store->shard.engine().reset_reputation(id);
-        }
-        store->shard.manager().update_reputations();
-      } else {
-        for (rating::NodeId id : req->flagged)
-          if (map_.owner(id) == store->range) owned.push_back(id);
+      for (rating::NodeId id : req->flagged) {
+        if (map_.owner(id) != store->range) continue;
+        owned.push_back(id);
+        store->shard.manager().restore_detected({id});
+        store->shard.engine().reset_reputation(id);
       }
+      if (!req->flagged.empty()) store->shard.manager().update_reputations();
       store->shard.finish_global_epoch(req->epoch_seq, owned, std::string());
       // The epoch commit is the durable point: checkpoint + rotate keeps
       // each range's WAL a pure post-epoch rating stream.

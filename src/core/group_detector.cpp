@@ -41,8 +41,8 @@ const CollusionGroup* GroupDetectionReport::group_of(rating::NodeId id) const {
   return nullptr;
 }
 
-GroupDetectionReport GroupCollusionDetector::detect(
-    const rating::RatingMatrix& matrix) const {
+GroupDetectionReport detect_groups(const rating::RatingMatrix& matrix,
+                                   const DetectorConfig& config) {
   GroupDetectionReport report;
   const std::size_t n = matrix.size();
 
@@ -54,7 +54,7 @@ GroupDetectionReport GroupCollusionDetector::detect(
     const rating::PairStats& cell = matrix.cell(target, by);
     report.cost.add_scan();
     report.cost.add_check();
-    return frequency_ok(cell, config_) && positive_fraction_ok(cell, config_);
+    return frequency_ok(cell, config) && positive_fraction_ok(cell, config);
   };
 
   std::vector<std::pair<rating::NodeId, rating::NodeId>> edges;
@@ -117,7 +117,7 @@ GroupDetectionReport GroupCollusionDetector::detect(
     group.outside_positive_fraction = outside.positive_fraction();
 
     report.cost.add_check();
-    if (!complement_ok(outside, config_)) continue;
+    if (!complement_ok(outside, config)) continue;
     report.groups.push_back(std::move(group));
   }
 

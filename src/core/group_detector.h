@@ -48,19 +48,9 @@ struct GroupDetectionReport {
   [[nodiscard]] const CollusionGroup* group_of(rating::NodeId id) const;
 };
 
-class GroupCollusionDetector {
- public:
-  explicit GroupCollusionDetector(DetectorConfig config) : config_(config) {}
-
-  [[nodiscard]] GroupDetectionReport detect(
-      const rating::RatingMatrix& matrix) const;
-
-  [[nodiscard]] const DetectorConfig& config() const noexcept {
-    return config_;
-  }
-
- private:
-  DetectorConfig config_;
-};
+/// Runs one group detection pass over `matrix`. Deterministic: groups
+/// are ordered by their lowest member.
+[[nodiscard]] GroupDetectionReport detect_groups(
+    const rating::RatingMatrix& matrix, const DetectorConfig& config);
 
 }  // namespace p2prep::core

@@ -21,6 +21,7 @@ struct Candidate {
 std::uint32_t propagate_accomplices(const EpochSnapshot& snapshot,
                                     const core::DetectorConfig& config,
                                     core::DetectionReport& report) {
+  snapshot.check_owners();
   if (!config.flag_accomplices ||
       (report.pairs.empty() && report.rings.empty())) {
     return 0;

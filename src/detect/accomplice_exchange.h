@@ -46,6 +46,8 @@ namespace p2prep::detect {
 /// of shard matrices. Charges scans/checks to report.cost.
 /// Returns the number of exchange rounds run until the fixpoint (0 when
 /// the flag is off or nothing was seeded). Canonicalizes the report.
+/// Throws std::invalid_argument for a multi-matrix snapshot without an
+/// owner per node.
 std::uint32_t propagate_accomplices(const EpochSnapshot& snapshot,
                                     const core::DetectorConfig& config,
                                     core::DetectionReport& report);

@@ -14,32 +14,31 @@
 // method O(m n^2) (Proposition 4.1). The implementation is the shared
 // range-partitioned sweep detect::sweep_basic (detect/pair_sweep.h), which
 // walks only each row's stored cells and charges those scans analytically;
-// detect() runs it over a one-matrix snapshot plus the accomplice
-// fixpoint (detect/accomplice_exchange.h). The class stays in namespace
-// core as the CollusionDetector the simulator and managers consume.
+// on_epoch() runs it over the snapshot, one matrix or S shard matrices
+// alike, plus the accomplice fixpoint (detect/accomplice_exchange.h).
 #pragma once
 
-#include "core/detector.h"
 #include "detect/accomplice_exchange.h"
+#include "detect/detector.h"
 #include "detect/pair_sweep.h"
 
-namespace p2prep::core {
+namespace p2prep::detect {
 
-class BasicCollusionDetector final : public CollusionDetector {
+class BasicDetector final : public Detector {
  public:
-  using CollusionDetector::CollusionDetector;
+  using Detector::Detector;
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "Unoptimized";
+    return "basic";
   }
 
-  [[nodiscard]] DetectionReport detect(
-      const rating::RatingMatrix& matrix) const override {
-    const auto snapshot = detect::EpochSnapshot::of(matrix);
-    DetectionReport report = detect::sweep_basic(snapshot, config_);
-    detect::propagate_accomplices(snapshot, config_, report);
+  [[nodiscard]] core::DetectionReport on_epoch(
+      const EpochSnapshot& snapshot) override {
+    const ScanTimer timer(stats_);
+    core::DetectionReport report = sweep_basic(snapshot, config_);
+    stats_.accomplice_rounds = propagate_accomplices(snapshot, config_, report);
     return report;
   }
 };
 
-}  // namespace p2prep::core
+}  // namespace p2prep::detect

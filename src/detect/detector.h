@@ -1,14 +1,14 @@
-// detect::Detector — the registry's plugin interface (DESIGN.md §12).
+// detect::Detector — the one detector interface (DESIGN.md §12).
 //
-// A detector is an epoch-driven object: the host (service shard, global
-// epoch runner, CLI, bench) freezes the rating state into an
-// EpochSnapshot and calls on_epoch(), which fills a core::DetectionReport
-// with pair and/or ring evidence. Unlike core::CollusionDetector (a pure
-// function of one matrix), a detect::Detector may keep state between
-// epochs — the streaming RingDetector caches its boost-edge graph and
-// re-derives only dirtied cells — so one instance is owned per host and
-// on_epoch is non-const. Hosts query wants_dirty_tracking() once at
-// construction to decide whether to enable matrix dirty-cell recording.
+// A detector is an epoch-driven object: the host (centralized manager,
+// simulator, service shard, global epoch runner, CLI, bench) freezes the
+// rating state into an EpochSnapshot and calls on_epoch(), which returns
+// a core::DetectionReport with pair and/or ring evidence. A detector may
+// keep state between epochs — the streaming RingDetector caches its
+// boost-edge graph and re-derives only dirtied cells — so one instance is
+// owned per host and on_epoch is non-const. Hosts query
+// wants_dirty_tracking() once at construction to decide whether to enable
+// matrix dirty-cell recording.
 //
 // Invariant every implementation must keep: the report for a given
 // snapshot is byte-identical (after format_epoch_report) whether the
@@ -16,6 +16,8 @@
 // and the differential tests depend on it.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string_view>
 
@@ -56,11 +58,10 @@ class Detector {
     return false;
   }
 
-  /// Runs one detection pass over the frozen snapshot, appending evidence
-  /// to `report` (callers pass a fresh report). The result is
+  /// Runs one detection pass over the frozen snapshot. The report is
   /// canonicalized and deterministic for a given snapshot.
-  virtual void on_epoch(const EpochSnapshot& snapshot,
-                        core::DetectionReport& report) = 0;
+  [[nodiscard]] virtual core::DetectionReport on_epoch(
+      const EpochSnapshot& snapshot) = 0;
 
   [[nodiscard]] const DetectorStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const core::DetectorConfig& config() const noexcept {
@@ -68,6 +69,34 @@ class Detector {
   }
 
  protected:
+  /// Stamps stats_.scan_us with its own lifetime: one per on_epoch().
+  class ScanTimer {
+   public:
+    explicit ScanTimer(DetectorStats& stats)
+        : stats_(stats), start_(std::chrono::steady_clock::now()) {}
+    ~ScanTimer() {
+      stats_.scan_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start_)
+              .count());
+    }
+    ScanTimer(const ScanTimer&) = delete;
+    ScanTimer& operator=(const ScanTimer&) = delete;
+
+   private:
+    DetectorStats& stats_;
+    std::chrono::steady_clock::time_point start_;
+  };
+
+  /// Refreshes the ring gauges from a finished pass's report.
+  void record_rings(const core::DetectionReport& report) {
+    stats_.rings_found = report.rings.size();
+    for (const auto& r : report.rings) {
+      stats_.largest_ring =
+          std::max<std::uint64_t>(stats_.largest_ring, r.members.size());
+    }
+  }
+
   core::DetectorConfig config_;
   DetectorStats stats_;
 };

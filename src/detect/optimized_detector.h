@@ -32,33 +32,32 @@
 //
 // The implementation is the shared range-partitioned sweep
 // detect::sweep_optimized (detect/pair_sweep.h), which walks only each
-// row's stored cells and charges the per-pair reads analytically; detect()
-// runs it over a one-matrix snapshot plus the accomplice fixpoint
-// (detect/accomplice_exchange.h). The class stays in namespace core as the
-// CollusionDetector the simulator and managers consume.
+// row's stored cells and charges the per-pair reads analytically;
+// on_epoch() runs it over the snapshot, one matrix or S shard matrices
+// alike, plus the accomplice fixpoint (detect/accomplice_exchange.h).
 #pragma once
 
-#include "core/detector.h"
 #include "detect/accomplice_exchange.h"
+#include "detect/detector.h"
 #include "detect/pair_sweep.h"
 
-namespace p2prep::core {
+namespace p2prep::detect {
 
-class OptimizedCollusionDetector final : public CollusionDetector {
+class OptimizedDetector final : public Detector {
  public:
-  using CollusionDetector::CollusionDetector;
+  using Detector::Detector;
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "Optimized";
+    return "optimized";
   }
 
-  [[nodiscard]] DetectionReport detect(
-      const rating::RatingMatrix& matrix) const override {
-    const auto snapshot = detect::EpochSnapshot::of(matrix);
-    DetectionReport report = detect::sweep_optimized(snapshot, config_);
-    detect::propagate_accomplices(snapshot, config_, report);
+  [[nodiscard]] core::DetectionReport on_epoch(
+      const EpochSnapshot& snapshot) override {
+    const ScanTimer timer(stats_);
+    core::DetectionReport report = sweep_optimized(snapshot, config_);
+    stats_.accomplice_rounds = propagate_accomplices(snapshot, config_, report);
     return report;
   }
 };
 
-}  // namespace p2prep::core
+}  // namespace p2prep::detect

@@ -98,6 +98,7 @@ core::PairEvidence pair_evidence(const RatingMatrix& mi, NodeId i,
 
 core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
                                   const core::DetectorConfig& cfg) {
+  snapshot.check_owners();
   const std::size_t n = snapshot.num_nodes();
   // C1 for every node, read once from its owner matrix.
   std::vector<std::uint8_t> high(n);
@@ -181,6 +182,7 @@ core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
 
 core::DetectionReport sweep_optimized(const EpochSnapshot& snapshot,
                                       const core::DetectorConfig& cfg) {
+  snapshot.check_owners();
   const std::size_t n = snapshot.num_nodes();
 
   // One-directional Optimized check of ratee i against rater j: read

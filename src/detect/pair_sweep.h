@@ -4,8 +4,11 @@
 // Generalized over an EpochSnapshot: every quantity about node i (row,
 // totals, frequent aggregate, window reputation) is read from
 // snapshot.matrix_of(i) — the owner shard's matrix — so the same code
-// serves one matrix (core::{Basic,Optimized}CollusionDetector, per-shard
-// epochs) or S shard matrices (the service's global epoch).
+// serves one matrix (detect::{Basic,Optimized}Detector in the managers,
+// the simulator and per-shard epochs) or S shard matrices (the service's
+// global epoch). A multi-matrix snapshot must carry an owner per node
+// (EpochSnapshot::check_owners); otherwise both sweeps throw
+// std::invalid_argument before scanning.
 //
 // Cost: every counter equals what the paper-literal serial loops charge
 // on one matrix holding all rows, on either backend

@@ -3,7 +3,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "detect/adapters.h"
+#include "detect/basic_detector.h"
+#include "detect/group_detector.h"
+#include "detect/optimized_detector.h"
 #include "detect/ring_detector.h"
 
 namespace p2prep::detect {
@@ -15,13 +17,13 @@ DetectorRegistry& DetectorRegistry::global() {
 
 DetectorRegistry::DetectorRegistry() {
   register_detector("basic", [](const core::DetectorConfig& cfg) {
-    return std::make_unique<BasicAdapter>(cfg);
+    return std::make_unique<BasicDetector>(cfg);
   });
   register_detector("optimized", [](const core::DetectorConfig& cfg) {
-    return std::make_unique<OptimizedAdapter>(cfg);
+    return std::make_unique<OptimizedDetector>(cfg);
   });
   register_detector("group", [](const core::DetectorConfig& cfg) {
-    return std::make_unique<GroupAdapter>(cfg);
+    return std::make_unique<GroupDetector>(cfg);
   });
   register_detector("ring", [](const core::DetectorConfig& cfg) {
     return std::make_unique<RingDetector>(cfg);

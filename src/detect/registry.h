@@ -2,7 +2,7 @@
 // instantiation (service shards, the global epoch runner, the CLI's
 // one-shot detect command). The process-wide instance registers the four
 // built-ins at construction; external code can register additional
-// plugins (the ROADMAP's EigenTrust-variant engines will land here).
+// plugins.
 // Thread-safe: shards construct their detectors concurrently.
 #pragma once
 

@@ -1,7 +1,6 @@
 #include "detect/ring_detector.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "core/predicates.h"
 #include "detect/accomplice_exchange.h"
@@ -249,9 +248,10 @@ void RingDetector::find_rings(const EpochSnapshot& snapshot,
   }
 }
 
-void RingDetector::on_epoch(const EpochSnapshot& snapshot,
-                            core::DetectionReport& report) {
-  const auto start = std::chrono::steady_clock::now();
+core::DetectionReport RingDetector::on_epoch(const EpochSnapshot& snapshot) {
+  const ScanTimer timer(stats_);
+  snapshot.check_owners();
+  core::DetectionReport report;
 
   const bool incremental =
       primed_for_ == snapshot.matrices.size() && primed_for_ > 0 &&
@@ -276,15 +276,8 @@ void RingDetector::on_epoch(const EpochSnapshot& snapshot,
   report.canonicalize();
 
   stats_.incremental = incremental;
-  stats_.rings_found = report.rings.size();
-  for (const auto& r : report.rings) {
-    stats_.largest_ring =
-        std::max<std::uint64_t>(stats_.largest_ring, r.members.size());
-  }
-  stats_.scan_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+  record_rings(report);
+  return report;
 }
 
 }  // namespace p2prep::detect

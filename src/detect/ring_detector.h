@@ -51,8 +51,8 @@ class RingDetector final : public Detector {
     return true;
   }
 
-  void on_epoch(const EpochSnapshot& snapshot,
-                core::DetectionReport& report) override;
+  [[nodiscard]] core::DetectionReport on_epoch(
+      const EpochSnapshot& snapshot) override;
 
   /// Whether the last on_epoch() applied a dirty delta instead of
   /// rebuilding the edge cache (test/bench observability; also mirrored

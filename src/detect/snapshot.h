@@ -9,10 +9,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "detect/executor.h"
-#include "dht/hash.h"
 #include "rating/matrix.h"
 #include "rating/types.h"
 
@@ -29,10 +29,10 @@ struct EpochSnapshot {
   /// state from scratch. A delta with complete == false forces the same.
   std::vector<rating::DirtyCells> dirty;
 
-  /// Per-node owner table (node id -> index into `matrices`). The service
-  /// fills it from its live ShardMap, so detectors resolve rows correctly
-  /// across resizes. When empty, owner_of falls back to the legacy modulo
-  /// partition (standalone multi-matrix callers that partition that way).
+  /// Per-node owner table (node id -> index into `matrices`), one entry
+  /// per node whenever there is more than one matrix. The service fills
+  /// it from its live ShardMap, so detectors resolve rows correctly
+  /// across resizes. Ignored for single-matrix snapshots.
   std::vector<std::uint32_t> owners;
 
   /// Optional host-provided thread lender. Detectors that support
@@ -45,14 +45,19 @@ struct EpochSnapshot {
     return matrices.empty() ? 0 : matrices.front()->size();
   }
 
+  /// Throws std::invalid_argument when a multi-matrix snapshot's owner
+  /// table does not cover every node. Sweeps and exchanges call it once
+  /// up front, so owner_of() can index the table unchecked.
+  void check_owners() const {
+    if (matrices.size() > 1 && owners.size() < num_nodes())
+      throw std::invalid_argument(
+          "multi-matrix EpochSnapshot needs an owner per node");
+  }
+
   /// Index of the matrix owning node `id`'s row (0 for single-matrix
-  /// snapshots): the host's owner table when provided, else the modulo
-  /// partition.
+  /// snapshots). Requires check_owners() to have passed.
   [[nodiscard]] std::size_t owner_of(rating::NodeId id) const noexcept {
-    if (matrices.size() <= 1) return 0;
-    if (id < owners.size()) return owners[id];
-    return static_cast<std::size_t>(dht::hash_node(id) %
-                                    static_cast<dht::Key>(matrices.size()));
+    return matrices.size() <= 1 ? 0 : owners[id];
   }
 
   [[nodiscard]] const rating::RatingMatrix& matrix_of(

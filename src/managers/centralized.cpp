@@ -31,9 +31,10 @@ rating::RatingMatrix CentralizedManager::snapshot() const {
 }
 
 core::DetectionReport CentralizedManager::run_detection(
-    const core::CollusionDetector& detector, SuppressionMode mode) {
+    detect::Detector& detector, SuppressionMode mode) {
   const rating::RatingMatrix matrix = snapshot();
-  core::DetectionReport report = detector.detect(matrix);
+  core::DetectionReport report =
+      detector.on_epoch(detect::EpochSnapshot::of(matrix));
 
   // Confirmation policy: advance streaks for flagged pairs, reset the
   // rest, and collect the nodes of pairs that have reached the bar.

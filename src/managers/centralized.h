@@ -10,7 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/detector.h"
+#include "detect/detector.h"
 #include "rating/matrix.h"
 #include "rating/store.h"
 #include "reputation/engine.h"
@@ -46,10 +46,11 @@ class CentralizedManager {
     kPin,    ///< Permanently pin the published reputation to 0.
   };
 
-  /// Runs one detection pass with the given detector and applies `mode`
-  /// to every implicated node (subject to the confirmation policy).
+  /// Runs one detection pass with the given detector over a one-matrix
+  /// snapshot and applies `mode` to every implicated node (subject to the
+  /// confirmation policy).
   core::DetectionReport run_detection(
-      const core::CollusionDetector& detector,
+      detect::Detector& detector,
       SuppressionMode mode = SuppressionMode::kReset);
 
   /// Confirmation policy: a pair must be flagged in `passes` consecutive

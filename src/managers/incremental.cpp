@@ -39,19 +39,14 @@ void IncrementalCentralizedManager::reset_window() {
 }
 
 core::DetectionReport IncrementalCentralizedManager::run_detection(
-    const core::CollusionDetector& detector,
-    CentralizedManager::SuppressionMode mode) {
-  core::DetectionReport report = detector.detect(matrix_);
-  apply_suppression(report, mode);
-  return report;
-}
-
-void IncrementalCentralizedManager::apply_suppression(
-    const core::DetectionReport& report,
-    CentralizedManager::SuppressionMode mode) {
-  if (mode == CentralizedManager::SuppressionMode::kNone) return;
+    detect::Detector& detector, CentralizedManager::SuppressionMode mode) {
+  detect::EpochSnapshot snap = detect::EpochSnapshot::of(matrix_);
+  if (matrix_.dirty_tracking())
+    snap.dirty.push_back(matrix_.take_dirty_cells());
+  core::DetectionReport report = detector.on_epoch(snap);
+  if (mode == CentralizedManager::SuppressionMode::kNone) return report;
   const auto colluders = report.colluders();
-  if (colluders.empty()) return;
+  if (colluders.empty()) return report;
   for (rating::NodeId id : colluders) {
     detected_.insert(id);
     if (mode == CentralizedManager::SuppressionMode::kPin)
@@ -61,6 +56,7 @@ void IncrementalCentralizedManager::apply_suppression(
   }
   engine_.update_epoch();
   refresh_reputations();
+  return report;
 }
 
 }  // namespace p2prep::managers

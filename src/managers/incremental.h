@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/detector.h"
+#include "detect/detector.h"
 #include "managers/centralized.h"
 #include "rating/matrix.h"
 #include "reputation/engine.h"
@@ -73,25 +73,21 @@ class IncrementalCentralizedManager {
   /// receiving shard then restore_detected()s it).
   bool take_detected(rating::NodeId id) { return detected_.erase(id) > 0; }
 
+  /// Runs one detection pass over the live matrix — its dirty delta
+  /// attached when tracking is on — then records every implicated node
+  /// (pair and ring members alike) and applies `mode` to it, re-running
+  /// an engine epoch so the published view reflects the suppression.
   core::DetectionReport run_detection(
-      const core::CollusionDetector& detector,
+      detect::Detector& detector,
       CentralizedManager::SuppressionMode mode =
           CentralizedManager::SuppressionMode::kReset);
-
-  /// The suppression half of run_detection, for hosts that run detection
-  /// themselves (the detect::Detector plugin path): records every
-  /// implicated node — pair and ring members alike — and suppresses or
-  /// resets its reputation, then re-runs an engine epoch so the published
-  /// view reflects the suppression.
-  void apply_suppression(const core::DetectionReport& report,
-                         CentralizedManager::SuppressionMode mode);
 
   // --- Dirty-cell tracking passthroughs (incremental detectors) ---
 
   /// Turns on matrix dirty-cell recording (detect::Detector hosts call
   /// this once when the detector wants_dirty_tracking()).
   void enable_dirty_tracking() { matrix_.set_dirty_tracking(true); }
-  /// Drains the matrix's dirty delta for the epoch snapshot.
+  /// Drains the matrix's dirty delta for a multi-matrix epoch snapshot.
   [[nodiscard]] rating::DirtyCells take_dirty_cells() {
     return matrix_.take_dirty_cells();
   }

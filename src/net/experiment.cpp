@@ -58,15 +58,15 @@ std::unique_ptr<reputation::ReputationEngine> make_engine(EngineKind kind,
   return nullptr;
 }
 
-std::unique_ptr<core::CollusionDetector> make_detector(
+std::unique_ptr<detect::Detector> make_detector(
     DetectorKind kind, const core::DetectorConfig& config) {
   switch (kind) {
     case DetectorKind::kNone:
       return nullptr;
     case DetectorKind::kBasic:
-      return std::make_unique<core::BasicCollusionDetector>(config);
+      return std::make_unique<detect::BasicDetector>(config);
     case DetectorKind::kOptimized:
-      return std::make_unique<core::OptimizedCollusionDetector>(config);
+      return std::make_unique<detect::OptimizedDetector>(config);
   }
   return nullptr;
 }

@@ -14,7 +14,7 @@ util::Rng make_overlay_rng(const SimConfig& config) {
 
 Simulator::Simulator(SimConfig config, NodeRoles roles,
                      reputation::ReputationEngine& engine,
-                     const core::CollusionDetector* detector)
+                     detect::Detector* detector)
     : config_(config),
       roles_(std::move(roles)),
       rng_(util::Rng(config.seed).fork(0x73696d756c617465ULL)),

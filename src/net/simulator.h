@@ -24,7 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/detector.h"
+#include "detect/detector.h"
 #include "managers/centralized.h"
 #include "net/config.h"
 #include "net/metrics.h"
@@ -38,11 +38,12 @@ namespace p2prep::net {
 
 class Simulator {
  public:
-  /// `engine` is not owned and must outlive the simulator. `detector` may
-  /// be null (baseline run without collusion detection).
+  /// `engine` and `detector` are not owned and must outlive the
+  /// simulator. `detector` may be null (baseline run without collusion
+  /// detection).
   Simulator(SimConfig config, NodeRoles roles,
             reputation::ReputationEngine& engine,
-            const core::CollusionDetector* detector = nullptr);
+            detect::Detector* detector = nullptr);
 
   /// Runs the configured number of simulation cycles.
   void run();
@@ -119,7 +120,7 @@ class Simulator {
   InterestOverlay overlay_;
   reputation::ReputationEngine& engine_;
   managers::CentralizedManager manager_;
-  const core::CollusionDetector* detector_;
+  detect::Detector* detector_;
 
   std::vector<NodeType> types_;
   std::vector<double> good_prob_;

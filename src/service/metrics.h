@@ -25,7 +25,7 @@ struct ServiceMetrics {
   double epoch_latency_ms_mean = 0.0;
   double epoch_latency_ms_p99 = 0.0;
 
-  // Ring detection (detect::RingDetector / group adapter; all zero under
+  // Ring detection (detect::RingDetector / GroupDetector; all zero under
   // the pairwise detectors).
   std::uint64_t rings_found = 0;   ///< Rings reported, cumulative.
   std::uint64_t ring_largest = 0;  ///< Largest ring's member count seen.

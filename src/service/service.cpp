@@ -102,7 +102,7 @@ ReputationService::ReputationService(ServiceConfig config)
   auto map = std::make_shared<const ShardMap>(live_shards, config_.num_nodes);
 
   if (config_.epoch_scope == EpochScope::kGlobal) {
-    // The group adapter needs full rows in one matrix; a multi-shard
+    // The group detector needs full rows in one matrix; a multi-shard
     // global sweep cannot provide them (ring handles sharding natively,
     // and basic/optimized run the cross-shard accomplice exchange).
     if (config_.detector == "group" && map->num_shards() > 1)
@@ -575,10 +575,6 @@ ResizeStats ReputationService::resize(std::size_t new_num_shards) {
     throw std::invalid_argument(
         "service resize: detector 'group' does not support multi-shard "
         "global epochs");
-  if (config_.engine_normalize)
-    throw std::invalid_argument(
-        "service resize: normalized engine publication is not supported "
-        "(per-shard normalization mass would shift mid-window)");
   if (config_.cluster)
     throw std::invalid_argument(
         "service resize: decentralized-manager mode pins the shard count "
@@ -1013,15 +1009,12 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
   const core::DetectionReport report = global_detect(*table);
   const std::vector<rating::NodeId> flagged = report.colluders();
 
-  using SuppressionMode = managers::CentralizedManager::SuppressionMode;
-  if (config_.suppression != SuppressionMode::kNone && !flagged.empty()) {
+  // Suppression: the paper's reset of every implicated node.
+  if (!flagged.empty()) {
     for (rating::NodeId id : flagged) {
       ServiceShard& owner = slots[table->map->owner(id)]->shard;
       owner.manager().restore_detected({id});
-      if (config_.suppression == SuppressionMode::kPin)
-        owner.engine().suppress(id);
-      else
-        owner.engine().reset_reputation(id);
+      owner.engine().reset_reputation(id);
     }
     for (const auto& slot : slots) slot->shard.manager().update_reputations();
   }
@@ -1098,8 +1091,6 @@ void ReputationService::make_global_detector(const ShardMap&) {
 core::DetectionReport ReputationService::global_detect(
     const SlotTable& table) {
   const auto& slots = table.slots;
-  core::DetectionReport report;
-
   detect::EpochSnapshot snap;
   snap.matrices.reserve(slots.size());
   for (const auto& slot : slots)
@@ -1117,7 +1108,7 @@ core::DetectionReport ReputationService::global_detect(
     for (const auto& slot : slots)
       snap.dirty.push_back(slot->shard.manager().take_dirty_cells());
   }
-  global_detector_->on_epoch(snap, report);
+  core::DetectionReport report = global_detector_->on_epoch(snap);
   accomplice_rounds_.store(global_detector_->stats().accomplice_rounds,
                            std::memory_order_relaxed);
   return report;

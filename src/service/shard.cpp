@@ -8,6 +8,12 @@
 
 namespace p2prep::service {
 
+namespace {
+// Shards publish raw summation sums: they are meaningful per shard, while
+// normalized values would only compare within one shard's partition.
+constexpr bool kNormalize = false;
+}  // namespace
+
 std::string format_epoch_report(const std::string& label, std::uint64_t epoch,
                                 const core::DetectionReport& report) {
   std::ostringstream os;
@@ -27,7 +33,7 @@ std::string format_epoch_report(const std::string& label, std::uint64_t epoch,
 ServiceShard::ServiceShard(std::size_t index, const ServiceConfig& config)
     : index_(index),
       config_(&config),
-      engine_(config.num_nodes, config.engine_normalize),
+      engine_(config.num_nodes, kNormalize),
       manager_(std::make_unique<managers::IncrementalCentralizedManager>(
           config.num_nodes, engine_, config.detector_config,
           config.matrix_backend)),
@@ -77,12 +83,7 @@ bool ServiceShard::epoch_due(rating::Tick now) const noexcept {
 
 std::size_t ServiceShard::run_local_epoch() {
   manager_->update_reputations();
-  detect::EpochSnapshot snap = detect::EpochSnapshot::of(manager_->matrix());
-  if (manager_->matrix().dirty_tracking())
-    snap.dirty.push_back(manager_->take_dirty_cells());
-  core::DetectionReport report;
-  detector_->on_epoch(snap, report);
-  manager_->apply_suppression(report, config_->suppression);
+  const core::DetectionReport report = manager_->run_detection(*detector_);
   rings_found_.fetch_add(report.rings.size(), std::memory_order_relaxed);
   for (const auto& ring : report.rings) {
     std::uint64_t prev = ring_largest_.load(std::memory_order_relaxed);
@@ -249,8 +250,7 @@ void ServiceShard::reload_from(const ShardCheckpoint& ckpt) {
   // Rebuild the engine in place (the manager holds a reference to it, so
   // assignment — not reconstruction — keeps that reference valid), then
   // replace the manager wholesale for an empty matrix, and restore.
-  engine_ = reputation::SummationEngine(config_->num_nodes,
-                                        config_->engine_normalize);
+  engine_ = reputation::SummationEngine(config_->num_nodes, kNormalize);
   manager_ = std::make_unique<managers::IncrementalCentralizedManager>(
       config_->num_nodes, engine_, config_->detector_config,
       config_->matrix_backend);

@@ -21,7 +21,6 @@
 
 #include "core/config.h"
 #include "detect/detector.h"
-#include "managers/centralized.h"
 #include "managers/incremental.h"
 #include "reputation/summation.h"
 #include "service/ingest_queue.h"
@@ -104,12 +103,6 @@ struct ServiceConfig {
   /// backends (tests/differential/service_backend_test.cpp), so a durable
   /// directory written under one backend recovers under the other.
   rating::MatrixBackend matrix_backend = rating::MatrixBackend::kSparse;
-  managers::CentralizedManager::SuppressionMode suppression =
-      managers::CentralizedManager::SuppressionMode::kReset;
-  /// SummationEngine publication mode. The default (false) publishes raw
-  /// sums, which are meaningful per shard; normalized values would only
-  /// be comparable within a shard's partition anyway.
-  bool engine_normalize = false;
   /// Keep per-epoch detection report text (report_log()).
   bool record_reports = true;
 

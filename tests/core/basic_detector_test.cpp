@@ -31,16 +31,18 @@ Scenario collusion_scenario() {
 }
 
 TEST(BasicDetectorTest, DetectsPlantedPair) {
-  BasicCollusionDetector d(config());
-  const DetectionReport report = d.detect(collusion_scenario().build());
+  detect::BasicDetector d(config());
+  const DetectionReport report =
+      d.on_epoch(detect::EpochSnapshot::of(collusion_scenario().build()));
   ASSERT_EQ(report.pairs.size(), 1u);
   EXPECT_TRUE(report.contains(0, 1));
   EXPECT_EQ(report.colluders(), (std::vector<rating::NodeId>{0, 1}));
 }
 
 TEST(BasicDetectorTest, HonestBystanderNotFlagged) {
-  BasicCollusionDetector d(config());
-  const DetectionReport report = d.detect(collusion_scenario().build());
+  detect::BasicDetector d(config());
+  const DetectionReport report =
+      d.on_epoch(detect::EpochSnapshot::of(collusion_scenario().build()));
   for (const auto& e : report.pairs) {
     EXPECT_NE(e.first, 2u);
     EXPECT_NE(e.second, 2u);
@@ -51,16 +53,17 @@ TEST(BasicDetectorTest, LowReputationPairIgnored) {
   // Same rating pattern, but the pair is below T_R: C1 fails, no checks.
   Scenario s = collusion_scenario();
   s.set_rep(0, 0.01).set_rep(1, 0.01);
-  BasicCollusionDetector d(config());
-  const DetectionReport report = d.detect(s.build());
+  detect::BasicDetector d(config());
+  const DetectionReport report =
+      d.on_epoch(detect::EpochSnapshot::of(s.build()));
   EXPECT_TRUE(report.pairs.empty());
 }
 
 TEST(BasicDetectorTest, OneSidedHighReputationIgnored) {
   Scenario s = collusion_scenario();
   s.set_rep(1, 0.0);
-  BasicCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).pairs.empty());
+  detect::BasicDetector d(config());
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).pairs.empty());
 }
 
 TEST(BasicDetectorTest, InfrequentPairIgnored) {
@@ -69,8 +72,8 @@ TEST(BasicDetectorTest, InfrequentPairIgnored) {
   s.crowd(3, 30, 0, 0.1);
   s.crowd(3, 30, 1, 0.1);
   s.set_rep(0, 0.2).set_rep(1, 0.2);
-  BasicCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).pairs.empty());
+  detect::BasicDetector d(config());
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).pairs.empty());
 }
 
 TEST(BasicDetectorTest, FrequencyExactlyAtThresholdDetected) {
@@ -79,8 +82,8 @@ TEST(BasicDetectorTest, FrequencyExactlyAtThresholdDetected) {
   s.crowd(3, 30, 0, 0.1);
   s.crowd(3, 30, 1, 0.1);
   s.set_rep(0, 0.2).set_rep(1, 0.2);
-  BasicCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).contains(0, 1));
+  detect::BasicDetector d(config());
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).contains(0, 1));
 }
 
 TEST(BasicDetectorTest, MutualNegativeBombardmentNotCollusion) {
@@ -91,8 +94,8 @@ TEST(BasicDetectorTest, MutualNegativeBombardmentNotCollusion) {
   s.crowd(3, 30, 0, 0.1);
   s.crowd(3, 30, 1, 0.1);
   s.set_rep(0, 0.2).set_rep(1, 0.2);
-  BasicCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).pairs.empty());
+  detect::BasicDetector d(config());
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).pairs.empty());
 }
 
 TEST(BasicDetectorTest, OneDirectionalBoostNotFlagged) {
@@ -104,8 +107,8 @@ TEST(BasicDetectorTest, OneDirectionalBoostNotFlagged) {
   s.set_rep(0, 0.2).set_rep(1, 0.2);
   DetectorConfig c = config();
   c.flag_accomplices = false;
-  BasicCollusionDetector d(c);
-  EXPECT_TRUE(d.detect(s.build()).pairs.empty());
+  detect::BasicDetector d(c);
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).pairs.empty());
 }
 
 TEST(BasicDetectorTest, PopularPairNotFlagged) {
@@ -115,8 +118,8 @@ TEST(BasicDetectorTest, PopularPairNotFlagged) {
   s.crowd(3, 30, 0, 0.9);
   s.crowd(3, 30, 1, 0.9);
   s.set_rep(0, 0.2).set_rep(1, 0.2);
-  BasicCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).pairs.empty());
+  detect::BasicDetector d(config());
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).pairs.empty());
 }
 
 TEST(BasicDetectorTest, PartnerOnlyRatingsFollowEmptyComplementPolicy) {
@@ -127,9 +130,13 @@ TEST(BasicDetectorTest, PartnerOnlyRatingsFollowEmptyComplementPolicy) {
   DetectorConfig c = config();
   c.empty_complement_is_suspicious = true;
   EXPECT_TRUE(
-      BasicCollusionDetector(c).detect(s.build()).contains(0, 1));
+      detect::BasicDetector(c)
+          .on_epoch(detect::EpochSnapshot::of(s.build()))
+          .contains(0, 1));
   c.empty_complement_is_suspicious = false;
-  EXPECT_TRUE(BasicCollusionDetector(c).detect(s.build()).pairs.empty());
+  EXPECT_TRUE(detect::BasicDetector(c)
+                  .on_epoch(detect::EpochSnapshot::of(s.build()))
+                  .pairs.empty());
 }
 
 TEST(BasicDetectorTest, MultiplePairsAllFound) {
@@ -139,8 +146,9 @@ TEST(BasicDetectorTest, MultiplePairsAllFound) {
     s.crowd(10, 40, id, 0.1);
     s.set_rep(id, 0.2);
   }
-  BasicCollusionDetector d(config());
-  const DetectionReport report = d.detect(s.build());
+  detect::BasicDetector d(config());
+  const DetectionReport report =
+      d.on_epoch(detect::EpochSnapshot::of(s.build()));
   EXPECT_EQ(report.pairs.size(), 3u);
   EXPECT_TRUE(report.contains(0, 1));
   EXPECT_TRUE(report.contains(2, 3));
@@ -148,8 +156,9 @@ TEST(BasicDetectorTest, MultiplePairsAllFound) {
 }
 
 TEST(BasicDetectorTest, EvidenceFieldsPopulated) {
-  BasicCollusionDetector d(config());
-  const DetectionReport report = d.detect(collusion_scenario().build());
+  detect::BasicDetector d(config());
+  const DetectionReport report =
+      d.on_epoch(detect::EpochSnapshot::of(collusion_scenario().build()));
   ASSERT_EQ(report.pairs.size(), 1u);
   const PairEvidence& e = report.pairs[0];
   EXPECT_EQ(e.first, 0u);
@@ -163,8 +172,9 @@ TEST(BasicDetectorTest, EvidenceFieldsPopulated) {
 }
 
 TEST(BasicDetectorTest, CostChargedAndScalesWithMatrix) {
-  BasicCollusionDetector d(config());
-  const auto small_report = d.detect(collusion_scenario().build());
+  detect::BasicDetector d(config());
+  const auto small_report =
+      d.on_epoch(detect::EpochSnapshot::of(collusion_scenario().build()));
   EXPECT_GT(small_report.cost.total(), 0u);
   EXPECT_GT(small_report.cost.element_scans, 0u);
 
@@ -174,14 +184,15 @@ TEST(BasicDetectorTest, CostChargedAndScalesWithMatrix) {
   for (rating::NodeId id = 0; id < 120; ++id) big.set_rep(id, 0.2);
   big.crowd(3, 120, 0, 0.1);
   big.crowd(3, 120, 1, 0.1);
-  const auto big_report = BasicCollusionDetector(config()).detect(big.build());
+  const auto big_report = detect::BasicDetector(config()).on_epoch(
+      detect::EpochSnapshot::of(big.build()));
   EXPECT_GT(big_report.cost.total(), small_report.cost.total());
 }
 
 TEST(BasicDetectorTest, EmptyMatrixYieldsNothing) {
   rating::RatingMatrix matrix(10);
-  BasicCollusionDetector d(config());
-  const auto report = d.detect(matrix);
+  detect::BasicDetector d(config());
+  const auto report = d.on_epoch(detect::EpochSnapshot::of(matrix));
   EXPECT_TRUE(report.pairs.empty());
 }
 
@@ -200,22 +211,24 @@ TEST(BasicDetectorTest, AccompliceOfDetectedColluderFlagged) {
   // 0-1 pair (see DESIGN.md threshold discussion).
   with.complement_fraction_max = 0.7;
   with.flag_accomplices = true;
-  const auto flagged = BasicCollusionDetector(with).detect(s.build());
+  const auto flagged = detect::BasicDetector(with).on_epoch(
+      detect::EpochSnapshot::of(s.build()));
   EXPECT_TRUE(flagged.contains(0, 1));
   EXPECT_TRUE(flagged.contains(0, 7));
 
   DetectorConfig without = with;
   without.flag_accomplices = false;
-  const auto bare = BasicCollusionDetector(without).detect(s.build());
+  const auto bare = detect::BasicDetector(without).on_epoch(
+      detect::EpochSnapshot::of(s.build()));
   EXPECT_TRUE(bare.contains(0, 1));
   EXPECT_FALSE(bare.contains(0, 7));
 }
 
 TEST(BasicDetectorTest, DeterministicAcrossCalls) {
-  BasicCollusionDetector d(config());
+  detect::BasicDetector d(config());
   const auto matrix = collusion_scenario().build();
-  const auto a = d.detect(matrix);
-  const auto b = d.detect(matrix);
+  const auto a = d.on_epoch(detect::EpochSnapshot::of(matrix));
+  const auto b = d.on_epoch(detect::EpochSnapshot::of(matrix));
   EXPECT_EQ(a.pairs.size(), b.pairs.size());
   EXPECT_EQ(a.cost, b.cost);
 }

@@ -116,7 +116,8 @@ TEST(CalibrationTest, CalibratedDetectorFindsAllPlantedPairs) {
     const auto matrix = rating::RatingMatrix::build(
         w.store, reps, cfg.high_rep_threshold, cfg.frequency_min);
 
-    const auto report = BasicCollusionDetector(cfg).detect(matrix);
+    const auto report =
+        detect::BasicDetector(cfg).on_epoch(detect::EpochSnapshot::of(matrix));
     for (const auto& [a, b] : w.planted)
       EXPECT_TRUE(report.contains(a, b)) << "seed " << seed;
     EXPECT_EQ(report.pairs.size(), w.planted.size()) << "seed " << seed;

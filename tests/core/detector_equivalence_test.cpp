@@ -86,12 +86,12 @@ TEST(DetectorEquivalenceTest, OptimizedIsSupersetOfBasicOnRandomWorlds) {
   // same predicate and are exactly equal — covered below.)
   DetectorConfig c = config();
   c.joint_complement = false;
-  BasicCollusionDetector basic(c);
-  OptimizedCollusionDetector optimized(c);
+  detect::BasicDetector basic(c);
+  detect::OptimizedDetector optimized(c);
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto matrix = random_world(seed, 60, 4);
-    const auto kb = keys(basic.detect(matrix));
-    const auto ko = keys(optimized.detect(matrix));
+    const auto kb = keys(basic.on_epoch(detect::EpochSnapshot::of(matrix)));
+    const auto ko = keys(optimized.on_epoch(detect::EpochSnapshot::of(matrix)));
     EXPECT_TRUE(std::includes(ko.begin(), ko.end(), kb.begin(), kb.end()))
         << "seed " << seed << ": Basic found a pair Optimized missed";
   }
@@ -102,11 +102,13 @@ TEST(DetectorEquivalenceTest, IdenticalOnCollusionWorkloads) {
   // agree exactly (Sec. V-B: "Unoptimized and Optimized generate the same
   // results in collusion detection").
   const DetectorConfig c = config();
-  BasicCollusionDetector basic(c);
-  OptimizedCollusionDetector optimized(c);
+  detect::BasicDetector basic(c);
+  detect::OptimizedDetector optimized(c);
   for (std::uint64_t seed = 100; seed < 112; ++seed) {
     const auto matrix = random_world(seed, 80, 6);
-    EXPECT_EQ(keys(basic.detect(matrix)), keys(optimized.detect(matrix)))
+    const auto snapshot = detect::EpochSnapshot::of(matrix);
+    EXPECT_EQ(keys(basic.on_epoch(snapshot)),
+              keys(optimized.on_epoch(snapshot)))
         << "seed " << seed;
   }
 }
@@ -115,8 +117,9 @@ TEST(DetectorEquivalenceTest, BothFindAllPlantedPairs) {
   const DetectorConfig c = config();
   for (std::uint64_t seed = 40; seed < 45; ++seed) {
     const auto matrix = random_world(seed, 100, 5);
-    const auto rb = BasicCollusionDetector(c).detect(matrix);
-    const auto ro = OptimizedCollusionDetector(c).detect(matrix);
+    const auto snapshot = detect::EpochSnapshot::of(matrix);
+    const auto rb = detect::BasicDetector(c).on_epoch(snapshot);
+    const auto ro = detect::OptimizedDetector(c).on_epoch(snapshot);
     for (std::size_t p = 0; p < 5; ++p) {
       const auto a = static_cast<rating::NodeId>(2 * p);
       const auto b = static_cast<rating::NodeId>(2 * p + 1);
@@ -134,10 +137,14 @@ TEST(DetectorEquivalenceTest, OptimizedCostAsymptoticallySmaller) {
   // growth between two sizes.
   const auto m1 = random_world(7, 60, 6);
   const auto m2 = random_world(7, 240, 6);
-  const auto b1 = BasicCollusionDetector(c).detect(m1).cost;
-  const auto b2 = BasicCollusionDetector(c).detect(m2).cost;
-  const auto o1 = OptimizedCollusionDetector(c).detect(m1).cost;
-  const auto o2 = OptimizedCollusionDetector(c).detect(m2).cost;
+  const auto b1 =
+      detect::BasicDetector(c).on_epoch(detect::EpochSnapshot::of(m1)).cost;
+  const auto b2 =
+      detect::BasicDetector(c).on_epoch(detect::EpochSnapshot::of(m2)).cost;
+  const auto o1 =
+      detect::OptimizedDetector(c).on_epoch(detect::EpochSnapshot::of(m1)).cost;
+  const auto o2 =
+      detect::OptimizedDetector(c).on_epoch(detect::EpochSnapshot::of(m2)).cost;
 
   EXPECT_GT(b1.total(), o1.total());
   EXPECT_GT(b2.total(), o2.total());
@@ -161,8 +168,9 @@ TEST(DetectorEquivalenceTest, ThresholdTighteningMonotonic) {
   DetectorConfig tight = config();
   tight.positive_fraction_min = 0.95;
   tight.complement_fraction_max = 0.1;
-  const auto kl = keys(BasicCollusionDetector(loose).detect(matrix));
-  const auto kt = keys(BasicCollusionDetector(tight).detect(matrix));
+  const auto snapshot = detect::EpochSnapshot::of(matrix);
+  const auto kl = keys(detect::BasicDetector(loose).on_epoch(snapshot));
+  const auto kt = keys(detect::BasicDetector(tight).on_epoch(snapshot));
   EXPECT_TRUE(std::includes(kl.begin(), kl.end(), kt.begin(), kt.end()));
 }
 

@@ -79,13 +79,15 @@ TEST_P(DetectorGridTest, FlaggedIffThresholdsAdmit) {
   const auto matrix = build_world(g);
   const bool expected = expected_flagged(g);
 
-  const auto basic = BasicCollusionDetector(config).detect(matrix);
+  const auto basic =
+      detect::BasicDetector(config).on_epoch(detect::EpochSnapshot::of(matrix));
   EXPECT_EQ(basic.contains(0, 1), expected)
       << "basic: N=" << g.pair_total << " a~" << g.pair_positive_fraction
       << " b~" << g.complement_positive_fraction << " Ta=" << g.t_a
       << " Tb=" << g.t_b << " TN=" << g.t_n;
 
-  const auto optimized = OptimizedCollusionDetector(config).detect(matrix);
+  const auto optimized = detect::OptimizedDetector(config).on_epoch(
+      detect::EpochSnapshot::of(matrix));
   EXPECT_EQ(optimized.contains(0, 1), expected)
       << "optimized: N=" << g.pair_total << " a~"
       << g.pair_positive_fraction << " b~"

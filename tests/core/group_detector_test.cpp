@@ -35,8 +35,7 @@ Scenario ring_scenario(std::size_t n, std::size_t size) {
 
 TEST(GroupDetectorTest, DetectsTriangleCollective) {
   // The paper's future-work case: three nodes mutually boosting.
-  GroupCollusionDetector d(config());
-  const auto report = d.detect(ring_scenario(40, 3).build());
+  const auto report = detect_groups(ring_scenario(40, 3).build(), config());
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.groups[0].members,
             (std::vector<rating::NodeId>{0, 1, 2}));
@@ -46,15 +45,13 @@ TEST(GroupDetectorTest, DetectsTriangleCollective) {
 }
 
 TEST(GroupDetectorTest, PairIsTwoNodeGroup) {
-  GroupCollusionDetector d(config());
-  const auto report = d.detect(ring_scenario(40, 2).build());
+  const auto report = detect_groups(ring_scenario(40, 2).build(), config());
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.groups[0].members, (std::vector<rating::NodeId>{0, 1}));
 }
 
 TEST(GroupDetectorTest, LargeCliqueDetectedAsOneGroup) {
-  GroupCollusionDetector d(config());
-  const auto report = d.detect(ring_scenario(60, 6).build());
+  const auto report = detect_groups(ring_scenario(60, 6).build(), config());
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.groups[0].members.size(), 6u);
   EXPECT_EQ(report.groups[0].edges.size(), 15u);  // 6 choose 2
@@ -68,8 +65,7 @@ TEST(GroupDetectorTest, ChainMergesIntoOneComponent) {
     s.crowd(5, 40, id, 0.05);
     s.set_rep(id, 0.2);
   }
-  GroupCollusionDetector d(config());
-  const auto report = d.detect(s.build());
+  const auto report = detect_groups(s.build(), config());
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.groups[0].members, (std::vector<rating::NodeId>{0, 1, 2}));
   EXPECT_EQ(report.groups[0].edges.size(), 2u);  // chain, not triangle
@@ -83,15 +79,13 @@ TEST(GroupDetectorTest, PopularCollectiveNotFlagged) {
     s.crowd(5, 40, id, 0.9);
     s.set_rep(id, 0.2);
   }
-  GroupCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).groups.empty());
+  EXPECT_TRUE(detect_groups(s.build(), config()).groups.empty());
 }
 
 TEST(GroupDetectorTest, LowReputationMembersExcluded) {
   Scenario s = ring_scenario(40, 3);
   s.set_rep(0, 0.0).set_rep(1, 0.0).set_rep(2, 0.0);
-  GroupCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).groups.empty());
+  EXPECT_TRUE(detect_groups(s.build(), config()).groups.empty());
 }
 
 TEST(GroupDetectorTest, InfrequentEdgesIgnored) {
@@ -100,8 +94,7 @@ TEST(GroupDetectorTest, InfrequentEdgesIgnored) {
   s.crowd(5, 40, 0, 0.05);
   s.crowd(5, 40, 1, 0.05);
   s.set_rep(0, 0.2).set_rep(1, 0.2);
-  GroupCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).groups.empty());
+  EXPECT_TRUE(detect_groups(s.build(), config()).groups.empty());
 }
 
 TEST(GroupDetectorTest, DisjointGroupsReportedSeparately) {
@@ -112,8 +105,7 @@ TEST(GroupDetectorTest, DisjointGroupsReportedSeparately) {
     s.crowd(20, 60, id, 0.05);
     s.set_rep(id, 0.2);
   }
-  GroupCollusionDetector d(config());
-  const auto report = d.detect(s.build());
+  const auto report = detect_groups(s.build(), config());
   ASSERT_EQ(report.groups.size(), 2u);
   EXPECT_EQ(report.groups[0].members.size(), 3u);
   EXPECT_EQ(report.groups[1].members,
@@ -125,8 +117,7 @@ TEST(GroupDetectorTest, DisjointGroupsReportedSeparately) {
 }
 
 TEST(GroupDetectorTest, EvidenceFieldsAndToString) {
-  GroupCollusionDetector d(config());
-  const auto report = d.detect(ring_scenario(40, 3).build());
+  const auto report = detect_groups(ring_scenario(40, 3).build(), config());
   ASSERT_EQ(report.groups.size(), 1u);
   const CollusionGroup& g = report.groups[0];
   EXPECT_EQ(g.inside_ratings, 3u * 2u * 30u);  // 3 edges, 30 each way
@@ -137,8 +128,7 @@ TEST(GroupDetectorTest, EvidenceFieldsAndToString) {
 
 TEST(GroupDetectorTest, EmptyMatrix) {
   rating::RatingMatrix matrix(10);
-  GroupCollusionDetector d(config());
-  const auto report = d.detect(matrix);
+  const auto report = detect_groups(matrix, config());
   EXPECT_TRUE(report.groups.empty());
   EXPECT_TRUE(report.colluders().empty());
 }

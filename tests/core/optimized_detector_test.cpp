@@ -29,15 +29,17 @@ Scenario collusion_scenario() {
 }
 
 TEST(OptimizedDetectorTest, DetectsPlantedPair) {
-  OptimizedCollusionDetector d(config());
-  const DetectionReport report = d.detect(collusion_scenario().build());
+  detect::OptimizedDetector d(config());
+  const DetectionReport report =
+      d.on_epoch(detect::EpochSnapshot::of(collusion_scenario().build()));
   ASSERT_EQ(report.pairs.size(), 1u);
   EXPECT_TRUE(report.contains(0, 1));
 }
 
 TEST(OptimizedDetectorTest, HonestNodeNotFlagged) {
-  OptimizedCollusionDetector d(config());
-  const DetectionReport report = d.detect(collusion_scenario().build());
+  detect::OptimizedDetector d(config());
+  const DetectionReport report =
+      d.on_epoch(detect::EpochSnapshot::of(collusion_scenario().build()));
   for (const auto& e : report.pairs) {
     EXPECT_NE(e.first, 2u);
     EXPECT_NE(e.second, 2u);
@@ -47,8 +49,8 @@ TEST(OptimizedDetectorTest, HonestNodeNotFlagged) {
 TEST(OptimizedDetectorTest, LowReputationIgnored) {
   Scenario s = collusion_scenario();
   s.set_rep(0, 0.0).set_rep(1, 0.0);
-  OptimizedCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).pairs.empty());
+  detect::OptimizedDetector d(config());
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).pairs.empty());
 }
 
 TEST(OptimizedDetectorTest, InfrequentPairIgnored) {
@@ -57,8 +59,8 @@ TEST(OptimizedDetectorTest, InfrequentPairIgnored) {
   s.crowd(3, 30, 0, 0.1);
   s.crowd(3, 30, 1, 0.1);
   s.set_rep(0, 0.2).set_rep(1, 0.2);
-  OptimizedCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).pairs.empty());
+  detect::OptimizedDetector d(config());
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).pairs.empty());
 }
 
 TEST(OptimizedDetectorTest, PopularPairRejectedByUpperBound) {
@@ -68,8 +70,8 @@ TEST(OptimizedDetectorTest, PopularPairRejectedByUpperBound) {
   s.crowd(3, 30, 0, 0.95);
   s.crowd(3, 30, 1, 0.95);
   s.set_rep(0, 0.2).set_rep(1, 0.2);
-  OptimizedCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).pairs.empty());
+  detect::OptimizedDetector d(config());
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).pairs.empty());
 }
 
 TEST(OptimizedDetectorTest, FeudRejectedByLowerBound) {
@@ -79,8 +81,8 @@ TEST(OptimizedDetectorTest, FeudRejectedByLowerBound) {
   s.crowd(3, 30, 0, 0.1);
   s.crowd(3, 30, 1, 0.1);
   s.set_rep(0, 0.2).set_rep(1, 0.2);
-  OptimizedCollusionDetector d(config());
-  EXPECT_TRUE(d.detect(s.build()).pairs.empty());
+  detect::OptimizedDetector d(config());
+  EXPECT_TRUE(d.on_epoch(detect::EpochSnapshot::of(s.build())).pairs.empty());
 }
 
 TEST(OptimizedDetectorTest, CostMuchLowerThanQuadraticScan) {
@@ -92,16 +94,17 @@ TEST(OptimizedDetectorTest, CostMuchLowerThanQuadraticScan) {
   s.crowd(3, 200, 0, 0.1);
   s.crowd(3, 200, 1, 0.1);
   const auto matrix = s.build();
-  OptimizedCollusionDetector d(config());
-  const auto report = d.detect(matrix);
+  detect::OptimizedDetector d(config());
+  const auto report = d.on_epoch(detect::EpochSnapshot::of(matrix));
   // m = 200 live rows; scans must stay well below m * n = 40000 * n.
   EXPECT_LT(report.cost.element_scans, 200u * 200u + 1000u);
   EXPECT_TRUE(report.contains(0, 1));
 }
 
 TEST(OptimizedDetectorTest, EvidenceCarriesDerivedComplements) {
-  OptimizedCollusionDetector d(config());
-  const auto report = d.detect(collusion_scenario().build());
+  detect::OptimizedDetector d(config());
+  const auto report =
+      d.on_epoch(detect::EpochSnapshot::of(collusion_scenario().build()));
   ASSERT_EQ(report.pairs.size(), 1u);
   const PairEvidence& e = report.pairs[0];
   EXPECT_DOUBLE_EQ(e.positive_fraction_first, 1.0);
@@ -118,7 +121,8 @@ TEST(OptimizedDetectorTest, AccomplicePropagationWorks) {
   s.set_rep(0, 0.2).set_rep(1, 0.2).set_rep(7, 0.3);
   DetectorConfig c = config();
   c.complement_fraction_max = 0.7;
-  const auto report = OptimizedCollusionDetector(c).detect(s.build());
+  const auto report = detect::OptimizedDetector(c).on_epoch(
+      detect::EpochSnapshot::of(s.build()));
   EXPECT_TRUE(report.contains(0, 1));
   EXPECT_TRUE(report.contains(0, 7));
 }
@@ -134,12 +138,16 @@ TEST(OptimizedDetectorTest, StrictBoundsMissPartnerOnlyBoundary) {
   inclusive.joint_complement = false;
   inclusive.inclusive_bounds = true;
   EXPECT_TRUE(
-      OptimizedCollusionDetector(inclusive).detect(s.build()).contains(0, 1));
+      detect::OptimizedDetector(inclusive)
+          .on_epoch(detect::EpochSnapshot::of(s.build()))
+          .contains(0, 1));
   DetectorConfig strict = config();
   strict.joint_complement = false;
   strict.inclusive_bounds = false;
   EXPECT_TRUE(
-      OptimizedCollusionDetector(strict).detect(s.build()).pairs.empty());
+      detect::OptimizedDetector(strict)
+          .on_epoch(detect::EpochSnapshot::of(s.build()))
+          .pairs.empty());
 }
 
 }  // namespace

@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/formula.h"
 #include "core/predicates.h"
+#include "detect/accomplice_exchange.h"
 #include "detect/executor.h"
 #include "detect/registry.h"
 #include "detect/snapshot.h"
@@ -290,6 +292,28 @@ TEST_P(PairSweepOracleTest, OptimizedMatchesPaperLiteralLoop) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PairSweepOracleTest,
                          ::testing::Range<std::uint64_t>(0, 100));
 
+// A multi-matrix snapshot must name the owner of every node: rows resolved
+// by a guess instead would read the wrong shard's (empty) row. Sweeps, the
+// accomplice exchange and the ring detector reject a short owner table
+// before reading any row.
+TEST(PairSweepOracle, RejectsShortOwnerTable) {
+  const testgen::Trace trace = testgen::make_trace(7);
+  const DetectorConfig cfg = testgen::config_for(7);
+  const World world(trace, cfg, 3, cfg.frequency_min, MatrixBackend::kSparse);
+  detect::EpochSnapshot snap = world.snapshot();
+  snap.owners.pop_back();
+  EXPECT_THROW((void)detect::sweep_basic(snap, cfg), std::invalid_argument);
+  EXPECT_THROW((void)detect::sweep_optimized(snap, cfg),
+               std::invalid_argument);
+  DetectionReport report;
+  EXPECT_THROW(detect::propagate_accomplices(snap, cfg, report),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)detect::DetectorRegistry::global().create("ring", cfg)->on_epoch(
+          snap),
+      std::invalid_argument);
+}
+
 // Matrices built without a frequency threshold carry no frequent-rater
 // aggregate, so the joint complement must be recomputed from the rows on
 // every path: a 3-matrix snapshot of such matrices must flag exactly what
@@ -306,11 +330,12 @@ TEST_P(ThresholdlessShardsTest, RegistryFlagsSameAsOneMatrix) {
   const World three(trace, cfg, 3, 0, MatrixBackend::kSparse);
   for (const char* name : {"basic", "optimized"}) {
     SCOPED_TRACE(name);
-    DetectionReport want, got;
-    detect::DetectorRegistry::global().create(name, cfg)->on_epoch(
-        one.snapshot(), want);
-    detect::DetectorRegistry::global().create(name, cfg)->on_epoch(
-        three.snapshot(), got);
+    const DetectionReport want =
+        detect::DetectorRegistry::global().create(name, cfg)->on_epoch(
+            one.snapshot());
+    const DetectionReport got =
+        detect::DetectorRegistry::global().create(name, cfg)->on_epoch(
+            three.snapshot());
     EXPECT_EQ(want.colluders(), got.colluders());
     expect_same_pairs(want, got);
   }

@@ -1,9 +1,10 @@
-// Differential proof that the registry refactor changed nothing: for 100
-// randomized collusion traces, a registry-constructed detector must emit a
-// report byte-identical (format_epoch_report) to the core detector it
-// wraps, instantiated directly — same pairs, same evidence text, same
-// colluder sets; the group adapter's rings must carry exactly the core
-// group detector's member sets.
+// Differential proof that each registry detector is exactly the code
+// behind it: for 100 randomized collusion traces, the registry's "basic"
+// and "optimized" detectors must emit a report byte-identical
+// (format_epoch_report) to detect::sweep_{basic,optimized} plus
+// detect::propagate_accomplices called directly — same pairs, same
+// evidence text, same colluder sets, same cost; the "group" detector's
+// rings must carry exactly core::detect_groups' member sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +13,8 @@
 #include <vector>
 
 #include "core/group_detector.h"
-#include "detect/basic_detector.h"
-#include "detect/optimized_detector.h"
+#include "detect/accomplice_exchange.h"
+#include "detect/pair_sweep.h"
 #include "detect/registry.h"
 #include "detect/snapshot.h"
 #include "rating/matrix.h"
@@ -46,8 +47,16 @@ class RegistryDifferentialTest
   [[nodiscard]] core::DetectionReport via_registry(const char* name) const {
     const auto detector =
         detect::DetectorRegistry::global().create(name, cfg_);
-    core::DetectionReport report;
-    detector->on_epoch(detect::EpochSnapshot::of(matrix_), report);
+    return detector->on_epoch(detect::EpochSnapshot::of(matrix_));
+  }
+
+  /// The sweep plus the accomplice fixpoint, called directly.
+  [[nodiscard]] core::DetectionReport swept(
+      core::DetectionReport (*sweep)(const detect::EpochSnapshot&,
+                                     const core::DetectorConfig&)) const {
+    const auto snapshot = detect::EpochSnapshot::of(matrix_);
+    core::DetectionReport report = sweep(snapshot, cfg_);
+    detect::propagate_accomplices(snapshot, cfg_, report);
     return report;
   }
 
@@ -56,31 +65,29 @@ class RegistryDifferentialTest
   RatingMatrix matrix_{0};
 };
 
-TEST_P(RegistryDifferentialTest, BasicAdapterMatchesDirectInstantiation) {
-  const core::DetectionReport direct =
-      core::BasicCollusionDetector(cfg_).detect(matrix_);
-  const core::DetectionReport adapted = via_registry("basic");
+TEST_P(RegistryDifferentialTest, BasicMatchesSweepAndExchange) {
+  const core::DetectionReport direct = swept(detect::sweep_basic);
+  const core::DetectionReport registered = via_registry("basic");
   EXPECT_EQ(service::format_epoch_report("diff", 1, direct),
-            service::format_epoch_report("diff", 1, adapted));
-  EXPECT_EQ(direct.colluders(), adapted.colluders());
-  EXPECT_EQ(direct.cost.total(), adapted.cost.total());
+            service::format_epoch_report("diff", 1, registered));
+  EXPECT_EQ(direct.colluders(), registered.colluders());
+  EXPECT_EQ(direct.cost.total(), registered.cost.total());
 }
 
-TEST_P(RegistryDifferentialTest, OptimizedAdapterMatchesDirectInstantiation) {
-  const core::DetectionReport direct =
-      core::OptimizedCollusionDetector(cfg_).detect(matrix_);
-  const core::DetectionReport adapted = via_registry("optimized");
+TEST_P(RegistryDifferentialTest, OptimizedMatchesSweepAndExchange) {
+  const core::DetectionReport direct = swept(detect::sweep_optimized);
+  const core::DetectionReport registered = via_registry("optimized");
   EXPECT_EQ(service::format_epoch_report("diff", 1, direct),
-            service::format_epoch_report("diff", 1, adapted));
-  EXPECT_EQ(direct.colluders(), adapted.colluders());
-  EXPECT_EQ(direct.cost.total(), adapted.cost.total());
+            service::format_epoch_report("diff", 1, registered));
+  EXPECT_EQ(direct.colluders(), registered.colluders());
+  EXPECT_EQ(direct.cost.total(), registered.cost.total());
 }
 
-TEST_P(RegistryDifferentialTest, GroupAdapterCarriesGroupMembersAsRings) {
+TEST_P(RegistryDifferentialTest, GroupCarriesDetectGroupsMembersAsRings) {
   const core::GroupDetectionReport direct =
-      core::GroupCollusionDetector(cfg_).detect(matrix_);
-  const core::DetectionReport adapted = via_registry("group");
-  ASSERT_EQ(adapted.rings.size(), direct.groups.size());
+      core::detect_groups(matrix_, cfg_);
+  const core::DetectionReport registered = via_registry("group");
+  ASSERT_EQ(registered.rings.size(), direct.groups.size());
   // canonicalize() sorts rings by member list; mirror it on the groups.
   std::vector<std::vector<NodeId>> expected;
   expected.reserve(direct.groups.size());
@@ -91,10 +98,10 @@ TEST_P(RegistryDifferentialTest, GroupAdapterCarriesGroupMembersAsRings) {
   }
   std::sort(expected.begin(), expected.end());
   for (std::size_t k = 0; k < expected.size(); ++k) {
-    EXPECT_EQ(adapted.rings[k].members, expected[k]) << "ring " << k;
+    EXPECT_EQ(registered.rings[k].members, expected[k]) << "ring " << k;
   }
-  EXPECT_EQ(adapted.colluders(), direct.colluders());
-  EXPECT_TRUE(adapted.pairs.empty());
+  EXPECT_EQ(registered.colluders(), direct.colluders());
+  EXPECT_TRUE(registered.pairs.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegistryDifferentialTest,

@@ -107,8 +107,8 @@ TEST(DetectRegistryConcurrency, ParallelCreateAndListAndDetect) {
       for (std::size_t i = 0; i < kIters; ++i) {
         const char* name = (t + i) % 2 == 0 ? "optimized" : "ring";
         auto detector = DetectorRegistry::global().create(name, cfg);
-        core::DetectionReport report;
-        detector->on_epoch(detect::EpochSnapshot::of(matrix), report);
+        const core::DetectionReport report =
+            detector->on_epoch(detect::EpochSnapshot::of(matrix));
         created[t] += DetectorRegistry::global().names().empty() ? 0 : 1;
       }
     });

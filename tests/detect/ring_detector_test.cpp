@@ -51,9 +51,7 @@ void add_outside_negatives(RatingMatrix& m,
 }
 
 core::DetectionReport run(RingDetector& detector, const RatingMatrix& m) {
-  core::DetectionReport report;
-  detector.on_epoch(EpochSnapshot::of(m), report);
-  return report;
+  return detector.on_epoch(EpochSnapshot::of(m));
 }
 
 core::DetectionReport run_ref(const core::DetectorConfig& cfg,
@@ -211,13 +209,11 @@ TEST(DetectRingTest, IncrementalEpochsMatchFullRebuildByteForByte) {
     ++epoch;
     EpochSnapshot snap = EpochSnapshot::of(live);
     snap.dirty.push_back(live.take_dirty_cells());
-    core::DetectionReport inc_report;
-    streaming.on_epoch(snap, inc_report);
+    const core::DetectionReport inc_report = streaming.on_epoch(snap);
     EXPECT_EQ(streaming.last_pass_incremental(), expect_incremental)
         << "epoch " << epoch;
     RingDetector fresh(cfg);  // unprimed: always rebuilds from the matrix
-    core::DetectionReport full_report;
-    fresh.on_epoch(snap, full_report);
+    const core::DetectionReport full_report = fresh.on_epoch(snap);
     EXPECT_FALSE(fresh.last_pass_incremental());
     EXPECT_EQ(streaming.edge_count(), fresh.edge_count())
         << "epoch " << epoch;

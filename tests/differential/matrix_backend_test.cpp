@@ -140,12 +140,16 @@ TEST_P(MatrixBackendDifferentialTest, SnapshotBuildMatchesDenseOracle) {
   EXPECT_EQ(sparse.backend(), MatrixBackend::kSparse);
   expect_matrices_identical(dense, sparse);
 
-  const core::BasicCollusionDetector basic(cfg);
-  const core::OptimizedCollusionDetector optimized(cfg);
-  const core::GroupCollusionDetector group(cfg);
-  expect_reports_identical(basic.detect(dense), basic.detect(sparse));
-  expect_reports_identical(optimized.detect(dense), optimized.detect(sparse));
-  expect_group_reports_identical(group.detect(dense), group.detect(sparse));
+  detect::BasicDetector basic(cfg);
+  detect::OptimizedDetector optimized(cfg);
+  const auto dense_snap = detect::EpochSnapshot::of(dense);
+  const auto sparse_snap = detect::EpochSnapshot::of(sparse);
+  expect_reports_identical(basic.on_epoch(dense_snap),
+                           basic.on_epoch(sparse_snap));
+  expect_reports_identical(optimized.on_epoch(dense_snap),
+                           optimized.on_epoch(sparse_snap));
+  expect_group_reports_identical(core::detect_groups(dense, cfg),
+                                 core::detect_groups(sparse, cfg));
 
   // Without precomputed frequent aggregates the Optimized joint-complement
   // path falls back to a full row recompute — the other sparse row-scan
@@ -154,8 +158,9 @@ TEST_P(MatrixBackendDifferentialTest, SnapshotBuildMatchesDenseOracle) {
       store, reps, cfg.high_rep_threshold, 0, MatrixBackend::kDense);
   const RatingMatrix sparse_recompute = RatingMatrix::build(
       store, reps, cfg.high_rep_threshold, 0, MatrixBackend::kSparse);
-  expect_reports_identical(optimized.detect(dense_recompute),
-                           optimized.detect(sparse_recompute));
+  expect_reports_identical(
+      optimized.on_epoch(detect::EpochSnapshot::of(dense_recompute)),
+      optimized.on_epoch(detect::EpochSnapshot::of(sparse_recompute)));
 }
 
 TEST_P(MatrixBackendDifferentialTest, IncrementalManagerMatchesDenseOracle) {
@@ -169,7 +174,7 @@ TEST_P(MatrixBackendDifferentialTest, IncrementalManagerMatchesDenseOracle) {
       trace.n, dense_engine, cfg, MatrixBackend::kDense);
   managers::IncrementalCentralizedManager sparse_mgr(
       trace.n, sparse_engine, cfg, MatrixBackend::kSparse);
-  const core::OptimizedCollusionDetector detector(cfg);
+  detect::OptimizedDetector detector(cfg);
 
   const auto run_epoch = [&](managers::IncrementalCentralizedManager& mgr,
                              std::uint64_t epoch) {

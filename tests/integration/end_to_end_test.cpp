@@ -70,7 +70,7 @@ TEST(EndToEndTest, DetectionRestoresOrder) {
 
   // EigenTrust + Optimized.
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(sim_detector_config());
+  detect::OptimizedDetector detector(sim_detector_config());
   net::Simulator sim(config, roles, engine, &detector);
   sim.run();
 
@@ -104,7 +104,7 @@ TEST(EndToEndTest, CompromisedPretrustedDetected) {
   const net::NodeRoles roles = net::compromised_roles();
 
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(sim_detector_config());
+  detect::OptimizedDetector detector(sim_detector_config());
   net::Simulator sim(config, roles, engine, &detector);
   sim.run();
 
@@ -147,7 +147,8 @@ TEST(EndToEndTest, TraceToDetectorPipeline) {
   dc.frequency_min = 21;
   dc.high_rep_threshold = 0.0;
 
-  const auto report = core::BasicCollusionDetector(dc).detect(matrix);
+  const auto report =
+      detect::BasicDetector(dc).on_epoch(detect::EpochSnapshot::of(matrix));
   for (const auto& [a, b] : tr.truth.collusion_pairs)
     EXPECT_TRUE(report.contains(a, b)) << a << "," << b;
   // No organic pair reaches 21 ratings in either direction.

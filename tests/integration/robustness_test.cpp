@@ -73,10 +73,10 @@ TEST_P(FuzzSeedTest, DetectorsSaneOnRandomMatrices) {
   const auto matrix = rating::RatingMatrix::build(
       store, reps, config.high_rep_threshold, config.frequency_min);
 
-  const auto basic = core::BasicCollusionDetector(config).detect(matrix);
-  const auto optimized =
-      core::OptimizedCollusionDetector(config).detect(matrix);
-  const auto groups = core::GroupCollusionDetector(config).detect(matrix);
+  const auto snapshot = detect::EpochSnapshot::of(matrix);
+  const auto basic = detect::BasicDetector(config).on_epoch(snapshot);
+  const auto optimized = detect::OptimizedDetector(config).on_epoch(snapshot);
+  const auto groups = core::detect_groups(matrix, config);
 
   // Reports are canonical: ordered pairs, ids in range, cost sane.
   auto check = [&](const core::DetectionReport& report) {

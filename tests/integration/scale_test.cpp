@@ -45,7 +45,7 @@ TEST(ScaleTest, OptimizedDetectionAtTwoThousandNodes) {
   mgr.update_reputations();
 
   const auto start = std::chrono::steady_clock::now();
-  core::OptimizedCollusionDetector detector(config);
+  detect::OptimizedDetector detector(config);
   const auto report = mgr.run_detection(detector);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);

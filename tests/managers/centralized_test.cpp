@@ -67,7 +67,7 @@ TEST(CentralizedManagerTest, DetectionFlagsAndSuppressesColluders) {
   mgr.update_reputations();
   ASSERT_GT(engine.reputation(0), 0.05);  // colluders start high-reputed
 
-  core::OptimizedCollusionDetector detector(config());
+  detect::OptimizedDetector detector(config());
   const core::DetectionReport report = mgr.run_detection(detector);
   EXPECT_TRUE(report.contains(0, 1));
   EXPECT_TRUE(mgr.detected().contains(0));
@@ -84,7 +84,7 @@ TEST(CentralizedManagerTest, NoSuppressLeavesEngineUntouched) {
   feed_collusion(mgr, 20);
   mgr.update_reputations();
   const double before = engine.reputation(0);
-  core::BasicCollusionDetector detector(config());
+  detect::BasicDetector detector(config());
   const auto report = mgr.run_detection(
       detector, CentralizedManager::SuppressionMode::kNone);
   EXPECT_TRUE(report.contains(0, 1));
@@ -98,7 +98,7 @@ TEST(CentralizedManagerTest, WindowResetClearsPairCounters) {
   feed_collusion(mgr, 20);
   mgr.update_reputations();
   mgr.reset_window();
-  core::OptimizedCollusionDetector detector(config());
+  detect::OptimizedDetector detector(config());
   // No ratings in the new window: nothing to detect.
   const auto report = mgr.run_detection(detector);
   EXPECT_TRUE(report.pairs.empty());
@@ -113,8 +113,8 @@ TEST(CentralizedManagerTest, BasicAndOptimizedAgreeThroughManager) {
   feed_collusion(m2, 20);
   m1.update_reputations();
   m2.update_reputations();
-  core::BasicCollusionDetector basic(config());
-  core::OptimizedCollusionDetector optimized(config());
+  detect::BasicDetector basic(config());
+  detect::OptimizedDetector optimized(config());
   const auto rb = m1.run_detection(basic);
   const auto ro = m2.run_detection(optimized);
   ASSERT_EQ(rb.pairs.size(), ro.pairs.size());
@@ -132,7 +132,7 @@ TEST(CentralizedManagerTest, ConfirmationPolicyDelaysSuppression) {
   EXPECT_EQ(mgr.confirmation_passes(), 2u);
   feed_collusion(mgr, 20);
   mgr.update_reputations();
-  core::OptimizedCollusionDetector detector(config());
+  detect::OptimizedDetector detector(config());
 
   // Pass 1: pair flagged, streak 1 < 2 -> no suppression yet.
   const auto first = mgr.run_detection(detector);
@@ -153,7 +153,7 @@ TEST(CentralizedManagerTest, ConfirmationStreakResetsWhenPairVanishes) {
   mgr.set_confirmation_passes(2);
   feed_collusion(mgr, 20);
   mgr.update_reputations();
-  core::OptimizedCollusionDetector detector(config());
+  detect::OptimizedDetector detector(config());
   (void)mgr.run_detection(detector);  // streak 1
   EXPECT_TRUE(mgr.detected().empty());
 

@@ -125,7 +125,8 @@ TEST(DecentralizedTest, AgreesWithCentralizedDetection) {
         static_cast<double>(merged.window_totals(i).reputation_delta());
   const auto matrix = rating::RatingMatrix::build(merged, reps, 0.0);
   core::DetectorConfig dc = config(40).detector;
-  const auto central = core::BasicCollusionDetector(dc).detect(matrix);
+  const auto central =
+      detect::BasicDetector(dc).on_epoch(detect::EpochSnapshot::of(matrix));
   const auto dist = sys.run_detection(DetectionMethod::kBasic);
   ASSERT_EQ(central.pairs.size(), dist.report.pairs.size());
   for (std::size_t i = 0; i < central.pairs.size(); ++i) {

@@ -59,7 +59,7 @@ TEST(IncrementalManagerTest, MatchesSnapshotManagerDetection) {
     snapshot.update_reputations();
     incremental.update_reputations();
 
-    core::OptimizedCollusionDetector detector(config());
+    detect::OptimizedDetector detector(config());
     const auto ra = snapshot.run_detection(detector);
     const auto rb = incremental.run_detection(detector);
     ASSERT_EQ(ra.pairs.size(), rb.pairs.size()) << "seed " << seed;
@@ -76,7 +76,7 @@ TEST(IncrementalManagerTest, DetectsAndSuppresses) {
   IncrementalCentralizedManager mgr(30, engine, config());
   stream_workload(9, 30, [&](const Rating& r) { mgr.ingest(r); });
   mgr.update_reputations();
-  core::BasicCollusionDetector detector(config());
+  detect::BasicDetector detector(config());
   const auto report = mgr.run_detection(detector);
   EXPECT_TRUE(report.contains(0, 1));
   EXPECT_TRUE(report.contains(2, 3));
@@ -91,7 +91,7 @@ TEST(IncrementalManagerTest, WindowResetClearsCounters) {
   mgr.update_reputations();
   mgr.reset_window();
   EXPECT_EQ(mgr.matrix().totals(1).total, 0u);
-  core::OptimizedCollusionDetector detector(config());
+  detect::OptimizedDetector detector(config());
   EXPECT_TRUE(mgr.run_detection(detector).pairs.empty());
   // Reputations survive the window rollover.
   EXPECT_GT(engine.reputation(1), 0.0);

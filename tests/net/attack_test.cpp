@@ -61,7 +61,7 @@ TEST(SybilAttackTest, MutualRingCaughtByDefaultDetector) {
   const SimConfig config = small_config();
   const NodeRoles roles = sybil_roles(1, 4, /*mutual=*/true);
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(detector_config());
+  detect::OptimizedDetector detector(detector_config());
   Simulator sim(config, roles, engine, &detector);
   sim.run();
   EXPECT_TRUE(sim.manager().detected().contains(3));  // target zeroed
@@ -74,7 +74,7 @@ TEST(SybilAttackTest, OneWayBoostEvadesMutualPredicate) {
   const SimConfig config = small_config();
   const NodeRoles roles = sybil_roles(1, 4, /*mutual=*/false);
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(detector_config());
+  detect::OptimizedDetector detector(detector_config());
   Simulator sim(config, roles, engine, &detector);
   sim.run();
   EXPECT_FALSE(sim.manager().detected().contains(3));
@@ -87,7 +87,7 @@ TEST(SybilAttackTest, OneSidedModeCatchesOneWayBoost) {
   reputation::WeightedFeedbackEngine engine;
   core::DetectorConfig dc = detector_config();
   dc.require_mutual = false;
-  core::OptimizedCollusionDetector detector(dc);
+  detect::OptimizedDetector detector(dc);
   Simulator sim(config, roles, engine, &detector);
   sim.run();
   EXPECT_TRUE(sim.manager().detected().contains(3));
@@ -129,7 +129,7 @@ TEST(TraitorAttackTest, NoFalseCollusionDetection) {
   config.traitor_defect_cycle = 4;
   const NodeRoles roles = traitor_roles(4, 2);
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(detector_config());
+  detect::OptimizedDetector detector(detector_config());
   Simulator sim(config, roles, engine, &detector);
   sim.run();
   EXPECT_TRUE(sim.manager().detected().empty());

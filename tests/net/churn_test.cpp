@@ -95,7 +95,7 @@ TEST(NetChurnTest, DetectionSurvivesModerateChurn) {
   const NodeRoles roles = paper_roles(6, 2);
   SimConfig config = churn_config(0.2, 0.5);
   config.sim_cycles = 8;
-  core::OptimizedCollusionDetector detector(detector_config());
+  detect::OptimizedDetector detector(detector_config());
   Simulator sim(config, roles, engine, &detector);
   sim.run();
   for (rating::NodeId id : roles.colluders)

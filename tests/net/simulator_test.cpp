@@ -119,7 +119,7 @@ TEST(SimulatorTest, DetectorSuppressesColluders) {
   SimConfig c = small_config();
   c.sim_cycles = 5;
   const NodeRoles roles = paper_roles(4, 2);
-  core::OptimizedCollusionDetector detector(sim_detector_config());
+  detect::OptimizedDetector detector(sim_detector_config());
   Simulator sim(c, roles, engine, &detector);
   sim.run();
   for (rating::NodeId id : roles.colluders)
@@ -142,7 +142,7 @@ TEST(SimulatorTest, DetectionReducesColluderTraffic) {
   baseline.run();
 
   reputation::WeightedFeedbackEngine protected_engine;
-  core::OptimizedCollusionDetector detector(sim_detector_config());
+  detect::OptimizedDetector detector(sim_detector_config());
   Simulator protected_sim(c, roles, protected_engine, &detector);
   protected_sim.run();
 

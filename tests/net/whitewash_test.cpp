@@ -32,7 +32,7 @@ core::DetectorConfig detector_config() {
 TEST(WhitewashTest, IdentitiesRotateAfterDetection) {
   reputation::WeightedFeedbackEngine engine;
   const NodeRoles original = paper_roles(4, 2);
-  core::OptimizedCollusionDetector detector(detector_config());
+  detect::OptimizedDetector detector(detector_config());
   Simulator sim(ww_config(), original, engine, &detector);
   sim.run_sim_cycle();  // colluders detected and whitewashed
   EXPECT_EQ(sim.whitewash_count(), 4u);
@@ -55,7 +55,7 @@ TEST(WhitewashTest, IdentitiesRotateAfterDetection) {
 
 TEST(WhitewashTest, EachGenerationIsReDetected) {
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(detector_config());
+  detect::OptimizedDetector detector(detector_config());
   Simulator sim(ww_config(), paper_roles(4, 2), engine, &detector);
   sim.run();
   // 4 colluders whitewashed every cycle they are caught; over 6 cycles
@@ -70,7 +70,7 @@ TEST(WhitewashTest, PoolExhaustionStopsRotation) {
   SimConfig config = ww_config();
   config.num_nodes = 16;  // tiny pool: 2 pretrusted + 4 colluders + 10 normal
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(detector_config());
+  detect::OptimizedDetector detector(detector_config());
   Simulator sim(config, paper_roles(4, 2), engine, &detector);
   sim.run();
   // At most the normal population minus one can be consumed.
@@ -82,7 +82,7 @@ TEST(WhitewashTest, DisabledByDefault) {
   SimConfig config = ww_config();
   config.whitewash_on_detection = false;
   reputation::WeightedFeedbackEngine engine;
-  core::OptimizedCollusionDetector detector(detector_config());
+  detect::OptimizedDetector detector(detector_config());
   const NodeRoles roles = paper_roles(4, 2);
   Simulator sim(config, roles, engine, &detector);
   sim.run();

@@ -81,7 +81,7 @@ class RecoveryTest : public ::testing::Test {
   struct Reference {
     explicit Reference(const core::DetectorConfig& cfg)
         : engine(kN, /*normalize=*/false), manager(kN, engine, cfg) {
-      detector = std::make_unique<core::OptimizedCollusionDetector>(cfg);
+      detector = std::make_unique<detect::OptimizedDetector>(cfg);
     }
     std::string run_epoch(std::uint64_t seq) {
       manager.update_reputations();
@@ -91,7 +91,7 @@ class RecoveryTest : public ::testing::Test {
     }
     reputation::SummationEngine engine;
     managers::IncrementalCentralizedManager manager;
-    std::unique_ptr<core::CollusionDetector> detector;
+    std::unique_ptr<detect::Detector> detector;
   };
 
   static void expect_matches_reference(const ReputationService& svc,

@@ -152,11 +152,11 @@ TEST_P(GlobalEquivalenceTest, MatchesSingleManagerReference) {
   ASSERT_TRUE(ref_cfg.flag_accomplices);
   reputation::SummationEngine ref_engine(kN, /*normalize=*/false);
   managers::IncrementalCentralizedManager ref(kN, ref_engine, ref_cfg);
-  std::unique_ptr<core::CollusionDetector> ref_detector;
+  std::unique_ptr<detect::Detector> ref_detector;
   if (GetParam() == "basic")
-    ref_detector = std::make_unique<core::BasicCollusionDetector>(ref_cfg);
+    ref_detector = std::make_unique<detect::BasicDetector>(ref_cfg);
   else
-    ref_detector = std::make_unique<core::OptimizedCollusionDetector>(ref_cfg);
+    ref_detector = std::make_unique<detect::OptimizedDetector>(ref_cfg);
 
   const std::vector<Rating> workload = collusion_workload(11, kN);
   std::string expected_log;

@@ -321,9 +321,11 @@ int cmd_detect(const Args& args) {
   std::vector<double> reps(store.num_nodes());
   for (rating::NodeId i = 0; i < store.num_nodes(); ++i)
     reps[i] = static_cast<double>(store.window_totals(i).reputation_delta());
-  const auto matrix =
-      rating::RatingMatrix::build(store, reps, dc.high_rep_threshold,
-                                  dc.frequency_min);
+  // Sparse rows: a paper-scale trace (100,000 Overstock users) would need
+  // n^2 dense cells.
+  const auto matrix = rating::RatingMatrix::build(
+      store, reps, dc.high_rep_threshold, dc.frequency_min,
+      rating::MatrixBackend::kSparse);
 
   const std::string method = args.get("method", "optimized");
   std::unique_ptr<detect::Detector> detector;
@@ -334,8 +336,8 @@ int cmd_detect(const Args& args) {
     return 2;
   }
 
-  core::DetectionReport report;
-  detector->on_epoch(detect::EpochSnapshot::of(matrix), report);
+  const core::DetectionReport report =
+      detector->on_epoch(detect::EpochSnapshot::of(matrix));
   std::printf("%zu colluding pair(s), %zu ring(s), cost %llu work units\n",
               report.pairs.size(), report.rings.size(),
               static_cast<unsigned long long>(report.cost.total()));
