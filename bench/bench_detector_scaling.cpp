@@ -264,7 +264,7 @@ BENCHMARK(BM_RingEpoch10k)
 
 // Parallel-epoch scaling: wall time of one full global epoch through the
 // sharded service. Arg 0: shard count. Arg 1: epoch scan threads, with 0
-// selecting the serial coordinator (parallel_epoch = false) as the
+// selecting the serial coordinator (epoch_scan_threads = 1) as the
 // baseline. The trace is 10k nodes at ~1% cell density with planted
 // colluding pairs (1 per 40 nodes); overlap is off so the measurement is
 // the pure frozen-state scan, not ingest admission. The ISSUE gate reads
@@ -283,7 +283,6 @@ void BM_ParallelEpochService(benchmark::State& state) {
   cfg.detector = "optimized";
   cfg.detector_config = config();
   cfg.record_reports = false;
-  cfg.parallel_epoch = threads != 0;
   cfg.epoch_overlap = false;
   cfg.epoch_scan_threads = threads == 0 ? 1 : threads;
   service::ReputationService svc(cfg);

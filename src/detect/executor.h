@@ -8,10 +8,11 @@
 // write only task-local output (e.g. a per-range sub-report) which the
 // caller merges in task-index order after run() returns.
 //
-// Hosts provide the labor: the service's global epoch runs tasks on its
-// scan pool and on shard workers parked at the epoch barrier; benches and
-// tests use ThreadPoolExecutor below; a null executor on the snapshot means
-// serial (the caller's own thread runs every task in index order). Since
+// Hosts provide the labor through ThreadPoolExecutor below: the service's
+// global epoch owns one sized at ServiceConfig::epoch_scan_threads (its
+// coordinator blocks while the pool scans), and benches and tests build
+// their own. A null executor on the snapshot means serial (the caller's
+// own thread runs every task in index order). Since
 // any executor yields the same merged output as the serial path, recovery
 // replay may run parallel or serial and still reproduce every byte.
 #pragma once

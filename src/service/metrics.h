@@ -32,9 +32,9 @@ struct ServiceMetrics {
   std::uint64_t ring_scan_us = 0;  ///< Last epoch's detector scan time.
 
   // Parallel global epochs (kGlobal scope; see ServiceConfig::
-  // parallel_epoch / epoch_overlap).
-  /// Scan thread budget of the epoch coordinator, itself included (gauge;
-  /// 1 = serial sweeps).
+  // epoch_scan_threads / epoch_overlap).
+  /// Threads of the global epoch's scan pool (gauge; 1 = serial sweeps on
+  /// the coordinator).
   std::uint64_t epoch_scan_threads = 1;
   /// Wall time of the last overlapped epoch's detection window — the span
   /// during which ingest ran concurrently with the scan. 0 until the

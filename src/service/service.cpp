@@ -109,18 +109,18 @@ ReputationService::ReputationService(ServiceConfig config)
       throw std::invalid_argument(
           "service: detector 'group' does not support multi-shard global "
           "epochs (use per-shard scope, one shard, or detector 'ring')");
-    if (config_.parallel_epoch) {
-      const std::size_t budget =
-          config_.epoch_scan_threads != 0
-              ? config_.epoch_scan_threads
-              : std::min<std::size_t>(
-                    std::max<std::size_t>(
-                        1, std::thread::hardware_concurrency()),
-                    8);
-      epoch_scan_threads_.store(budget, std::memory_order_relaxed);
-      if (budget > 1)
-        epoch_pool_ = std::make_unique<util::ThreadPool>(budget - 1);
-    }
+    // The coordinator blocks in parallel_for while the pool scans, so the
+    // pool gets the whole budget.
+    const std::size_t budget =
+        config_.epoch_scan_threads != 0
+            ? config_.epoch_scan_threads
+            : std::min<std::size_t>(
+                  std::max<std::size_t>(1,
+                                        std::thread::hardware_concurrency()),
+                  8);
+    epoch_scan_threads_.store(budget, std::memory_order_relaxed);
+    if (budget > 1)
+      scan_executor_ = std::make_unique<detect::ThreadPoolExecutor>(budget);
   }
   // Fails fast on unknown detector names before any shard work starts
   // (create() throws listing every registered name).
@@ -859,99 +859,23 @@ void ReputationService::global_barrier(ShardSlot&, std::uint64_t seq) {
     }
   }
   if (!coordinator) {
-    // Parked worker: wait for the epoch to complete, lending this thread
-    // to the coordinator's scan whenever tasks are published. The claim
-    // loop runs off-lock, hence the re-lock dance.
-    for (;;) {
-      {
-        util::MutexLock lock(epoch_mu_);
-        while (epoch_done_seq_ < seq &&
-               !crashing_.load(std::memory_order_relaxed) &&
-               !scan_work_available())
-          epoch_cv_.wait(epoch_mu_);
-        if (epoch_done_seq_ >= seq ||
-            crashing_.load(std::memory_order_relaxed))
-          return;
-      }
-      scan_claim_loop();
-    }
+    // Parked worker: wait for the epoch to complete (or, with overlap, for
+    // the coordinator to release the barrier early).
+    util::MutexLock lock(epoch_mu_);
+    while (epoch_done_seq_ < seq && !crashing_.load(std::memory_order_relaxed))
+      epoch_cv_.wait(epoch_mu_);
+    return;
   }
   // Coordinator (last arriver): every other worker is parked, all shard
-  // state is frozen. The epoch body runs off-lock so parked workers and
-  // pool helpers can claim scan tasks — and, with epoch_overlap, so the
-  // released workers can keep ingesting while the scan runs.
+  // state is frozen. The epoch body runs off-lock so that, with
+  // epoch_overlap, the released workers can keep ingesting while the scan
+  // runs.
   run_global_epoch(seq, /*live=*/true);
   {
     const util::MutexLock lock(epoch_mu_);
     epoch_done_seq_ = seq;
   }
   epoch_cv_.notify_all();
-}
-
-bool ReputationService::scan_work_available() const {
-  return scan_fn_ != nullptr && scan_next_ < scan_task_count_;
-}
-
-std::size_t ReputationService::scan_concurrency() const noexcept {
-  return 1 + (epoch_pool_ ? epoch_pool_->size() : 0);
-}
-
-void ReputationService::scan_claim_loop() {
-  for (;;) {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t idx = 0;
-    {
-      const util::MutexLock lock(epoch_mu_);
-      if (scan_fn_ == nullptr || scan_next_ >= scan_task_count_) return;
-      idx = scan_next_++;
-      fn = scan_fn_;
-    }
-    try {
-      (*fn)(idx);
-    } catch (...) {
-      const util::MutexLock lock(epoch_mu_);
-      if (!scan_error_) scan_error_ = std::current_exception();
-    }
-    bool batch_done = false;
-    {
-      const util::MutexLock lock(epoch_mu_);
-      ++scan_done_;
-      batch_done = scan_done_ >= scan_task_count_;
-    }
-    if (batch_done) epoch_cv_.notify_all();
-  }
-}
-
-void ReputationService::run_scan_tasks(
-    std::size_t count, const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  {
-    const util::MutexLock lock(epoch_mu_);
-    scan_fn_ = &fn;
-    scan_task_count_ = count;
-    scan_next_ = 0;
-    scan_done_ = 0;
-    scan_error_ = nullptr;
-  }
-  epoch_cv_.notify_all();  // parked workers start claiming
-  if (epoch_pool_) {
-    const std::size_t helpers = std::min(epoch_pool_->size(), count);
-    for (std::size_t h = 0; h < helpers; ++h)
-      epoch_pool_->submit([this] { scan_claim_loop(); });
-  }
-  scan_claim_loop();  // the coordinator claims too
-  std::exception_ptr err;
-  {
-    util::MutexLock lock(epoch_mu_);
-    while (scan_done_ < scan_task_count_) epoch_cv_.wait(epoch_mu_);
-    scan_fn_ = nullptr;
-    err = scan_error_;
-    scan_error_ = nullptr;
-  }
-  // Helper jobs that never got to claim must not outlive this call (they
-  // touch epoch_mu_, and `fn` dies with the caller's frame).
-  if (epoch_pool_) epoch_pool_->wait_idle();
-  if (err) std::rethrow_exception(err);
 }
 
 void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
@@ -988,8 +912,7 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
   const bool checkpoint_due =
       live && checkpoints_enabled_.load(std::memory_order_relaxed) &&
       seq % config_.checkpoint_every_epochs == 0;
-  const bool overlap = live && config_.parallel_epoch &&
-                       config_.epoch_overlap && !checkpoint_due &&
+  const bool overlap = live && config_.epoch_overlap && !checkpoint_due &&
                        slots.size() > 1 &&
                        !crashing_.load(std::memory_order_relaxed);
   if (overlap) {
@@ -1096,9 +1019,9 @@ core::DetectionReport ReputationService::global_detect(
   for (const auto& slot : slots)
     snap.matrices.push_back(&slot->shard.manager().matrix());
   if (snap.matrices.size() > 1) snap.owners = table.map->owners();
-  // Lend the coordinator's scan labor (pool helpers + parked workers) to
-  // the detect layer; a null executor keeps every sweep serial.
-  if (config_.parallel_epoch) snap.executor = &scan_executor_;
+  // Lend the scan pool to the detect layer; a null executor keeps every
+  // sweep serial.
+  snap.executor = scan_executor_.get();
 
   // The registry detector runs over the snapshot of all shard matrices
   // (the detect layer handles multi-matrix natively, accomplice exchange

@@ -10,13 +10,13 @@
 //  * EpochScope::kGlobal — the router injects an epoch marker into every
 //    queue; workers barrier on it and the last arriver becomes the epoch
 //    COORDINATOR: it freezes all shards' state, then fans the detection
-//    sweep out as row-range tasks claimed by the scan pool and by the
-//    other workers parked at the barrier, merging per-range findings in
-//    range order so the report is byte-identical to a serial pass
-//    (cross-shard pairs included). With epoch_overlap on, the parked
-//    workers are instead released as soon as the state is frozen and
-//    resume ingest into per-shard pending buffers while the coordinator
-//    scans; the buffered ratings apply after the epoch commits, so the
+//    sweep out as row-range tasks on the service's scan pool (a
+//    detect::ThreadPoolExecutor), merging per-range findings in range
+//    order so the report is byte-identical to a serial pass (cross-shard
+//    pairs included). With epoch_overlap on, the parked workers are
+//    released as soon as the state is frozen and resume ingest into
+//    per-shard pending buffers while the coordinator scans; the
+//    buffered ratings apply after the epoch commits, so the
 //    logical stream order — and every report, WAL and checkpoint byte —
 //    matches the non-overlapped run. Epochs are totally ordered and
 //    replay-deterministic.
@@ -53,7 +53,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -67,7 +66,6 @@
 #include "service/shard_map.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace p2prep::service {
 
@@ -271,21 +269,6 @@ class ReputationService {
   void record_epoch_metrics(std::chrono::steady_clock::time_point start,
                             std::size_t detections);
   void checkpoint_shard(ShardSlot& slot);
-  /// Publishes `count` scan tasks, lends the calling (coordinator) thread
-  /// plus the scan pool — and, in non-overlap epochs, the workers parked
-  /// at the barrier — to claim them, and returns once every task ran
-  /// (rethrowing the first task exception). Tasks are pure compute over
-  /// frozen state; determinism comes from the caller merging task-local
-  /// results in task-index order.
-  void run_scan_tasks(std::size_t count,
-                      const std::function<void(std::size_t)>& fn)
-      P2PREP_EXCLUDES(epoch_mu_);
-  /// Claims and runs published scan tasks until none remain.
-  void scan_claim_loop() P2PREP_EXCLUDES(epoch_mu_);
-  [[nodiscard]] bool scan_work_available() const
-      P2PREP_REQUIRES(epoch_mu_);
-  /// Total threads a scan can use (coordinator + pool helpers).
-  [[nodiscard]] std::size_t scan_concurrency() const noexcept;
   /// (Re)creates global_detector_ for the given map — at construction and
   /// after every resize (streaming detectors rebuild their caches from
   /// the re-partitioned matrices on the next epoch).
@@ -296,23 +279,9 @@ class ReputationService {
   /// registry for every detector name. Null in per-shard scope, where each
   /// shard owns its detector.
   std::unique_ptr<detect::Detector> global_detector_;
-  /// Lends the coordinator's scan labor pool to detect-layer sweeps.
-  struct ScanExecutor final : detect::Executor {
-    explicit ScanExecutor(ReputationService* s) noexcept : svc(s) {}
-    void run(std::size_t num_tasks,
-             const std::function<void(std::size_t)>& fn) override {
-      svc->run_scan_tasks(num_tasks, fn);
-    }
-    [[nodiscard]] std::size_t concurrency() const noexcept override {
-      return svc->scan_concurrency();
-    }
-    ReputationService* svc;
-  };
-  ScanExecutor scan_executor_{this};
-  /// Persistent scan helpers (kGlobal + parallel_epoch when the thread
-  /// budget exceeds the coordinator alone). Workers parked at the barrier
-  /// lend themselves on top of this in non-overlap epochs.
-  std::unique_ptr<util::ThreadPool> epoch_pool_;
+  /// Scan threads lent to global-epoch sweeps: kGlobal scope with a
+  /// budget above 1 (ServiceConfig::epoch_scan_threads). Null = serial.
+  std::unique_ptr<detect::ThreadPoolExecutor> scan_executor_;
   bool recovered_ = false;
   /// Cleared (from any worker) when a checkpoint attempt fails, so the
   /// service degrades to WAL-only durability instead of retrying forever.
@@ -358,17 +327,6 @@ class ReputationService {
   std::uint64_t epoch_done_seq_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
   std::size_t resize_arrived_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
   std::uint64_t resize_done_epoch_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  // Scan-task claim state (run_scan_tasks / scan_claim_loop). Non-null
-  // scan_fn_ publishes a batch; claimants bump scan_next_, run the task
-  // off-lock, then bump scan_done_. The publisher waits for
-  // scan_done_ == scan_task_count_ and clears scan_fn_ before returning,
-  // so the pointed-to function always outlives its claimants.
-  const std::function<void(std::size_t)>* scan_fn_
-      P2PREP_GUARDED_BY(epoch_mu_) = nullptr;
-  std::size_t scan_task_count_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  std::size_t scan_next_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  std::size_t scan_done_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  std::exception_ptr scan_error_ P2PREP_GUARDED_BY(epoch_mu_);
   /// True from the moment an overlapped epoch releases the barrier until
   /// its buffered ratings have been applied; drain() waits it out.
   bool overlap_inflight_ P2PREP_GUARDED_BY(epoch_mu_) = false;

@@ -34,8 +34,8 @@ namespace p2prep::service {
 enum class EpochScope {
   /// Epoch markers are injected into every shard queue; workers barrier on
   /// them and the last arriver coordinates one detection sweep across all
-  /// shards' frozen state — fanned out as row-range tasks over the scan
-  /// pool and the parked workers (see ServiceConfig::parallel_epoch), with
+  /// shards' frozen state — fanned out as row-range tasks over the
+  /// service's scan pool (see ServiceConfig::epoch_scan_threads), with
   /// per-range results merged deterministically. Catches colluding pairs
   /// that span shards; epochs are totally ordered service-wide.
   kGlobal,
@@ -106,24 +106,20 @@ struct ServiceConfig {
   /// Keep per-epoch detection report text (report_log()).
   bool record_reports = true;
 
-  /// Parallelize the global-epoch detection sweep (kGlobal only): the
-  /// barrier coordinator fans row-range scan tasks across the scan pool
-  /// and the workers parked at the barrier. Per-range results merge in
-  /// range order, so reports, WAL bytes and checkpoints are identical to
-  /// the serial sweep (tests/differential/parallel_epoch_test.cpp). Off =
-  /// the coordinator scans alone on its own thread.
-  bool parallel_epoch = true;
-  /// Overlap detection with ingest (kGlobal + parallel_epoch): once the
-  /// coordinator has frozen reputations, parked workers resume draining
-  /// their queues into per-shard pending buffers (WAL-logged immediately,
-  /// applied after the epoch commits). Checkpoint epochs never overlap, so
-  /// WAL rotation is fenced from the deferred stream. Byte-identical
-  /// output to non-overlapped runs. Off = workers stay parked for the
-  /// whole epoch.
+  /// Overlap detection with ingest (kGlobal only): once the coordinator
+  /// has frozen reputations, parked workers resume draining their queues
+  /// into per-shard pending buffers (WAL-logged immediately, applied after
+  /// the epoch commits). Checkpoint epochs never overlap, so WAL rotation
+  /// is fenced from the deferred stream. Byte-identical output to
+  /// non-overlapped runs (tests/differential/parallel_epoch_test.cpp).
+  /// Off = workers stay parked for the whole epoch.
   bool epoch_overlap = true;
-  /// Scan thread budget including the coordinator itself; 0 = auto
-  /// (min(hardware_concurrency, 8)). A budget of 1 still lets parked
-  /// workers claim tasks in non-overlapped epochs.
+  /// Scan threads for the global-epoch detection sweep (kGlobal only); 0 =
+  /// auto (min(hardware_concurrency, 8)), 1 = serial on the coordinator.
+  /// Above 1, a detect::ThreadPoolExecutor of this many threads runs the
+  /// sweep's row-range tasks while the coordinator waits; per-range
+  /// results merge in range order, so reports, WAL bytes and checkpoints
+  /// are identical to the serial sweep.
   std::size_t epoch_scan_threads = 0;
 
   /// Directory for WAL + checkpoint files; empty disables durability.

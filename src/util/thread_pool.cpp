@@ -92,9 +92,4 @@ void ThreadPool::parallel_for_chunked(
   wait_idle();
 }
 
-void serial_for(std::size_t begin, std::size_t end,
-                const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = begin; i < end; ++i) fn(i);
-}
-
 }  // namespace p2prep::util

@@ -1,10 +1,11 @@
 // Minimal work-stealing-free thread pool plus a parallel_for helper.
 //
-// The pool exists for the two CPU-heavy inner loops in the library: the
-// EigenTrust power iteration (dense mat-vec per iteration) and the
-// Unoptimized detector's row sweeps. Both decompose into independent row
-// ranges, so a simple chunked parallel_for with a completion latch is all
-// that is needed — no futures, no task graph.
+// The pool runs the library's two CPU-heavy loops: the EigenTrust power
+// iteration (dense mat-vec per iteration) and, lent through
+// detect::ThreadPoolExecutor, the detection passes of a global epoch.
+// Both decompose into independent index ranges, so a simple chunked
+// parallel_for with a completion latch is all that is needed — no
+// futures, no task graph.
 #pragma once
 
 #include <cstddef>
@@ -65,10 +66,5 @@ class ThreadPool {
   /// First exception thrown by any task.
   std::exception_ptr first_error_ P2PREP_GUARDED_BY(mu_);
 };
-
-/// Serial fallback with the same signature as ThreadPool::parallel_for, used
-/// by components that take an optional pool pointer.
-void serial_for(std::size_t begin, std::size_t end,
-                const std::function<void(std::size_t)>& fn);
 
 }  // namespace p2prep::util

@@ -4,6 +4,7 @@
 // table rather than a scenario.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "detect/basic_detector.h"
@@ -24,6 +25,14 @@ struct GridPoint {
   double t_b;
   std::uint32_t t_n;
 };
+
+// Names each grid point by its fields. Without it gtest prints the raw
+// object bytes, padding included, so the test ids change between builds.
+void PrintTo(const GridPoint& g, std::ostream* os) {
+  *os << "N=" << g.pair_total << ",a=" << g.pair_positive_fraction
+      << ",b=" << g.complement_positive_fraction << ",Ta=" << g.t_a
+      << ",Tb=" << g.t_b << ",TN=" << g.t_n;
+}
 
 class DetectorGridTest : public ::testing::TestWithParam<GridPoint> {};
 

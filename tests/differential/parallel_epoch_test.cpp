@@ -1,15 +1,19 @@
 // Parallel-epoch differential suite: 100 seeded collusion traces replayed
-// twice per (shard count, detector) cell — once with the parallel global
-// epoch fully on (multithreaded sweep + detection/ingest overlap), once
-// forced serial (parallel_epoch = epoch_overlap = false, today's
-// single-threaded coordinator) — must produce byte-identical detection
-// reports and identical published state. The parallel sweep partitions
-// rows and merges per-range findings in range order, the accomplice
-// exchange converges to the same flagged-set fixpoint as the serial walk,
-// and overlapped ingest applies its buffered stream at the commit point,
-// so no schedule may ever change a byte of output; these tests pin that
-// across the randomized threshold/feature mix of trace_gen.h (which flips
-// joint-complement, mutuality and accomplice flags per seed).
+// per (shard count, detector) cell under three epoch configurations must
+// produce byte-identical detection reports and identical published state:
+//   - serial (epoch_scan_threads = 1, epoch_overlap = false): the
+//     coordinator sweeps alone while every worker stays parked — the
+//     reference;
+//   - parallel (3 scan threads + detection/ingest overlap);
+//   - overlap with a serial sweep (epoch_scan_threads = 1, overlap on):
+//     the coordinator sweeps alone while released workers buffer ratings.
+// The parallel sweep partitions rows and merges per-range findings in
+// range order, the accomplice exchange converges to the same flagged-set
+// fixpoint as the serial walk, and overlapped ingest applies its buffered
+// stream at the commit point, so no schedule may ever change a byte of
+// output; these tests pin that across the randomized threshold/feature
+// mix of trace_gen.h (which flips joint-complement, mutuality and
+// accomplice flags per seed).
 //
 // The durable variant compares the on-disk artifacts raw: unlike the
 // reshard suite (where WAL generations legitimately diverge), a parallel
@@ -33,20 +37,28 @@ using rating::Rating;
 
 constexpr const char* kDetectors[] = {"basic", "optimized", "ring", "group"};
 
+/// Scan threads and overlap of one epoch configuration.
+struct EpochMode {
+  std::size_t scan_threads;
+  bool overlap;
+};
+constexpr EpochMode kSerial{1, false};
+// A small explicit pool keeps the parallel run cheap while still
+// exercising multi-threaded merges.
+constexpr EpochMode kParallel{3, true};
+constexpr EpochMode kOverlapSerialSweep{1, true};
+
 ServiceConfig make_cfg(const testgen::Trace& t, std::uint64_t seed,
                        std::size_t shards, const std::string& detector,
-                       bool parallel) {
+                       EpochMode mode) {
   ServiceConfig cfg;
   cfg.num_nodes = t.n;
   cfg.num_shards = shards;
   cfg.epoch_ratings = 200;  // several natural cadence epochs per trace
   cfg.detector = detector;
   cfg.detector_config = testgen::config_for(seed);
-  cfg.parallel_epoch = parallel;
-  cfg.epoch_overlap = parallel;
-  // A small explicit budget keeps the pool cheap while still exercising
-  // multi-claimant merges; the forced-serial run never consults it.
-  cfg.epoch_scan_threads = parallel ? 3 : 1;
+  cfg.epoch_scan_threads = mode.scan_threads;
+  cfg.epoch_overlap = mode.overlap;
   return cfg;
 }
 
@@ -91,17 +103,22 @@ TEST_P(ParallelEpochDifferentialTest, HundredSeedsByteIdenticalToSerial) {
                                      std::size_t{4}}) {
       if (detector == "group" && shards > 1) continue;  // 1-shard only
       const RunResult serial =
-          run_trace(make_cfg(t, seed, shards, detector, false), t.ratings);
-      const RunResult parallel =
-          run_trace(make_cfg(t, seed, shards, detector, true), t.ratings);
-      ASSERT_EQ(parallel.report_log, serial.report_log)
-          << "seed " << seed << " shards " << shards;
-      ASSERT_EQ(parallel.reputations, serial.reputations)
-          << "seed " << seed << " shards " << shards;
-      ASSERT_EQ(parallel.suspected, serial.suspected)
-          << "seed " << seed << " shards " << shards;
+          run_trace(make_cfg(t, seed, shards, detector, kSerial), t.ratings);
       ASSERT_FALSE(serial.report_log.empty())
           << "seed " << seed << " shards " << shards;
+      for (const EpochMode mode : {kParallel, kOverlapSerialSweep}) {
+        const RunResult other =
+            run_trace(make_cfg(t, seed, shards, detector, mode), t.ratings);
+        ASSERT_EQ(other.report_log, serial.report_log)
+            << "seed " << seed << " shards " << shards << " scan threads "
+            << mode.scan_threads;
+        ASSERT_EQ(other.reputations, serial.reputations)
+            << "seed " << seed << " shards " << shards << " scan threads "
+            << mode.scan_threads;
+        ASSERT_EQ(other.suspected, serial.suspected)
+            << "seed " << seed << " shards " << shards << " scan threads "
+            << mode.scan_threads;
+      }
     }
   }
 }
@@ -155,7 +172,7 @@ TEST_F(ParallelEpochDurableTest, WalAndCheckpointBytesMatchSerial) {
     const std::size_t shards = detector == std::string("group") ? 1 : 4;
     const testgen::Trace t = testgen::make_trace(seed);
 
-    ServiceConfig cfg = make_cfg(t, seed, shards, detector, false);
+    ServiceConfig cfg = make_cfg(t, seed, shards, detector, kSerial);
     cfg.wal_dir = dir_.string();
     // Every second epoch checkpoints, so the parallel run alternates
     // overlapped and fenced (checkpoint) epochs within one trace.
@@ -164,9 +181,8 @@ TEST_F(ParallelEpochDurableTest, WalAndCheckpointBytesMatchSerial) {
     const auto serial_files = artifacts();
     fs::remove_all(dir_);
 
-    cfg.parallel_epoch = true;
-    cfg.epoch_overlap = true;
-    cfg.epoch_scan_threads = 3;
+    cfg.epoch_scan_threads = kParallel.scan_threads;
+    cfg.epoch_overlap = kParallel.overlap;
     (void)run_trace(cfg, t.ratings);
     const auto parallel_files = artifacts();
     fs::remove_all(dir_);

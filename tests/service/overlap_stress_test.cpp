@@ -33,7 +33,6 @@ ServiceConfig overlap_config() {
   cfg.queue_capacity = 64;
   cfg.epoch_scope = EpochScope::kGlobal;
   cfg.epoch_ratings = 120;  // frequent epochs so overlap windows recur
-  cfg.parallel_epoch = true;
   cfg.epoch_overlap = true;
   cfg.epoch_scan_threads = 4;
   cfg.detector_config.frequency_min = 20;

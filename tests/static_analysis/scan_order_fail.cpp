@@ -24,8 +24,8 @@ namespace {
 class ScanHierarchy {
  public:
   // Correct order: scan state under the epoch mutex, the apply leaf taken
-  // on its own afterwards — as run_scan_tasks / the worker rating path
-  // write it.
+  // on its own afterwards — as the epoch coordinator / the worker rating
+  // path write it.
   void ordered() {
     {
       p2prep::util::MutexLock epoch(epoch_mu_);

@@ -90,13 +90,6 @@ TEST(ThreadPoolTest, SingleThreadPoolStillWorks) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(SerialForTest, MatchesParallelSemantics) {
-  std::vector<int> hits(50, 0);
-  serial_for(10, 40, [&hits](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < 50; ++i)
-    EXPECT_EQ(hits[i], (i >= 10 && i < 40) ? 1 : 0);
-}
-
 TEST(ThreadPoolTest, SubmitExceptionPropagatesThroughWaitIdle) {
   ThreadPool pool(2);
   pool.submit([] { throw std::runtime_error("task boom"); });

@@ -40,6 +40,8 @@
 #                         OverlapStress and ParallelEpoch, which soak the
 #                         parallel global epoch (multithreaded scan,
 #                         detection/ingest overlap) under contention,
+#                         plus AccompliceExchange, whose rounds run on
+#                         the service's scan pool across shards,
 #                         plus the Cluster suites — the multi-threaded
 #                         manager nodes, replica failover and the
 #                         decentralized-manager service mode over real
@@ -61,7 +63,7 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_prefix="${P2PREP_BUILD_PREFIX:-${repo_root}/build-}"
 jobs="${P2PREP_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 ctest_filter="${P2PREP_CTEST_FILTER:-}"
-tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency|DetectRegistryConcurrency|Reshard|OverlapStress|ParallelEpoch|Cluster}"
+tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency|DetectRegistryConcurrency|Reshard|OverlapStress|ParallelEpoch|AccompliceExchange|Cluster}"
 clangxx="${P2PREP_CLANG:-$(command -v clang++ || true)}"
 clang_tidy="$(command -v clang-tidy || true)"
 
