@@ -130,7 +130,7 @@ int main() {
   // mutual pair — the pairwise detectors' domain, invisible to the ring
   // detector by construction (ring_size_min = 3). Sizes 3+ have no mutual
   // edge anywhere, so the pairwise detectors flag nobody; only the
-  // registry's streaming ring detector names the cycle.
+  // streaming ring detector names the cycle.
   util::Table rings({"ring size", "pairwise(Optimized) members",
                      "optimized cost", "ring detector", "ring cost"});
   for (std::size_t size : {2u, 3u, 4u, 5u, 6u}) {
@@ -138,8 +138,7 @@ int main() {
     const auto snapshot = detect::EpochSnapshot::of(matrix);
     const auto optimized =
         detect::OptimizedDetector(config()).on_epoch(snapshot);
-    const auto detector =
-        detect::DetectorRegistry::global().create("ring", config());
+    const auto detector = detect::make_detector("ring", config());
     const core::DetectionReport ring_report = detector->on_epoch(snapshot);
 
     std::string ring_desc = "none";

@@ -155,14 +155,13 @@ void BM_OptimizedDetect(benchmark::State& state) {
 BENCHMARK(BM_OptimizedDetect)
     ->ArgsProduct({{50, 100, 200, 400}, {0, 1}});
 
-// The third detector dimension: registry-constructed streaming ring
+// The third detector dimension: make_detector-constructed streaming ring
 // detection, full rebuild every epoch (no dirty delta in the snapshot).
 // Work scales with nnz + boost-graph size, not n^2.
 void BM_RingDetect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto matrix = make_ring_world(n, backend_of(state));
-  const auto detector =
-      detect::DetectorRegistry::global().create("ring", config());
+  const auto detector = detect::make_detector("ring", config());
   std::uint64_t work = 0;
   std::size_t rings = 0;
   for (auto _ : state) {

@@ -142,14 +142,47 @@ void gen_rpc(const std::filesystem::path& dir) {
     h.type = static_cast<std::uint8_t>(rpc::MsgType::kGetMetrics);
     h.request_id = 7;
     rpc::encode_response_header(p, h);
+    // Every field distinct and set by name: a reordered or retyped row in
+    // ServiceMetrics::for_each_field changes these bytes.
     rpc::GetMetricsResponse body;
-    body.metrics.ratings_accepted = 1000;
-    body.metrics.ratings_applied = 990;
-    body.metrics.epochs_completed = 4;
-    body.metrics.detections_total = 6;
-    body.metrics.current_shard_count = 4;
-    body.metrics.wal_records = 990;
-    body.metrics.ingest_rate_per_sec = 12345.5;
+    auto& m = body.metrics;
+    m.ratings_accepted = 1000;
+    m.ratings_rejected = 11;
+    m.ratings_dropped = 12;
+    m.ratings_applied = 977;
+    m.queue_depth = 13;
+    m.ingest_rate_per_sec = 12345.5;
+    m.epochs_completed = 4;
+    m.detections_total = 6;
+    m.last_epoch_detections = 2;
+    m.epoch_latency_ms_mean = 1.25;
+    m.epoch_latency_ms_p99 = 3.75;
+    m.wal_records = 990;
+    m.wal_bytes = 23760;
+    m.checkpoints_written = 1;
+    m.matrix_bytes = 65536;
+    m.rpc_accepted = 3;
+    m.rpc_rejected = 5;
+    m.rpc_requests = 1024;
+    m.rpc_shed = 7;
+    m.rpc_bytes_in = 17408;
+    m.rpc_bytes_out = 9216;
+    m.rpc_active_connections = 8;
+    m.rings_found = 9;
+    m.ring_largest = 10;
+    m.ring_scan_us = 150;
+    m.current_shard_count = 14;
+    m.shard_map_epoch = 15;
+    m.resizes_completed = 16;
+    m.keys_moved_last_resize = 17;
+    m.last_resize_ms = 0.5;
+    m.epoch_scan_threads = 18;
+    m.epoch_overlap_us = 19;
+    m.accomplice_exchange_rounds = 20;
+    m.cluster_owned_keys = 21;
+    m.cluster_replica_lag = 22;
+    m.cluster_forwards = 23;
+    m.cluster_failovers = 24;
     body.encode(p);
     emit(dir, "resp_get_metrics", framed(p));
   }

@@ -756,15 +756,13 @@ rpc::Status ManagerNode::handle_colluder_set(rpc::Reader& r,
       // (service.cpp run_global_epoch) on this range: update, apply
       // verdicts to owned ids, update again, close the epoch.
       store->shard.manager().update_reputations();
-      std::vector<rating::NodeId> owned;
       for (rating::NodeId id : req->flagged) {
         if (map_.owner(id) != store->range) continue;
-        owned.push_back(id);
         store->shard.manager().restore_detected({id});
         store->shard.engine().reset_reputation(id);
       }
       if (!req->flagged.empty()) store->shard.manager().update_reputations();
-      store->shard.finish_global_epoch(req->epoch_seq, owned, std::string());
+      store->shard.finish_global_epoch(req->epoch_seq);
       // The epoch commit is the durable point: checkpoint + rotate keeps
       // each range's WAL a pure post-epoch rating stream.
       if (!config_.data_dir.empty() &&

@@ -47,8 +47,8 @@ class Detector {
   Detector(const Detector&) = delete;
   Detector& operator=(const Detector&) = delete;
 
-  /// The registry key this detector was created under ("basic",
-  /// "optimized", "group", "ring", ...).
+  /// The name detect::make_detector builds this detector under ("basic",
+  /// "optimized", "group" or "ring").
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// True when the detector exploits matrix dirty-cell deltas; the host

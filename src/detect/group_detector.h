@@ -1,5 +1,5 @@
 // detect::GroupDetector — the group collusion detector (core::detect_groups,
-// core/group_detector.h) behind the registry key "group". Each
+// core/group_detector.h) behind the detector name "group". Each
 // CollusionGroup is re-expressed as a RingEvidence record (members +
 // inside / outside aggregates), so group membership flows through the
 // same suppression, accomplice and RPC paths as ring membership. Group

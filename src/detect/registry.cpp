@@ -1,7 +1,7 @@
 #include "detect/registry.h"
 
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "detect/basic_detector.h"
 #include "detect/group_detector.h"
@@ -10,67 +10,47 @@
 
 namespace p2prep::detect {
 
-DetectorRegistry& DetectorRegistry::global() {
-  static DetectorRegistry instance;
-  return instance;
+namespace {
+
+template <class D>
+std::unique_ptr<Detector> make(const core::DetectorConfig& config) {
+  return std::make_unique<D>(config);
 }
 
-DetectorRegistry::DetectorRegistry() {
-  register_detector("basic", [](const core::DetectorConfig& cfg) {
-    return std::make_unique<BasicDetector>(cfg);
-  });
-  register_detector("optimized", [](const core::DetectorConfig& cfg) {
-    return std::make_unique<OptimizedDetector>(cfg);
-  });
-  register_detector("group", [](const core::DetectorConfig& cfg) {
-    return std::make_unique<GroupDetector>(cfg);
-  });
-  register_detector("ring", [](const core::DetectorConfig& cfg) {
-    return std::make_unique<RingDetector>(cfg);
-  });
-}
+struct Builtin {
+  std::string_view name;
+  std::unique_ptr<Detector> (*make)(const core::DetectorConfig&);
+};
 
-void DetectorRegistry::register_detector(std::string name, Factory factory) {
-  if (name.empty()) throw std::invalid_argument("empty detector name");
-  if (!factory) throw std::invalid_argument("null detector factory");
-  const util::MutexLock lock(mu_);
-  if (!factories_.emplace(std::move(name), std::move(factory)).second)
-    throw std::invalid_argument("detector name already registered");
-}
+// Ascending by name.
+constexpr Builtin kBuiltins[] = {
+    {"basic", &make<BasicDetector>},
+    {"group", &make<GroupDetector>},
+    {"optimized", &make<OptimizedDetector>},
+    {"ring", &make<RingDetector>},
+};
 
-std::unique_ptr<Detector> DetectorRegistry::create(
-    std::string_view name, const core::DetectorConfig& config) const {
-  Factory factory;
-  {
-    const util::MutexLock lock(mu_);
-    const auto it = factories_.find(name);
-    if (it != factories_.end()) factory = it->second;
+}  // namespace
+
+std::unique_ptr<Detector> make_detector(std::string_view name,
+                                        const core::DetectorConfig& config) {
+  for (const Builtin& b : kBuiltins)
+    if (b.name == name) return b.make(config);
+  std::string msg = "unknown detector '";
+  msg += name;
+  msg += "' (registered:";
+  for (const Builtin& b : kBuiltins) {
+    msg += ' ';
+    msg += b.name;
   }
-  if (!factory) {
-    std::string msg = "unknown detector '";
-    msg += name;
-    msg += "' (registered:";
-    for (const std::string& known : names()) {
-      msg += ' ';
-      msg += known;
-    }
-    msg += ')';
-    throw std::invalid_argument(msg);
-  }
-  return factory(config);
+  msg += ')';
+  throw std::invalid_argument(msg);
 }
 
-bool DetectorRegistry::contains(std::string_view name) const {
-  const util::MutexLock lock(mu_);
-  return factories_.find(name) != factories_.end();
-}
-
-std::vector<std::string> DetectorRegistry::names() const {
-  const util::MutexLock lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;  // std::map iteration — already ascending
+std::vector<std::string_view> detector_names() {
+  std::vector<std::string_view> out;
+  for (const Builtin& b : kBuiltins) out.push_back(b.name);
+  return out;
 }
 
 }  // namespace p2prep::detect

@@ -307,76 +307,26 @@ std::optional<QueryColludersResponse> QueryColludersResponse::decode(
   return resp;
 }
 
+namespace {
+// Per-type codec steps for ServiceMetrics::for_each_field.
+void put_field(std::string& out, std::uint64_t v) { put_u64(out, v); }
+void put_field(std::string& out, double v) { put_f64(out, v); }
+bool get_field(Reader& r, std::uint64_t& v) { return r.get_u64(v); }
+bool get_field(Reader& r, double& v) { return r.get_f64(v); }
+}  // namespace
+
 void GetMetricsResponse::encode(std::string& out) const {
-  const service::ServiceMetrics& m = metrics;
-  put_u64(out, m.ratings_accepted);
-  put_u64(out, m.ratings_rejected);
-  put_u64(out, m.ratings_dropped);
-  put_u64(out, m.ratings_applied);
-  put_u64(out, m.queue_depth);
-  put_f64(out, m.ingest_rate_per_sec);
-  put_u64(out, m.epochs_completed);
-  put_u64(out, m.detections_total);
-  put_u64(out, m.last_epoch_detections);
-  put_f64(out, m.epoch_latency_ms_mean);
-  put_f64(out, m.epoch_latency_ms_p99);
-  put_u64(out, m.wal_records);
-  put_u64(out, m.wal_bytes);
-  put_u64(out, m.checkpoints_written);
-  put_u64(out, m.matrix_bytes);
-  put_u64(out, m.rpc_accepted);
-  put_u64(out, m.rpc_rejected);
-  put_u64(out, m.rpc_requests);
-  put_u64(out, m.rpc_shed);
-  put_u64(out, m.rpc_bytes_in);
-  put_u64(out, m.rpc_bytes_out);
-  put_u64(out, m.rpc_active_connections);
-  // Appended fields (ring gauges) — decoders enumerate in the same order,
-  // so new fields always go at the end.
-  put_u64(out, m.rings_found);
-  put_u64(out, m.ring_largest);
-  put_u64(out, m.ring_scan_us);
-  // Appended fields (shard-map gauges, elastic resharding).
-  put_u64(out, m.current_shard_count);
-  put_u64(out, m.shard_map_epoch);
-  put_u64(out, m.resizes_completed);
-  put_u64(out, m.keys_moved_last_resize);
-  put_f64(out, m.last_resize_ms);
-  // Appended fields (parallel-epoch gauges).
-  put_u64(out, m.epoch_scan_threads);
-  put_u64(out, m.epoch_overlap_us);
-  put_u64(out, m.accomplice_exchange_rounds);
-  // Appended fields (manager-cluster gauges).
-  put_u64(out, m.cluster_owned_keys);
-  put_u64(out, m.cluster_replica_lag);
-  put_u64(out, m.cluster_forwards);
-  put_u64(out, m.cluster_failovers);
+  service::ServiceMetrics::for_each_field(
+      metrics, [&](auto, auto, auto value) { put_field(out, value); });
 }
 
 std::optional<GetMetricsResponse> GetMetricsResponse::decode(Reader& r) {
   GetMetricsResponse resp;
-  service::ServiceMetrics& m = resp.metrics;
-  if (!r.get_u64(m.ratings_accepted) || !r.get_u64(m.ratings_rejected) ||
-      !r.get_u64(m.ratings_dropped) || !r.get_u64(m.ratings_applied) ||
-      !r.get_u64(m.queue_depth) || !r.get_f64(m.ingest_rate_per_sec) ||
-      !r.get_u64(m.epochs_completed) || !r.get_u64(m.detections_total) ||
-      !r.get_u64(m.last_epoch_detections) ||
-      !r.get_f64(m.epoch_latency_ms_mean) ||
-      !r.get_f64(m.epoch_latency_ms_p99) || !r.get_u64(m.wal_records) ||
-      !r.get_u64(m.wal_bytes) || !r.get_u64(m.checkpoints_written) ||
-      !r.get_u64(m.matrix_bytes) || !r.get_u64(m.rpc_accepted) ||
-      !r.get_u64(m.rpc_rejected) || !r.get_u64(m.rpc_requests) ||
-      !r.get_u64(m.rpc_shed) || !r.get_u64(m.rpc_bytes_in) ||
-      !r.get_u64(m.rpc_bytes_out) || !r.get_u64(m.rpc_active_connections) ||
-      !r.get_u64(m.rings_found) || !r.get_u64(m.ring_largest) ||
-      !r.get_u64(m.ring_scan_us) || !r.get_u64(m.current_shard_count) ||
-      !r.get_u64(m.shard_map_epoch) || !r.get_u64(m.resizes_completed) ||
-      !r.get_u64(m.keys_moved_last_resize) || !r.get_f64(m.last_resize_ms) ||
-      !r.get_u64(m.epoch_scan_threads) || !r.get_u64(m.epoch_overlap_us) ||
-      !r.get_u64(m.accomplice_exchange_rounds) ||
-      !r.get_u64(m.cluster_owned_keys) || !r.get_u64(m.cluster_replica_lag) ||
-      !r.get_u64(m.cluster_forwards) || !r.get_u64(m.cluster_failovers))
-    return std::nullopt;
+  bool ok = true;
+  service::ServiceMetrics::for_each_field(
+      resp.metrics,
+      [&](auto, auto, auto& field) { ok = ok && get_field(r, field); });
+  if (!ok) return std::nullopt;
   return resp;
 }
 

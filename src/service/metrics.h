@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace p2prep::service {
 
@@ -13,7 +14,9 @@ struct ServiceMetrics {
   // Ingest front door.
   std::uint64_t ratings_accepted = 0;   ///< Routed into a shard queue.
   std::uint64_t ratings_rejected = 0;   ///< Invalid (self-rating, bad id).
-  std::uint64_t ratings_dropped = 0;    ///< Evicted by kDropOldest overflow.
+  /// Evicted by kDropOldest overflow, plus cluster forwards that no
+  /// holder acknowledged.
+  std::uint64_t ratings_dropped = 0;
   std::uint64_t ratings_applied = 0;    ///< Applied to shard state.
   std::uint64_t queue_depth = 0;        ///< Current total across shards.
   double ingest_rate_per_sec = 0.0;     ///< Applied ratings / wall seconds.
@@ -86,37 +89,64 @@ struct ServiceMetrics {
   std::uint64_t rpc_bytes_out = 0;
   std::uint64_t rpc_active_connections = 0;  ///< Gauge at snapshot time.
 
+  /// Calls fn(group, key, field) once per field, in GetMetrics wire order
+  /// — the one list behind the RPC codec and to_string(). A new metric is
+  /// a field above plus one row appended here; appending keeps older
+  /// clients decoding (they read the prefix they know).
+  template <class M, class Fn>
+  static void for_each_field(M& m, Fn&& fn) {
+    fn("ingest", "accepted", m.ratings_accepted);
+    fn("ingest", "rejected", m.ratings_rejected);
+    fn("ingest", "dropped", m.ratings_dropped);
+    fn("ingest", "applied", m.ratings_applied);
+    fn("ingest", "queue_depth", m.queue_depth);
+    fn("ingest", "rate", m.ingest_rate_per_sec);
+    fn("epochs", "completed", m.epochs_completed);
+    fn("epochs", "detections_total", m.detections_total);
+    fn("epochs", "last_epoch_detections", m.last_epoch_detections);
+    fn("epochs", "latency_mean_ms", m.epoch_latency_ms_mean);
+    fn("epochs", "latency_p99_ms", m.epoch_latency_ms_p99);
+    fn("wal", "records", m.wal_records);
+    fn("wal", "bytes", m.wal_bytes);
+    fn("wal", "checkpoints", m.checkpoints_written);
+    fn("memory", "matrix_bytes", m.matrix_bytes);
+    fn("rpc", "accepted", m.rpc_accepted);
+    fn("rpc", "rejected", m.rpc_rejected);
+    fn("rpc", "requests", m.rpc_requests);
+    fn("rpc", "shed", m.rpc_shed);
+    fn("rpc", "bytes_in", m.rpc_bytes_in);
+    fn("rpc", "bytes_out", m.rpc_bytes_out);
+    fn("rpc", "active_connections", m.rpc_active_connections);
+    fn("rings", "found", m.rings_found);
+    fn("rings", "largest", m.ring_largest);
+    fn("rings", "scan_us", m.ring_scan_us);
+    fn("shards", "count", m.current_shard_count);
+    fn("shards", "map_epoch", m.shard_map_epoch);
+    fn("shards", "resizes", m.resizes_completed);
+    fn("shards", "keys_moved_last", m.keys_moved_last_resize);
+    fn("shards", "last_resize_ms", m.last_resize_ms);
+    fn("parallel_epoch", "scan_threads", m.epoch_scan_threads);
+    fn("parallel_epoch", "overlap_us", m.epoch_overlap_us);
+    fn("parallel_epoch", "accomplice_rounds", m.accomplice_exchange_rounds);
+    fn("cluster", "owned_keys", m.cluster_owned_keys);
+    fn("cluster", "replica_lag", m.cluster_replica_lag);
+    fn("cluster", "forwards", m.cluster_forwards);
+    fn("cluster", "failovers", m.cluster_failovers);
+  }
+
+  /// One "group: key=value ..." line per group, in wire order.
   [[nodiscard]] std::string to_string() const {
     std::ostringstream os;
-    os << "ingest: accepted=" << ratings_accepted
-       << " rejected=" << ratings_rejected << " dropped=" << ratings_dropped
-       << " applied=" << ratings_applied << " queue_depth=" << queue_depth
-       << " rate=" << ingest_rate_per_sec << "/s\n"
-       << "epochs: completed=" << epochs_completed
-       << " detections_total=" << detections_total
-       << " last_epoch_detections=" << last_epoch_detections
-       << " latency_mean_ms=" << epoch_latency_ms_mean
-       << " latency_p99_ms=" << epoch_latency_ms_p99 << "\n"
-       << "rings: found=" << rings_found << " largest=" << ring_largest
-       << " scan_us=" << ring_scan_us << "\n"
-       << "parallel_epoch: scan_threads=" << epoch_scan_threads
-       << " overlap_us=" << epoch_overlap_us
-       << " accomplice_rounds=" << accomplice_exchange_rounds << "\n"
-       << "cluster: owned_keys=" << cluster_owned_keys
-       << " replica_lag=" << cluster_replica_lag
-       << " forwards=" << cluster_forwards
-       << " failovers=" << cluster_failovers << "\n"
-       << "shards: count=" << current_shard_count
-       << " map_epoch=" << shard_map_epoch << " resizes=" << resizes_completed
-       << " keys_moved_last=" << keys_moved_last_resize
-       << " last_resize_ms=" << last_resize_ms << "\n"
-       << "wal: records=" << wal_records << " bytes=" << wal_bytes
-       << " checkpoints=" << checkpoints_written << "\n"
-       << "memory: matrix_bytes=" << matrix_bytes << "\n"
-       << "rpc: accepted=" << rpc_accepted << " rejected=" << rpc_rejected
-       << " requests=" << rpc_requests << " shed=" << rpc_shed
-       << " bytes_in=" << rpc_bytes_in << " bytes_out=" << rpc_bytes_out
-       << " active_connections=" << rpc_active_connections;
+    std::string_view open;
+    for_each_field(*this, [&](std::string_view group, std::string_view key,
+                              const auto& value) {
+      if (group != open) {
+        if (!open.empty()) os << '\n';
+        os << group << ':';
+        open = group;
+      }
+      os << ' ' << key << '=' << value;
+    });
     return os.str();
   }
 };

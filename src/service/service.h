@@ -252,6 +252,12 @@ class ReputationService {
   /// lifecycle paths that must reach retiring / not-yet-applied shards.
   [[nodiscard]] std::vector<std::shared_ptr<ShardSlot>> all_slots() const;
 
+  /// Global scope, after a rating entered its owner queue: counts it and,
+  /// when the epoch cadence is due, injects the next epoch marker.
+  void routed_rating(rating::Tick tick) P2PREP_REQUIRES(route_mu_);
+  /// Pushes epoch marker ++epoch_seq_ into every routed queue; returns it.
+  std::uint64_t inject_marker() P2PREP_REQUIRES(route_mu_);
+
   void worker_loop(std::shared_ptr<ShardSlot> slot);
   void run_shard_epoch(ShardSlot& slot);
   void global_barrier(ShardSlot& slot, std::uint64_t seq);
@@ -263,7 +269,7 @@ class ReputationService {
   /// state needs no lock here: callers guarantee every worker is parked
   /// at the barrier (or not yet started, during recovery).
   void run_global_epoch(std::uint64_t seq, bool live);
-  /// Non-const: plugin detectors (global_detector_) keep streaming state
+  /// Non-const: streaming detectors (global_detector_) keep state
   /// between epochs, and draining dirty deltas mutates shard matrices.
   [[nodiscard]] core::DetectionReport global_detect(const SlotTable& table);
   void record_epoch_metrics(std::chrono::steady_clock::time_point start,
@@ -275,9 +281,9 @@ class ReputationService {
   void make_global_detector(const ShardMap& map);
 
   ServiceConfig config_;
-  /// Cross-shard detector instance for global epochs, created through the
-  /// registry for every detector name. Null in per-shard scope, where each
-  /// shard owns its detector.
+  /// Cross-shard detector instance for global epochs, built by
+  /// detect::make_detector. Null in per-shard scope, where each shard owns
+  /// its detector.
   std::unique_ptr<detect::Detector> global_detector_;
   /// Scan threads lent to global-epoch sweeps: kGlobal scope with a
   /// budget above 1 (ServiceConfig::epoch_scan_threads). Null = serial.

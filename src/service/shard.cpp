@@ -37,8 +37,7 @@ ServiceShard::ServiceShard(std::size_t index, const ServiceConfig& config)
       manager_(std::make_unique<managers::IncrementalCentralizedManager>(
           config.num_nodes, engine_, config.detector_config,
           config.matrix_backend)),
-      detector_(detect::DetectorRegistry::global().create(
-          config.detector, config.detector_config)),
+      detector_(detect::make_detector(config.detector, config.detector_config)),
       view_(std::make_shared<const ShardView>()) {
   // Per-shard epochs feed the detector this shard's matrix; when it
   // streams (ring), record dirty cells so epochs cost O(changed nnz).
@@ -98,28 +97,22 @@ std::size_t ServiceShard::run_local_epoch() {
   applied_since_epoch_ = 0;
   last_epoch_tick_ = last_applied_tick_;
 
-  std::string text;
   if (config_->record_reports) {
-    text = format_epoch_report("shard " + std::to_string(index_), epoch,
-                               report);
-    append_report(text);
+    append_report(format_epoch_report("shard " + std::to_string(index_),
+                                      epoch, report));
   }
-  publish_view(epoch, report.colluders(), std::move(text));
+  publish_view(epoch);
   return report.pairs.size() + report.rings.size();
 }
 
-void ServiceShard::finish_global_epoch(
-    std::uint64_t epoch_seq, const std::vector<rating::NodeId>& flagged,
-    const std::string& report_text) {
+void ServiceShard::finish_global_epoch(std::uint64_t epoch_seq) {
   epochs_completed_.store(epoch_seq, std::memory_order_relaxed);
   applied_since_epoch_ = 0;
   last_epoch_tick_ = last_applied_tick_;
-  publish_view(epoch_seq, flagged, report_text);
+  publish_view(epoch_seq);
 }
 
-void ServiceShard::publish_view(std::uint64_t epoch,
-                                std::vector<rating::NodeId> flagged,
-                                std::string report_text) {
+void ServiceShard::publish_view(std::uint64_t epoch) {
   auto view = std::make_shared<ShardView>();
   view->epoch = epoch;
   const auto reps = engine_.reputations();
@@ -129,8 +122,6 @@ void ServiceShard::publish_view(std::uint64_t epoch,
   for (rating::NodeId id : manager_->detected()) {
     if (id < view->suspected.size()) view->suspected[id] = 1;
   }
-  view->flagged_last_epoch = std::move(flagged);
-  view->last_report = std::move(report_text);
   // Epoch boundaries are the only points where no worker is mutating the
   // matrix, so this is where the footprint gauge refreshes.
   matrix_bytes_.store(manager_->matrix().approx_memory_bytes(),
@@ -243,7 +234,7 @@ void ServiceShard::restore(const ShardCheckpoint& ckpt) {
   // Republish: engine epoch re-derives the published vector (idempotent
   // for the summation engine) and refreshes the matrix reputation column.
   manager_->update_reputations();
-  publish_view(ckpt.epochs_completed, {}, std::string());
+  publish_view(ckpt.epochs_completed);
 }
 
 void ServiceShard::reload_from(const ShardCheckpoint& ckpt) {

@@ -90,10 +90,9 @@ struct ServiceConfig {
   /// tick is >= last epoch tick + epoch_ticks. 0 disables.
   std::uint64_t epoch_ticks = 0;
 
-  /// Detection plugin, resolved by name through detect::DetectorRegistry
-  /// ("basic", "optimized", "group", "ring", or any registered plugin).
-  /// An unknown name throws std::invalid_argument at construction, naming
-  /// every registered detector.
+  /// Detector name, resolved by detect::make_detector ("basic",
+  /// "optimized", "group" or "ring"). An unknown name throws
+  /// std::invalid_argument at construction, naming every detector.
   std::string detector = "optimized";
   core::DetectorConfig detector_config{};
   /// Matrix representation of each shard's IncrementalCentralizedManager.
@@ -151,10 +150,6 @@ struct ShardView {
   std::vector<double> reputations;
   /// Bitmap of nodes this shard has ever flagged as colluders.
   std::vector<std::uint8_t> suspected;
-  /// Nodes newly implicated in the last epoch, ascending.
-  std::vector<rating::NodeId> flagged_last_epoch;
-  /// Detection report text of the last epoch (empty if record_reports off).
-  std::string last_report;
 };
 
 /// Deterministic detection-report text: header line with epoch number,
@@ -247,10 +242,8 @@ class ServiceShard {
     return engine_;
   }
   /// Closes an epoch driven by the service (global scope): bumps counters
-  /// and publishes the view with the given epoch number / report text.
-  void finish_global_epoch(std::uint64_t epoch_seq,
-                           const std::vector<rating::NodeId>& flagged,
-                           const std::string& report_text);
+  /// and publishes the view with the given epoch number.
+  void finish_global_epoch(std::uint64_t epoch_seq);
 
   // --- Read side ---
   [[nodiscard]] std::shared_ptr<const ShardView> view() const;
@@ -294,9 +287,7 @@ class ServiceShard {
   }
 
  private:
-  void publish_view(std::uint64_t epoch,
-                    std::vector<rating::NodeId> flagged,
-                    std::string report_text);
+  void publish_view(std::uint64_t epoch);
   void append_report(const std::string& text);
 
   std::size_t index_;

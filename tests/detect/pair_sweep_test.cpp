@@ -309,8 +309,7 @@ TEST(PairSweepOracle, RejectsShortOwnerTable) {
   EXPECT_THROW(detect::propagate_accomplices(snap, cfg, report),
                std::invalid_argument);
   EXPECT_THROW(
-      (void)detect::DetectorRegistry::global().create("ring", cfg)->on_epoch(
-          snap),
+      (void)detect::make_detector("ring", cfg)->on_epoch(snap),
       std::invalid_argument);
 }
 
@@ -331,11 +330,9 @@ TEST_P(ThresholdlessShardsTest, RegistryFlagsSameAsOneMatrix) {
   for (const char* name : {"basic", "optimized"}) {
     SCOPED_TRACE(name);
     const DetectionReport want =
-        detect::DetectorRegistry::global().create(name, cfg)->on_epoch(
-            one.snapshot());
+        detect::make_detector(name, cfg)->on_epoch(one.snapshot());
     const DetectionReport got =
-        detect::DetectorRegistry::global().create(name, cfg)->on_epoch(
-            three.snapshot());
+        detect::make_detector(name, cfg)->on_epoch(three.snapshot());
     EXPECT_EQ(want.colluders(), got.colluders());
     expect_same_pairs(want, got);
   }

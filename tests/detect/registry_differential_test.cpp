@@ -45,8 +45,7 @@ class RegistryDifferentialTest
   }
 
   [[nodiscard]] core::DetectionReport via_registry(const char* name) const {
-    const auto detector =
-        detect::DetectorRegistry::global().create(name, cfg_);
+    const auto detector = detect::make_detector(name, cfg_);
     return detector->on_epoch(detect::EpochSnapshot::of(matrix_));
   }
 

@@ -1,5 +1,5 @@
 // `p2prep_cli detect` at the paper's Overstock scale: node ids up to
-// 99,999 must run every registry method on a sparse matrix. A dense
+// 99,999 must run every detector method on a sparse matrix. A dense
 // matrix would need 100,000^2 cells (160 GB) and abort in std::bad_alloc.
 #include <gtest/gtest.h>
 #include <sys/wait.h>

@@ -8,10 +8,14 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "rating/types.h"
 #include "rpc/protocol.h"
+#include "service/metrics.h"
 
 namespace p2prep::rpc {
 namespace {
@@ -310,63 +314,41 @@ TEST(RpcProtocol, QueryBodiesRoundTrip) {
   }
 }
 
+/// Every ServiceMetrics field in wire order, typed, for exact comparison.
+std::vector<std::variant<std::uint64_t, double>> fields_of(
+    const service::ServiceMetrics& m) {
+  std::vector<std::variant<std::uint64_t, double>> out;
+  service::ServiceMetrics::for_each_field(
+      m, [&](auto, auto, auto value) { out.emplace_back(value); });
+  return out;
+}
+
 TEST(RpcProtocol, GetMetricsRoundTripCoversEveryField) {
+  // Distinct values (doubles off the integer grid), so a dropped, swapped
+  // or mistyped field cannot round-trip.
   GetMetricsResponse in;
-  auto& m = in.metrics;
-  m.ratings_accepted = 1;
-  m.ratings_rejected = 2;
-  m.ratings_dropped = 3;
-  m.ratings_applied = 4;
-  m.queue_depth = 5;
-  m.ingest_rate_per_sec = 6.5;
-  m.epochs_completed = 7;
-  m.detections_total = 8;
-  m.last_epoch_detections = 9;
-  m.epoch_latency_ms_mean = 10.5;
-  m.epoch_latency_ms_p99 = 11.5;
-  m.wal_records = 12;
-  m.wal_bytes = 13;
-  m.checkpoints_written = 14;
-  m.matrix_bytes = 15;
-  m.rpc_accepted = 16;
-  m.rpc_rejected = 17;
-  m.rpc_requests = 18;
-  m.rpc_shed = 19;
-  m.rpc_bytes_in = 20;
-  m.rpc_bytes_out = 21;
-  m.rpc_active_connections = 22;
-  m.rings_found = 23;
-  m.ring_largest = 24;
-  m.ring_scan_us = 25;
-  m.current_shard_count = 26;
-  m.shard_map_epoch = 27;
-  m.resizes_completed = 28;
-  m.keys_moved_last_resize = 29;
-  m.last_resize_ms = 30.5;
-  m.epoch_scan_threads = 31;
-  m.epoch_overlap_us = 32;
-  m.accomplice_exchange_rounds = 33;
+  std::uint64_t next = 1;
+  service::ServiceMetrics::for_each_field(
+      in.metrics, [&](auto, auto, auto& field) {
+        field = static_cast<std::remove_reference_t<decltype(field)>>(next++);
+        if constexpr (std::is_same_v<decltype(field), double&>) field += 0.5;
+      });
+  const auto want = fields_of(in.metrics);
+  ASSERT_EQ(want.size(), next - 1);
 
   std::string buf;
   in.encode(buf);
+  EXPECT_EQ(buf.size(), want.size() * 8);
   Reader r(buf);
   const auto out = GetMetricsResponse::decode(r);
   ASSERT_TRUE(out.has_value());
-  // to_string prints every field, so string equality is field equality.
-  EXPECT_EQ(out->metrics.to_string(), m.to_string());
-  EXPECT_EQ(out->metrics.ingest_rate_per_sec, 6.5);
-  EXPECT_EQ(out->metrics.rpc_active_connections, 22u);
-  EXPECT_EQ(out->metrics.rings_found, 23u);
-  EXPECT_EQ(out->metrics.ring_largest, 24u);
-  EXPECT_EQ(out->metrics.ring_scan_us, 25u);
-  EXPECT_EQ(out->metrics.current_shard_count, 26u);
-  EXPECT_EQ(out->metrics.shard_map_epoch, 27u);
-  EXPECT_EQ(out->metrics.resizes_completed, 28u);
-  EXPECT_EQ(out->metrics.keys_moved_last_resize, 29u);
-  EXPECT_EQ(out->metrics.last_resize_ms, 30.5);
-  EXPECT_EQ(out->metrics.epoch_scan_threads, 31u);
-  EXPECT_EQ(out->metrics.epoch_overlap_us, 32u);
-  EXPECT_EQ(out->metrics.accomplice_exchange_rounds, 33u);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(fields_of(out->metrics), want);
+
+  for (std::size_t len = 0; len < buf.size(); ++len) {
+    Reader prefix(std::string_view(buf).substr(0, len));
+    EXPECT_FALSE(GetMetricsResponse::decode(prefix).has_value()) << len;
+  }
 }
 
 TEST(RpcProtocol, ResizeBodiesRoundTrip) {

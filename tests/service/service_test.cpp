@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "detect/basic_detector.h"
@@ -236,6 +241,36 @@ TEST(ServiceTest, VirtualTimeCadenceFiresEpochs) {
   EXPECT_EQ(svc.metrics().epochs_completed, 3u);
 }
 
+// ingest() and try_ingest() route through one global-scope cadence step:
+// a stream that alternates between them must fire the same epochs at the
+// same stream positions as an ingest()-only run.
+TEST(ServiceTest, IngestAndTryIngestShareOneEpochCadence) {
+  constexpr std::size_t kN = 40;
+  ServiceConfig cfg = base_config(kN, 3);
+  cfg.epoch_ratings = 97;
+  cfg.epoch_ticks = 130;
+  const std::vector<Rating> workload = collusion_workload(5, kN);
+  const auto run = [&](bool mixed) {
+    ReputationService svc(cfg);
+    for (std::size_t k = 0; k < workload.size(); ++k) {
+      if (mixed && k % 2 == 1) {
+        EXPECT_EQ(svc.try_ingest(workload[k]),
+                  ReputationService::IngestResult::kAccepted);
+      } else {
+        EXPECT_TRUE(svc.ingest(workload[k]));
+      }
+    }
+    svc.drain();
+    return std::pair{svc.report_log(), svc.metrics().epochs_completed};
+  };
+  const auto [want_log, want_epochs] = run(false);
+  const auto [got_log, got_epochs] = run(true);
+  EXPECT_GT(want_epochs, 2u);
+  EXPECT_NE(want_log.find("flagged=[0 1"), std::string::npos) << want_log;
+  EXPECT_EQ(got_epochs, want_epochs);
+  EXPECT_EQ(got_log, want_log);
+}
+
 // A long-running server (`p2prep_cli serve`) never reads report_log(), so
 // it turns record_reports off: then no number of global epochs may grow
 // the log, and detection itself must be unaffected.
@@ -302,6 +337,41 @@ TEST(ServiceTest, MetricsDumpContainsAllSections) {
   EXPECT_NE(dump.find("ingest:"), std::string::npos);
   EXPECT_NE(dump.find("epochs:"), std::string::npos);
   EXPECT_NE(dump.find("wal:"), std::string::npos);
+}
+
+TEST(ServiceMetrics, ToStringPrintsEveryKeyOnce) {
+  ServiceMetrics m;
+  std::uint64_t next = 1;
+  std::vector<std::pair<std::string, std::string>> rows;  // group, key=value
+  ServiceMetrics::for_each_field(
+      m, [&](std::string_view group, std::string_view key, auto& field) {
+        field = static_cast<std::remove_reference_t<decltype(field)>>(next);
+        rows.emplace_back(std::string(group),
+                          std::string(key) + '=' + std::to_string(next++));
+      });
+  const std::string dump = m.to_string();
+
+  // One "group: key=value ..." line per group, groups never split.
+  std::vector<std::string> lines;
+  std::istringstream in(dump);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::vector<std::string> groups;
+  for (const auto& [group, kv] : rows)
+    if (groups.empty() || groups.back() != group) groups.push_back(group);
+  ASSERT_EQ(lines.size(), groups.size()) << dump;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    EXPECT_EQ(lines[i].rfind(groups[i] + ": ", 0), 0u) << lines[i];
+
+  for (const auto& [group, kv] : rows) {
+    const auto g = std::find(groups.begin(), groups.end(), group);
+    const std::string line = ' ' + lines[g - groups.begin()] + ' ';
+    const std::string token = ' ' + kv + ' ';
+    const auto at = line.find(token);
+    EXPECT_NE(at, std::string::npos) << token << " in " << line;
+    EXPECT_EQ(line.find(token, at + 1), std::string::npos) << token;
+  }
+  EXPECT_EQ(static_cast<std::size_t>(std::count(dump.begin(), dump.end(), '=')),
+            rows.size());
 }
 
 TEST(ServiceTest, InvalidConfigThrows) {

@@ -330,7 +330,7 @@ int cmd_detect(const Args& args) {
   const std::string method = args.get("method", "optimized");
   std::unique_ptr<detect::Detector> detector;
   try {
-    detector = detect::DetectorRegistry::global().create(method, dc);
+    detector = detect::make_detector(method, dc);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -455,14 +455,10 @@ bool service_config_from(const Args& args, std::size_t num_nodes,
   else return false;
 
   cfg.detector = args.get("detector", cfg.detector);
-  if (!detect::DetectorRegistry::global().contains(cfg.detector)) {
-    std::string names;
-    for (const auto& n : detect::DetectorRegistry::global().names()) {
-      if (!names.empty()) names += ' ';
-      names += n;
-    }
-    std::fprintf(stderr, "error: unknown detector '%s' (registered: %s)\n",
-                 cfg.detector.c_str(), names.c_str());
+  try {  // fail fast on an unknown name, with make_detector's message
+    (void)detect::make_detector(cfg.detector, cfg.detector_config);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return false;
   }
 

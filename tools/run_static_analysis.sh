@@ -33,8 +33,6 @@
 #                         matrix backend's concurrent epoch path, plus
 #                         RpcConcurrency — the multi-client loopback
 #                         smoke of the RPC front-end — plus
-#                         DetectRegistryConcurrency, which hammers the
-#                         detector registry from parallel shards, plus
 #                         the Reshard suites, which race-check the
 #                         resize handoff against live ingest, plus
 #                         OverlapStress and ParallelEpoch, which soak the
@@ -63,7 +61,7 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_prefix="${P2PREP_BUILD_PREFIX:-${repo_root}/build-}"
 jobs="${P2PREP_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 ctest_filter="${P2PREP_CTEST_FILTER:-}"
-tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency|DetectRegistryConcurrency|Reshard|OverlapStress|ParallelEpoch|AccompliceExchange|Cluster}"
+tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency|Reshard|OverlapStress|ParallelEpoch|AccompliceExchange|Cluster}"
 clangxx="${P2PREP_CLANG:-$(command -v clang++ || true)}"
 clang_tidy="$(command -v clang-tidy || true)"
 
