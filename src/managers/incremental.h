@@ -55,6 +55,11 @@ class IncrementalCentralizedManager {
                            const rating::PairStats& stats) {
     matrix_.restore_cell(ratee, rater, stats);
   }
+  /// Sizes row `ratee` for `cells` more restored cells exactly, so the
+  /// replay that follows leaves no growth slack.
+  void reserve_window_row(rating::NodeId ratee, std::size_t cells) {
+    matrix_.reserve_cells(ratee, cells);
+  }
   /// Reinstalls the detected-colluders set.
   void restore_detected(const std::vector<rating::NodeId>& nodes) {
     detected_.insert(nodes.begin(), nodes.end());

@@ -1,24 +1,19 @@
-// Bounded MPMC ingest queue with selectable backpressure, the front door of
-// the sharded reputation service (DESIGN.md "Service layer").
+// Bounded MPMC ingest queue with backpressure, the front door of the
+// sharded reputation service (DESIGN.md "Service layer").
 //
 // Producers are client threads calling ReputationService::ingest(); the
 // single consumer per queue is that shard's worker thread (the template is
-// nevertheless MPMC-safe — tests exercise multi-consumer draining). Two
-// overflow policies:
-//  * kBlock      — producers wait for space; end-to-end backpressure.
-//  * kDropOldest — the oldest *evictable* element is discarded to make
-//    room, so the queue favours fresh ratings under overload. Elements the
-//    `evictable` predicate rejects (epoch markers) are never discarded.
+// nevertheless MPMC-safe — tests exercise multi-consumer draining). A full
+// queue never discards an element: push() waits for space (end-to-end
+// backpressure) and try_push() fails so the caller can shed.
 //
-// push_forced() bypasses both capacity and policy; the service uses it for
-// epoch markers, which must reach every shard exactly once or the epoch
-// barrier would hang.
+// push_forced() bypasses the capacity; the service uses it for epoch
+// markers, which must reach every shard exactly once or the epoch barrier
+// would hang.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -27,48 +22,22 @@
 
 namespace p2prep::service {
 
-enum class OverflowPolicy {
-  kBlock,      ///< push() waits for space (backpressure).
-  kDropOldest, ///< push() evicts the oldest evictable element.
-};
-
 template <typename T>
 class IngestQueue {
  public:
-  using Evictable = std::function<bool(const T&)>;
-
-  /// `capacity` must be >= 1. `evictable` tells kDropOldest which elements
-  /// may be discarded; the default allows all.
-  explicit IngestQueue(std::size_t capacity,
-                       OverflowPolicy policy = OverflowPolicy::kBlock,
-                       Evictable evictable = {})
-      : capacity_(capacity ? capacity : 1),
-        policy_(policy),
-        evictable_(std::move(evictable)) {}
+  /// A `capacity` of 0 is taken as 1.
+  explicit IngestQueue(std::size_t capacity)
+      : capacity_(capacity ? capacity : 1) {}
 
   IngestQueue(const IngestQueue&) = delete;
   IngestQueue& operator=(const IngestQueue&) = delete;
 
-  /// Enqueues `value`. Under kBlock, waits until space is available;
-  /// returns false only when the queue was closed. Under kDropOldest,
-  /// never waits: a full queue discards its oldest evictable element
-  /// first (counted in dropped()); if nothing is evictable the queue
-  /// grows past capacity rather than lose the new element.
+  /// Enqueues `value`, waiting until space is available; returns false
+  /// only when the queue was closed.
   bool push(T value) {
     {
       util::MutexLock lock(mu_);
-      if (policy_ == OverflowPolicy::kBlock) {
-        while (!closed_ && items_.size() >= capacity_) not_full_.wait(mu_);
-        if (closed_) return false;
-      } else if (items_.size() >= capacity_) {
-        for (auto it = items_.begin(); it != items_.end(); ++it) {
-          if (!evictable_ || evictable_(*it)) {
-            items_.erase(it);
-            ++dropped_;
-            break;
-          }
-        }
-      }
+      while (!closed_ && items_.size() >= capacity_) not_full_.wait(mu_);
       if (closed_) return false;
       items_.push_back(std::move(value));
     }
@@ -79,9 +48,8 @@ class IngestQueue {
   /// Outcome of a non-blocking try_push().
   enum class TryPush { kOk, kFull, kClosed };
 
-  /// Non-blocking push: regardless of policy, a full queue fails with
-  /// kFull instead of waiting (kBlock) or evicting (kDropOldest). The RPC
-  /// front-end sheds on kFull rather than stalling its event loop
+  /// Non-blocking push: a full queue fails with kFull instead of waiting.
+  /// The RPC front-end sheds on kFull rather than stalling its event loop
   /// (rpc/server.h overload control).
   TryPush try_push(T value) {
     {
@@ -94,8 +62,8 @@ class IngestQueue {
     return TryPush::kOk;
   }
 
-  /// Enqueues regardless of capacity and policy; only fails when closed.
-  /// Never blocks and never causes an eviction.
+  /// Enqueues regardless of capacity; only fails when closed. Never
+  /// blocks.
   bool push_forced(T value) {
     {
       util::MutexLock lock(mu_);
@@ -146,10 +114,6 @@ class IngestQueue {
     util::MutexLock lock(mu_);
     return items_.size();
   }
-  [[nodiscard]] std::uint64_t dropped() const {
-    util::MutexLock lock(mu_);
-    return dropped_;
-  }
   [[nodiscard]] bool closed() const {
     util::MutexLock lock(mu_);
     return closed_;
@@ -158,14 +122,11 @@ class IngestQueue {
 
  private:
   const std::size_t capacity_;
-  const OverflowPolicy policy_;
-  const Evictable evictable_;
 
   mutable util::Mutex mu_;
   util::CondVar not_empty_;
   util::CondVar not_full_;
   std::deque<T> items_ P2PREP_GUARDED_BY(mu_);
-  std::uint64_t dropped_ P2PREP_GUARDED_BY(mu_) = 0;
   bool closed_ P2PREP_GUARDED_BY(mu_) = false;
 };
 

@@ -14,8 +14,8 @@ struct ServiceMetrics {
   // Ingest front door.
   std::uint64_t ratings_accepted = 0;   ///< Routed into a shard queue.
   std::uint64_t ratings_rejected = 0;   ///< Invalid (self-rating, bad id).
-  /// Evicted by kDropOldest overflow, plus cluster forwards that no
-  /// holder acknowledged.
+  /// Cluster forwards that no holder acknowledged (a shard queue never
+  /// discards a rating).
   std::uint64_t ratings_dropped = 0;
   std::uint64_t ratings_applied = 0;    ///< Applied to shard state.
   std::uint64_t queue_depth = 0;        ///< Current total across shards.

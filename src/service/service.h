@@ -123,8 +123,7 @@ class ReputationService {
 
   /// Routes one rating to its owner shard. Returns false when the rating
   /// is invalid (self-rating / id out of range) or the service has been
-  /// stopped. Under OverflowPolicy::kBlock a full shard queue blocks the
-  /// caller (backpressure); under kDropOldest it never blocks.
+  /// stopped. A full shard queue blocks the caller (backpressure).
   bool ingest(const rating::Rating& r);
 
   /// Outcome of a non-blocking try_ingest().
@@ -136,8 +135,8 @@ class ReputationService {
   };
 
   /// Non-blocking ingest for the RPC front-end: a full owner-shard queue
-  /// returns kBusy instead of blocking (kBlock) or evicting (kDropOldest),
-  /// so the caller can shed with a retry hint. Identical routing and epoch
+  /// returns kBusy instead of blocking, so the caller can shed with a
+  /// retry hint. Identical routing and epoch
   /// cadence to ingest() — the two can be mixed freely.
   IngestResult try_ingest(const rating::Rating& r);
 
@@ -193,11 +192,7 @@ class ReputationService {
  private:
   struct ShardSlot {
     ShardSlot(std::size_t index, const ServiceConfig& config)
-        : queue(config.queue_capacity, config.overflow,
-                [](const WalRecord& r) {
-                  return r.kind == WalRecordKind::kRating;
-                }),
-          shard(index, config) {}
+        : queue(config.queue_capacity), shard(index, config) {}
 
     IngestQueue<WalRecord> queue;
     ServiceShard shard;
@@ -372,7 +367,6 @@ class ReputationService {
   // History counters of shards retired by shrinks, folded into metrics so
   // service-wide totals stay monotone across resizes.
   std::atomic<std::uint64_t> retired_applied_{0};
-  std::atomic<std::uint64_t> retired_dropped_{0};
   std::uint64_t applied_base_ = 0;  ///< Applied count restored by recovery.
   std::chrono::steady_clock::time_point start_time_;
   mutable util::Mutex latency_mu_

@@ -207,6 +207,7 @@ ServiceShard::NodeTransfer ServiceShard::take_node(rating::NodeId id) {
 }
 
 void ServiceShard::restore_node(const NodeTransfer& t) {
+  manager_->reserve_window_row(t.id, t.cells.size());
   for (const auto& [rater, stats] : t.cells)
     manager_->restore_window_cell(t.id, rater, stats);
   engine_.restore_raw_sum(t.id, t.raw_sum);
@@ -222,8 +223,16 @@ void ServiceShard::restore(const ShardCheckpoint& ckpt) {
   }
   engine_.restore_suppressed(ckpt.suppressed);
   manager_->restore_detected(ckpt.detected);
-  for (const CheckpointCell& cell : ckpt.cells) {
-    manager_->restore_window_cell(cell.ratee, cell.rater, cell.stats);
+  // Cells are row-major: size each row for its run before replaying it.
+  const std::vector<CheckpointCell>& cells = ckpt.cells;
+  for (std::size_t begin = 0; begin < cells.size();) {
+    std::size_t end = begin;
+    while (end < cells.size() && cells[end].ratee == cells[begin].ratee)
+      ++end;
+    manager_->reserve_window_row(cells[begin].ratee, end - begin);
+    for (; begin < end; ++begin)
+      manager_->restore_window_cell(cells[begin].ratee, cells[begin].rater,
+                                    cells[begin].stats);
   }
   applied_total_.store(ckpt.applied_total, std::memory_order_relaxed);
   applied_since_epoch_ = ckpt.applied_since_epoch;

@@ -23,7 +23,6 @@
 #include "detect/detector.h"
 #include "managers/incremental.h"
 #include "reputation/summation.h"
-#include "service/ingest_queue.h"
 #include "service/wal.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -80,7 +79,6 @@ struct ServiceConfig {
   /// on-disk state was written under, not this field.
   std::size_t num_shards = 1;
   std::size_t queue_capacity = 4096;
-  OverflowPolicy overflow = OverflowPolicy::kBlock;
 
   EpochScope epoch_scope = EpochScope::kGlobal;
   /// Rating-count epoch trigger: total accepted ratings (kGlobal) or

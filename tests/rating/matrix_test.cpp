@@ -407,6 +407,109 @@ TEST_F(HotSparseRowTest, TakeRowAndClearWindowFreeThenRefill) {
   expect_full_row();
 }
 
+// A full sparse row grows its block by ~1.25x, so a row grown by inserts
+// keeps at most max(1, size / 4) unused cells, and a row whose final count
+// is known (build(), a restore_cell replay after reserve_cells, a take_row
+// handoff) is sized exactly. Growth moves the block: checking every cell
+// and aggregate against a dense per-row oracle at each growth step catches
+// a row reference held across the move. Threshold 1 makes every new cell
+// join the frequent aggregate in the same add_rating that grows the row.
+TEST(RatingMatrixTest, SparseRowSlackIsBounded) {
+  constexpr std::size_t kNodes = 20'001;
+  const std::vector<std::size_t> row_sizes{1,  2,  3,   4,   5,    8,     9,
+                                           63, 64, 65,  100, 1000, 20'000};
+  RatingMatrix m(kNodes, MatrixBackend::kSparse);
+  m.set_frequency_threshold(1);
+  RatingStore store(kNodes);
+  std::vector<std::vector<PairStats>> oracle(row_sizes.size());
+  std::vector<PairStats> totals(row_sizes.size());
+
+  const auto expect_row_matches = [&](NodeId ratee) {
+    std::vector<std::pair<NodeId, PairStats>> cells;
+    for (NodeId k = 0; k < kNodes; ++k) {
+      ASSERT_EQ(m.cell(ratee, k), oracle[ratee][k])
+          << "cell (" << ratee << ", " << k << ")";
+      if (oracle[ratee][k].total > 0) cells.emplace_back(k, oracle[ratee][k]);
+    }
+    EXPECT_EQ(m.totals(ratee), totals[ratee]) << "row " << ratee;
+    EXPECT_EQ(m.frequent_totals(ratee), totals[ratee]) << "row " << ratee;
+    EXPECT_EQ(m.stored_cells(ratee), cells.size());
+    std::vector<std::pair<NodeId, PairStats>> visited;
+    m.for_each_nonzero_cell(ratee, [&](NodeId k, const PairStats& stats) {
+      visited.emplace_back(k, stats);
+    });
+    EXPECT_EQ(visited, cells) << "row " << ratee;
+  };
+
+  util::Rng rng(21);
+  Tick tick = 0;
+  for (NodeId ratee = 0; ratee < row_sizes.size(); ++ratee) {
+    std::vector<NodeId> raters;
+    for (NodeId k = 0; k < kNodes; ++k)
+      if (k != ratee) raters.push_back(k);
+    for (std::size_t k = raters.size() - 1; k > 0; --k)
+      std::swap(raters[k], raters[rng.next_below(k + 1)]);
+    raters.resize(row_sizes[ratee]);
+
+    oracle[ratee].assign(kNodes, PairStats{});
+    std::size_t capacity = 0;
+    for (const NodeId rater : raters) {
+      const Score score = rater % 2 == 0 ? Score::kPositive : Score::kNegative;
+      m.add_rating(ratee, rater, score);
+      store.ingest({rater, ratee, score, tick++});
+      oracle[ratee][rater].add(score);
+      totals[ratee].add(score);
+      const std::size_t size = m.stored_cells(ratee);
+      ASSERT_GE(m.cell_capacity(ratee), size);
+      ASSERT_LE(m.cell_capacity(ratee),
+                size + std::max<std::size_t>(1, size / 4))
+          << "row " << ratee << " at " << size << " cells";
+      if (m.cell_capacity(ratee) != capacity) {  // grown: the block moved
+        capacity = m.cell_capacity(ratee);
+        expect_row_matches(ratee);
+      }
+    }
+  }
+  for (NodeId ratee = 0; ratee < row_sizes.size(); ++ratee)
+    expect_row_matches(ratee);
+
+  // Rows whose final count is known have no slack.
+  const std::vector<double> reps(kNodes, 0.0);
+  const RatingMatrix built =
+      RatingMatrix::build(store, reps, 0.5, 1, MatrixBackend::kSparse);
+  RatingMatrix replayed(kNodes, MatrixBackend::kSparse);
+  RatingMatrix handed_off(kNodes, MatrixBackend::kSparse);
+  replayed.set_frequency_threshold(1);
+  handed_off.set_frequency_threshold(1);
+  for (NodeId ratee = 0; ratee < row_sizes.size(); ++ratee) {
+    EXPECT_EQ(built.stored_cells(ratee), row_sizes[ratee]);
+    EXPECT_EQ(built.cell_capacity(ratee), row_sizes[ratee]) << "build()";
+
+    replayed.reserve_cells(ratee, row_sizes[ratee]);
+    m.for_each_nonzero_cell(ratee, [&](NodeId k, const PairStats& stats) {
+      replayed.restore_cell(ratee, k, stats);
+    });
+    EXPECT_EQ(replayed.cell_capacity(ratee), row_sizes[ratee]) << "replay";
+
+    const auto taken = m.take_row(ratee);
+    EXPECT_EQ(m.cell_capacity(ratee), 0u);  // the sender's block is freed
+    handed_off.reserve_cells(ratee, taken.size());
+    for (const auto& [k, stats] : taken) handed_off.restore_cell(ratee, k, stats);
+    EXPECT_EQ(handed_off.cell_capacity(ratee), row_sizes[ratee]) << "handoff";
+
+    for (NodeId k = 0; k < kNodes; ++k) {
+      ASSERT_EQ(built.cell(ratee, k), oracle[ratee][k]);
+      ASSERT_EQ(replayed.cell(ratee, k), oracle[ratee][k]);
+      ASSERT_EQ(handed_off.cell(ratee, k), oracle[ratee][k]);
+    }
+    EXPECT_EQ(built.totals(ratee), totals[ratee]);
+    EXPECT_EQ(replayed.totals(ratee), totals[ratee]);
+    EXPECT_EQ(handed_off.totals(ratee), totals[ratee]);
+    EXPECT_EQ(replayed.frequent_totals(ratee), totals[ratee]);
+    EXPECT_EQ(handed_off.frequent_totals(ratee), totals[ratee]);
+  }
+}
+
 // Sparse reads resume from a per-thread finger left by the previous read.
 // Interleave reads in every order (ascending sweeps, descending, random,
 // hopping between rows and between matrices) with inserts, take_row and

@@ -91,14 +91,6 @@ TEST(ServiceConcurrencyTest, PerShardScopeUnderContention) {
   run_stress(svc);
 }
 
-TEST(ServiceConcurrencyTest, PerShardDropOldestUnderContention) {
-  ServiceConfig cfg = stress_config(EpochScope::kPerShard);
-  cfg.queue_capacity = 8;
-  cfg.overflow = OverflowPolicy::kDropOldest;
-  ReputationService svc(cfg);
-  run_stress(svc);
-}
-
 TEST(ServiceConcurrencyTest, StopRacesWithProducers) {
   ReputationService svc(stress_config(EpochScope::kGlobal));
   std::vector<std::thread> producers;

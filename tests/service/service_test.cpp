@@ -309,25 +309,6 @@ TEST(ServiceTest, RecordReportsOffKeepsReportLogEmptyAcrossEpochs) {
   EXPECT_TRUE(off.suspected[0] && off.suspected[1]);
 }
 
-TEST(ServiceTest, DropOldestPreservesConservation) {
-  ServiceConfig cfg = base_config(20, 2);
-  cfg.queue_capacity = 2;
-  cfg.overflow = OverflowPolicy::kDropOldest;
-  cfg.epoch_scope = EpochScope::kPerShard;
-  ReputationService svc(cfg);
-  for (int k = 0; k < 2000; ++k) {
-    const auto rater = static_cast<rating::NodeId>(k % 20);
-    const auto ratee = static_cast<rating::NodeId>((k + 11) % 20);
-    if (rater == ratee) continue;
-    ASSERT_TRUE(svc.ingest({rater, ratee, Score::kPositive,
-                            static_cast<rating::Tick>(k)}));
-  }
-  svc.drain();
-  const ServiceMetrics m = svc.metrics();
-  EXPECT_EQ(m.ratings_applied + m.ratings_dropped, m.ratings_accepted);
-  EXPECT_EQ(m.queue_depth, 0u);
-}
-
 TEST(ServiceTest, MetricsDumpContainsAllSections) {
   ReputationService svc(base_config(10, 1));
   ASSERT_TRUE(svc.ingest({1, 2, Score::kPositive, 0}));

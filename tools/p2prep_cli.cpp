@@ -139,7 +139,7 @@ int usage() {
                "            [--detector basic|optimized|group|ring] "
                "[--matrix-backend dense|sparse]\n"
                "            [--wal-dir DIR] [--checkpoint-every N]\n"
-               "            [--queue N] [--drop-oldest] [--report]\n"
+               "            [--queue N] [--report]\n"
                "            [--ta F] [--tb F] [--tn N] [--tr F] "
                "[--one-sided]\n"
                "  serve     --listen PORT [--bind ADDR] [--nodes N] "
@@ -440,8 +440,6 @@ bool service_config_from(const Args& args, std::size_t num_nodes,
   cfg.num_nodes = num_nodes;
   cfg.num_shards = args.get_u64("shards", 4);
   cfg.queue_capacity = args.get_u64("queue", cfg.queue_capacity);
-  if (args.has("drop-oldest"))
-    cfg.overflow = service::OverflowPolicy::kDropOldest;
   cfg.epoch_ratings = args.get_u64("epoch-ratings", 4096);
   cfg.epoch_ticks = args.get_u64("epoch-ticks", 0);
   cfg.detector_config = detector_config_from(args);
