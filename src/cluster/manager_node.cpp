@@ -314,7 +314,11 @@ bool ManagerNode::resync_range(std::size_t range,
         continue;  // diverged both ways; try another holder
       }
     }
-    store->shard.reload_from(*ckpt);
+    try {
+      store->shard.reload_from(*ckpt);
+    } catch (const std::runtime_error&) {
+      continue;  // names ids outside the key space; try another holder
+    }
     store->seqs.clear();
     for (const auto& [source, seq] : resp->seqs) store->seqs[source] = seq;
     // Re-anchor durability on the adopted state: the local WAL's records

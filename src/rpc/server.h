@@ -15,9 +15,10 @@
 // admission gates, all surfaced as rpc_* counters in ServiceMetrics:
 //  * accept:   beyond max_connections, the connection gets one kGoAway
 //              (kRetryLater + backoff hint) frame and is closed.
-//  * inflight: while the service's total queue depth is at or above
-//              max_inflight, submits are answered kRetryLater without
-//              touching the queues.
+//  * inflight: while the service's admitted-but-unhandled record count
+//              (ReputationService::queue_depth, two atomic loads) is at or
+//              above max_inflight, submits are answered kRetryLater
+//              without touching the queues.
 //  * ingest:   a full owner-shard queue (ReputationService::try_ingest ==
 //              kBusy) answers kRetryLater with the backoff hint instead of
 //              blocking. Batches stop at the first shed; the response

@@ -18,7 +18,9 @@ struct ServiceMetrics {
   /// discards a rating).
   std::uint64_t ratings_dropped = 0;
   std::uint64_t ratings_applied = 0;    ///< Applied to shard state.
-  std::uint64_t queue_depth = 0;        ///< Current total across shards.
+  /// Records admitted but not yet handled, across shards: queued, in a
+  /// worker's hands, or staged for an unwritten WAL run.
+  std::uint64_t queue_depth = 0;
   double ingest_rate_per_sec = 0.0;     ///< Applied ratings / wall seconds.
 
   // Epochs and detection.

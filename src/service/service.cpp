@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "detect/registry.h"
 
@@ -513,10 +514,12 @@ std::uint64_t ReputationService::inject_marker() {
 }
 
 std::uint64_t ReputationService::queue_depth() const {
-  const auto table = routing_table();
-  std::uint64_t depth = 0;
-  for (const auto& slot : table->slots) depth += slot->queue.size();
-  return depth;
+  // A worker can count a record handled before its router counts it
+  // routed, so the difference may briefly dip below zero.
+  const std::uint64_t handled =
+      handled_records_.load(std::memory_order_acquire);
+  const std::uint64_t routed = routed_records_.load(std::memory_order_acquire);
+  return routed > handled ? routed - handled : 0;
 }
 
 std::uint64_t ReputationService::force_epoch() {
@@ -756,57 +759,80 @@ void ReputationService::crash_stop() {
 
 void ReputationService::worker_loop(std::shared_ptr<ShardSlot> slot_ptr) {
   ShardSlot& slot = *slot_ptr;
-  while (auto rec = slot.queue.pop()) {
-    if (crashing_.load(std::memory_order_relaxed)) return;
-    if (rec->kind == WalRecordKind::kRating) {
-      if (config_.cluster) {
-        // Decentralized-manager mode: the rating's authoritative home is
-        // its owner key range in the manager cluster. The forward is
-        // synchronous, so by the time this worker parks at the next epoch
-        // barrier every rating it routed is acknowledged cluster-side.
-        if (config_.cluster->forward(slot.shard.index(), rec->rating))
-          cluster_forwards_.fetch_add(1, std::memory_order_relaxed);
-        else
-          cluster_forward_failures_.fetch_add(1, std::memory_order_relaxed);
-        handled_records_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      slot.shard.log_record(*rec);
-      {
-        // Overlapped-epoch commit point: while the coordinator scans the
-        // frozen matrices, ratings are buffered (already WAL-logged, so
-        // log order is unchanged) and applied by the coordinator after
-        // the epoch commits. Outside an overlap window the lock is
-        // uncontended and the rating applies directly.
-        const util::MutexLock lock(slot.apply_mu_);
-        if (slot.deferred) {
-          slot.pending.push_back(*rec);
-          handled_records_.fetch_add(1, std::memory_order_release);
-          continue;
-        }
-        slot.shard.apply_rating(rec->rating);
-      }
-      if (config_.epoch_scope == EpochScope::kPerShard &&
-          slot.shard.epoch_due(rec->rating.time)) {
-        slot.shard.log_record(
-            WalRecord::make_marker(slot.shard.epochs_completed() + 1));
-        run_shard_epoch(slot);
-      }
-    } else if (rec->kind == WalRecordKind::kEpochMarker) {
-      slot.shard.log_record(*rec);
-      if (config_.epoch_scope == EpochScope::kPerShard)
-        run_shard_epoch(slot);
-      else
-        global_barrier(slot, rec->epoch_seq);
-    } else {
-      // Resize fence. Logged so a crash inside the handoff window leaves
-      // evidence (recovery strips it and resumes under the old map); a
-      // committed resize rotates this WAL, so the marker never survives
-      // one.
-      slot.shard.log_record(*rec);
-      resize_fence(rec->epoch_seq);
+  // Handled records whose WAL frames are still staged. They count as
+  // handled (drain(), queue_depth()) only once their run is in the file.
+  std::uint64_t unwritten = 0;
+  for (;;) {
+    auto rec = slot.queue.try_pop();
+    if (!rec) {
+      // The queue ran dry: write the drained run before waiting. pop()
+      // returns nullopt only once the queue is closed and empty, so this
+      // is also the write on worker exit.
+      slot.shard.flush_wal();
+      if (unwritten != 0)
+        handled_records_.fetch_add(std::exchange(unwritten, 0),
+                                   std::memory_order_release);
+      rec = slot.queue.pop();
+      if (!rec) return;
     }
-    handled_records_.fetch_add(1, std::memory_order_release);
+    if (crashing_.load(std::memory_order_relaxed)) return;
+    handle_record(slot, *rec);
+    if (slot.shard.wal_run_pending())
+      ++unwritten;
+    else
+      handled_records_.fetch_add(std::exchange(unwritten, 0) + 1,
+                                 std::memory_order_release);
+  }
+}
+
+void ReputationService::handle_record(ShardSlot& slot, const WalRecord& rec) {
+  if (rec.kind == WalRecordKind::kRating) {
+    if (config_.cluster) {
+      // Decentralized-manager mode: the rating's authoritative home is
+      // its owner key range in the manager cluster. The forward is
+      // synchronous, so by the time this worker parks at the next epoch
+      // barrier every rating it routed is acknowledged cluster-side.
+      if (config_.cluster->forward(slot.shard.index(), rec.rating))
+        cluster_forwards_.fetch_add(1, std::memory_order_relaxed);
+      else
+        cluster_forward_failures_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    slot.shard.stage_record(rec);
+    {
+      // Overlapped-epoch commit point: while the coordinator scans the
+      // frozen matrices, ratings are buffered (already staged for the
+      // WAL, so log order is unchanged) and applied by the coordinator
+      // after the epoch commits. Outside an overlap window the lock is
+      // uncontended and the rating applies directly.
+      const util::MutexLock lock(slot.apply_mu_);
+      if (slot.deferred) {
+        slot.pending.push_back(rec);
+        return;
+      }
+      slot.shard.apply_rating(rec.rating);
+    }
+    if (config_.epoch_scope == EpochScope::kPerShard &&
+        slot.shard.epoch_due(rec.rating.time)) {
+      slot.shard.log_record(
+          WalRecord::make_marker(slot.shard.epochs_completed() + 1));
+      run_shard_epoch(slot);
+    }
+  } else if (rec.kind == WalRecordKind::kEpochMarker) {
+    // log_record() writes the staged run with the marker, so an epoch's
+    // checkpoint rotation never cuts a run in half.
+    slot.shard.log_record(rec);
+    if (config_.epoch_scope == EpochScope::kPerShard)
+      run_shard_epoch(slot);
+    else
+      global_barrier(slot, rec.epoch_seq);
+  } else {
+    // Resize fence. Logged so a crash inside the handoff window leaves
+    // evidence (recovery strips it and resumes under the old map); a
+    // committed resize rotates this WAL, so the marker never survives
+    // one.
+    slot.shard.log_record(rec);
+    resize_fence(rec.epoch_seq);
   }
 }
 
@@ -877,7 +903,12 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
         blob = config_.cluster->pull(slot->shard.index());
       if (blob.empty()) continue;
       const auto ckpt = parse_checkpoint(blob);
-      if (ckpt) slot->shard.reload_from(*ckpt);
+      if (!ckpt) continue;
+      try {
+        slot->shard.reload_from(*ckpt);
+      } catch (const std::runtime_error&) {
+        // A blob naming ids outside the key space is refused whole.
+      }
     }
   }
 
@@ -1086,8 +1117,8 @@ ServiceMetrics ReputationService::metrics() const {
   m.ratings_accepted = accepted_.load(std::memory_order_relaxed);
   m.ratings_rejected = rejected_.load(std::memory_order_relaxed);
   std::uint64_t applied = retired_applied_.load(std::memory_order_relaxed);
+  m.queue_depth = queue_depth();
   for (const auto& slot : slots) {
-    m.queue_depth += slot->queue.size();
     applied += slot->shard.applied_total();
     m.wal_records += slot->shard.wal_records();
     m.wal_bytes += slot->shard.wal_bytes();

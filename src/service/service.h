@@ -39,9 +39,11 @@
 // shard publishes an immutable ShardView behind a shared_ptr swap.
 //
 // Durability: when configured with a wal_dir, every shard logs its applied
-// record stream (ratings + epoch markers) to a per-shard WAL before
-// applying it, and periodically compacts the log into a checkpoint (see
-// service/wal.h). Constructing a service over a directory that already
+// record stream (ratings + epoch markers) to a per-shard WAL, writing each
+// drained run of frames with one write before it waits for more, and
+// periodically compacts the log into a checkpoint (see service/wal.h).
+// drain() returns only once every handled frame is in the file.
+// Constructing a service over a directory that already
 // holds service state recovers it: the shard count and map epoch are read
 // back from the stored headers (so a resized deployment recovers at its
 // resized width regardless of config.num_shards), checkpoints are loaded,
@@ -140,8 +142,9 @@ class ReputationService {
   /// cadence to ingest() — the two can be mixed freely.
   IngestResult try_ingest(const rating::Rating& r);
 
-  /// Current total queue depth across shards (cheap; the RPC server polls
-  /// it as its inflight gauge for admission control).
+  /// Records admitted but not yet handled, across shards: queued, in a
+  /// worker's hands, or staged for an unwritten WAL run. Lock-free (two
+  /// atomic loads); the RPC server's inflight gate and metrics() read it.
   [[nodiscard]] std::uint64_t queue_depth() const;
 
   /// Blocks until every routed record has been fully processed and no
@@ -254,6 +257,10 @@ class ReputationService {
   std::uint64_t inject_marker() P2PREP_REQUIRES(route_mu_);
 
   void worker_loop(std::shared_ptr<ShardSlot> slot);
+  /// Logs and applies one popped record (or forwards it, in cluster
+  /// mode); ratings are staged into the shard's WAL run, markers and
+  /// fences write the run.
+  void handle_record(ShardSlot& slot, const WalRecord& rec);
   void run_shard_epoch(ShardSlot& slot);
   void global_barrier(ShardSlot& slot, std::uint64_t seq);
   /// Worker side of a resize: parks at the fence until the handoff for

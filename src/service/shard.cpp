@@ -1,6 +1,7 @@
 #include "service/shard.h"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 #include <stdexcept>
 
@@ -55,11 +56,25 @@ void ServiceShard::attach_wal(WalWriter writer) {
   wal_bytes_.store(wal_->bytes(), std::memory_order_relaxed);
 }
 
-void ServiceShard::log_record(const WalRecord& rec) {
+void ServiceShard::stage_record(const WalRecord& rec) {
   if (!wal_) return;
-  wal_->append(rec);
+  append_wal_frame(wal_run_, rec);
+  ++wal_run_records_;
+  if (wal_run_.size() >= kWalRunBytes) flush_wal();
+}
+
+void ServiceShard::flush_wal() {
+  if (wal_run_records_ == 0) return;
+  wal_->append_frames(wal_run_, wal_run_records_);
+  wal_run_.clear();  // keeps its capacity: no allocation per run
+  wal_run_records_ = 0;
   wal_records_.store(wal_->records(), std::memory_order_relaxed);
   wal_bytes_.store(wal_->bytes(), std::memory_order_relaxed);
+}
+
+void ServiceShard::log_record(const WalRecord& rec) {
+  stage_record(rec);
+  flush_wal();
 }
 
 bool ServiceShard::apply_rating(const rating::Rating& r) {
@@ -182,6 +197,9 @@ std::optional<ShardCheckpoint> ServiceShard::make_checkpoint() const {
 }
 
 bool ServiceShard::checkpoint_and_rotate(const std::string& ckpt_path) {
+  // Markers and fences write the staged run, and checkpoints only happen
+  // behind one, so the checkpoint's record count covers the whole file.
+  assert(wal_run_records_ == 0);
   const auto ckpt = make_checkpoint();
   if (!ckpt) return false;
   if (!write_checkpoint(ckpt_path, *ckpt)) return false;
@@ -215,7 +233,22 @@ void ServiceShard::restore_node(const NodeTransfer& t) {
   if (t.detected) manager_->restore_detected({t.id});
 }
 
+void ServiceShard::check_ids(const ShardCheckpoint& ckpt) const {
+  const std::size_t n = config_->num_nodes;
+  const auto out_of_range = [n](rating::NodeId id) { return id >= n; };
+  if (std::any_of(ckpt.suppressed.begin(), ckpt.suppressed.end(),
+                  out_of_range) ||
+      std::any_of(ckpt.detected.begin(), ckpt.detected.end(), out_of_range) ||
+      std::any_of(ckpt.cells.begin(), ckpt.cells.end(),
+                  [n](const CheckpointCell& c) {
+                    return c.ratee >= n || c.rater >= n;
+                  }))
+    throw std::runtime_error("shard restore: checkpoint names a node id >= " +
+                             std::to_string(n));
+}
+
 void ServiceShard::restore(const ShardCheckpoint& ckpt) {
+  check_ids(ckpt);
   if (!ckpt.engine_blob.empty()) {
     std::istringstream blob(ckpt.engine_blob);
     if (!engine_.load_state(blob))
@@ -249,7 +282,9 @@ void ServiceShard::restore(const ShardCheckpoint& ckpt) {
 void ServiceShard::reload_from(const ShardCheckpoint& ckpt) {
   // Rebuild the engine in place (the manager holds a reference to it, so
   // assignment — not reconstruction — keeps that reference valid), then
-  // replace the manager wholesale for an empty matrix, and restore.
+  // replace the manager wholesale for an empty matrix, and restore. A
+  // refused checkpoint leaves the current state in place.
+  check_ids(ckpt);
   engine_ = reputation::SummationEngine(config_->num_nodes, kNormalize);
   manager_ = std::make_unique<managers::IncrementalCentralizedManager>(
       config_->num_nodes, engine_, config_->detector_config,

@@ -169,8 +169,25 @@ class ServiceShard {
   [[nodiscard]] bool wal_attached() const noexcept {
     return wal_.has_value();
   }
-  /// Appends to the WAL (no-op when detached) and updates WAL metrics.
+  /// WAL frames of a drained run are staged in memory and written with
+  /// one write; a run that reaches this many bytes is written at once.
+  static constexpr std::size_t kWalRunBytes = 64 * 1024;
+
+  /// Encodes `rec` into the staged run (no-op when detached); writes the
+  /// run when it reaches kWalRunBytes.
+  void stage_record(const WalRecord& rec);
+  /// Writes the staged run, if any, with one write and updates the WAL
+  /// metrics.
+  void flush_wal();
+  /// stage_record() + flush_wal(): `rec` is in the file on return. Epoch
+  /// markers and resize fences go through here, so a checkpoint rotation
+  /// never sees a partial run; the cluster managers log each rating this
+  /// way before acknowledging it.
   void log_record(const WalRecord& rec);
+  /// Whether staged frames are still waiting for flush_wal().
+  [[nodiscard]] bool wal_run_pending() const noexcept {
+    return wal_run_records_ != 0;
+  }
 
   /// Builds a checkpoint of the full shard state; nullopt when the engine
   /// cannot serialize itself (checkpointing then stays disabled).
@@ -179,14 +196,17 @@ class ServiceShard {
   /// (leaving the WAL unrotated) when either step fails.
   bool checkpoint_and_rotate(const std::string& ckpt_path);
   /// Restores state from a checkpoint (fresh shard only), republishes the
-  /// engine view and the read snapshot.
+  /// engine view and the read snapshot. Throws std::runtime_error, before
+  /// touching any state, when a cell, suppressed or detected id is
+  /// >= num_nodes (a CRC-valid checkpoint can still be hostile).
   void restore(const ShardCheckpoint& ckpt);
   /// Discards the shard's entire state (engine, matrix, counters) and
   /// restores from `ckpt` — restore() for a shard that has already lived.
   /// Used by the cluster paths: a rejoining manager adopting a peer's
   /// authoritative range state, and the decentralized service mode
   /// refreshing its local copies from the cluster at each epoch. Only
-  /// safe while the worker is parked (or before workers exist).
+  /// safe while the worker is parked (or before workers exist). Refuses
+  /// out-of-range ids like restore(), leaving the current state intact.
   void reload_from(const ShardCheckpoint& ckpt);
 
   /// Stamps the shard map (epoch, count) this shard currently runs under;
@@ -286,6 +306,8 @@ class ServiceShard {
 
  private:
   void publish_view(std::uint64_t epoch);
+  /// Throws std::runtime_error when `ckpt` names an id >= num_nodes.
+  void check_ids(const ShardCheckpoint& ckpt) const;
   void append_report(const std::string& text);
 
   std::size_t index_;
@@ -296,6 +318,10 @@ class ServiceShard {
   std::unique_ptr<managers::IncrementalCentralizedManager> manager_;
   std::unique_ptr<detect::Detector> detector_;
   std::optional<WalWriter> wal_;
+  /// Staged frames of the current run and their record count (worker
+  /// thread only).
+  std::string wal_run_;
+  std::uint64_t wal_run_records_ = 0;
 
   // Worker-thread state (global-epoch access happens while workers are
   // parked at the barrier, so no locking is needed beyond the atomics).

@@ -124,6 +124,31 @@ std::string encode_header(std::uint64_t generation, std::uint64_t map_epoch,
   return header;
 }
 
+// Slicing-by-8 tables for the reflected polynomial 0xEDB88320. Row 0 is
+// the classic byte-at-a-time table; row k maps a byte to its CRC
+// contribution followed by k zero bytes, so one step folds 8 input bytes.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}();
+
+/// Little-endian u32 at `p`, whatever the host order and alignment.
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
 }  // namespace
 
 void append_wal_header(std::string& out, std::uint64_t generation,
@@ -147,21 +172,18 @@ void append_wal_frame(std::string& out, const WalRecord& rec) {
 }
 
 std::uint32_t crc32(const void* data, std::size_t len) noexcept {
-  // Table generated on first use (polynomial 0xEDB88320, reflected).
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i)
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; bytes += 8, len -= 8) {
+    const std::uint32_t lo = load_le32(bytes) ^ crc;
+    const std::uint32_t hi = load_le32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++bytes, --len)
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -222,14 +244,18 @@ WalWriter WalWriter::resume(const std::string& path, std::uint64_t generation,
 }
 
 void WalWriter::append(const WalRecord& rec) {
-  util::MutexLock lock(mu_);
   frame_.clear();  // keeps its capacity: no allocation per record
   append_wal_frame(frame_, rec);
-  out_.write(frame_.data(), static_cast<std::streamsize>(frame_.size()));
+  append_frames(frame_, 1);
+}
+
+void WalWriter::append_frames(std::string_view frames, std::uint64_t records) {
+  util::MutexLock lock(mu_);
+  out_.write(frames.data(), static_cast<std::streamsize>(frames.size()));
   out_.flush();
   if (!out_) throw std::runtime_error("wal: write failed on " + path_);
-  ++records_;
-  bytes_ += frame_.size();
+  records_ += records;
+  bytes_ += frames.size();
 }
 
 void WalWriter::rotate() {

@@ -20,12 +20,14 @@
 // when the resize that logged it did NOT commit (crash inside the handoff
 // window) — recovery strips it and resumes under the old map.
 //
-// The shard worker appends each record immediately before applying it, so
+// The shard worker logs every record in the order it applies them, so
 // replaying the log reproduces the shard's state transition sequence
-// exactly — including epoch boundaries, which are logged as markers. A
-// torn tail (crash mid-write) fails its CRC or length check; readers keep
-// the valid prefix and report the cut so recovery can truncate before
-// appending again.
+// exactly — including epoch boundaries, which are logged as markers. It
+// writes the frames of each drained run with one write (ServiceShard::
+// stage_record), and every marker or fence writes the run before it, so
+// a checkpoint never covers a record the file lacks. A torn tail (crash
+// mid-write) fails its CRC or length check; readers keep the valid prefix
+// and report the cut so recovery can truncate before appending again.
 //
 // Compaction: a checkpoint file captures the shard's full state together
 // with (wal_generation, wal_records_applied); the WAL is then rotated
@@ -133,6 +135,12 @@ class WalWriter {
   /// other threads (metrics, tests).
   void append(const WalRecord& rec) P2PREP_EXCLUDES(mu_);
 
+  /// Appends `records` already-framed records (append_wal_frame output,
+  /// concatenated) with one write and flushes them to the OS. The file
+  /// bytes equal those of `records` append() calls.
+  void append_frames(std::string_view frames, std::uint64_t records)
+      P2PREP_EXCLUDES(mu_);
+
   /// Truncates the file and starts generation + 1 (post-checkpoint),
   /// keeping the current shard-map stamp.
   void rotate() P2PREP_EXCLUDES(mu_);
@@ -173,6 +181,8 @@ class WalWriter {
   void rotate_locked() P2PREP_REQUIRES(mu_);
 
   std::string path_;  ///< Immutable after create()/resume().
+  /// append()'s encode buffer; only the single appender touches it.
+  std::string frame_;
   mutable util::Mutex mu_;
   std::ofstream out_ P2PREP_GUARDED_BY(mu_);
   std::uint64_t generation_ P2PREP_GUARDED_BY(mu_) = 0;
@@ -180,7 +190,6 @@ class WalWriter {
   std::uint32_t num_shards_ P2PREP_GUARDED_BY(mu_) = 1;
   std::uint64_t records_ P2PREP_GUARDED_BY(mu_) = 0;
   std::uint64_t bytes_ P2PREP_GUARDED_BY(mu_) = 0;
-  std::string frame_ P2PREP_GUARDED_BY(mu_);  ///< append()'s encode buffer
 };
 
 struct WalReadResult {

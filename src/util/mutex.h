@@ -18,6 +18,7 @@
 //    compile (canary: tests/static_analysis/lock_order_fail.cpp).
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -81,6 +82,18 @@ class CondVar {
     std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
     cv_.wait(native);
     native.release();  // ownership stays with the caller's MutexLock
+  }
+
+  /// wait() with a deadline: returns false once `deadline` has passed
+  /// (the lock is reacquired either way), true on a notify or a spurious
+  /// wakeup.
+  bool wait_until(Mutex& mu, std::chrono::steady_clock::time_point deadline)
+      P2PREP_REQUIRES(mu) {
+    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
+    const bool notified = cv_.wait_until(native, deadline) ==
+                          std::cv_status::no_timeout;
+    native.release();
+    return notified;
   }
 
   void notify_one() noexcept { cv_.notify_one(); }

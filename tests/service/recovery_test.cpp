@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -366,6 +368,58 @@ TEST_F(RecoveryTest, RecoveryAdoptsResizedShardCount) {
   EXPECT_EQ(svc.metrics().ratings_applied, workload.size());
   EXPECT_EQ(svc.metrics().shard_map_epoch, 1u);
   svc.stop();
+}
+
+TEST_F(RecoveryTest, CheckpointWithOutOfRangeIdsIsRefused) {
+  constexpr std::size_t kSmall = 16;
+  ServiceConfig cfg = durable_config(/*checkpoint_every=*/1);
+  cfg.num_nodes = kSmall;
+  {
+    ReputationService svc(cfg);
+    for (const Rating& r : collusion_workload(26, kSmall))
+      ASSERT_TRUE(svc.ingest(r));
+    svc.force_epoch();
+    svc.drain();
+    ASSERT_EQ(svc.metrics().checkpoints_written, kShards);
+    svc.stop();
+  }
+  const std::string ckpt_file = (dir_ / "shard-000.ckpt").string();
+  const std::optional<ShardCheckpoint> good = read_checkpoint(ckpt_file);
+  ASSERT_TRUE(good.has_value());
+
+  // CRC-valid, well-formed, and naming node 1,000,000,000 of 16.
+  ShardCheckpoint hostile = *good;
+  hostile.cells.push_back({1'000'000'000u, 1, rating::PairStats{1, 1, 0}});
+  ASSERT_TRUE(write_checkpoint(ckpt_file, hostile));
+  EXPECT_THROW(ReputationService{cfg}, std::runtime_error);
+
+  // The cluster's state-pull path refuses the same blob, keeping the
+  // shard's current state.
+  const std::optional<ShardCheckpoint> pulled =
+      parse_checkpoint(encode_checkpoint(hostile));
+  ASSERT_TRUE(pulled.has_value());
+  ServiceConfig shard_cfg = cfg;
+  shard_cfg.wal_dir.clear();
+  ServiceShard shard(0, shard_cfg);
+  shard.reload_from(*good);
+  const std::uint64_t applied = shard.applied_total();
+  EXPECT_THROW(shard.reload_from(*pulled), std::runtime_error);
+  EXPECT_EQ(shard.applied_total(), applied);
+
+  // Every id field is checked: rater, suppressed and detected too.
+  ShardCheckpoint bad_rater = *good;
+  bad_rater.cells.push_back({1, kSmall, rating::PairStats{1, 1, 0}});
+  ShardCheckpoint bad_suppressed = *good;
+  bad_suppressed.suppressed.push_back(kSmall);
+  ShardCheckpoint bad_detected = *good;
+  bad_detected.detected.push_back(kSmall);
+  for (const ShardCheckpoint* bad :
+       {&bad_rater, &bad_suppressed, &bad_detected}) {
+    EXPECT_THROW(shard.reload_from(*bad), std::runtime_error);
+    ServiceShard fresh(0, shard_cfg);
+    EXPECT_THROW(fresh.restore(*bad), std::runtime_error);
+  }
+  EXPECT_EQ(shard.applied_total(), applied);
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace p2prep::service {
 namespace {
@@ -281,6 +284,42 @@ TEST_F(WalTest, CheckpointWriteLeavesNoTempFileBehind) {
     ++entries;
   }
   EXPECT_EQ(entries, 1u);  // only the checkpoint itself
+}
+
+/// The byte-at-a-time table loop crc32() used before slicing-by-8; kept
+/// here as the reference the fast path must match bit for bit.
+std::uint32_t crc32_bytewise(const unsigned char* bytes, std::size_t len) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i)
+    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicingBy8MatchesBytewiseReference) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);  // the standard check value
+  std::mt19937 gen(7);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(gen());
+  std::size_t mismatches = 0;
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const unsigned char* p = buf.data() + align;
+      if (crc32(p, len) != crc32_bytewise(p, len)) {
+        ADD_FAILURE() << "align " << align << " len " << len;
+        if (++mismatches == 10) return;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -43,7 +43,9 @@
 #                         plus the Cluster suites — the multi-threaded
 #                         manager nodes, replica failover and the
 #                         decentralized-manager service mode over real
-#                         sockets
+#                         sockets — plus IngestQueueWake (coalesced
+#                         producer/consumer wake-ups) and WalRun (staged
+#                         WAL runs against a concurrent drain())
 #   P2PREP_FUZZ_SECONDS   libFuzzer time budget per target in the fuzz
 #                         stage (default: 60)
 #   P2PREP_JOBS           parallel build/test jobs (default: nproc)
@@ -61,7 +63,7 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_prefix="${P2PREP_BUILD_PREFIX:-${repo_root}/build-}"
 jobs="${P2PREP_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 ctest_filter="${P2PREP_CTEST_FILTER:-}"
-tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency|Reshard|OverlapStress|ParallelEpoch|AccompliceExchange|Cluster}"
+tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency|Reshard|OverlapStress|ParallelEpoch|AccompliceExchange|Cluster|IngestQueueWake|WalRun}"
 clangxx="${P2PREP_CLANG:-$(command -v clang++ || true)}"
 clang_tidy="$(command -v clang-tidy || true)"
 
