@@ -10,7 +10,10 @@
 // divided by S — cutting the dominant detection term by the shard count.
 // Global scope sweeps every shard's rows at each epoch barrier (and checks
 // the pairs that span shards, which per-shard scope never does); the
-// scope column measures what that costs.
+// scope column measures what that costs. Global scope counts its cadence
+// in total ratings, so its third arm fires every 1024 x S ratings: the
+// rate at which per-shard scope sweeps each row, for an equal-frequency
+// comparison.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -44,7 +47,9 @@ std::vector<rating::Rating> workload() {
 }
 
 // Arg 0: shard count. Arg 1: matrix backend (0 = dense, 1 = sparse).
-// Arg 2: epoch scope (0 = per-shard, 1 = global).
+// Arg 2: epoch scope and cadence (0 = per-shard every 1024 ratings per
+// shard, 1 = global every 1024 ratings, 2 = global every 1024 x S
+// ratings).
 // The backend dimension shows the memory trade directly: dense shard
 // matrices cost num_shards * kNodes^2 cells regardless of traffic, sparse
 // ones O(nnz) — the matrix_bytes counter reports the aggregate gauge.
@@ -60,7 +65,7 @@ void BM_ServiceIngestThroughput(benchmark::State& state) {
   cfg.queue_capacity = 4096;
   cfg.epoch_scope = state.range(2) == 0 ? service::EpochScope::kPerShard
                                          : service::EpochScope::kGlobal;
-  cfg.epoch_ratings = 1024;
+  cfg.epoch_ratings = state.range(2) == 2 ? 1024 * shards : 1024;
   cfg.detector = "optimized";
   cfg.detector_config.positive_fraction_min = 0.8;
   cfg.detector_config.complement_fraction_max = 0.2;
@@ -92,8 +97,8 @@ void BM_ServiceIngestThroughput(benchmark::State& state) {
       static_cast<double>(total_ratings), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ServiceIngestThroughput)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}, {0, 1}})
-    ->ArgNames({"shards", "sparse", "global"})
+    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}, {0, 1, 2}})
+    ->ArgNames({"shards", "sparse", "scope"})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -674,17 +674,17 @@ rpc::Status ManagerNode::handle_query(rpc::Reader& r, std::string& body) {
   const std::size_t range = map_.owner(req->node);
 
   if (holds(range)) {
-    std::shared_ptr<const service::ShardView> view;
+    // Reputations, verdicts and the epoch count change only when an epoch
+    // commits, so this is the range's epoch-published state.
+    rpc::QueryReputationResponse resp;
     {
       const util::MutexLock lock(state_mu_);
-      view = store_of(range)->shard.view();
+      service::ServiceShard& shard = store_of(range)->shard;
+      const auto reps = shard.engine().reputations();
+      if (req->node < reps.size()) resp.reputation = reps[req->node];
+      resp.suspected = shard.manager().detected().contains(req->node) ? 1 : 0;
+      resp.epoch = shard.epochs_completed();
     }
-    rpc::QueryReputationResponse resp;
-    if (req->node < view->reputations.size())
-      resp.reputation = view->reputations[req->node];
-    if (req->node < view->suspected.size())
-      resp.suspected = view->suspected[req->node];
-    resp.epoch = view->epoch;
     resp.shard = static_cast<std::uint32_t>(range);
     resp.encode(body);
     return rpc::Status::kOk;
@@ -756,17 +756,11 @@ rpc::Status ManagerNode::handle_colluder_set(rpc::Reader& r,
         completed = std::max(completed, store->shard.epochs_completed());
         continue;
       }
-      // Replay the single-process global epoch's exact mutation sequence
-      // (service.cpp run_global_epoch) on this range: update, apply
-      // verdicts to owned ids, update again, close the epoch.
+      // Replay the single-process global epoch on this range: the
+      // pre-detection engine update, then the same commit the service
+      // runs on each shard.
       store->shard.manager().update_reputations();
-      for (rating::NodeId id : req->flagged) {
-        if (map_.owner(id) != store->range) continue;
-        store->shard.manager().restore_detected({id});
-        store->shard.engine().reset_reputation(id);
-      }
-      if (!req->flagged.empty()) store->shard.manager().update_reputations();
-      store->shard.finish_global_epoch(req->epoch_seq);
+      store->shard.commit_epoch(req->epoch_seq, req->flagged, map_);
       // The epoch commit is the durable point: checkpoint + rotate keeps
       // each range's WAL a pure post-epoch rating stream.
       if (!config_.data_dir.empty() &&

@@ -9,11 +9,12 @@
 // The node serves the manager-to-manager surface of cluster/protocol.h
 // over the CRC-framed rpc:: transport: insert (with per-source dedup and
 // synchronous replication to the other live holders before the ack),
-// query (answered from the held range's published view), state pull
-// (canonical checkpoint bytes), colluder-set (the global epoch's commit,
-// replaying the exact single-process mutation sequence), ring info and
-// rejoin. Ratings for ranges the node does not hold are forwarded to the
-// holders with primary-first failover.
+// query (answered under state_mu_ from the held range's epoch-published
+// engine state), state pull (canonical checkpoint bytes), colluder-set
+// (the global epoch's commit, ServiceShard::commit_epoch as in the
+// single-process service), ring info and rejoin. Ratings for ranges the
+// node does not hold are forwarded to the holders with primary-first
+// failover.
 //
 // Durability: each held range owns a WAL + checkpoint pair in data_dir
 // (`range-<r>.wal` / `range-<r>.ckpt`, v2 codecs). A killed node

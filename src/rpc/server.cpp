@@ -462,9 +462,8 @@ void RpcServer::handle_query_reputation(Reader& r, ResponseHeader& resp,
   out.suspected = snap.suspected(req->node) ? 1 : 0;
   // Resolve the owner through the snapshot's own map: shard_of() reads the
   // live map, which a concurrent resize() may already have swapped.
-  const std::size_t shard = snap.owner(req->node);
-  out.shard = static_cast<std::uint32_t>(shard);
-  out.epoch = snap.shards[shard]->epoch;
+  out.shard = static_cast<std::uint32_t>(snap.owner(req->node));
+  out.epoch = snap.epoch(req->node);
   out.encode(body);
 }
 

@@ -123,10 +123,6 @@ ReputationService::ReputationService(ServiceConfig config)
     if (budget > 1)
       scan_executor_ = std::make_unique<detect::ThreadPoolExecutor>(budget);
   }
-  // Fails fast on unknown detector names before any shard work starts
-  // (make_detector throws listing every detector name).
-  make_global_detector(*map);
-
   SlotTable table;
   table.map = map;
   table.map_epoch = live_epoch;
@@ -137,10 +133,7 @@ ReputationService::ReputationService(ServiceConfig config)
                                     static_cast<std::uint32_t>(live_shards));
     table.slots.push_back(std::move(slot));
   }
-  if (global_detector_ && global_detector_->wants_dirty_tracking()) {
-    for (const auto& slot : table.slots)
-      slot->shard.manager().enable_dirty_tracking();
-  }
+  make_global_detector(table);
 
   auto table_ptr = std::make_shared<const SlotTable>(std::move(table));
   {
@@ -172,6 +165,8 @@ ReputationService::ReputationService(ServiceConfig config)
             static_cast<std::uint32_t>(live_shards)));
     }
   }
+
+  publish_view(*table_ptr);
 
   std::uint64_t applied = 0;
   for (const auto& slot : table_ptr->slots)
@@ -351,7 +346,8 @@ void ReputationService::recover(std::vector<ShardDurableState> state,
         if (rec.kind == WalRecordKind::kRating)
           slots[s]->shard.apply_rating(rec.rating);
         else
-          slots[s]->shard.run_local_epoch();
+          record_rings(slots[s]->shard.run_local_epoch(),
+                       slots[s]->shard.detector());
       }
     }
   } else {
@@ -640,11 +636,7 @@ ResizeStats ReputationService::resize(std::size_t new_num_shards) {
   // stay byte-identical to a never-resized run.
   for (const auto& slot : next_ptr->slots)
     slot->shard.set_shard_map_stamp(new_epoch, new_count32);
-  make_global_detector(*new_map);
-  if (global_detector_ && global_detector_->wants_dirty_tracking()) {
-    for (const auto& slot : next_ptr->slots)
-      slot->shard.manager().enable_dirty_tracking();
-  }
+  make_global_detector(*next_ptr);
 
   // Durable commit: every live shard checkpoints under the new map and
   // rotates its WAL to a header stamped (new_epoch, new_count); grown
@@ -673,6 +665,11 @@ ResizeStats ReputationService::resize(std::size_t new_num_shards) {
   {
     const util::MutexLock lock(applied_mu_);
     applied_ = next_ptr;
+  }
+  {
+    // Moved nodes took their state along: the view stays exact.
+    const util::MutexLock lock(view_mu_);
+    published_.map = new_map;
   }
   {
     const util::MutexLock lock(epoch_mu_);
@@ -847,8 +844,10 @@ void ReputationService::resize_fence(std::uint64_t map_epoch) {
 
 void ReputationService::run_shard_epoch(ShardSlot& slot) {
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t pairs = slot.shard.run_local_epoch();
-  record_epoch_metrics(start, pairs);
+  const core::DetectionReport report = slot.shard.run_local_epoch();
+  record_rings(report, slot.shard.detector());
+  publish_shard(slot.shard);
+  record_epoch_metrics(start, report.pairs.size() + report.rings.size());
   if (checkpoints_enabled_.load(std::memory_order_relaxed) &&
       slot.shard.wal_attached() &&
       slot.shard.epochs_completed() % config_.checkpoint_every_epochs == 0)
@@ -944,22 +943,15 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
   const core::DetectionReport report = global_detect(*table);
   const std::vector<rating::NodeId> flagged = report.colluders();
 
-  // Suppression: the paper's reset of every implicated node.
-  if (!flagged.empty()) {
-    for (rating::NodeId id : flagged) {
-      ServiceShard& owner = slots[table->map->owner(id)]->shard;
-      owner.manager().restore_detected({id});
-      owner.engine().reset_reputation(id);
-    }
-    for (const auto& slot : slots) slot->shard.manager().update_reputations();
-  }
-
+  for (const auto& slot : slots)
+    slot->shard.commit_epoch(seq, flagged, *table->map);
   if (config_.record_reports) {
     std::string text = format_epoch_report("global", seq, report);
     const util::MutexLock lock(log_mu_);
     report_log_ += text;
   }
-  for (const auto& slot : slots) slot->shard.finish_global_epoch(seq);
+  // Recovery replay publishes once, after its last epoch.
+  if (live) publish_view(*table);
 
   if (config_.cluster) {
     // Cluster-wide epoch commit: every manager replays the same verdict
@@ -968,16 +960,7 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
     (void)config_.cluster->push(seq, flagged);
   }
 
-  rings_found_.fetch_add(report.rings.size(), std::memory_order_relaxed);
-  for (const auto& ring : report.rings) {
-    std::uint64_t prev = ring_largest_.load(std::memory_order_relaxed);
-    while (prev < ring.members.size() &&
-           !ring_largest_.compare_exchange_weak(prev, ring.members.size(),
-                                                std::memory_order_relaxed)) {
-    }
-  }
-  ring_scan_us_.store(global_detector_->stats().scan_us,
-                      std::memory_order_relaxed);
+  record_rings(report, *global_detector_);
 
   if (overlap) {
     epoch_overlap_us_.store(
@@ -1011,10 +994,14 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
   }
 }
 
-void ReputationService::make_global_detector(const ShardMap&) {
+void ReputationService::make_global_detector(const SlotTable& table) {
   if (config_.epoch_scope != EpochScope::kGlobal) return;
   global_detector_ =
       detect::make_detector(config_.detector, config_.detector_config);
+  if (global_detector_->wants_dirty_tracking()) {
+    for (const auto& slot : table.slots)
+      slot->shard.manager().enable_dirty_tracking();
+  }
 }
 
 core::DetectionReport ReputationService::global_detect(
@@ -1048,6 +1035,19 @@ void ReputationService::checkpoint_shard(ShardSlot& slot) {
     checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
   else
     checkpoints_enabled_.store(false, std::memory_order_relaxed);
+}
+
+void ReputationService::record_rings(const core::DetectionReport& report,
+                                     const detect::Detector& detector) {
+  rings_found_.fetch_add(report.rings.size(), std::memory_order_relaxed);
+  for (const auto& ring : report.rings) {
+    std::uint64_t prev = ring_largest_.load(std::memory_order_relaxed);
+    while (prev < ring.members.size() &&
+           !ring_largest_.compare_exchange_weak(prev, ring.members.size(),
+                                                std::memory_order_relaxed)) {
+    }
+  }
+  ring_scan_us_.store(detector.stats().scan_us, std::memory_order_relaxed);
 }
 
 void ReputationService::record_epoch_metrics(
@@ -1100,14 +1100,46 @@ std::size_t ReputationService::shard_of(rating::NodeId id) const {
   return id < config_.num_nodes ? table->map->owner(id) : 0;
 }
 
+namespace {
+// Overwrites the view entries of the nodes `shard` owns under `map`, and
+// its shard epoch.
+void write_owned(ServiceShard& shard, const ShardMap& map,
+                 PublishedView& view) {
+  const auto reps = shard.engine().reputations();
+  const auto& detected = shard.manager().detected();
+  for (rating::NodeId i = 0; i < view.reputations.size(); ++i) {
+    if (map.owner(i) != shard.index()) continue;
+    view.reputations[i] = i < reps.size() ? reps[i] : 0.0;
+    view.suspected[i] = detected.contains(i) ? 1 : 0;
+  }
+  view.shard_epochs[shard.index()] = shard.epochs_completed();
+}
+}  // namespace
+
+void ReputationService::publish_view(const SlotTable& table) {
+  auto view = std::make_shared<PublishedView>();
+  view->reputations.assign(config_.num_nodes, 0.0);
+  view->suspected.assign(config_.num_nodes, 0);
+  view->shard_epochs.assign(table.slots.size(), 0);
+  for (const auto& slot : table.slots)
+    write_owned(slot->shard, *table.map, *view);
+  const util::MutexLock lock(view_mu_);
+  published_.view = std::move(view);
+  published_.map = table.map;
+}
+
+void ReputationService::publish_shard(ServiceShard& shard) {
+  // Copy-on-write under the lock: concurrent shard workers each publish a
+  // complete successor, so none can drop another's entries.
+  const util::MutexLock lock(view_mu_);
+  auto view = std::make_shared<PublishedView>(*published_.view);
+  write_owned(shard, *published_.map, *view);
+  published_.view = std::move(view);
+}
+
 ServiceSnapshot ReputationService::snapshot() const {
-  const auto table = applied_table();
-  ServiceSnapshot snap;
-  snap.map = table->map;
-  snap.shards.reserve(table->slots.size());
-  for (const auto& slot : table->slots)
-    snap.shards.push_back(slot->shard.view());
-  return snap;
+  const util::MutexLock lock(view_mu_);
+  return published_;
 }
 
 ServiceMetrics ReputationService::metrics() const {
@@ -1144,16 +1176,9 @@ ServiceMetrics ReputationService::metrics() const {
       last_epoch_detections_.load(std::memory_order_relaxed);
   m.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
 
-  // Ring gauges: global epochs record on the service, per-shard epochs on
-  // each shard — found sums, largest/scan take the max across sources.
   m.rings_found = rings_found_.load(std::memory_order_relaxed);
   m.ring_largest = ring_largest_.load(std::memory_order_relaxed);
   m.ring_scan_us = ring_scan_us_.load(std::memory_order_relaxed);
-  for (const auto& slot : slots) {
-    m.rings_found += slot->shard.rings_found();
-    m.ring_largest = std::max(m.ring_largest, slot->shard.ring_largest());
-    m.ring_scan_us = std::max(m.ring_scan_us, slot->shard.ring_scan_us());
-  }
 
   // Parallel-epoch gauges.
   m.epoch_scan_threads = epoch_scan_threads_.load(std::memory_order_relaxed);

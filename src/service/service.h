@@ -35,8 +35,9 @@
 // detection reports are byte-identical to a never-resized run
 // (tests/differential/reshard_differential_test.cpp).
 //
-// Reads (snapshot(), metrics(), report_log()) never block ingest: each
-// shard publishes an immutable ShardView behind a shared_ptr swap.
+// Reads (snapshot(), metrics(), report_log()) never block ingest: epochs
+// and recovery publish one immutable PublishedView keyed by node id, which
+// a resize leaves exact (a moved node takes its state with it).
 //
 // Durability: when configured with a wal_dir, every shard logs its applied
 // record stream (ratings + epoch markers) to a per-shard WAL, writing each
@@ -52,6 +53,7 @@
 // byte-identical detection reports (tested).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -71,35 +73,50 @@
 
 namespace p2prep::service {
 
-/// Point-in-time read view over all shards. Holding one pins the views it
-/// references; the service keeps publishing newer ones concurrently.
+/// Immutable service-wide read state, swapped wholesale so readers never
+/// observe a half-published epoch.
+struct PublishedView {
+  std::vector<double> reputations;     ///< Per node, from its owner shard.
+  std::vector<std::uint8_t> suspected; ///< 1 once its owner flagged it.
+  /// The epoch each shard last closed, indexed by the layout the view was
+  /// last published under (a resize keeps it).
+  std::vector<std::uint64_t> shard_epochs;
+};
+
+/// Point-in-time read: the published view plus the applied shard map.
+/// Holding one pins both; the service keeps publishing newer views.
 struct ServiceSnapshot {
-  std::vector<std::shared_ptr<const ShardView>> shards;
-  /// The shard map the views were published under; resolves node -> shard.
+  std::shared_ptr<const PublishedView> view;
   std::shared_ptr<const ShardMap> map;
 
   [[nodiscard]] std::size_t num_shards() const noexcept {
-    return shards.size();
+    return map ? map->num_shards() : 0;
   }
-  /// Owner shard of node i under this snapshot's map.
+  /// Owner shard of node i under this snapshot's map (0 when out of range).
   [[nodiscard]] std::size_t owner(rating::NodeId i) const noexcept {
-    return map ? map->owner(i) : 0;
+    return map && i < map->num_nodes() ? map->owner(i) : 0;
   }
-  /// Node i's published reputation, read from its owner shard's view.
-  [[nodiscard]] double reputation(rating::NodeId i) const {
-    const auto& view = *shards[owner(i)];
-    return i < view.reputations.size() ? view.reputations[i] : 0.0;
+  /// Node i's published reputation (0 when out of range).
+  [[nodiscard]] double reputation(rating::NodeId i) const noexcept {
+    return view && i < view->reputations.size() ? view->reputations[i] : 0.0;
   }
-  /// Whether node i has been flagged as a colluder by its owner shard.
-  [[nodiscard]] bool suspected(rating::NodeId i) const {
-    const auto& view = *shards[owner(i)];
-    return i < view.suspected.size() && view.suspected[i] != 0;
+  /// Whether node i's owner flagged it (false when out of range).
+  [[nodiscard]] bool suspected(rating::NodeId i) const noexcept {
+    return view && i < view->suspected.size() && view->suspected[i] != 0;
   }
-  /// Lowest epoch any shard has published (== the epoch in kGlobal scope).
-  [[nodiscard]] std::uint64_t min_epoch() const {
-    std::uint64_t e = ~0ull;
-    for (const auto& v : shards) e = std::min(e, v->epoch);
-    return shards.empty() ? 0 : e;
+  /// Lowest epoch any shard has closed (== the epoch in kGlobal scope).
+  [[nodiscard]] std::uint64_t min_epoch() const noexcept {
+    return view && !view->shard_epochs.empty()
+               ? std::ranges::min(view->shard_epochs)
+               : 0;
+  }
+  /// The epoch node i's shard last closed. A shard grown since the last
+  /// publish has no entry; only kGlobal scope resizes, where every shard
+  /// closes the same epoch.
+  [[nodiscard]] std::uint64_t epoch(rating::NodeId i) const noexcept {
+    const std::size_t s = owner(i);
+    return view && s < view->shard_epochs.size() ? view->shard_epochs[s]
+                                                 : min_epoch();
   }
 };
 
@@ -277,10 +294,19 @@ class ReputationService {
   void record_epoch_metrics(std::chrono::steady_clock::time_point start,
                             std::size_t detections);
   void checkpoint_shard(ShardSlot& slot);
-  /// (Re)creates global_detector_ for the given map — at construction and
-  /// after every resize (streaming detectors rebuild their caches from
-  /// the re-partitioned matrices on the next epoch).
-  void make_global_detector(const ShardMap& map);
+  void record_rings(const core::DetectionReport& report,
+                    const detect::Detector& detector);
+  /// Publishes a view rebuilt from every shard of `table` (whose workers
+  /// are parked, deferred or not started) with the table's map.
+  void publish_view(const SlotTable& table) P2PREP_EXCLUDES(view_mu_);
+  /// Per-shard scope, on `shard`'s worker: publishes a copy of the view
+  /// with the entries of the nodes `shard` owns overwritten.
+  void publish_shard(ServiceShard& shard) P2PREP_EXCLUDES(view_mu_);
+  /// (Re)creates global_detector_ for `table` — at construction and after
+  /// every resize (streaming detectors rebuild their caches from the
+  /// re-partitioned matrices on the next epoch) — and turns on dirty
+  /// tracking in its shards when the detector streams.
+  void make_global_detector(const SlotTable& table);
 
   ServiceConfig config_;
   /// Cross-shard detector instance for global epochs, built by
@@ -305,12 +331,13 @@ class ReputationService {
   //                               together — both only nest under L0)
   //   L2  applied_mu_             applied-table swap (under epoch_mu_ in
   //                               the global-epoch body)
-  //   L3  latency_mu_, log_mu_    metric/report leaves (under epoch_mu_)
+  //   L3  latency_mu_, log_mu_,   metric/report/read-view leaves
+  //       view_mu_                (under epoch_mu_)
   //
   // Below the service sit the per-object leaves — IngestQueue::mu_ (under
   // route_mu_: fence/marker injection pushes while routing), WalWriter::
-  // mu_ and ServiceShard::view_mu_/log_mu_ (under epoch_mu_: the last
-  // barrier arriver publishes views and rotates WALs). Those cannot be
+  // mu_ and ServiceShard::log_mu_ (under epoch_mu_: the last barrier
+  // arriver rotates WALs and appends reports). Those cannot be
   // named in member annotations here (TSA attribute arguments must be
   // in-scope member expressions), so their ordering is enforced by the
   // linter's conventions and documented in DESIGN.md §14.
@@ -356,7 +383,7 @@ class ReputationService {
   std::atomic<std::uint64_t> detections_total_{0};
   std::atomic<std::uint64_t> last_epoch_detections_{0};
   std::atomic<std::uint64_t> checkpoints_written_{0};
-  // Ring gauges for global epochs (per-shard epochs use the shard's own).
+  // Ring gauges, recorded by record_rings() in both scopes.
   std::atomic<std::uint64_t> rings_found_{0};
   std::atomic<std::uint64_t> ring_largest_{0};
   std::atomic<std::uint64_t> ring_scan_us_{0};
@@ -383,6 +410,11 @@ class ReputationService {
   // Global-scope report log.
   mutable util::Mutex log_mu_ P2PREP_ACQUIRED_AFTER(resize_mu_, epoch_mu_);
   std::string report_log_ P2PREP_GUARDED_BY(log_mu_);
+
+  // The published read view and the map snapshot() pairs it with: one
+  // lock per read. A resize swaps the map without republishing the view.
+  mutable util::Mutex view_mu_ P2PREP_ACQUIRED_AFTER(resize_mu_, epoch_mu_);
+  ServiceSnapshot published_ P2PREP_GUARDED_BY(view_mu_);
 };
 
 }  // namespace p2prep::service

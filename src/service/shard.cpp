@@ -35,17 +35,9 @@ ServiceShard::ServiceShard(std::size_t index, const ServiceConfig& config)
     : index_(index),
       config_(&config),
       engine_(config.num_nodes, kNormalize),
-      manager_(std::make_unique<managers::IncrementalCentralizedManager>(
-          config.num_nodes, engine_, config.detector_config,
-          config.matrix_backend)),
-      detector_(detect::make_detector(config.detector, config.detector_config)),
-      view_(std::make_shared<const ShardView>()) {
-  // Per-shard epochs feed the detector this shard's matrix; when it
-  // streams (ring), record dirty cells so epochs cost O(changed nnz).
-  if (config.epoch_scope == EpochScope::kPerShard &&
-      detector_->wants_dirty_tracking()) {
-    manager_->enable_dirty_tracking();
-  }
+      detector_(
+          detect::make_detector(config.detector, config.detector_config)) {
+  reset_manager();
   matrix_bytes_.store(manager_->matrix().approx_memory_bytes(),
                       std::memory_order_relaxed);
 }
@@ -95,60 +87,39 @@ bool ServiceShard::epoch_due(rating::Tick now) const noexcept {
   return false;
 }
 
-std::size_t ServiceShard::run_local_epoch() {
+core::DetectionReport ServiceShard::run_local_epoch() {
   manager_->update_reputations();
-  const core::DetectionReport report = manager_->run_detection(*detector_);
-  rings_found_.fetch_add(report.rings.size(), std::memory_order_relaxed);
-  for (const auto& ring : report.rings) {
-    std::uint64_t prev = ring_largest_.load(std::memory_order_relaxed);
-    while (prev < ring.members.size() &&
-           !ring_largest_.compare_exchange_weak(prev, ring.members.size(),
-                                                std::memory_order_relaxed)) {
-    }
-  }
-  ring_scan_us_.store(detector_->stats().scan_us, std::memory_order_relaxed);
-  const std::uint64_t epoch =
-      epochs_completed_.fetch_add(1, std::memory_order_relaxed) + 1;
-  applied_since_epoch_ = 0;
-  last_epoch_tick_ = last_applied_tick_;
-
+  core::DetectionReport report = manager_->run_detection(*detector_);
+  const std::uint64_t epoch = epochs_completed() + 1;
+  close_epoch(epoch);
   if (config_->record_reports) {
     append_report(format_epoch_report("shard " + std::to_string(index_),
                                       epoch, report));
   }
-  publish_view(epoch);
-  return report.pairs.size() + report.rings.size();
+  return report;
 }
 
-void ServiceShard::finish_global_epoch(std::uint64_t epoch_seq) {
-  epochs_completed_.store(epoch_seq, std::memory_order_relaxed);
+void ServiceShard::commit_epoch(std::uint64_t epoch_seq,
+                                const std::vector<rating::NodeId>& flagged,
+                                const ShardMap& map) {
+  // Suppression: the paper's reset of every implicated node.
+  for (rating::NodeId id : flagged) {
+    if (map.owner(id) != index_) continue;
+    manager_->restore_detected({id});
+    engine_.reset_reputation(id);
+  }
+  if (!flagged.empty()) manager_->update_reputations();
+  close_epoch(epoch_seq);
+}
+
+void ServiceShard::close_epoch(std::uint64_t epoch) {
+  epochs_completed_.store(epoch, std::memory_order_relaxed);
   applied_since_epoch_ = 0;
   last_epoch_tick_ = last_applied_tick_;
-  publish_view(epoch_seq);
-}
-
-void ServiceShard::publish_view(std::uint64_t epoch) {
-  auto view = std::make_shared<ShardView>();
-  view->epoch = epoch;
-  const auto reps = engine_.reputations();
-  view->reputations.assign(reps.begin(), reps.end());
-  view->reputations.resize(config_->num_nodes, 0.0);
-  view->suspected.assign(config_->num_nodes, 0);
-  for (rating::NodeId id : manager_->detected()) {
-    if (id < view->suspected.size()) view->suspected[id] = 1;
-  }
   // Epoch boundaries are the only points where no worker is mutating the
   // matrix, so this is where the footprint gauge refreshes.
   matrix_bytes_.store(manager_->matrix().approx_memory_bytes(),
                       std::memory_order_relaxed);
-
-  const util::MutexLock lock(view_mu_);
-  view_ = std::move(view);
-}
-
-std::shared_ptr<const ShardView> ServiceShard::view() const {
-  const util::MutexLock lock(view_mu_);
-  return view_;
 }
 
 void ServiceShard::append_report(const std::string& text) {
@@ -276,29 +247,31 @@ void ServiceShard::restore(const ShardCheckpoint& ckpt) {
   // Republish: engine epoch re-derives the published vector (idempotent
   // for the summation engine) and refreshes the matrix reputation column.
   manager_->update_reputations();
-  publish_view(ckpt.epochs_completed);
+  matrix_bytes_.store(manager_->matrix().approx_memory_bytes(),
+                      std::memory_order_relaxed);
 }
 
 void ServiceShard::reload_from(const ShardCheckpoint& ckpt) {
   // Rebuild the engine in place (the manager holds a reference to it, so
   // assignment — not reconstruction — keeps that reference valid), then
-  // replace the manager wholesale for an empty matrix, and restore. A
-  // refused checkpoint leaves the current state in place.
+  // replace the manager wholesale for an empty matrix, and restore, which
+  // also sets every counter. A refused checkpoint leaves the current
+  // state in place.
   check_ids(ckpt);
   engine_ = reputation::SummationEngine(config_->num_nodes, kNormalize);
+  reset_manager();
+  restore(ckpt);
+}
+
+void ServiceShard::reset_manager() {
   manager_ = std::make_unique<managers::IncrementalCentralizedManager>(
       config_->num_nodes, engine_, config_->detector_config,
       config_->matrix_backend);
+  // Per-shard epochs feed the detector this shard's matrix; when it
+  // streams (ring), record dirty cells so epochs cost O(changed nnz).
   if (config_->epoch_scope == EpochScope::kPerShard &&
-      detector_->wants_dirty_tracking()) {
+      detector_->wants_dirty_tracking())
     manager_->enable_dirty_tracking();
-  }
-  applied_total_.store(0, std::memory_order_relaxed);
-  applied_since_epoch_ = 0;
-  last_epoch_tick_ = 0;
-  last_applied_tick_ = 0;
-  epochs_completed_.store(0, std::memory_order_relaxed);
-  restore(ckpt);
 }
 
 }  // namespace p2prep::service

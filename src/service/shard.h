@@ -1,13 +1,12 @@
 // One shard of the online reputation service: an IncrementalCentralizedManager
-// plus its SummationEngine, detector, WAL writer, epoch counters and the
-// published read view. Shards own disjoint ratee partitions (the
-// consistent-hash service::ShardMap over dht::hash_node), so every
-// quantity detection needs about node i — its matrix row, window totals,
-// engine reputation — lives wholly inside its owner shard. The shard's
-// worker thread (owned by ReputationService) is the only mutator; readers
-// go through the immutable ShardView snapshot. A resize moves a node
-// between shards via take_node()/restore_node() while both workers are
-// parked at the resize barrier.
+// plus its SummationEngine, detector, WAL writer and epoch counters. Shards
+// own disjoint ratee partitions (the consistent-hash service::ShardMap over
+// dht::hash_node), so every quantity detection needs about node i — its
+// matrix row, window totals, engine reputation — lives wholly inside its
+// owner shard. The shard's worker thread (owned by ReputationService) is
+// the only mutator; readers go through the service's published view. A
+// resize moves a node between shards via take_node()/restore_node() while
+// both workers are parked at the resize barrier.
 #pragma once
 
 #include <atomic>
@@ -23,6 +22,7 @@
 #include "detect/detector.h"
 #include "managers/incremental.h"
 #include "reputation/summation.h"
+#include "service/shard_map.h"
 #include "service/wal.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -139,17 +139,6 @@ struct ServiceConfig {
   }
 };
 
-/// Immutable published state of one shard; swapped wholesale at epoch end
-/// so readers never observe a half-updated epoch.
-struct ShardView {
-  std::uint64_t epoch = 0;
-  /// Engine-published reputations (full node range; entries for nodes the
-  /// shard does not own are 0 — consult their owner's view).
-  std::vector<double> reputations;
-  /// Bitmap of nodes this shard has ever flagged as colluders.
-  std::vector<std::uint8_t> suspected;
-};
-
 /// Deterministic detection-report text: header line with epoch number,
 /// source label ("shard k" / "global"), pair/ring counts and flagged ids,
 /// then one evidence line per pair and per ring. Byte-stable across runs
@@ -195,8 +184,8 @@ class ServiceShard {
   /// Atomically writes the checkpoint and rotates the WAL. Returns false
   /// (leaving the WAL unrotated) when either step fails.
   bool checkpoint_and_rotate(const std::string& ckpt_path);
-  /// Restores state from a checkpoint (fresh shard only), republishes the
-  /// engine view and the read snapshot. Throws std::runtime_error, before
+  /// Restores state from a checkpoint (fresh shard only) and republishes
+  /// the engine's reputations. Throws std::runtime_error, before
   /// touching any state, when a cell, suppressed or detected id is
   /// >= num_nodes (a CRC-valid checkpoint can still be hostile).
   void restore(const ShardCheckpoint& ckpt);
@@ -245,8 +234,8 @@ class ServiceShard {
   /// Per-shard cadence check, evaluated after each applied rating.
   [[nodiscard]] bool epoch_due(rating::Tick now) const noexcept;
   /// Runs one shard-local epoch: engine update, detection, suppression,
-  /// view publication. Returns the number of flagged pairs + rings.
-  std::size_t run_local_epoch();
+  /// epoch close. Returns the epoch's detection report.
+  core::DetectionReport run_local_epoch();
 
   // --- Hooks for service-driven (global) epochs ---
   [[nodiscard]] managers::IncrementalCentralizedManager& manager() noexcept {
@@ -259,12 +248,16 @@ class ServiceShard {
   [[nodiscard]] reputation::ReputationEngine& engine() noexcept {
     return engine_;
   }
-  /// Closes an epoch driven by the service (global scope): bumps counters
-  /// and publishes the view with the given epoch number.
-  void finish_global_epoch(std::uint64_t epoch_seq);
+  [[nodiscard]] const detect::Detector& detector() const noexcept {
+    return *detector_;
+  }
+  /// Commits global epoch `epoch_seq` (service and cluster managers alike):
+  /// the verdicts for the flagged ids this shard owns under `map`, one
+  /// engine update when anything was flagged, then the epoch close.
+  void commit_epoch(std::uint64_t epoch_seq,
+                    const std::vector<rating::NodeId>& flagged,
+                    const ShardMap& map);
 
-  // --- Read side ---
-  [[nodiscard]] std::shared_ptr<const ShardView> view() const;
   [[nodiscard]] std::string report_log() const;
 
   // --- Counters (atomic: read by metrics() from any thread) ---
@@ -280,32 +273,18 @@ class ServiceShard {
   [[nodiscard]] std::uint64_t wal_bytes() const noexcept {
     return wal_bytes_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t wal_generation() const noexcept {
-    return wal_ ? wal_->generation() : 0;
-  }
-  [[nodiscard]] std::uint64_t wal_records_written() const noexcept {
-    return wal_ ? wal_->records() : 0;
-  }
-  /// Resident bytes of the shard's rating matrix, refreshed at every view
-  /// publication (reading the live matrix from other threads would race
-  /// with the worker).
+  /// Resident bytes of the shard's rating matrix, refreshed at every epoch
+  /// close and restore (reading the live matrix from other threads would
+  /// race with the worker).
   [[nodiscard]] std::uint64_t matrix_resident_bytes() const noexcept {
     return matrix_bytes_.load(std::memory_order_relaxed);
   }
 
-  // --- Ring gauges (shard-local epochs; zero for pairwise detectors) ---
-  [[nodiscard]] std::uint64_t rings_found() const noexcept {
-    return rings_found_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t ring_largest() const noexcept {
-    return ring_largest_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t ring_scan_us() const noexcept {
-    return ring_scan_us_.load(std::memory_order_relaxed);
-  }
-
  private:
-  void publish_view(std::uint64_t epoch);
+  /// Stamps `epoch` as completed and resets the per-epoch cadence state.
+  void close_epoch(std::uint64_t epoch);
+  /// Replaces the manager with an empty one over engine_.
+  void reset_manager();
   /// Throws std::runtime_error when `ckpt` names an id >= num_nodes.
   void check_ids(const ShardCheckpoint& ckpt) const;
   void append_report(const std::string& text);
@@ -333,12 +312,6 @@ class ServiceShard {
   std::atomic<std::uint64_t> wal_records_{0};
   std::atomic<std::uint64_t> wal_bytes_{0};
   std::atomic<std::uint64_t> matrix_bytes_{0};
-  std::atomic<std::uint64_t> rings_found_{0};
-  std::atomic<std::uint64_t> ring_largest_{0};
-  std::atomic<std::uint64_t> ring_scan_us_{0};
-
-  mutable util::Mutex view_mu_;
-  std::shared_ptr<const ShardView> view_ P2PREP_GUARDED_BY(view_mu_);
 
   mutable util::Mutex log_mu_;
   std::string report_log_ P2PREP_GUARDED_BY(log_mu_);

@@ -9,7 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "rpc/client.h"
+#include "rpc/protocol.h"
+#include "rpc/server.h"
 #include "service/service.h"
+#include "service/shard_map.h"
 #include "service/wal.h"
 #include "util/rng.h"
 
@@ -125,6 +129,64 @@ TEST(ReshardTest, ShrinkMidStreamKeepsReportsByteIdentical) {
   svc.force_epoch();
   svc.drain();
   EXPECT_EQ(capture(svc), expected);
+  svc.stop();
+}
+
+// The published view is keyed by node id, and a moved node carries its
+// state into its new shard, so a resize with no epoch after it must leave
+// every read — in process and over RPC — exactly as it was.
+TEST(ReshardTest, SnapshotReadsSurviveAResize) {
+  // The planted colluders 0..3 all stay put on a 2 -> 4 grow; swap
+  // colluder 0's id with the first node that moves.
+  const std::vector<NodeId> moved =
+      ShardMap::moved_nodes(ShardMap(2, kN), ShardMap(4, kN));
+  ASSERT_FALSE(moved.empty());
+  const NodeId mover = moved.front();
+  const auto relabel = [mover](NodeId id) {
+    return id == 0 ? mover : id == mover ? NodeId{0} : id;
+  };
+  auto load = reshard_workload(61);
+  for (Rating& r : load) {
+    r.rater = relabel(r.rater);
+    r.ratee = relabel(r.ratee);
+  }
+  ReputationService svc(reshard_config(2));
+  rpc::RpcServer server(svc, rpc::RpcServerConfig{});
+  rpc::RpcClientConfig client_cfg;
+  client_cfg.port = server.port();
+  rpc::RpcClient client(client_cfg);
+  ASSERT_TRUE(client.connect());
+
+  for (const Rating& r : load) ASSERT_TRUE(svc.ingest(r));
+  const std::uint64_t last = svc.force_epoch();
+  svc.drain();
+  const ServiceSnapshot before = svc.snapshot();
+  ASSERT_EQ(before.min_epoch(), last);
+
+  // Meaningful only if a flagged node changes owner on the grow.
+  bool flagged_moves = false;
+  for (NodeId id : moved) flagged_moves = flagged_moves || before.suspected(id);
+  ASSERT_TRUE(flagged_moves);
+
+  const auto expect_reads_unchanged = [&](std::size_t shards) {
+    const ServiceSnapshot after = svc.snapshot();
+    EXPECT_EQ(after.num_shards(), shards);
+    EXPECT_EQ(after.min_epoch(), last);
+    for (NodeId i = 0; i < kN; ++i) {
+      EXPECT_EQ(after.reputation(i), before.reputation(i)) << i;
+      EXPECT_EQ(after.suspected(i), before.suspected(i)) << i;
+      rpc::QueryReputationResponse resp;
+      ASSERT_EQ(client.query_reputation(i, &resp).status, rpc::Status::kOk);
+      EXPECT_EQ(resp.epoch, last) << i;
+      EXPECT_EQ(resp.reputation, before.reputation(i)) << i;
+      EXPECT_EQ(resp.suspected != 0, before.suspected(i)) << i;
+      EXPECT_EQ(resp.shard, after.owner(i)) << i;
+    }
+  };
+  ASSERT_GT(svc.resize(4).keys_moved, 0u);
+  expect_reads_unchanged(4);
+  ASSERT_GT(svc.resize(2).keys_moved, 0u);
+  expect_reads_unchanged(2);
   svc.stop();
 }
 

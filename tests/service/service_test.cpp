@@ -226,6 +226,30 @@ TEST(ServiceTest, GlobalRatingCountCadenceFiresEpochs) {
   EXPECT_EQ(svc.snapshot().min_epoch(), 2u);
 }
 
+TEST(ServiceTest, SnapshotReadsOutsideTheNodeSpaceAreEmpty) {
+  constexpr std::size_t kN = 20;
+  ReputationService svc(base_config(kN, 2));
+  for (const Rating& r : collusion_workload(5, kN))
+    ASSERT_TRUE(svc.ingest(r));
+  svc.force_epoch();
+  svc.drain();
+  const ServiceSnapshot snap = svc.snapshot();
+  ASSERT_TRUE(snap.suspected(0));  // the view is populated
+  for (const rating::NodeId id :
+       {rating::NodeId{kN}, rating::NodeId{kN + 1}, rating::NodeId{1u << 20},
+        ~rating::NodeId{0}}) {
+    EXPECT_EQ(snap.reputation(id), 0.0) << id;
+    EXPECT_FALSE(snap.suspected(id)) << id;
+    EXPECT_EQ(snap.owner(id), 0u) << id;
+  }
+  // A default snapshot holds no view and no map.
+  const ServiceSnapshot empty;
+  EXPECT_EQ(empty.reputation(0), 0.0);
+  EXPECT_FALSE(empty.suspected(0));
+  EXPECT_EQ(empty.min_epoch(), 0u);
+  EXPECT_EQ(empty.num_shards(), 0u);
+}
+
 TEST(ServiceTest, VirtualTimeCadenceFiresEpochs) {
   ServiceConfig cfg = base_config(20, 2);
   cfg.epoch_ratings = 0;
