@@ -83,8 +83,10 @@ bool SummationEngine::save_state(std::ostream& out) const {
 }
 
 bool SummationEngine::load_state(std::istream& in) {
+  // A blob sized for another node count is malformed; refusing it before
+  // allocating also keeps a hostile count from sizing the vector.
   std::uint64_t n = 0;
-  if (!get_u64(in, n)) return false;
+  if (!get_u64(in, n) || n != sums_.size()) return false;
   std::vector<std::int64_t> sums(n);
   for (auto& s : sums) {
     std::uint64_t raw = 0;

@@ -64,8 +64,9 @@ class SummationEngine final : public ReputationEngine {
     published_[i] = normalize_ ? 0.0 : static_cast<double>(sum);
   }
 
-  /// Checkpointing: writes node count + raw sums; load recomputes the
-  /// published view so reputations() is valid immediately after.
+  /// Checkpointing: writes node count + raw sums; load refuses a blob
+  /// whose count is not num_nodes() and recomputes the published view so
+  /// reputations() is valid immediately after.
   bool save_state(std::ostream& out) const override;
   bool load_state(std::istream& in) override;
 

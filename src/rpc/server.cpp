@@ -368,13 +368,20 @@ void RpcServer::handle_payload(Connection& c, std::string_view payload) {
         break;
       case MsgType::kSubmitRating: {
         const auto req = SubmitRatingRequest::decode(r);
+        SubmitBatchResponse tally;
         resp.status =
-            req ? submit_one(req->rating) : Status::kInvalidArgument;
+            req ? submit({&req->rating, 1}, tally) : Status::kInvalidArgument;
+        if (tally.rejected != 0) resp.status = Status::kInvalidArgument;
         break;
       }
-      case MsgType::kSubmitBatch:
-        handle_submit_batch(r, resp, body);
+      case MsgType::kSubmitBatch: {
+        const auto req = SubmitBatchRequest::decode(r);
+        SubmitBatchResponse tally;
+        resp.status =
+            req ? submit(req->ratings, tally) : Status::kInvalidArgument;
+        if (req) tally.encode(body);
         break;
+      }
       case MsgType::kQueryReputation:
         handle_query_reputation(r, resp, body);
         break;
@@ -405,47 +412,31 @@ void RpcServer::handle_payload(Connection& c, std::string_view payload) {
   responses_.fetch_add(1, std::memory_order_relaxed);
 }
 
-Status RpcServer::submit_one(const rating::Rating& r) {
+Status RpcServer::submit(std::span<const rating::Rating> ratings,
+                         SubmitBatchResponse& tally) {
   if (draining_.load(std::memory_order_acquire)) return Status::kShuttingDown;
-  // Inflight gate first: cheaper than routing, and it bounds the admitted-
-  // but-unapplied backlog across all shards.
-  if (service_->queue_depth() >= config_.max_inflight)
-    return Status::kRetryLater;
-  switch (service_->try_ingest(r)) {
-    case service::ReputationService::IngestResult::kAccepted:
-      return Status::kOk;
-    case service::ReputationService::IngestResult::kInvalid:
-      return Status::kInvalidArgument;
-    case service::ReputationService::IngestResult::kBusy:
+  // Inflight gate: one depth read per request admits at most the rest of
+  // the budget, which bounds the admitted-but-unhandled backlog across
+  // all shards.
+  const std::uint64_t depth = service_->queue_depth();
+  if (depth >= config_.max_inflight) return Status::kRetryLater;
+  const std::uint64_t budget = config_.max_inflight - depth;
+  const auto admitted =
+      budget < ratings.size() ? ratings.first(budget) : ratings;
+  const service::IngestResult res =
+      service_->ingest_batch(admitted, service::Admission::kNoWait);
+  tally.accepted = static_cast<std::uint32_t>(res.accepted);
+  tally.rejected = static_cast<std::uint32_t>(res.rejected);
+  switch (res.stop) {
+    case service::IngestResult::Stop::kFull:
       return Status::kRetryLater;
-    case service::ReputationService::IngestResult::kStopped:
+    case service::IngestResult::Stop::kStopped:
       return Status::kShuttingDown;
-  }
-  return Status::kInternal;
-}
-
-void RpcServer::handle_submit_batch(Reader& r, ResponseHeader& resp,
-                                    std::string& body) {
-  const auto req = SubmitBatchRequest::decode(r);
-  if (!req) {
-    resp.status = Status::kInvalidArgument;
-    return;
-  }
-  SubmitBatchResponse out;
-  for (const rating::Rating& rt : req->ratings) {
-    const Status s = submit_one(rt);
-    if (s == Status::kOk) {
-      ++out.accepted;
-    } else if (s == Status::kInvalidArgument) {
-      ++out.rejected;  // skip the bad rating, keep consuming
-    } else {
-      // Shed or shutdown: stop here; accepted+rejected tells the client
-      // which suffix to resubmit after backing off.
-      resp.status = s;
+    case service::IngestResult::Stop::kNone:
       break;
-    }
   }
-  out.encode(body);
+  // A batch cut short by the budget also resumes at accepted + rejected.
+  return admitted.size() < ratings.size() ? Status::kRetryLater : Status::kOk;
 }
 
 void RpcServer::handle_query_reputation(Reader& r, ResponseHeader& resp,

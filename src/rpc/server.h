@@ -15,15 +15,13 @@
 // admission gates, all surfaced as rpc_* counters in ServiceMetrics:
 //  * accept:   beyond max_connections, the connection gets one kGoAway
 //              (kRetryLater + backoff hint) frame and is closed.
-//  * inflight: while the service's admitted-but-unhandled record count
-//              (ReputationService::queue_depth, two atomic loads) is at or
-//              above max_inflight, submits are answered kRetryLater
-//              without touching the queues.
-//  * ingest:   a full owner-shard queue (ReputationService::try_ingest ==
-//              kBusy) answers kRetryLater with the backoff hint instead of
-//              blocking. Batches stop at the first shed; the response
-//              reports how much of the batch was consumed so the client
-//              resubmits only the remainder.
+//  * inflight: a submit hands the service at most max_inflight minus the
+//              admitted-but-unhandled record count (queue_depth(), two
+//              atomic loads) ratings; the rest is answered kRetryLater.
+//  * ingest:   each submit is one non-blocking ingest_batch call; a full
+//              owner-shard queue ends it with kRetryLater and the backoff
+//              hint instead of blocking. The response reports the consumed
+//              prefix so the client resubmits only the remainder.
 // Queries and metrics reads are never shed — they only touch immutable
 // published snapshots.
 //
@@ -39,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -159,9 +158,10 @@ class RpcServer {
   bool flush_writes(Connection& c);
   void close_connection(Connection& c);
 
-  Status submit_one(const rating::Rating& r);
-  void handle_submit_batch(Reader& r, ResponseHeader& resp,
-                           std::string& body);
+  /// SubmitRating and SubmitBatch: one non-blocking ingest_batch() over
+  /// `ratings` cut to the inflight budget; `tally` gets the consumed prefix.
+  Status submit(std::span<const rating::Rating> ratings,
+                SubmitBatchResponse& tally);
   void handle_query_reputation(Reader& r, ResponseHeader& resp,
                                std::string& body);
   void handle_query_colluders(ResponseHeader& resp, std::string& body);

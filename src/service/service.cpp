@@ -422,71 +422,63 @@ void ReputationService::recover(std::vector<ShardDurableState> state,
 
 // --- Ingest ----------------------------------------------------------------
 
-bool ReputationService::ingest(const rating::Rating& r) {
-  if (stopped_.load(std::memory_order_relaxed)) return false;
+IngestResult ReputationService::ingest_batch(
+    std::span<const rating::Rating> batch, Admission admission) {
+  IngestResult out;
+  if (stopped_.load(std::memory_order_relaxed)) {
+    out.stop = IngestResult::Stop::kStopped;
+    return out;
+  }
+  const auto more = [&](std::size_t k) {
+    return k < batch.size() && out.stop == IngestResult::Stop::kNone;
+  };
+  if (config_.epoch_scope == EpochScope::kPerShard) {
+    // No shared cadence and no resize: take the table once and push
+    // outside route_mu_, so a producer blocked on one full queue stalls
+    // no other shard.
+    const auto table = routing_table();
+    for (std::size_t k = 0; more(k); ++k)
+      route_rating(*table, batch[k], admission, out);
+  } else {
+    // The router owns the epoch cadence, so each push and the marker it
+    // may make due are one atomic routing step; one route_mu_ hold covers
+    // the batch.
+    const util::MutexLock lock(route_mu_);
+    for (std::size_t k = 0; more(k); ++k)
+      if (route_rating(*routing_, batch[k], admission, out))
+        routed_rating(batch[k].time);
+  }
+  return out;
+}
+
+bool ReputationService::route_rating(const SlotTable& table,
+                                     const rating::Rating& r,
+                                     Admission admission, IngestResult& out) {
+  using TryPush = IngestQueue<WalRecord>::TryPush;
   if (r.rater == r.ratee || r.rater >= config_.num_nodes ||
       r.ratee >= config_.num_nodes) {
+    ++out.rejected;
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  IngestQueue<WalRecord>& queue = table.slots[table.map->owner(r.ratee)]->queue;
   const WalRecord rec = WalRecord::make_rating(r);
-
-  if (config_.epoch_scope == EpochScope::kPerShard) {
-    const auto table = routing_table();
-    if (!table->slots[table->map->owner(r.ratee)]->queue.push(rec))
-      return false;
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    routed_records_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  // Global scope: the router owns the epoch cadence, so the rating push
-  // and any marker injection must be one atomic routing step.
-  const util::MutexLock lock(route_mu_);
-  if (!routing_->slots[routing_->map->owner(r.ratee)]->queue.push(rec))
+  const TryPush pushed =
+      admission == Admission::kBlock
+          ? (queue.push(rec) ? TryPush::kOk : TryPush::kClosed)
+          : queue.try_push(rec);
+  if (pushed != TryPush::kOk) {
+    out.stop = pushed == TryPush::kFull ? IngestResult::Stop::kFull
+                                        : IngestResult::Stop::kStopped;
     return false;
-  routed_rating(r.time);
+  }
+  ++out.accepted;
+  accepted_.fetch_add(1, std::memory_order_relaxed);
+  routed_records_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
-ReputationService::IngestResult ReputationService::try_ingest(
-    const rating::Rating& r) {
-  using TryPush = IngestQueue<WalRecord>::TryPush;
-  if (stopped_.load(std::memory_order_relaxed)) return IngestResult::kStopped;
-  if (r.rater == r.ratee || r.rater >= config_.num_nodes ||
-      r.ratee >= config_.num_nodes) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return IngestResult::kInvalid;
-  }
-  const WalRecord rec = WalRecord::make_rating(r);
-
-  if (config_.epoch_scope == EpochScope::kPerShard) {
-    const auto table = routing_table();
-    switch (table->slots[table->map->owner(r.ratee)]->queue.try_push(rec)) {
-      case TryPush::kClosed: return IngestResult::kStopped;
-      case TryPush::kFull: return IngestResult::kBusy;
-      case TryPush::kOk: break;
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    routed_records_.fetch_add(1, std::memory_order_relaxed);
-    return IngestResult::kAccepted;
-  }
-
-  // Global scope: same atomic route-and-maybe-epoch step as ingest(); a
-  // full queue bails out before any cadence state is touched.
-  const util::MutexLock lock(route_mu_);
-  switch (routing_->slots[routing_->map->owner(r.ratee)]->queue.try_push(rec)) {
-    case TryPush::kClosed: return IngestResult::kStopped;
-    case TryPush::kFull: return IngestResult::kBusy;
-    case TryPush::kOk: break;
-  }
-  routed_rating(r.time);
-  return IngestResult::kAccepted;
-}
-
 void ReputationService::routed_rating(rating::Tick tick) {
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  routed_records_.fetch_add(1, std::memory_order_relaxed);
   ++routed_since_epoch_;
   const bool due =
       (config_.epoch_ratings > 0 &&
@@ -633,9 +625,13 @@ ResizeStats ReputationService::resize(std::size_t new_num_shards) {
 
   // Re-stamp every live shard and rebuild the global detector: a fresh
   // instance does a full rebuild at the next epoch, so detection reports
-  // stay byte-identical to a never-resized run.
+  // stay byte-identical to a never-resized run. Grown shards join at the
+  // epoch every old shard closed before its fence.
+  const std::uint64_t closed = old_table->slots[0]->shard.epochs_completed();
   for (const auto& slot : next_ptr->slots)
     slot->shard.set_shard_map_stamp(new_epoch, new_count32);
+  for (std::size_t s = old_count; s < new_num_shards; ++s)
+    next_ptr->slots[s]->shard.close_epoch(closed);
   make_global_detector(*next_ptr);
 
   // Durable commit: every live shard checkpoints under the new map and

@@ -1,7 +1,7 @@
 // ReputationService: the sharded online front-end of the collusion
 // detection pipeline (DESIGN.md "Service layer").
 //
-// Topology: ingest() routes each rating by ratee id through the live
+// Topology: ingest_batch() routes each rating by ratee id through the live
 // consistent-hash ShardMap onto one of S shards and enqueues it on that
 // shard's bounded IngestQueue; a worker thread per shard drains its queue
 // into the shard's incremental manager. Epochs (reputation update +
@@ -59,6 +59,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +121,19 @@ struct ServiceSnapshot {
   }
 };
 
+/// What ReputationService::ingest_batch() does at a full owner queue: wait
+/// for room (backpressure), or end the call so the caller can shed.
+enum class Admission { kBlock, kNoWait };
+
+/// Outcome of one ingest_batch() call, which consumed the prefix
+/// accepted + rejected of its batch; `stop` says why it ended early.
+struct IngestResult {
+  enum class Stop { kNone, kFull, kStopped };
+  std::size_t accepted = 0;  ///< Entered their owner queue.
+  std::size_t rejected = 0;  ///< Invalid (self-rating / id out of range).
+  Stop stop = Stop::kNone;
+};
+
 /// Outcome of one ReputationService::resize() call.
 struct ResizeStats {
   std::size_t num_shards = 0;     ///< Shard count after the resize.
@@ -140,24 +154,16 @@ class ReputationService {
   ReputationService(const ReputationService&) = delete;
   ReputationService& operator=(const ReputationService&) = delete;
 
-  /// Routes one rating to its owner shard. Returns false when the rating
-  /// is invalid (self-rating / id out of range) or the service has been
-  /// stopped. A full shard queue blocks the caller (backpressure).
-  bool ingest(const rating::Rating& r);
-
-  /// Outcome of a non-blocking try_ingest().
-  enum class IngestResult {
-    kAccepted,  ///< Routed into the owner shard's queue.
-    kInvalid,   ///< Self-rating or id out of range.
-    kBusy,      ///< Owner shard's queue is full — retry later.
-    kStopped,   ///< Service stopped; no more ratings will be accepted.
-  };
-
-  /// Non-blocking ingest for the RPC front-end: a full owner-shard queue
-  /// returns kBusy instead of blocking, so the caller can shed with a
-  /// retry hint. Identical routing and epoch
-  /// cadence to ingest() — the two can be mixed freely.
-  IngestResult try_ingest(const rating::Rating& r);
+  /// The one ingest path: skips and counts invalid ratings and routes the
+  /// rest onto their owners' queues in stream order, so epoch markers
+  /// land where per-rating calls put them. A full queue blocks or, with
+  /// kNoWait, ends the call; so does stop().
+  IngestResult ingest_batch(std::span<const rating::Rating> batch,
+                            Admission admission);
+  /// Blocking ingest_batch() of one rating: true when it was accepted.
+  bool ingest(const rating::Rating& r) {
+    return ingest_batch({&r, 1}, Admission::kBlock).accepted == 1;
+  }
 
   /// Records admitted but not yet handled, across shards: queued, in a
   /// worker's hands, or staged for an unwritten WAL run. Lock-free (two
@@ -267,8 +273,12 @@ class ReputationService {
   /// lifecycle paths that must reach retiring / not-yet-applied shards.
   [[nodiscard]] std::vector<std::shared_ptr<ShardSlot>> all_slots() const;
 
-  /// Global scope, after a rating entered its owner queue: counts it and,
-  /// when the epoch cadence is due, injects the next epoch marker.
+  /// The one place a rating enters a queue: validates `r`, pushes it onto
+  /// its owner's queue in `table` and counts the outcome into `out`.
+  bool route_rating(const SlotTable& table, const rating::Rating& r,
+                    Admission admission, IngestResult& out);
+  /// Global scope, after a rating entered its owner queue: when the epoch
+  /// cadence is due, injects the next epoch marker.
   void routed_rating(rating::Tick tick) P2PREP_REQUIRES(route_mu_);
   /// Pushes epoch marker ++epoch_seq_ into every routed queue; returns it.
   std::uint64_t inject_marker() P2PREP_REQUIRES(route_mu_);

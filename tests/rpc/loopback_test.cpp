@@ -11,12 +11,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rating/types.h"
@@ -24,6 +28,8 @@
 #include "rpc/protocol.h"
 #include "rpc/server.h"
 #include "service/service.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace p2prep::rpc {
 namespace {
@@ -182,6 +188,82 @@ std::optional<ResponseHeader> parse_response(const std::string& payload) {
   ResponseHeader h;
   if (!decode_response_header(r, h)) return std::nullopt;
   return h;
+}
+
+/// A decentralized-manager backend whose forward() holds the service's
+/// shard worker on the first rating until release(), and logs every
+/// forwarded rating. While the worker is held its queue drains nothing,
+/// so what a submit can still place is fixed, not left to timing. (Tests
+/// use no ASSERT between wait_held() and release(): an early return would
+/// leave the worker held and the service's stop() waiting on it.)
+class HeldWorker {
+ public:
+  std::shared_ptr<service::ClusterBackend> backend() {
+    auto b = std::make_shared<service::ClusterBackend>();
+    b->forward = [this](std::size_t, const Rating& r) {
+      if (!entered_flag_.exchange(true)) {
+        entered_.set_value();
+        gate_.wait();
+      }
+      const util::MutexLock lock(mu_);
+      forwarded_.push_back(r);
+      return true;
+    };
+    b->pull = [](std::size_t) { return std::string(); };
+    b->push = [](std::uint64_t, const std::vector<rating::NodeId>&) {
+      return true;
+    };
+    return b;
+  }
+  /// Blocks until the worker is held inside forward().
+  void wait_held() { entered_.get_future().wait(); }
+  void release() { released_.set_value(); }
+  std::vector<Rating> forwarded() {
+    const util::MutexLock lock(mu_);
+    return forwarded_;
+  }
+
+ private:
+  std::atomic<bool> entered_flag_{false};
+  std::promise<void> entered_;
+  std::promise<void> released_;
+  std::shared_future<void> gate_ = released_.get_future().share();
+  util::Mutex mu_;
+  std::vector<Rating> forwarded_ P2PREP_GUARDED_BY(mu_);
+};
+
+/// One raw SubmitBatch round trip: the status and the consumed prefix.
+std::pair<CallResult, SubmitBatchResponse> submit_batch_once(
+    RpcClient& client, std::span<const Rating> ratings) {
+  SubmitBatchRequest req;
+  req.ratings.assign(ratings.begin(), ratings.end());
+  std::string body;
+  req.encode(body);
+  std::string resp_body;
+  const CallResult result =
+      client.call_raw(MsgType::kSubmitBatch, body, &resp_body);
+  Reader r(resp_body);
+  const auto tally = SubmitBatchResponse::decode(r);
+  return {result, tally.value_or(SubmitBatchResponse{})};
+}
+
+/// `n` ratings, all valid but a self-rating at index 1 and an out-of-range
+/// ratee at index 3 (svc_config() has 64 nodes).
+std::vector<Rating> mixed_batch(std::uint32_t n) {
+  std::vector<Rating> batch;
+  for (std::uint32_t k = 0; k < n; ++k)
+    batch.push_back({k % 8, (k % 8) + 8, Score::kPositive, 10 + k});
+  batch[1] = {3, 3, Score::kPositive, 11};
+  batch[3] = {5, 64, Score::kPositive, 13};
+  return batch;
+}
+
+std::vector<Rating> valid_only(const Rating& first,
+                               const std::vector<Rating>& batch) {
+  std::vector<Rating> out{first};
+  for (const Rating& r : batch)
+    if (r.rater != r.ratee && r.ratee < 64) out.push_back(r);
+  return out;
 }
 
 TEST(RpcLoopback, AllSixRpcsRoundTrip) {
@@ -602,6 +684,99 @@ TEST(RpcLoopback, GracefulShutdownStopsServingAndAccepting) {
   svc.drain();
   EXPECT_EQ(svc.metrics().ratings_applied, 1u);
   server.reset();
+  svc.stop();
+}
+
+// SubmitBatch's shed contract: a full owner queue ends the batch with
+// RetryLater and the consumed prefix (accepted + rejected); resubmitting
+// from there delivers every valid rating exactly once, in stream order.
+TEST(RpcLoopback, FullQueueShedsBatchAtItsConsumedPrefix) {
+  HeldWorker held;
+  service::ServiceConfig cfg = svc_config();
+  cfg.num_shards = 1;
+  cfg.queue_capacity = 4;
+  cfg.cluster = held.backend();
+  service::ReputationService svc(cfg);
+  RpcServer server(svc, RpcServerConfig{});
+  RpcClient client(client_config(server.port()));
+  ASSERT_TRUE(client.connect());
+
+  const Rating first{1, 2, Score::kPositive, 1};
+  ASSERT_EQ(client.submit_rating(first).status, Status::kOk);
+  held.wait_held();
+
+  // The empty queue takes the valid ratings at 0, 2, 4 and 5; the one at
+  // 6 finds it full.
+  const std::vector<Rating> batch = mixed_batch(12);
+  const auto [shed, tally] = submit_batch_once(client, batch);
+  EXPECT_TRUE(shed.ok) << shed.error;
+  EXPECT_EQ(shed.status, Status::kRetryLater);
+  EXPECT_EQ(shed.backoff_hint_ms, RpcServerConfig{}.shed_backoff_ms);
+  EXPECT_EQ(tally.accepted, 4u);
+  EXPECT_EQ(tally.rejected, 2u);
+  // A single rating sheds the same way.
+  EXPECT_EQ(client.submit_rating(batch[6]).status, Status::kRetryLater);
+
+  held.release();
+  const auto rest = client.submit_batch(
+      std::span(batch).subspan(tally.accepted + tally.rejected));
+  EXPECT_TRUE(rest.complete) << rest.error;
+  EXPECT_EQ(rest.accepted, 6u);
+  EXPECT_EQ(rest.rejected, 0u);
+  svc.drain();
+  EXPECT_EQ(held.forwarded(), valid_only(first, batch));
+  EXPECT_EQ(svc.metrics().ratings_rejected, 2u);
+  svc.stop();
+}
+
+// The inflight gate reads the service's depth once per submit and hands
+// the service at most max_inflight minus that many ratings: a longer
+// batch is cut there and answered RetryLater, and a submit at a spent
+// budget consumes nothing.
+TEST(RpcLoopback, InflightBudgetTruncatesABatch) {
+  HeldWorker held;
+  service::ServiceConfig cfg = svc_config();
+  cfg.num_shards = 1;
+  cfg.cluster = held.backend();
+  service::ReputationService svc(cfg);
+  RpcServerConfig server_cfg;
+  server_cfg.max_inflight = 5;
+  RpcServer server(svc, server_cfg);
+  RpcClient client(client_config(server.port()));
+  ASSERT_TRUE(client.connect());
+
+  const Rating first{1, 2, Score::kPositive, 1};
+  ASSERT_EQ(client.submit_rating(first).status, Status::kOk);
+  held.wait_held();
+  EXPECT_EQ(svc.queue_depth(), 1u);
+
+  // Depth 1 of 5: the first four entries (two valid, two invalid).
+  const std::vector<Rating> batch = mixed_batch(10);
+  const auto [cut, tally] = submit_batch_once(client, batch);
+  EXPECT_TRUE(cut.ok) << cut.error;
+  EXPECT_EQ(cut.status, Status::kRetryLater);
+  EXPECT_EQ(tally.accepted, 2u);
+  EXPECT_EQ(tally.rejected, 2u);
+  EXPECT_EQ(svc.queue_depth(), 3u);
+
+  // Depth 3 of 5: two more, then a spent budget consumes nothing.
+  const auto [cut2, tally2] =
+      submit_batch_once(client, std::span(batch).subspan(4));
+  EXPECT_EQ(cut2.status, Status::kRetryLater);
+  EXPECT_EQ(tally2.accepted, 2u);
+  EXPECT_EQ(tally2.rejected, 0u);
+  const auto [spent, none] =
+      submit_batch_once(client, std::span(batch).subspan(6));
+  EXPECT_EQ(spent.status, Status::kRetryLater);
+  EXPECT_EQ(none.accepted + none.rejected, 0u);
+  EXPECT_EQ(client.submit_rating(batch[6]).status, Status::kRetryLater);
+
+  held.release();
+  const auto rest = client.submit_batch(std::span(batch).subspan(6));
+  EXPECT_TRUE(rest.complete) << rest.error;
+  EXPECT_EQ(rest.accepted, 4u);
+  svc.drain();
+  EXPECT_EQ(held.forwarded(), valid_only(first, batch));
   svc.stop();
 }
 

@@ -422,5 +422,78 @@ TEST_F(RecoveryTest, CheckpointWithOutOfRangeIdsIsRefused) {
   EXPECT_EQ(shard.applied_total(), applied);
 }
 
+/// What restoring the service over dir_ throws (empty when nothing).
+std::string restore_error(const ServiceConfig& cfg) {
+  try {
+    ReputationService svc(cfg);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+// A checkpoint written by an 8-node service is well-formed and names only
+// ids < 64, but its engine state is sized for 8 nodes: a 64-node service
+// must refuse it instead of restoring a short engine.
+TEST_F(RecoveryTest, EngineStateOfAnotherNodeCountIsRefused) {
+  ServiceConfig small = durable_config(/*checkpoint_every=*/1);
+  small.num_nodes = 8;
+  small.num_shards = 1;
+  {
+    ReputationService svc(small);
+    for (const Rating& r : collusion_workload(28, 8))
+      ASSERT_TRUE(svc.ingest(r));
+    svc.force_epoch();
+    svc.drain();
+    svc.stop();
+  }
+  const fs::path small_dir = dir_.string() + "_small";
+  fs::remove_all(small_dir);
+  fs::rename(dir_, small_dir);
+
+  ServiceConfig big = durable_config(/*checkpoint_every=*/1);
+  big.num_nodes = 64;
+  big.num_shards = 1;
+  {
+    ReputationService svc(big);
+    for (const Rating& r : collusion_workload(28, 64))
+      ASSERT_TRUE(svc.ingest(r));
+    svc.force_epoch();
+    svc.drain();
+    svc.stop();
+  }
+  fs::copy_file(small_dir / "shard-000.ckpt", dir_ / "shard-000.ckpt",
+                fs::copy_options::overwrite_existing);
+  fs::remove_all(small_dir);
+  EXPECT_NE(restore_error(big).find("malformed engine state"),
+            std::string::npos);
+}
+
+// A CRC-valid checkpoint whose engine blob claims 2^40 nodes is refused
+// before anything is sized by that count.
+TEST_F(RecoveryTest, EngineStateClaimingHugeNodeCountIsRefused) {
+  const ServiceConfig cfg = durable_config(/*checkpoint_every=*/1);
+  {
+    ReputationService svc(cfg);
+    for (const Rating& r : collusion_workload(29, kN))
+      ASSERT_TRUE(svc.ingest(r));
+    svc.force_epoch();
+    svc.drain();
+    svc.stop();
+  }
+  const std::string ckpt_file = (dir_ / "shard-000.ckpt").string();
+  std::optional<ShardCheckpoint> ckpt = read_checkpoint(ckpt_file);
+  ASSERT_TRUE(ckpt.has_value());
+  ASSERT_GE(ckpt->engine_blob.size(), 8u);
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (int i = 0; i < 8; ++i)  // the blob's little-endian node count
+    ckpt->engine_blob[static_cast<std::size_t>(i)] =
+        static_cast<char>((huge >> (8 * i)) & 0xff);
+  ASSERT_TRUE(write_checkpoint(ckpt_file, *ckpt));
+  EXPECT_NE(restore_error(cfg).find("malformed engine state"),
+            std::string::npos);
+}
+
+
 }  // namespace
 }  // namespace p2prep::service

@@ -241,6 +241,38 @@ TEST(ReshardTest, EpochCountersSurviveAResize) {
   svc.stop();
 }
 
+// A grown shard joins at the epoch the live shards closed, so a restart
+// right after the grow reads that epoch for the nodes it owns too.
+TEST(ReshardTest, RestartAfterAGrowReadsTheClosedEpoch) {
+  const fs::path dir =
+      fs::temp_directory_path() / "p2prep_reshard_restart_after_grow";
+  fs::remove_all(dir);
+  ServiceConfig cfg = reshard_config(2);
+  cfg.epoch_ratings = 1u << 30;  // epochs only via force_epoch()
+  cfg.wal_dir = dir.string();
+  const auto load = reshard_workload(66);
+  {
+    ReputationService svc(cfg);
+    const std::size_t step = load.size() / 10;
+    for (std::size_t k = 0; k < load.size(); ++k) {
+      ASSERT_TRUE(svc.ingest(load[k]));
+      if ((k + 1) % step == 0 && (k + 1) / step <= 10) svc.force_epoch();
+    }
+    svc.drain();
+    ASSERT_EQ(svc.snapshot().min_epoch(), 10u);
+    ASSERT_GT(svc.resize(4).keys_moved, 0u);
+    svc.stop();
+  }
+  ReputationService svc(cfg);
+  ASSERT_TRUE(svc.recovered());
+  ASSERT_EQ(svc.num_shards(), 4u);
+  const ServiceSnapshot snap = svc.snapshot();
+  EXPECT_EQ(snap.min_epoch(), 10u);
+  for (NodeId i = 0; i < kN; ++i) EXPECT_EQ(snap.epoch(i), 10u) << i;
+  svc.stop();
+  fs::remove_all(dir);
+}
+
 // --- Rejected configurations ----------------------------------------------
 
 TEST(ReshardTest, PerShardScopeCannotResize) {

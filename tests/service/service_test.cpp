@@ -265,36 +265,6 @@ TEST(ServiceTest, VirtualTimeCadenceFiresEpochs) {
   EXPECT_EQ(svc.metrics().epochs_completed, 3u);
 }
 
-// ingest() and try_ingest() route through one global-scope cadence step:
-// a stream that alternates between them must fire the same epochs at the
-// same stream positions as an ingest()-only run.
-TEST(ServiceTest, IngestAndTryIngestShareOneEpochCadence) {
-  constexpr std::size_t kN = 40;
-  ServiceConfig cfg = base_config(kN, 3);
-  cfg.epoch_ratings = 97;
-  cfg.epoch_ticks = 130;
-  const std::vector<Rating> workload = collusion_workload(5, kN);
-  const auto run = [&](bool mixed) {
-    ReputationService svc(cfg);
-    for (std::size_t k = 0; k < workload.size(); ++k) {
-      if (mixed && k % 2 == 1) {
-        EXPECT_EQ(svc.try_ingest(workload[k]),
-                  ReputationService::IngestResult::kAccepted);
-      } else {
-        EXPECT_TRUE(svc.ingest(workload[k]));
-      }
-    }
-    svc.drain();
-    return std::pair{svc.report_log(), svc.metrics().epochs_completed};
-  };
-  const auto [want_log, want_epochs] = run(false);
-  const auto [got_log, got_epochs] = run(true);
-  EXPECT_GT(want_epochs, 2u);
-  EXPECT_NE(want_log.find("flagged=[0 1"), std::string::npos) << want_log;
-  EXPECT_EQ(got_epochs, want_epochs);
-  EXPECT_EQ(got_log, want_log);
-}
-
 // A long-running server (`p2prep_cli serve`) never reads report_log(), so
 // it turns record_reports off: then no number of global epochs may grow
 // the log, and detection itself must be unaffected.

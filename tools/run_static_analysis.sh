@@ -44,8 +44,11 @@
 #                         manager nodes, replica failover and the
 #                         decentralized-manager service mode over real
 #                         sockets — plus IngestQueueWake (coalesced
-#                         producer/consumer wake-ups) and WalRun (staged
-#                         WAL runs against a concurrent drain())
+#                         producer/consumer wake-ups), WalRun (staged
+#                         WAL runs against a concurrent drain()) and
+#                         IngestBatch (random batch splits and
+#                         admissions through the one ingest path against
+#                         per-rating ingest)
 #   P2PREP_FUZZ_SECONDS   libFuzzer time budget per target in the fuzz
 #                         stage (default: 60)
 #   P2PREP_JOBS           parallel build/test jobs (default: nproc)
@@ -63,7 +66,7 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_prefix="${P2PREP_BUILD_PREFIX:-${repo_root}/build-}"
 jobs="${P2PREP_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 ctest_filter="${P2PREP_CTEST_FILTER:-}"
-tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency|Reshard|OverlapStress|ParallelEpoch|AccompliceExchange|Cluster|IngestQueueWake|WalRun}"
+tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency|Reshard|OverlapStress|ParallelEpoch|AccompliceExchange|Cluster|IngestQueueWake|WalRun|IngestBatch}"
 clangxx="${P2PREP_CLANG:-$(command -v clang++ || true)}"
 clang_tidy="$(command -v clang-tidy || true)"
 
