@@ -427,16 +427,13 @@ Status RpcServer::submit(std::span<const rating::Rating> ratings,
       service_->ingest_batch(admitted, service::Admission::kNoWait);
   tally.accepted = static_cast<std::uint32_t>(res.accepted);
   tally.rejected = static_cast<std::uint32_t>(res.rejected);
-  switch (res.stop) {
-    case service::IngestResult::Stop::kFull:
-      return Status::kRetryLater;
-    case service::IngestResult::Stop::kStopped:
-      return Status::kShuttingDown;
-    case service::IngestResult::Stop::kNone:
-      break;
-  }
-  // A batch cut short by the budget also resumes at accepted + rejected.
-  return admitted.size() < ratings.size() ? Status::kRetryLater : Status::kOk;
+  if (res.stop == service::IngestResult::Stop::kStopped)
+    return Status::kShuttingDown;
+  // A full queue or the budget cut the submit short: the client resumes
+  // at accepted + rejected.
+  const bool cut = res.stop == service::IngestResult::Stop::kFull ||
+                   admitted.size() < ratings.size();
+  return cut ? Status::kRetryLater : Status::kOk;
 }
 
 void RpcServer::handle_query_reputation(Reader& r, ResponseHeader& resp,

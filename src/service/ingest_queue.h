@@ -1,9 +1,10 @@
 // Bounded MPMC ingest queue with backpressure, the front door of the
 // sharded reputation service (DESIGN.md "Service layer").
 //
-// Producers are client threads calling ReputationService::ingest(); the
-// single consumer per queue is that shard's worker thread (the template is
-// nevertheless MPMC-safe — tests exercise multi-consumer draining). A full
+// Producers are client threads calling ReputationService::ingest_batch();
+// the single consumer per queue is that shard's worker thread (the
+// template is nevertheless MPMC-safe — tests exercise multi-consumer
+// draining). A full
 // queue never discards an element: push() waits for space (end-to-end
 // backpressure) and try_push() fails so the caller can shed.
 //

@@ -424,11 +424,9 @@ void ReputationService::recover(std::vector<ShardDurableState> state,
 
 IngestResult ReputationService::ingest_batch(
     std::span<const rating::Rating> batch, Admission admission) {
+  if (stopped_.load(std::memory_order_relaxed))
+    return {.stop = IngestResult::Stop::kStopped};
   IngestResult out;
-  if (stopped_.load(std::memory_order_relaxed)) {
-    out.stop = IngestResult::Stop::kStopped;
-    return out;
-  }
   const auto more = [&](std::size_t k) {
     return k < batch.size() && out.stop == IngestResult::Stop::kNone;
   };
@@ -461,7 +459,8 @@ bool ReputationService::route_rating(const SlotTable& table,
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  IngestQueue<WalRecord>& queue = table.slots[table.map->owner(r.ratee)]->queue;
+  IngestQueue<WalRecord>& queue =
+      table.slots[table.map->owner(r.ratee)]->queue;
   const WalRecord rec = WalRecord::make_rating(r);
   const TryPush pushed =
       admission == Admission::kBlock

@@ -1,10 +1,12 @@
 // ReputationService: the sharded online front-end of the collusion
 // detection pipeline (DESIGN.md "Service layer").
 //
-// Topology: ingest_batch() routes each rating by ratee id through the live
-// consistent-hash ShardMap onto one of S shards and enqueues it on that
-// shard's bounded IngestQueue; a worker thread per shard drains its queue
-// into the shard's incremental manager. Epochs (reputation update +
+// Topology: ingest_batch(), the one ingest path, routes each rating by
+// ratee id through the live consistent-hash ShardMap onto one of S shards
+// and enqueues it on that shard's bounded IngestQueue, waiting at a full
+// queue (Admission::kBlock) or ending the call there (kNoWait, so the RPC
+// front door can shed); a worker thread per shard drains its queue into
+// the shard's incremental manager. Epochs (reputation update +
 // detection) are triggered by rating-count or virtual-time thresholds:
 //
 //  * EpochScope::kGlobal — the router injects an epoch marker into every

@@ -494,6 +494,5 @@ TEST_F(RecoveryTest, EngineStateClaimingHugeNodeCountIsRefused) {
             std::string::npos);
 }
 
-
 }  // namespace
 }  // namespace p2prep::service
