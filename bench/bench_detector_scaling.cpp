@@ -265,9 +265,10 @@ BENCHMARK(BM_RingEpoch10k)
 // sharded service. Arg 0: shard count. Arg 1: epoch scan threads, with 0
 // selecting the serial coordinator (epoch_scan_threads = 1) as the
 // baseline. The trace is 10k nodes at ~1% cell density with planted
-// colluding pairs (1 per 40 nodes); overlap is off so the measurement is
-// the pure frozen-state scan, not ingest admission. The ISSUE gate reads
-// the (shards=4, threads=0) vs (shards=4, threads=hw) ratio.
+// colluding pairs (1 per 40 nodes); workers stay parked for the whole
+// epoch, so the measurement is the pure frozen-state scan, not ingest
+// admission. Compare the (shards=4, threads=0) and
+// (shards=4, threads=hw) rows for the pool's speed-up.
 void BM_ParallelEpochService(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
@@ -282,7 +283,6 @@ void BM_ParallelEpochService(benchmark::State& state) {
   cfg.detector = "optimized";
   cfg.detector_config = config();
   cfg.record_reports = false;
-  cfg.epoch_overlap = false;
   cfg.epoch_scan_threads = threads == 0 ? 1 : threads;
   service::ReputationService svc(cfg);
 

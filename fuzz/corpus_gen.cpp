@@ -177,7 +177,6 @@ void gen_rpc(const std::filesystem::path& dir) {
     m.keys_moved_last_resize = 17;
     m.last_resize_ms = 0.5;
     m.epoch_scan_threads = 18;
-    m.epoch_overlap_us = 19;
     m.accomplice_exchange_rounds = 20;
     m.cluster_owned_keys = 21;
     m.cluster_replica_lag = 22;

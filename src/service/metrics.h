@@ -37,14 +37,10 @@ struct ServiceMetrics {
   std::uint64_t ring_scan_us = 0;  ///< Last epoch's detector scan time.
 
   // Parallel global epochs (kGlobal scope; see ServiceConfig::
-  // epoch_scan_threads / epoch_overlap).
+  // epoch_scan_threads).
   /// Threads of the global epoch's scan pool (gauge; 1 = serial sweeps on
   /// the coordinator).
   std::uint64_t epoch_scan_threads = 1;
-  /// Wall time of the last overlapped epoch's detection window — the span
-  /// during which ingest ran concurrently with the scan. 0 until the
-  /// first overlapped epoch completes.
-  std::uint64_t epoch_overlap_us = 0;
   /// Cross-shard accomplice-exchange rounds of the last global epoch (0
   /// when flag_accomplices is off or no pairs were flagged).
   std::uint64_t accomplice_exchange_rounds = 0;
@@ -94,7 +90,8 @@ struct ServiceMetrics {
   /// Calls fn(group, key, field) once per field, in GetMetrics wire order
   /// — the one list behind the RPC codec and to_string(). A new metric is
   /// a field above plus one row appended here; appending keeps older
-  /// clients decoding (they read the prefix they know).
+  /// clients decoding (they read the prefix they know), while removing a
+  /// row shifts every later field on the wire.
   template <class M, class Fn>
   static void for_each_field(M& m, Fn&& fn) {
     fn("ingest", "accepted", m.ratings_accepted);
@@ -128,7 +125,6 @@ struct ServiceMetrics {
     fn("shards", "keys_moved_last", m.keys_moved_last_resize);
     fn("shards", "last_resize_ms", m.last_resize_ms);
     fn("parallel_epoch", "scan_threads", m.epoch_scan_threads);
-    fn("parallel_epoch", "overlap_us", m.epoch_overlap_us);
     fn("parallel_epoch", "accomplice_rounds", m.accomplice_exchange_rounds);
     fn("cluster", "owned_keys", m.cluster_owned_keys);
     fn("cluster", "replica_lag", m.cluster_replica_lag);

@@ -38,10 +38,7 @@ ReputationService::ReputationService(ServiceConfig config)
     if (config_.epoch_ticks != 0 || config_.epoch_ratings == 0)
       throw std::invalid_argument(
           "service: cluster mode requires a rating-count epoch trigger");
-    // The epoch body replaces shard matrices wholesale (reload_from), so
-    // ingest can never overlap it; checkpointing has nothing local to
-    // checkpoint.
-    config_.epoch_overlap = false;
+    // Checkpointing has nothing local to checkpoint.
     config_.checkpoint_every_epochs = 0;
   }
 
@@ -521,8 +518,7 @@ void ReputationService::drain() {
     bool barrier_busy = false;
     {
       const util::MutexLock lock(epoch_mu_);
-      barrier_busy =
-          arrived_ != 0 || resize_arrived_ != 0 || overlap_inflight_;
+      barrier_busy = arrived_ != 0 || resize_arrived_ != 0;
     }
     std::uint64_t depth = 0;
     const auto table = routing_table();
@@ -791,19 +787,7 @@ void ReputationService::handle_record(ShardSlot& slot, const WalRecord& rec) {
       return;
     }
     slot.shard.stage_record(rec);
-    {
-      // Overlapped-epoch commit point: while the coordinator scans the
-      // frozen matrices, ratings are buffered (already staged for the
-      // WAL, so log order is unchanged) and applied by the coordinator
-      // after the epoch commits. Outside an overlap window the lock is
-      // uncontended and the rating applies directly.
-      const util::MutexLock lock(slot.apply_mu_);
-      if (slot.deferred) {
-        slot.pending.push_back(rec);
-        return;
-      }
-      slot.shard.apply_rating(rec.rating);
-    }
+    slot.shard.apply_rating(rec.rating);
     if (config_.epoch_scope == EpochScope::kPerShard &&
         slot.shard.epoch_due(rec.rating.time)) {
       slot.shard.log_record(
@@ -860,17 +844,15 @@ void ReputationService::global_barrier(ShardSlot&, std::uint64_t seq) {
     }
   }
   if (!coordinator) {
-    // Parked worker: wait for the epoch to complete (or, with overlap, for
-    // the coordinator to release the barrier early).
+    // Parked worker: wait for the epoch to commit.
     util::MutexLock lock(epoch_mu_);
     while (epoch_done_seq_ < seq && !crashing_.load(std::memory_order_relaxed))
       epoch_cv_.wait(epoch_mu_);
     return;
   }
   // Coordinator (last arriver): every other worker is parked, all shard
-  // state is frozen. The epoch body runs off-lock so that, with
-  // epoch_overlap, the released workers can keep ingesting while the scan
-  // runs.
+  // state is frozen. The epoch body runs off-lock, so drain() and
+  // crash_stop() never wait behind a sweep.
   run_global_epoch(seq, /*live=*/true);
   {
     const util::MutexLock lock(epoch_mu_);
@@ -908,33 +890,6 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
 
   for (const auto& slot : slots) slot->shard.manager().update_reputations();
 
-  // Detection/ingest overlap: reputations are frozen above and the scan
-  // reads only matrix + engine state, so the parked workers can resume
-  // draining their queues into per-shard pending buffers right now. The
-  // buffers apply after the commit below, so the matrices see exactly the
-  // serial record stream. Checkpoint epochs stay non-overlapped — the WAL
-  // rotation at the end of this function must not race workers logging
-  // into the files being rotated.
-  const bool checkpoint_due =
-      live && checkpoints_enabled_.load(std::memory_order_relaxed) &&
-      seq % config_.checkpoint_every_epochs == 0;
-  const bool overlap = live && config_.epoch_overlap && !checkpoint_due &&
-                       slots.size() > 1 &&
-                       !crashing_.load(std::memory_order_relaxed);
-  if (overlap) {
-    for (const auto& slot : slots) {
-      const util::MutexLock lock(slot->apply_mu_);
-      slot->deferred = true;
-    }
-    {
-      const util::MutexLock lock(epoch_mu_);
-      overlap_inflight_ = true;
-      epoch_done_seq_ = seq;
-    }
-    epoch_cv_.notify_all();
-  }
-  const auto scan_start = std::chrono::steady_clock::now();
-
   const core::DetectionReport report = global_detect(*table);
   const std::vector<rating::NodeId> flagged = report.colluders();
 
@@ -957,33 +912,10 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
 
   record_rings(report, *global_detector_);
 
-  if (overlap) {
-    epoch_overlap_us_.store(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - scan_start)
-                .count()),
-        std::memory_order_relaxed);
-    // Commit the buffered streams: each shard's pending ratings apply in
-    // pop order, exactly as they would have had the workers stayed
-    // parked — just later in wall-clock time.
-    for (const auto& slot : slots) {
-      const util::MutexLock lock(slot->apply_mu_);
-      for (const WalRecord& rec : slot->pending)
-        slot->shard.apply_rating(rec.rating);
-      slot->pending.clear();
-      slot->deferred = false;
-    }
-    {
-      const util::MutexLock lock(epoch_mu_);
-      overlap_inflight_ = false;
-    }
-    epoch_cv_.notify_all();
-  }
-
   if (live) {
     record_epoch_metrics(start, report.pairs.size() + report.rings.size());
-    if (checkpoint_due) {
+    if (checkpoints_enabled_.load(std::memory_order_relaxed) &&
+        seq % config_.checkpoint_every_epochs == 0) {
       for (const auto& slot : slots) checkpoint_shard(*slot);
     }
   }
@@ -1177,7 +1109,6 @@ ServiceMetrics ReputationService::metrics() const {
 
   // Parallel-epoch gauges.
   m.epoch_scan_threads = epoch_scan_threads_.load(std::memory_order_relaxed);
-  m.epoch_overlap_us = epoch_overlap_us_.load(std::memory_order_relaxed);
   m.accomplice_exchange_rounds =
       accomplice_rounds_.load(std::memory_order_relaxed);
 

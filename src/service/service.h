@@ -15,12 +15,9 @@
 //    sweep out as row-range tasks on the service's scan pool (a
 //    detect::ThreadPoolExecutor), merging per-range findings in range
 //    order so the report is byte-identical to a serial pass (cross-shard
-//    pairs included). With epoch_overlap on, the parked workers are
-//    released as soon as the state is frozen and resume ingest into
-//    per-shard pending buffers while the coordinator scans; the
-//    buffered ratings apply after the epoch commits, so the
-//    logical stream order — and every report, WAL and checkpoint byte —
-//    matches the non-overlapped run. Epochs are totally ordered and
+//    pairs included). The other workers stay parked from the barrier to
+//    the commit, so live, recovery-replay and cluster epochs all detect
+//    over the same frozen state. Epochs are totally ordered and
 //    replay-deterministic.
 //  * EpochScope::kPerShard — each shard epochs independently on its own
 //    applied-rating count; detection is shard-local and shards never wait
@@ -225,18 +222,6 @@ class ReputationService {
     IngestQueue<WalRecord> queue;
     ServiceShard shard;
     std::thread worker;
-
-    /// Detection/ingest overlap (kGlobal + epoch_overlap): while the
-    /// coordinator scans the frozen matrices, this shard's worker parks
-    /// popped ratings here (after WAL-logging them, preserving log order)
-    /// instead of applying them; the coordinator applies the buffer in
-    /// pop order after the epoch commits, so the matrices see exactly the
-    /// serial stream. apply_mu_ is a per-slot leaf: it never nests with
-    /// any service mutex (the coordinator flips `deferred` outside
-    /// epoch_mu_) and guards only these two fields.
-    util::Mutex apply_mu_;
-    bool deferred P2PREP_GUARDED_BY(apply_mu_) = false;
-    std::vector<WalRecord> pending P2PREP_GUARDED_BY(apply_mu_);
   };
 
   /// One immutable generation of the shard layout: the slots plus the map
@@ -309,7 +294,7 @@ class ReputationService {
   void record_rings(const core::DetectionReport& report,
                     const detect::Detector& detector);
   /// Publishes a view rebuilt from every shard of `table` (whose workers
-  /// are parked, deferred or not started) with the table's map.
+  /// are parked or not started) with the table's map.
   void publish_view(const SlotTable& table) P2PREP_EXCLUDES(view_mu_);
   /// Per-shard scope, on `shard`'s worker: publishes a copy of the view
   /// with the entries of the nodes `shard` owns overwritten.
@@ -374,9 +359,6 @@ class ReputationService {
   std::uint64_t epoch_done_seq_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
   std::size_t resize_arrived_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
   std::uint64_t resize_done_epoch_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
-  /// True from the moment an overlapped epoch releases the barrier until
-  /// its buffered ratings have been applied; drain() waits it out.
-  bool overlap_inflight_ P2PREP_GUARDED_BY(epoch_mu_) = false;
 
   // Applied-generation table: what epochs, reads and queries run against.
   mutable util::Mutex applied_mu_
@@ -401,7 +383,6 @@ class ReputationService {
   std::atomic<std::uint64_t> ring_scan_us_{0};
   // Parallel-epoch gauges.
   std::atomic<std::uint64_t> epoch_scan_threads_{1};
-  std::atomic<std::uint64_t> epoch_overlap_us_{0};
   std::atomic<std::uint64_t> accomplice_rounds_{0};
   // Cluster gauges (decentralized-manager mode).
   std::atomic<std::uint64_t> cluster_forwards_{0};

@@ -103,14 +103,6 @@ struct ServiceConfig {
   /// Keep per-epoch detection report text (report_log()).
   bool record_reports = true;
 
-  /// Overlap detection with ingest (kGlobal only): once the coordinator
-  /// has frozen reputations, parked workers resume draining their queues
-  /// into per-shard pending buffers (WAL-logged immediately, applied after
-  /// the epoch commits). Checkpoint epochs never overlap, so WAL rotation
-  /// is fenced from the deferred stream. Byte-identical output to
-  /// non-overlapped runs (tests/differential/parallel_epoch_test.cpp).
-  /// Off = workers stay parked for the whole epoch.
-  bool epoch_overlap = true;
   /// Scan threads for the global-epoch detection sweep (kGlobal only); 0 =
   /// auto (min(hardware_concurrency, 8)), 1 = serial on the coordinator.
   /// Above 1, a detect::ThreadPoolExecutor of this many threads runs the
@@ -187,7 +179,8 @@ class ServiceShard {
   /// Restores state from a checkpoint (fresh shard only) and republishes
   /// the engine's reputations. Throws std::runtime_error, before
   /// touching any state, when a cell, suppressed or detected id is
-  /// >= num_nodes (a CRC-valid checkpoint can still be hostile).
+  /// >= num_nodes or the engine blob does not load (a CRC-valid
+  /// checkpoint can still be hostile, or sized for another node count).
   void restore(const ShardCheckpoint& ckpt);
   /// Discards the shard's entire state (engine, matrix, counters) and
   /// restores from `ckpt` — restore() for a shard that has already lived.
@@ -195,7 +188,7 @@ class ServiceShard {
   /// authoritative range state, and the decentralized service mode
   /// refreshing its local copies from the cluster at each epoch. Only
   /// safe while the worker is parked (or before workers exist). Refuses
-  /// out-of-range ids like restore(), leaving the current state intact.
+  /// the checkpoints restore() refuses, leaving the current state intact.
   void reload_from(const ShardCheckpoint& ckpt);
 
   /// Stamps the shard map (epoch, count) this shard currently runs under;
@@ -287,6 +280,9 @@ class ServiceShard {
   void reset_manager();
   /// Throws std::runtime_error when `ckpt` names an id >= num_nodes.
   void check_ids(const ShardCheckpoint& ckpt) const;
+  /// restore() after the engine blob: suppression, detected set, cells
+  /// and counters, then republishes. Nothing in it refuses a checkpoint.
+  void install_checkpoint(const ShardCheckpoint& ckpt);
   void append_report(const std::string& text);
 
   std::size_t index_;

@@ -55,10 +55,6 @@ ServiceConfig make_cfg(const testgen::Trace& t, std::uint64_t seed) {
   cfg.epoch_ratings = 300;  // a few natural cadence epochs per trace
   cfg.detector = (seed % 2) == 0 ? "optimized" : "basic";
   cfg.detector_config = testgen::config_for(seed);
-  // The cluster mode forces epoch_overlap off (the pulled state IS the
-  // pre-epoch stream); the baseline matches so both runs use the same
-  // epoch shape.
-  cfg.epoch_overlap = false;
   return cfg;
 }
 

@@ -1,16 +1,13 @@
 // Parallel-epoch differential suite: 100 seeded collusion traces replayed
-// per (shard count, detector) cell under three epoch configurations must
+// per (shard count, detector) cell under two epoch configurations must
 // produce byte-identical detection reports and identical published state:
-//   - serial (epoch_scan_threads = 1, epoch_overlap = false): the
-//     coordinator sweeps alone while every worker stays parked — the
+//   - serial (epoch_scan_threads = 1): the coordinator sweeps alone — the
 //     reference;
-//   - parallel (3 scan threads + detection/ingest overlap);
-//   - overlap with a serial sweep (epoch_scan_threads = 1, overlap on):
-//     the coordinator sweeps alone while released workers buffer ratings.
-// The parallel sweep partitions rows and merges per-range findings in
-// range order, the accomplice exchange converges to the same flagged-set
-// fixpoint as the serial walk, and overlapped ingest applies its buffered
-// stream at the commit point, so no schedule may ever change a byte of
+//   - parallel (3 scan threads).
+// Every worker stays parked from the barrier to the commit in both. The
+// parallel sweep partitions rows and merges per-range findings in range
+// order, and the accomplice exchange converges to the same flagged-set
+// fixpoint as the serial walk, so no schedule may ever change a byte of
 // output; these tests pin that across the randomized threshold/feature
 // mix of trace_gen.h (which flips joint-complement, mutuality and
 // accomplice flags per seed).
@@ -37,28 +34,22 @@ using rating::Rating;
 
 constexpr const char* kDetectors[] = {"basic", "optimized", "ring", "group"};
 
-/// Scan threads and overlap of one epoch configuration.
-struct EpochMode {
-  std::size_t scan_threads;
-  bool overlap;
-};
-constexpr EpochMode kSerial{1, false};
+/// Scan threads of the reference and the parallel epoch configuration.
+constexpr std::size_t kSerial = 1;
 // A small explicit pool keeps the parallel run cheap while still
 // exercising multi-threaded merges.
-constexpr EpochMode kParallel{3, true};
-constexpr EpochMode kOverlapSerialSweep{1, true};
+constexpr std::size_t kParallel = 3;
 
 ServiceConfig make_cfg(const testgen::Trace& t, std::uint64_t seed,
                        std::size_t shards, const std::string& detector,
-                       EpochMode mode) {
+                       std::size_t scan_threads) {
   ServiceConfig cfg;
   cfg.num_nodes = t.n;
   cfg.num_shards = shards;
   cfg.epoch_ratings = 200;  // several natural cadence epochs per trace
   cfg.detector = detector;
   cfg.detector_config = testgen::config_for(seed);
-  cfg.epoch_scan_threads = mode.scan_threads;
-  cfg.epoch_overlap = mode.overlap;
+  cfg.epoch_scan_threads = scan_threads;
   return cfg;
 }
 
@@ -106,19 +97,14 @@ TEST_P(ParallelEpochDifferentialTest, HundredSeedsByteIdenticalToSerial) {
           run_trace(make_cfg(t, seed, shards, detector, kSerial), t.ratings);
       ASSERT_FALSE(serial.report_log.empty())
           << "seed " << seed << " shards " << shards;
-      for (const EpochMode mode : {kParallel, kOverlapSerialSweep}) {
-        const RunResult other =
-            run_trace(make_cfg(t, seed, shards, detector, mode), t.ratings);
-        ASSERT_EQ(other.report_log, serial.report_log)
-            << "seed " << seed << " shards " << shards << " scan threads "
-            << mode.scan_threads;
-        ASSERT_EQ(other.reputations, serial.reputations)
-            << "seed " << seed << " shards " << shards << " scan threads "
-            << mode.scan_threads;
-        ASSERT_EQ(other.suspected, serial.suspected)
-            << "seed " << seed << " shards " << shards << " scan threads "
-            << mode.scan_threads;
-      }
+      const RunResult parallel =
+          run_trace(make_cfg(t, seed, shards, detector, kParallel), t.ratings);
+      ASSERT_EQ(parallel.report_log, serial.report_log)
+          << "seed " << seed << " shards " << shards;
+      ASSERT_EQ(parallel.reputations, serial.reputations)
+          << "seed " << seed << " shards " << shards;
+      ASSERT_EQ(parallel.suspected, serial.suspected)
+          << "seed " << seed << " shards " << shards;
     }
   }
 }
@@ -174,15 +160,14 @@ TEST_F(ParallelEpochDurableTest, WalAndCheckpointBytesMatchSerial) {
 
     ServiceConfig cfg = make_cfg(t, seed, shards, detector, kSerial);
     cfg.wal_dir = dir_.string();
-    // Every second epoch checkpoints, so the parallel run alternates
-    // overlapped and fenced (checkpoint) epochs within one trace.
+    // Every second epoch checkpoints, so both runs alternate plain and
+    // WAL-rotating epochs within one trace.
     cfg.checkpoint_every_epochs = 2;
     (void)run_trace(cfg, t.ratings);
     const auto serial_files = artifacts();
     fs::remove_all(dir_);
 
-    cfg.epoch_scan_threads = kParallel.scan_threads;
-    cfg.epoch_overlap = kParallel.overlap;
+    cfg.epoch_scan_threads = kParallel;
     (void)run_trace(cfg, t.ratings);
     const auto parallel_files = artifacts();
     fs::remove_all(dir_);

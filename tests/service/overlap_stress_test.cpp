@@ -1,12 +1,12 @@
-// Detection/ingest overlap soak: concurrent producers keep the queues hot
-// while the parallel global epoch scans frozen state, so workers are
-// continuously flipped between applying ratings directly and buffering
-// them into the per-slot pending lists; a resize churner and a
-// snapshot/metrics poller race against both. These tests are part of the
-// designated TSan workload (tools/run_static_analysis.sh tsan runs ctest
-// -R '...|OverlapStress|...'); the assertions check ingest conservation —
-// every accepted rating is either applied (possibly via a pending buffer)
-// or accounted as dropped, never lost in an overlap window.
+// Global-epoch barrier soak: concurrent producers keep the queues hot
+// while the parallel global epoch scans frozen state with every worker
+// parked from the barrier to the commit; a resize churner and a
+// snapshot/metrics poller race against both. The suite keeps its
+// historical name (it once soaked a detection/ingest overlap window)
+// because the designated TSan workload selects it by that name
+// (tools/run_static_analysis.sh tsan runs ctest -R '...|OverlapStress|...').
+// The assertions check ingest conservation — every accepted rating is
+// either applied or accounted as dropped, never lost across an epoch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,14 +26,13 @@ constexpr std::size_t kN = 40;
 constexpr int kProducers = 3;
 constexpr int kPerProducer = 600;
 
-ServiceConfig overlap_config() {
+ServiceConfig stress_config() {
   ServiceConfig cfg;
   cfg.num_nodes = kN;
   cfg.num_shards = 4;
   cfg.queue_capacity = 64;
   cfg.epoch_scope = EpochScope::kGlobal;
-  cfg.epoch_ratings = 120;  // frequent epochs so overlap windows recur
-  cfg.epoch_overlap = true;
+  cfg.epoch_ratings = 120;  // frequent epochs so barriers recur
   cfg.epoch_scan_threads = 4;
   cfg.detector_config.frequency_min = 20;
   cfg.record_reports = false;
@@ -103,23 +102,23 @@ void run_soak(ReputationService& svc, bool resize_churn) {
 }
 
 TEST(OverlapStressTest, IngestWhileScanning) {
-  ReputationService svc(overlap_config());
+  ReputationService svc(stress_config());
   run_soak(svc, /*resize_churn=*/false);
 }
 
 TEST(OverlapStressTest, IngestWhileScanningWithResizeChurn) {
-  ReputationService svc(overlap_config());
+  ReputationService svc(stress_config());
   run_soak(svc, /*resize_churn=*/true);
 }
 
 TEST(OverlapStressTest, OverlapWithDurableCheckpoints) {
-  // Checkpoint epochs are fenced (never overlapped), so this run
-  // interleaves overlapped epochs with WAL-rotating ones under load.
+  // Every second epoch checkpoints, so this run interleaves plain epochs
+  // with WAL-rotating ones under load.
   const fs::path dir =
       fs::temp_directory_path() / "p2prep_overlap_stress_ckpt";
   fs::remove_all(dir);
   {
-    ServiceConfig cfg = overlap_config();
+    ServiceConfig cfg = stress_config();
     cfg.wal_dir = dir.string();
     cfg.checkpoint_every_epochs = 2;
     ReputationService svc(cfg);

@@ -394,7 +394,7 @@ TEST_F(RecoveryTest, CheckpointWithOutOfRangeIdsIsRefused) {
   EXPECT_THROW(ReputationService{cfg}, std::runtime_error);
 
   // The cluster's state-pull path refuses the same blob, keeping the
-  // shard's current state.
+  // shard's whole state: its checkpoint bytes do not move.
   const std::optional<ShardCheckpoint> pulled =
       parse_checkpoint(encode_checkpoint(hostile));
   ASSERT_TRUE(pulled.has_value());
@@ -402,24 +402,35 @@ TEST_F(RecoveryTest, CheckpointWithOutOfRangeIdsIsRefused) {
   shard_cfg.wal_dir.clear();
   ServiceShard shard(0, shard_cfg);
   shard.reload_from(*good);
-  const std::uint64_t applied = shard.applied_total();
+  const auto state = [&shard] {
+    return encode_checkpoint(*shard.make_checkpoint());
+  };
+  const std::string before = state();
+  ASSERT_FALSE(good->cells.empty());
   EXPECT_THROW(shard.reload_from(*pulled), std::runtime_error);
-  EXPECT_EQ(shard.applied_total(), applied);
+  EXPECT_EQ(state(), before);
 
-  // Every id field is checked: rater, suppressed and detected too.
+  // Every id field is checked: rater, suppressed and detected too. So is
+  // the engine blob: one from an 8-node shard names no bad id but does
+  // not load into a 16-node engine.
   ShardCheckpoint bad_rater = *good;
   bad_rater.cells.push_back({1, kSmall, rating::PairStats{1, 1, 0}});
   ShardCheckpoint bad_suppressed = *good;
   bad_suppressed.suppressed.push_back(kSmall);
   ShardCheckpoint bad_detected = *good;
   bad_detected.detected.push_back(kSmall);
+  ServiceConfig eight_cfg = shard_cfg;
+  eight_cfg.num_nodes = 8;
+  const ServiceShard eight(0, eight_cfg);
+  ShardCheckpoint bad_engine = *good;
+  bad_engine.engine_blob = eight.make_checkpoint()->engine_blob;
   for (const ShardCheckpoint* bad :
-       {&bad_rater, &bad_suppressed, &bad_detected}) {
+       {&bad_rater, &bad_suppressed, &bad_detected, &bad_engine}) {
     EXPECT_THROW(shard.reload_from(*bad), std::runtime_error);
+    EXPECT_EQ(state(), before);
     ServiceShard fresh(0, shard_cfg);
     EXPECT_THROW(fresh.restore(*bad), std::runtime_error);
   }
-  EXPECT_EQ(shard.applied_total(), applied);
 }
 
 /// What restoring the service over dir_ throws (empty when nothing).

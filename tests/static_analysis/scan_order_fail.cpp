@@ -2,18 +2,18 @@
 // scan protocol: this file MUST NOT compile under Clang with
 // -Wthread-safety -Wthread-safety-beta -Werror=thread-safety
 // -Werror=thread-safety-beta. It is the canary proving the hierarchy
-// checking stays armed for the mutexes the parallel global epoch added —
-// if the StaticAnalysis.ScanOrderNegative ctest check (tests/CMakeLists.txt,
-// WILL_FAIL) ever sees this build succeed, the wiring is broken, not this
-// file.
+// checking stays armed for a leaf mutex declared ACQUIRED_AFTER the epoch
+// mutex — if the StaticAnalysis.ScanOrderNegative ctest check
+// (tests/CMakeLists.txt, WILL_FAIL) ever sees this build succeed, the
+// wiring is broken, not this file.
 //
-// The hierarchy mirrors the service's real one (service/service.h): the
-// epoch mutex publishes scan tasks and overlap state; the per-slot apply
-// mutex is a leaf that workers take to decide between applying a rating
-// and buffering it into the pending list. The coordinator flips the
-// deferred flag while holding only the apply mutex — taking the epoch
-// mutex on top of it (as inverted() does) is the inversion that would
-// deadlock a worker against a coordinator publishing scan tasks.
+// The two mutexes keep the shape of the parallel global epoch's former
+// scan/apply pair: an epoch mutex publishing scan state, and a per-slot
+// apply leaf under which workers once buffered ratings while the
+// coordinator scanned. The service no longer has that leaf (every worker
+// now stays parked from the barrier to the commit), but the shape still
+// exercises the check: taking the epoch mutex while holding the leaf (as
+// inverted() does) is the inversion it must reject.
 #include <vector>
 
 #include "util/mutex.h"

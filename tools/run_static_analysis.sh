@@ -36,8 +36,9 @@
 #                         the Reshard suites, which race-check the
 #                         resize handoff against live ingest, plus
 #                         OverlapStress and ParallelEpoch, which soak the
-#                         parallel global epoch (multithreaded scan,
-#                         detection/ingest overlap) under contention,
+#                         parallel global epoch (multithreaded scan
+#                         behind the parked-worker barrier) under
+#                         contention,
 #                         plus AccompliceExchange, whose rounds run on
 #                         the service's scan pool across shards,
 #                         plus the Cluster suites — the multi-threaded
