@@ -55,17 +55,16 @@ ManagerNode::ManagerNode(ManagerNodeConfig config)
   // the cluster partition is exactly the service partition.
   config_.service.num_shards = config_.ring.size();
   config_.service.wal_dir.clear();  // durability goes through data_dir
-  for (rating::NodeId id = 0; id < config_.service.num_nodes; ++id)
-    if (map_.owner(id) == config_.index) ++owned_keys_;
+  owned_keys_ =
+      map_.row_index()->nodes(static_cast<std::uint32_t>(config_.index)).size();
   peers_.resize(config_.ring.size());
   for (std::size_t i = 0; i < config_.ring.size(); ++i)
     if (i != config_.index) peers_[i] = std::make_unique<Peer>();
   {
     const util::MutexLock lock(state_mu_);
     for (std::size_t r : held_ranges()) {
-      auto store = std::make_unique<RangeStore>(r, config_.service);
-      store->shard.set_shard_map_stamp(
-          0, static_cast<std::uint32_t>(config_.ring.size()));
+      auto store = std::make_unique<RangeStore>(r, config_.service, map_);
+      store->shard.set_shard_map_stamp(0, map_);
       stores_.push_back(std::move(store));
     }
   }
@@ -680,8 +679,7 @@ rpc::Status ManagerNode::handle_query(rpc::Reader& r, std::string& body) {
     {
       const util::MutexLock lock(state_mu_);
       service::ServiceShard& shard = store_of(range)->shard;
-      const auto reps = shard.engine().reputations();
-      if (req->node < reps.size()) resp.reputation = reps[req->node];
+      resp.reputation = shard.engine().reputation(req->node);
       resp.suspected = shard.manager().detected().contains(req->node) ? 1 : 0;
       resp.epoch = shard.epochs_completed();
     }
@@ -834,6 +832,8 @@ service::ServiceMetrics ManagerNode::metrics_snapshot() {
       m.matrix_bytes += store->shard.matrix_resident_bytes();
     }
   }
+  // The held ranges' shared slot tables, charged once.
+  m.matrix_bytes += map_.row_index()->slot_table_bytes();
   m.ratings_accepted = m.ratings_applied;
   m.current_shard_count = config_.ring.size();
   m.checkpoints_written =

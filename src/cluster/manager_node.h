@@ -115,9 +115,9 @@ class ManagerNode {
   /// One held key range: its shard state plus the per-source dedup table
   /// behind exactly-once ingest across retries and failovers.
   struct RangeStore {
-    explicit RangeStore(std::size_t range_index,
-                        const service::ServiceConfig& cfg)
-        : range(range_index), shard(range_index, cfg) {}
+    RangeStore(std::size_t range_index, const service::ServiceConfig& cfg,
+               const service::ShardMap& map)
+        : range(range_index), shard(range_index, cfg, map) {}
     std::size_t range;
     service::ServiceShard shard;
     /// source id -> highest applied seq (per-source streams are issued

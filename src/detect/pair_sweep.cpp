@@ -109,13 +109,15 @@ core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
   // method reads a_ij and sums the complement N_(i,-j) with a scan of row
   // i excluding columns i and j; that scan is charged by its stored-cell
   // count (`row_scan`: row i's stored cells besides the diagonal), and
-  // its sums are the row aggregates used here.
+  // its sums are the row aggregates used here. `row` is row i of `mi`,
+  // resolved once per i rather than once per probe.
   const auto directional = [&](core::DetectionReport& report,
-                               const RatingMatrix& mi, NodeId i, NodeId j,
-                               std::uint64_t row_scan,
+                               const RatingMatrix& mi,
+                               const RatingMatrix::RowView& row, NodeId i,
+                               NodeId j, std::uint64_t row_scan,
                                double& positive_fraction,
                                double& complement_fraction) {
-    const PairStats& cell = mi.cell(i, j);
+    const PairStats& cell = row.cell(j);
     report.cost.add_scan(1 + row_scan - (stored(mi, cell) ? 1 : 0));
     report.cost.add_check();
     if (cell.total < cfg.frequency_min) return false;  // C4
@@ -143,6 +145,7 @@ core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
           report.cost.add_check();
           if (high[i] == 0) continue;  // C1
           const RatingMatrix& mi = snapshot.matrix_of(i);
+          const RatingMatrix::RowView row_i = mi.row_view(i);
           const std::uint64_t row_scan = row_scan_cells(mi, i);
           for (NodeId j = 0; j < n; ++j) {
             // The paper's checked-pair marks: a high-reputed j < i already
@@ -157,8 +160,8 @@ core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
 
             double positive_fraction = 0.0;
             double complement_fraction = 0.0;
-            if (!directional(report, mi, i, j, row_scan, positive_fraction,
-                             complement_fraction))
+            if (!directional(report, mi, row_i, i, j, row_scan,
+                             positive_fraction, complement_fraction))
               continue;
             // The evidence carries the fractions the checks used; n_j's
             // side stays unexamined in one-sided mode.
@@ -170,7 +173,8 @@ core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
             ev.complement_fraction_second = 0.0;
             // Repeat the whole check from n_j's line.
             if (cfg.require_mutual &&
-                !directional(report, mj, j, i, row_scan_cells(mj, j),
+                !directional(report, mj, mj.row_view(j), j, i,
+                             row_scan_cells(mj, j),
                              ev.positive_fraction_second,
                              ev.complement_fraction_second))
               continue;
@@ -187,10 +191,13 @@ core::DetectionReport sweep_optimized(const EpochSnapshot& snapshot,
 
   // One-directional Optimized check of ratee i against rater j: read
   // a_ij, C4, then Formula (2), or C3 plus the joint complement C2 from
-  // the frequent-rater aggregate.
+  // the frequent-rater aggregate. `row` is row i, resolved once per i
+  // rather than once per probe.
   const auto directional = [&](core::DetectionReport& report,
-                               const RatingMatrix& mi, NodeId i, NodeId j) {
-    const PairStats& cell = mi.cell(i, j);
+                               const RatingMatrix::RowView& row, NodeId j) {
+    const PairStats& cell = row.cell(j);
+    const RatingMatrix& mi = row.matrix();
+    const NodeId i = row.ratee();
     report.cost.add_scan();
     report.cost.add_check();
     if (cell.total < cfg.frequency_min) return false;  // C4
@@ -220,14 +227,16 @@ core::DetectionReport sweep_optimized(const EpochSnapshot& snapshot,
           const RatingMatrix& mi = snapshot.matrix_of(i);
           report.cost.add_check();
           if (!mi.high_reputed(i)) continue;  // C1
+          const RatingMatrix::RowView row_i = mi.row_view(i);
           for (NodeId j = 0; j < n; ++j) {
-            if (j == i || !directional(report, mi, i, j)) continue;
+            if (j == i || !directional(report, row_i, j)) continue;
             const RatingMatrix& mj = snapshot.matrix_of(j);
             if (cfg.require_mutual) {
               // Symmetric side: n_j high-reputed, rated frequently by n_i,
               // and passing the same test.
               report.cost.add_check();
-              if (!mj.high_reputed(j) || !directional(report, mj, j, i))
+              if (!mj.high_reputed(j) ||
+                  !directional(report, mj.row_view(j), i))
                 continue;
             }
             report.pairs.push_back(pair_evidence(mi, i, mj, j));

@@ -1,20 +1,29 @@
 #include "managers/incremental.h"
 
+#include <utility>
+
 namespace p2prep::managers {
 
 IncrementalCentralizedManager::IncrementalCentralizedManager(
     std::size_t num_nodes, reputation::ReputationEngine& engine,
     core::DetectorConfig detector_config, rating::MatrixBackend backend)
-    : num_nodes_(num_nodes),
-      engine_(engine),
+    : IncrementalCentralizedManager(rating::RowIndex::single(num_nodes), 0,
+                                    engine, detector_config, backend) {}
+
+IncrementalCentralizedManager::IncrementalCentralizedManager(
+    std::shared_ptr<const rating::RowIndex> index, std::uint32_t part,
+    reputation::ReputationEngine& engine, core::DetectorConfig detector_config,
+    rating::MatrixBackend backend)
+    : engine_(engine),
       detector_config_(detector_config),
-      matrix_(num_nodes, backend) {
-  engine_.resize(num_nodes);
+      matrix_(std::move(index), part, backend) {
+  engine_.resize(matrix_.size());
   matrix_.set_frequency_threshold(detector_config_.frequency_min);
 }
 
 bool IncrementalCentralizedManager::ingest(const rating::Rating& r) {
-  if (r.rater == r.ratee || r.rater >= num_nodes_ || r.ratee >= num_nodes_)
+  if (r.rater == r.ratee || r.rater >= matrix_.size() ||
+      !matrix_.owns(r.ratee))
     return false;
   matrix_.add_rating(r.ratee, r.rater, r.score);
   engine_.ingest(r);
@@ -22,10 +31,7 @@ bool IncrementalCentralizedManager::ingest(const rating::Rating& r) {
 }
 
 void IncrementalCentralizedManager::refresh_reputations() {
-  for (rating::NodeId i = 0; i < num_nodes_; ++i) {
-    matrix_.set_global_reputation(i, engine_.detection_reputation(i),
-                                  detector_config_.high_rep_threshold);
-  }
+  for (const rating::NodeId i : matrix_.owned_nodes()) refresh_reputation(i);
 }
 
 void IncrementalCentralizedManager::update_reputations() {

@@ -9,6 +9,7 @@
 // the manager to have ("quantities the manager already holds").
 #pragma once
 
+#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -30,12 +31,22 @@ class IncrementalCentralizedManager {
       std::size_t num_nodes, reputation::ReputationEngine& engine,
       core::DetectorConfig detector_config,
       rating::MatrixBackend backend = rating::MatrixBackend::kDense);
+  /// A manager for partition `part` of `index` (a service shard): its
+  /// matrix holds rows for that partition's nodes only, and it accepts
+  /// ratings only for them. `engine` must cover the same partition.
+  IncrementalCentralizedManager(std::shared_ptr<const rating::RowIndex> index,
+                                std::uint32_t part,
+                                reputation::ReputationEngine& engine,
+                                core::DetectorConfig detector_config,
+                                rating::MatrixBackend backend);
 
-  /// Records one rating in both the matrix and the engine. O(1).
+  /// Records one rating in both the matrix and the engine. O(1). False
+  /// for a self-rating, an id out of range or a ratee the partition does
+  /// not own.
   bool ingest(const rating::Rating& r);
 
-  /// Ends a reputation-update period: engine epoch + O(n) refresh of the
-  /// matrix's reputation column.
+  /// Ends a reputation-update period: engine epoch + a refresh of the
+  /// matrix's reputation column, O(owned nodes).
   void update_reputations();
 
   /// Starts a new detection window: clears the matrix's pair counters
@@ -43,9 +54,22 @@ class IncrementalCentralizedManager {
   void reset_window();
 
   /// Re-reads detection reputations from the engine into the matrix's
-  /// reputation column without running an engine epoch. Used after the
-  /// engine's state was mutated externally (e.g. checkpoint restore).
+  /// reputation column without running an engine epoch, for the owned
+  /// nodes only. Used after the engine's state was mutated externally
+  /// (e.g. checkpoint restore).
   void refresh_reputations();
+  /// refresh_reputations() for owned node i alone (a shard handoff's
+  /// receiver).
+  void refresh_reputation(rating::NodeId i) {
+    matrix_.set_global_reputation(i, engine_.detection_reputation(i),
+                                  detector_config_.high_rep_threshold);
+  }
+
+  /// Re-slots the matrix for `index` (see RatingMatrix::repartition); the
+  /// caller re-slots the engine.
+  void repartition(std::shared_ptr<const rating::RowIndex> index) {
+    matrix_.repartition(std::move(index));
+  }
 
   // --- Checkpoint restore hooks (service layer) ---
 
@@ -106,7 +130,6 @@ class IncrementalCentralizedManager {
   }
 
  private:
-  std::size_t num_nodes_;
   reputation::ReputationEngine& engine_;
   core::DetectorConfig detector_config_;
   rating::RatingMatrix matrix_;

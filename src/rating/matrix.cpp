@@ -22,11 +22,36 @@ bool host_default(double rep, bool high) {
 const RatingMatrix::Row RatingMatrix::kEmptyRow{};
 
 RatingMatrix::RatingMatrix(std::size_t num_nodes, MatrixBackend backend)
-    : backend_(backend), rows_(num_nodes) {
-  if (backend_ == MatrixBackend::kDense) {
-    dense_ = util::Matrix<PairStats>(num_nodes, num_nodes);
-    for (NodeId i = 0; i < num_nodes; ++i) materialize(i);
+    : RatingMatrix(RowIndex::single(num_nodes), 0, backend) {}
+
+RatingMatrix::RatingMatrix(std::shared_ptr<const RowIndex> index,
+                           std::uint32_t part, MatrixBackend backend)
+    : backend_(backend),
+      index_(std::move(index)),
+      part_(part),
+      rows_(index_->nodes(part).size()) {
+  if (backend_ == MatrixBackend::kDense)
+    for (std::uint32_t s = 0; s < rows_.size(); ++s) materialize(s);
+}
+
+void RatingMatrix::repartition(std::shared_ptr<const RowIndex> index) {
+  if (index->num_nodes() != size() || part_ >= index->num_parts())
+    throw std::invalid_argument("rating matrix: repartition changes shape");
+  const std::span<const NodeId> nodes = owned_nodes();
+  std::vector<RowPtr> rows(index->nodes(part_).size());
+  for (std::uint32_t s = 0; s < rows_.size(); ++s) {
+    const std::uint32_t to = index->slot(nodes[s], part_);
+    const Row* row = rows_[s].get();
+    if (to != RowIndex::kNoSlot)
+      rows[to] = std::move(rows_[s]);
+    else if (row != nullptr && row->high_reputed())
+      --high_count_;  // host meta take_row left behind
+    assert(to != RowIndex::kNoSlot || row == nullptr || row->size == 0);
   }
+  rows_ = std::move(rows);
+  index_ = std::move(index);
+  if (backend_ == MatrixBackend::kDense)
+    for (std::uint32_t s = 0; s < rows_.size(); ++s) materialize(s);
 }
 
 RatingMatrix RatingMatrix::build(const RatingStore& store,
@@ -43,7 +68,7 @@ RatingMatrix RatingMatrix::build(const RatingStore& store,
     m.set_global_reputation(i, global_reps[i], high_rep_threshold);
     const PairStats& totals = store.window_totals(i);
     if (totals.total == 0) continue;  // no window raters
-    m.materialize(i);
+    m.materialize(i);  // one partition: node i's slot is i
     // The row's final cell count is known: size its block exactly.
     Row& row = sparse ? m.resize_row(i, static_cast<std::uint32_t>(
                                             store.window_rater_count(i)))
@@ -53,7 +78,7 @@ RatingMatrix RatingMatrix::build(const RatingStore& store,
         i, [&m, i, frequency_threshold, &row](NodeId rater,
                                               const PairStats& stats) {
           if (m.backend_ == MatrixBackend::kDense) {
-            m.dense_(i, rater) = stats;
+            row.dense_cells()[rater] = stats;
           } else {
             assert(row.size < row.capacity);
             row.cells()[row.size++] = {rater, m.store_counts(i, rater, stats)};
@@ -70,11 +95,11 @@ RatingMatrix RatingMatrix::build(const RatingStore& store,
   return m;
 }
 
-void RatingMatrix::insert_cell(NodeId i, SparseCell cell) {
-  Row* row = rows_[i].get();
+void RatingMatrix::insert_cell(std::uint32_t s, SparseCell cell) {
+  Row* row = rows_[s].get();
   if (row->size == row->capacity) {
     // Grow by ~1.25x: bounded slack, amortized O(1) cells copied per insert.
-    row = &resize_row(i, row->capacity + std::max(1u, row->size / 4));
+    row = &resize_row(s, row->capacity + std::max(1u, row->size / 4));
   }
   SparseCell* const cells = row->cells();
   SparseCell* const end = cells + row->size;
@@ -131,21 +156,21 @@ std::uint32_t RatingMatrix::Row::seek_from(std::uint32_t from,
   return from;
 }
 
-RatingMatrix::Row& RatingMatrix::materialize(NodeId i) {
-  RowPtr& slot = rows_[i];
+RatingMatrix::Row& RatingMatrix::materialize(std::uint32_t s) {
+  RowPtr& slot = rows_[s];
   if (slot == nullptr) {
-    void* block = std::malloc(sizeof(Row));
+    const std::size_t cells = backend_ == MatrixBackend::kDense ? size() : 0;
+    void* block = std::malloc(sizeof(Row) + cells * sizeof(PairStats));
     if (block == nullptr) throw std::bad_alloc();
     slot.reset(new (block) Row{});
-    assert(allocated_.size() < Row::kHighBit);  // the position fits its bits
-    slot->set_list_pos(static_cast<std::uint32_t>(allocated_.size()));
-    allocated_.push_back(i);
+    std::uninitialized_fill_n(slot->dense_cells(), cells, PairStats{});
   }
   return *slot;
 }
 
-RatingMatrix::Row& RatingMatrix::resize_row(NodeId i, std::uint32_t capacity) {
-  RowPtr& slot = rows_[i];
+RatingMatrix::Row& RatingMatrix::resize_row(std::uint32_t s,
+                                            std::uint32_t capacity) {
+  RowPtr& slot = rows_[s];
   assert(slot != nullptr && capacity >= slot->size);
   // Row and SparseCell are trivially copyable, so realloc may move them.
   void* block = std::realloc(
@@ -157,25 +182,18 @@ RatingMatrix::Row& RatingMatrix::resize_row(NodeId i, std::uint32_t capacity) {
   return *slot;
 }
 
-bool RatingMatrix::release_if_unused(NodeId i) {
-  const Row& row = *rows_[i];
+bool RatingMatrix::release_if_unused(std::uint32_t s) {
+  const Row& row = *rows_[s];
   if (backend_ == MatrixBackend::kDense || row.size != 0 ||
       !host_default(row.global_rep, row.high_reputed()))
     return false;
-  // Swap-remove i from the existing-row list.
-  const NodeId last = allocated_.back();
-  allocated_[row.list_pos()] = last;
-  rows_[last]->set_list_pos(row.list_pos());
-  allocated_.pop_back();
-  if (allocated_.empty()) allocated_ = std::vector<NodeId>();  // free it
-  rows_[i].reset();
+  rows_[s].reset();
   return true;
 }
 
-void RatingMatrix::clear_row(NodeId i, Row& row) {
+void RatingMatrix::clear_row(NodeId i, std::uint32_t s, Row& row) {
   if (backend_ == MatrixBackend::kDense) {
-    auto cells = dense_.row(i);
-    std::fill(cells.begin(), cells.end(), PairStats{});
+    std::fill_n(row.dense_cells(), size(), PairStats{});
   } else {
     drop_escaped(i, row);
     row.main_len = 0;
@@ -184,7 +202,7 @@ void RatingMatrix::clear_row(NodeId i, Row& row) {
   row.totals = PairStats{};
   row.frequent_totals = PairStats{};
   // A row that stays (for its host meta) frees its cell storage.
-  if (!release_if_unused(i) && row.capacity > 0) resize_row(i, 0);
+  if (!release_if_unused(s) && row.capacity > 0) resize_row(s, 0);
 }
 
 PairStats RatingMatrix::escaped_cell(NodeId ratee, NodeId rater) const {
@@ -199,19 +217,19 @@ std::uint32_t RatingMatrix::store_counts(NodeId ratee, NodeId rater,
   return kEscaped;
 }
 
-PairStats RatingMatrix::add_to_cell(NodeId ratee, NodeId rater,
-                                    Score score) {
+PairStats RatingMatrix::add_to_cell(NodeId ratee, std::uint32_t s,
+                                    NodeId rater, Score score) {
   assert(ratee < size() && rater < size());
   if (backend_ == MatrixBackend::kDense) {
-    PairStats& cell = dense_(ratee, rater);
+    PairStats& cell = rows_[s]->dense_cells()[rater];
     cell.add(score);
     return cell;
   }
-  std::uint32_t* counts = rows_[ratee]->find(rater);
+  std::uint32_t* counts = rows_[s]->find(rater);
   if (counts == nullptr) {
     PairStats cell;
     cell.add(score);  // a single rating always packs
-    insert_cell(ratee, {rater, pack(cell)});
+    insert_cell(s, {rater, pack(cell)});
     return cell;
   }
   if (*counts == kEscaped) {
@@ -235,49 +253,47 @@ void RatingMatrix::drop_escaped(NodeId i, const Row& row) {
 }
 
 std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
-  std::size_t bytes = sizeof(RatingMatrix) +
-                      rows_.capacity() * sizeof(RowPtr) +
-                      allocated_.capacity() * sizeof(NodeId) +
-                      allocated_.size() * sizeof(Row);
-  if (backend_ == MatrixBackend::kDense) {
-    bytes += dense_.rows() * dense_.cols() * sizeof(PairStats);
-  } else {
-    for (const NodeId i : allocated_)
-      bytes += std::size_t{rows_[i]->capacity} * sizeof(SparseCell);
-    // The escape store: its bucket array and one node per escaped cell (a
-    // next pointer beside the key and stats), once it holds any.
-    if (!escaped_.empty())
-      bytes += escaped_.bucket_count() * sizeof(void*) +
-               escaped_.size() *
-                   (sizeof(void*) +
-                    sizeof(decltype(escaped_)::value_type));
-  }
+  const std::size_t dense_row_bytes =
+      backend_ == MatrixBackend::kDense ? size() * sizeof(PairStats) : 0;
+  std::size_t bytes = sizeof(RatingMatrix) + rows_.capacity() * sizeof(RowPtr);
+  for (const RowPtr& row : rows_)
+    if (row != nullptr)
+      bytes += sizeof(Row) + dense_row_bytes +
+               std::size_t{row->capacity} * sizeof(SparseCell);
+  // The sparse escape store: its bucket array and one node per escaped
+  // cell (a next pointer beside the key and stats), once it holds any.
+  if (!escaped_.empty())
+    bytes += escaped_.bucket_count() * sizeof(void*) +
+             escaped_.size() *
+                 (sizeof(void*) + sizeof(decltype(escaped_)::value_type));
   return bytes;
 }
 
 std::size_t RatingMatrix::dense_footprint_bytes(std::size_t num_nodes) noexcept {
   return sizeof(RatingMatrix) +
-         num_nodes * (sizeof(RowPtr) + sizeof(NodeId) + sizeof(Row)) +
+         num_nodes * (sizeof(RowPtr) + sizeof(Row)) +
          num_nodes * num_nodes * sizeof(PairStats);
 }
 
 void RatingMatrix::set_global_reputation(NodeId i, double rep,
                                          double high_rep_threshold) {
   const bool high = rep > high_rep_threshold;
-  if (rows_.at(i) == nullptr && host_default(rep, high)) return;
-  Row& row = materialize(i);
+  const std::uint32_t s = owned_slot(i);
+  if (rows_[s] == nullptr && host_default(rep, high)) return;
+  Row& row = materialize(s);
   if (high && !row.high_reputed()) ++high_count_;
   if (!high && row.high_reputed()) --high_count_;
   row.global_rep = rep;
-  row.set_high_reputed(high);
-  release_if_unused(i);
+  row.high = high;
+  release_if_unused(s);
 }
 
 void RatingMatrix::add_rating(NodeId ratee, NodeId rater, Score score) {
-  assert(ratee < size() && rater < size() && ratee != rater);
-  materialize(ratee);
-  const PairStats cell = add_to_cell(ratee, rater, score);
-  Row& row = *rows_[ratee];  // re-fetched: a new cell may move the row
+  assert(rater < size() && ratee != rater);
+  const std::uint32_t s = owned_slot(ratee);
+  materialize(s);
+  const PairStats cell = add_to_cell(ratee, s, rater, score);
+  Row& row = *rows_[s];  // re-fetched: a new cell may move the row
   row.totals.add(score);
   mark_dirty(ratee, rater);
   // Incremental frequent-rater aggregate: when a cell crosses the
@@ -294,12 +310,11 @@ void RatingMatrix::add_rating(NodeId ratee, NodeId rater, Score score) {
 }
 
 void RatingMatrix::clear_window() {
-  // Backwards, so a freed row's swap-remove only moves an entry that was
-  // already visited.
-  for (std::size_t k = allocated_.size(); k-- > 0;) {
-    const NodeId i = allocated_[k];
-    Row& row = *rows_[i];
-    if (row.totals.total != 0) clear_row(i, row);  // written this window
+  const std::span<const NodeId> nodes = owned_nodes();
+  for (std::uint32_t s = 0; s < rows_.size(); ++s) {
+    Row* row = rows_[s].get();
+    if (row != nullptr && row->totals.total != 0)  // written this window
+      clear_row(nodes[s], s, *row);
   }
   if (dirty_on_) {
     // Cells were wiped wholesale without per-cell dirty records; the next
@@ -311,16 +326,17 @@ void RatingMatrix::clear_window() {
 
 void RatingMatrix::restore_cell(NodeId ratee, NodeId rater,
                                 const PairStats& stats) {
-  assert(ratee < size() && rater < size() && ratee != rater);
+  assert(rater < size() && ratee != rater);
   if (stats.total == 0) return;
+  const std::uint32_t s = owned_slot(ratee);
   assert(cell(ratee, rater).total == 0 && "restore_cell target must be empty");
-  materialize(ratee);
+  Row& target = materialize(s);
   if (backend_ == MatrixBackend::kDense) {
-    dense_(ratee, rater) = stats;
+    target.dense_cells()[rater] = stats;
   } else {
-    insert_cell(ratee, {rater, store_counts(ratee, rater, stats)});
+    insert_cell(s, {rater, store_counts(ratee, rater, stats)});
   }
-  Row& row = *rows_[ratee];  // re-fetched: the insert may move the row
+  Row& row = *rows_[s];  // re-fetched: the insert may move the row
   row.totals += stats;
   if (frequency_threshold_ > 0 && stats.total >= frequency_threshold_) {
     row.frequent_totals += stats;
@@ -329,25 +345,25 @@ void RatingMatrix::restore_cell(NodeId ratee, NodeId rater,
 }
 
 void RatingMatrix::reserve_cells(NodeId ratee, std::size_t cells) {
-  assert(ratee < size());
+  const std::uint32_t s = owned_slot(ratee);
   if (backend_ == MatrixBackend::kDense || cells == 0) return;
-  const Row& row = materialize(ratee);
+  const Row& row = materialize(s);
   const std::size_t capacity = row.size + cells;
   assert(capacity < std::size_t{1} << 32);
   if (capacity > row.capacity)
-    resize_row(ratee, static_cast<std::uint32_t>(capacity));
+    resize_row(s, static_cast<std::uint32_t>(capacity));
 }
 
 std::vector<std::pair<NodeId, PairStats>> RatingMatrix::take_row(
     NodeId ratee) {
-  assert(ratee < size());
   std::vector<std::pair<NodeId, PairStats>> cells;
   for_each_nonzero_cell(ratee, [&cells](NodeId rater, const PairStats& stats) {
     cells.emplace_back(rater, stats);
   });
   if (cells.empty()) return cells;
 
-  clear_row(ratee, *rows_[ratee]);  // it holds cells, so it exists
+  const std::uint32_t s = slot(ratee);  // it holds cells, so it is owned
+  clear_row(ratee, s, *rows_[s]);
   if (dirty_on_) {
     // Drop stale dirty keys for the row; the removal itself is not
     // expressible as a delta, so force a full rebuild on the next take.

@@ -125,9 +125,8 @@ ReputationService::ReputationService(ServiceConfig config)
   table.map_epoch = live_epoch;
   table.slots.reserve(live_shards);
   for (std::size_t s = 0; s < live_shards; ++s) {
-    auto slot = std::make_shared<ShardSlot>(s, config_);
-    slot->shard.set_shard_map_stamp(live_epoch,
-                                    static_cast<std::uint32_t>(live_shards));
+    auto slot = std::make_shared<ShardSlot>(s, config_, *map);
+    slot->shard.set_shard_map_stamp(live_epoch, *map);
     table.slots.push_back(std::move(slot));
   }
   make_global_detector(table);
@@ -575,7 +574,7 @@ ResizeStats ReputationService::resize(std::size_t new_num_shards) {
     if (s < old_count)
       next.slots.push_back(old_table->slots[s]);
     else
-      next.slots.push_back(std::make_shared<ShardSlot>(s, config_));
+      next.slots.push_back(std::make_shared<ShardSlot>(s, config_, *new_map));
   }
   auto next_ptr = std::make_shared<const SlotTable>(std::move(next));
 
@@ -608,23 +607,29 @@ ResizeStats ReputationService::resize(std::size_t new_num_shards) {
   }
 
   // Handoff: every worker is parked, so shard state is single-threaded
-  // here. Only the nodes whose owner changed move.
+  // here. Only the nodes whose owner changed move: each leaving node's
+  // state is taken under the old map, every live shard re-slots for the
+  // new map (dropping what is left of the nodes it lost), and the taken
+  // state lands in the new owners' slots. Re-stamping every live shard
+  // also lets the global detector be rebuilt: a fresh instance does a
+  // full rebuild at the next epoch, so detection reports stay
+  // byte-identical to a never-resized run.
   const std::vector<rating::NodeId> moved =
       ShardMap::moved_nodes(*old_table->map, *new_map);
-  for (rating::NodeId id : moved) {
-    ServiceShard& from = old_table->slots[old_table->map->owner(id)]->shard;
-    ServiceShard& to = next_ptr->slots[new_map->owner(id)]->shard;
-    to.restore_node(from.take_node(id));
-  }
+  std::vector<ServiceShard::NodeTransfer> transfers;
+  transfers.reserve(moved.size());
+  for (rating::NodeId id : moved)
+    transfers.push_back(
+        old_table->slots[old_table->map->owner(id)]->shard.take_node(id));
+  for (const auto& slot : next_ptr->slots)
+    slot->shard.set_shard_map_stamp(new_epoch, *new_map);
+  for (const ServiceShard::NodeTransfer& t : transfers)
+    next_ptr->slots[new_map->owner(t.id)]->shard.restore_node(t);
   stats.keys_moved = moved.size();
 
-  // Re-stamp every live shard and rebuild the global detector: a fresh
-  // instance does a full rebuild at the next epoch, so detection reports
-  // stay byte-identical to a never-resized run. Grown shards join at the
-  // epoch every old shard closed before its fence.
+  // Grown shards join at the epoch every old shard closed before its
+  // fence.
   const std::uint64_t closed = old_table->slots[0]->shard.epochs_completed();
-  for (const auto& slot : next_ptr->slots)
-    slot->shard.set_shard_map_stamp(new_epoch, new_count32);
   for (std::size_t s = old_count; s < new_num_shards; ++s)
     next_ptr->slots[s]->shard.close_epoch(closed);
   make_global_detector(*next_ptr);
@@ -1028,15 +1033,13 @@ std::size_t ReputationService::shard_of(rating::NodeId id) const {
 }
 
 namespace {
-// Overwrites the view entries of the nodes `shard` owns under `map`, and
-// its shard epoch.
-void write_owned(ServiceShard& shard, const ShardMap& map,
-                 PublishedView& view) {
-  const auto reps = shard.engine().reputations();
+// Overwrites the view entries of the nodes `shard` owns, and its shard
+// epoch.
+void write_owned(ServiceShard& shard, PublishedView& view) {
+  const reputation::ReputationEngine& engine = shard.engine();
   const auto& detected = shard.manager().detected();
-  for (rating::NodeId i = 0; i < view.reputations.size(); ++i) {
-    if (map.owner(i) != shard.index()) continue;
-    view.reputations[i] = i < reps.size() ? reps[i] : 0.0;
+  for (const rating::NodeId i : shard.manager().matrix().owned_nodes()) {
+    view.reputations[i] = engine.reputation(i);
     view.suspected[i] = detected.contains(i) ? 1 : 0;
   }
   view.shard_epochs[shard.index()] = shard.epochs_completed();
@@ -1049,7 +1052,7 @@ void ReputationService::publish_view(const SlotTable& table) {
   view->suspected.assign(config_.num_nodes, 0);
   view->shard_epochs.assign(table.slots.size(), 0);
   for (const auto& slot : table.slots)
-    write_owned(slot->shard, *table.map, *view);
+    write_owned(slot->shard, *view);
   const util::MutexLock lock(view_mu_);
   published_.view = std::move(view);
   published_.map = table.map;
@@ -1060,8 +1063,16 @@ void ReputationService::publish_shard(ServiceShard& shard) {
   // complete successor, so none can drop another's entries.
   const util::MutexLock lock(view_mu_);
   auto view = std::make_shared<PublishedView>(*published_.view);
-  write_owned(shard, *published_.map, *view);
+  write_owned(shard, *view);
   published_.view = std::move(view);
+}
+
+void ReputationService::inspect_matrices(
+    const std::function<void(std::size_t, const rating::RatingMatrix&)>& fn)
+    const {
+  const auto table = applied_table();
+  for (std::size_t s = 0; s < table->slots.size(); ++s)
+    fn(s, table->slots[s]->shard.manager().matrix());
 }
 
 ServiceSnapshot ReputationService::snapshot() const {
@@ -1083,6 +1094,8 @@ ServiceMetrics ReputationService::metrics() const {
     m.wal_bytes += slot->shard.wal_bytes();
     m.matrix_bytes += slot->shard.matrix_resident_bytes();
   }
+  // The shards' shared slot tables, charged once.
+  m.matrix_bytes += table->map->row_index()->slot_table_bytes();
   m.ratings_applied = applied;
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -200,6 +200,14 @@ class ReputationService {
 
   [[nodiscard]] ServiceSnapshot snapshot() const;
   [[nodiscard]] ServiceMetrics metrics() const;
+
+  /// Test hook: fn(shard, matrix) for every live shard's rating matrix,
+  /// in shard order. Only on a drained service with no ingest, epoch or
+  /// resize in flight: the workers are then idle, and drain() ordered
+  /// their writes before the call.
+  void inspect_matrices(
+      const std::function<void(std::size_t, const rating::RatingMatrix&)>&
+          fn) const;
   /// Concatenated detection reports: the global epoch log (kGlobal) or
   /// the shard logs in shard order (kPerShard).
   [[nodiscard]] std::string report_log() const;
@@ -216,8 +224,9 @@ class ReputationService {
 
  private:
   struct ShardSlot {
-    ShardSlot(std::size_t index, const ServiceConfig& config)
-        : queue(config.queue_capacity), shard(index, config) {}
+    ShardSlot(std::size_t index, const ServiceConfig& config,
+              const ShardMap& map)
+        : queue(config.queue_capacity), shard(index, config, map) {}
 
     IngestQueue<WalRecord> queue;
     ServiceShard shard;

@@ -4,9 +4,12 @@
 // dht::hash_node), so every quantity detection needs about node i — its
 // matrix row, window totals, engine reputation — lives wholly inside its
 // owner shard. The shard's worker thread (owned by ReputationService) is
-// the only mutator; readers go through the service's published view. A
-// resize moves a node between shards via take_node()/restore_node() while
-// both workers are parked at the resize barrier.
+// the only mutator; readers go through the service's published view. The
+// shard's matrix and engine hold state only for the nodes it owns, slotted
+// through the shard map's shared rating::RowIndex. A resize moves a node
+// between shards via take_node()/restore_node() while both workers are
+// parked at the resize barrier, and set_shard_map_stamp() re-slots every
+// surviving shard for the new map in between.
 #pragma once
 
 #include <atomic>
@@ -141,6 +144,10 @@ struct ServiceConfig {
 
 class ServiceShard {
  public:
+  /// Shard `index` of `map`.
+  ServiceShard(std::size_t index, const ServiceConfig& config,
+               const ShardMap& map);
+  /// Shard `index` of the map for config.num_shards shards.
   ServiceShard(std::size_t index, const ServiceConfig& config);
 
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
@@ -179,8 +186,9 @@ class ServiceShard {
   /// Restores state from a checkpoint (fresh shard only) and republishes
   /// the engine's reputations. Throws std::runtime_error, before
   /// touching any state, when a cell, suppressed or detected id is
-  /// >= num_nodes or the engine blob does not load (a CRC-valid
-  /// checkpoint can still be hostile, or sized for another node count).
+  /// >= num_nodes, a cell's ratee is a node this shard does not own, or
+  /// the engine blob does not load (a CRC-valid checkpoint can still be
+  /// hostile, or sized for another node count).
   void restore(const ShardCheckpoint& ckpt);
   /// Discards the shard's entire state (engine, matrix, counters) and
   /// restores from `ckpt` — restore() for a shard that has already lived.
@@ -193,11 +201,11 @@ class ServiceShard {
 
   /// Stamps the shard map (epoch, count) this shard currently runs under;
   /// recorded in every checkpoint it writes and in rotated WAL headers.
-  void set_shard_map_stamp(std::uint64_t map_epoch,
-                           std::uint32_t num_shards) noexcept {
-    map_epoch_ = map_epoch;
-    map_num_shards_ = num_shards;
-  }
+  /// A map with other owners re-slots the matrix and engine for it: the
+  /// state of nodes the shard keeps moves to their new slots, and what is
+  /// left of nodes it no longer owns (take_node() took their state) is
+  /// dropped. Only safe while the worker is parked.
+  void set_shard_map_stamp(std::uint64_t map_epoch, const ShardMap& map);
 
   // --- Shard handoff (elastic resharding) ---
 
@@ -215,8 +223,10 @@ class ServiceShard {
   /// of the node (empty row, zero sum, unsuppressed, undetected). Only
   /// safe while the worker is parked at the resize barrier.
   [[nodiscard]] NodeTransfer take_node(rating::NodeId id);
-  /// Installs a transfer taken from another shard. The node must be
-  /// untracked here (never owned, or previously taken).
+  /// Installs a transfer taken from another shard, and refreshes the
+  /// node's global reputation and high-reputed flag from its restored
+  /// sum. The shard must own the node under its current map, and the
+  /// node must be untracked here (never owned, or previously taken).
   void restore_node(const NodeTransfer& t);
 
   // --- Ingest path (worker thread only) ---
@@ -278,7 +288,12 @@ class ServiceShard {
   void close_epoch(std::uint64_t epoch);
   /// Replaces the manager with an empty one over engine_.
   void reset_manager();
-  /// Throws std::runtime_error when `ckpt` names an id >= num_nodes.
+  /// This shard's partition number in row_index_.
+  [[nodiscard]] std::uint32_t part() const noexcept {
+    return static_cast<std::uint32_t>(index_);
+  }
+  /// Throws std::runtime_error when `ckpt` names an id >= num_nodes or a
+  /// cell of a ratee this shard does not own.
   void check_ids(const ShardCheckpoint& ckpt) const;
   /// restore() after the engine blob: suppression, detected set, cells
   /// and counters, then republishes. Nothing in it refuses a checkpoint.
@@ -289,6 +304,8 @@ class ServiceShard {
   const ServiceConfig* config_;
   std::uint64_t map_epoch_ = 0;
   std::uint32_t map_num_shards_ = 1;
+  /// The live map's owner and rank tables, shared with every shard.
+  std::shared_ptr<const rating::RowIndex> row_index_;
   reputation::SummationEngine engine_;
   std::unique_ptr<managers::IncrementalCentralizedManager> manager_;
   std::unique_ptr<detect::Detector> detector_;

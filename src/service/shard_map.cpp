@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace p2prep::service {
 
@@ -22,9 +23,11 @@ ShardMap::ShardMap(std::size_t num_shards, std::size_t num_nodes)
               return a.key != b.key ? a.key < b.key : a.shard < b.shard;
             });
 
-  owners_.resize(num_nodes);
+  std::vector<std::uint32_t> owners(num_nodes);
   for (rating::NodeId id = 0; id < num_nodes; ++id)
-    owners_[id] = static_cast<std::uint32_t>(owner_of_key(dht::hash_node(id)));
+    owners[id] = static_cast<std::uint32_t>(owner_of_key(dht::hash_node(id)));
+  index_ = std::make_shared<const rating::RowIndex>(std::move(owners),
+                                                    num_shards);
 }
 
 std::size_t ShardMap::owner_of_key(dht::Key key) const noexcept {
@@ -38,9 +41,10 @@ std::size_t ShardMap::owner_of_key(dht::Key key) const noexcept {
 
 bool ShardMap::single_owner() const noexcept {
   if (num_shards_ == 1) return true;
-  if (owners_.empty()) return false;
-  return std::all_of(owners_.begin(), owners_.end(),
-                     [first = owners_.front()](std::uint32_t o) {
+  const std::vector<std::uint32_t>& owners = index_->owners();
+  if (owners.empty()) return false;
+  return std::all_of(owners.begin(), owners.end(),
+                     [first = owners.front()](std::uint32_t o) {
                        return o == first;
                      });
 }
@@ -51,7 +55,7 @@ std::vector<rating::NodeId> ShardMap::moved_nodes(const ShardMap& from,
     throw std::invalid_argument("shard_map: node ranges differ");
   std::vector<rating::NodeId> moved;
   for (rating::NodeId id = 0; id < from.num_nodes(); ++id) {
-    if (from.owners_[id] != to.owners_[id]) moved.push_back(id);
+    if (from.owner(id) != to.owner(id)) moved.push_back(id);
   }
   return moved;
 }

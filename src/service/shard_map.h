@@ -18,14 +18,21 @@
 //
 // The per-node owner table is materialized once at construction (O(n log
 // (S*V))), so owner() is an O(1) array read on the ingest hot path — the
-// same cost as the modulo mapping it replaces.
+// same cost as the modulo mapping it replaces. Next to it the map builds
+// the rank table: rank(i) is node i's position among its owner's nodes,
+// ascending by id. Both live in one immutable rating::RowIndex that every
+// shard's matrix and engine share (row_index()), so a shard holds one
+// slot per node it owns and the per-node tables are paid once per map,
+// not once per shard. Copies of a map share the index.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dht/hash.h"
+#include "rating/row_index.h"
 #include "rating/types.h"
 
 namespace p2prep::service {
@@ -45,12 +52,12 @@ class ShardMap {
     return num_shards_;
   }
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return owners_.size();
+    return index_->num_nodes();
   }
 
   /// Owner shard of node `id`. O(1); `id` must be < num_nodes().
   [[nodiscard]] std::size_t owner(rating::NodeId id) const noexcept {
-    return owners_[id];
+    return index_->owner(id);
   }
 
   /// Owner shard of an arbitrary ring key (successor point, wrapping).
@@ -59,7 +66,13 @@ class ShardMap {
   /// The materialized per-node owner table (detect::EpochSnapshot carries
   /// a copy so detectors resolve rows against the live map).
   [[nodiscard]] const std::vector<std::uint32_t>& owners() const noexcept {
-    return owners_;
+    return index_->owners();
+  }
+
+  /// The owner and rank tables, shared by every shard built on this map.
+  [[nodiscard]] const std::shared_ptr<const rating::RowIndex>& row_index()
+      const noexcept {
+    return index_;
   }
 
   /// True when every node maps to one shard — the single-partition case
@@ -80,8 +93,8 @@ class ShardMap {
   };
 
   std::size_t num_shards_;
-  std::vector<RingPoint> points_;       ///< Sorted by key.
-  std::vector<std::uint32_t> owners_;   ///< Node id -> shard index.
+  std::vector<RingPoint> points_;  ///< Sorted by key.
+  std::shared_ptr<const rating::RowIndex> index_;  ///< owners and ranks
 };
 
 }  // namespace p2prep::service

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rpc/client.h"
@@ -197,6 +198,110 @@ TEST(ReshardTest, ResizeToSameCountIsANoOp) {
   EXPECT_EQ(rs.num_shards, 3u);
   EXPECT_EQ(rs.keys_moved, 0u);
   EXPECT_EQ(svc.metrics().resizes_completed, 0u);
+  svc.stop();
+}
+
+/// Everything a matrix holds for node i's row.
+struct RowState {
+  std::vector<std::pair<NodeId, rating::PairStats>> cells;
+  rating::PairStats totals;
+  rating::PairStats frequent;
+  double global_rep = 0.0;
+  bool high = false;
+
+  friend bool operator==(const RowState&, const RowState&) = default;
+};
+
+RowState row_state(const rating::RatingMatrix& m, NodeId i) {
+  RowState row;
+  m.for_each_nonzero_cell(i, [&row](NodeId k, const rating::PairStats& s) {
+    row.cells.emplace_back(k, s);
+  });
+  row.totals = m.totals(i);
+  row.frequent = m.frequent_totals(i);
+  row.global_rep = m.global_reputation(i);
+  row.high = m.high_reputed(i);
+  return row;
+}
+
+/// Row state of every node as its owner shard's matrix holds it; checks
+/// on the way that every other shard's matrix reads the row as empty.
+std::vector<RowState> owner_rows(const ReputationService& svc) {
+  std::vector<RowState> rows(kN);
+  svc.inspect_matrices([&](std::size_t shard, const rating::RatingMatrix& m) {
+    for (NodeId i = 0; i < kN; ++i) {
+      if (svc.shard_of(i) == shard) {
+        EXPECT_TRUE(m.owns(i)) << "node " << i << ", shard " << shard;
+        rows[i] = row_state(m, i);
+      } else {
+        EXPECT_FALSE(m.owns(i)) << "node " << i << ", shard " << shard;
+        EXPECT_EQ(row_state(m, i), RowState{})
+            << "node " << i << " left state on shard " << shard;
+        EXPECT_EQ(m.stored_cells(i), 0u);
+      }
+    }
+  });
+  return rows;
+}
+
+// A resize moves each node's row to its new owner's slot and leaves no
+// host meta (global reputation, high flag) behind on the old one: every
+// other matrix reads the node as an untouched row (detect/snapshot.h).
+TEST(ReshardTest, MovedRowsReadTheSameThroughTheirNewOwnerOnly) {
+  const auto load = reshard_workload(66);
+  ReputationService svc(reshard_config(4));
+  for (const Rating& r : load) ASSERT_TRUE(svc.ingest(r));
+  svc.force_epoch();
+  svc.drain();
+  const std::vector<RowState> before = owner_rows(svc);
+  std::size_t high = 0;
+  for (const RowState& row : before) high += row.high ? 1 : 0;
+  ASSERT_GT(high, 0u);  // the workload leaves host meta to move
+
+  for (const std::size_t width : {7u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "resize to " << width);
+    std::vector<std::size_t> owner(kN);
+    for (NodeId i = 0; i < kN; ++i) owner[i] = svc.shard_of(i);
+    const ResizeStats rs = svc.resize(width);
+    ASSERT_GT(rs.keys_moved, 0u);
+    std::size_t moved_high = 0;
+    for (NodeId i = 0; i < kN; ++i)
+      if (svc.shard_of(i) != owner[i] && before[i].high) ++moved_high;
+    EXPECT_GT(moved_high, 0u);
+    svc.drain();
+    EXPECT_EQ(owner_rows(svc), before);
+  }
+  svc.stop();
+}
+
+// The shards hold slots for the nodes they own, so an empty service's
+// matrices cost the same per node at any width: 8 shards exceed one by a
+// small per-shard constant (a matrix header), not by 8 B a node a shard.
+TEST(ReshardTest, EmptyServiceMatrixBytesGrowByAConstantPerShard) {
+  constexpr std::size_t kNodes = 10'000;
+  constexpr std::uint64_t kPerShardBytes = 512;
+  const auto matrix_bytes = [](std::size_t shards) {
+    ServiceConfig cfg;
+    cfg.num_nodes = kNodes;
+    cfg.num_shards = shards;
+    ReputationService svc(cfg);
+    const std::uint64_t bytes = svc.metrics().matrix_bytes;
+    svc.stop();
+    return bytes;
+  };
+  const std::uint64_t one = matrix_bytes(1);
+  const std::uint64_t eight = matrix_bytes(8);
+  EXPECT_GE(one, kNodes * 8);  // a slot per node, somewhere
+  EXPECT_LE(eight, one + 7 * kPerShardBytes);
+
+  // The same after growing 1 -> 8 (the epoch refreshes each gauge).
+  ServiceConfig cfg;
+  cfg.num_nodes = kNodes;
+  ReputationService svc(cfg);
+  svc.resize(8);
+  svc.force_epoch();
+  svc.drain();
+  EXPECT_LE(svc.metrics().matrix_bytes, one + 7 * kPerShardBytes);
   svc.stop();
 }
 

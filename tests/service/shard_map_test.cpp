@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "service/service.h"
+
 namespace p2prep::service {
 namespace {
 
@@ -100,6 +102,55 @@ TEST(ShardMapTest, OwnersTableMatchesOwner) {
   ASSERT_EQ(owners.size(), 500u);
   for (rating::NodeId id = 0; id < 500; ++id)
     ASSERT_EQ(owners[id], map.owner(id));
+}
+
+/// Within each shard of `map`, the rank table numbers the shard's nodes
+/// 0, 1, 2, ... in ascending id order, agrees with owners(), and lists
+/// them in row_index()->nodes(shard).
+void expect_dense_ascending_ranks(const ShardMap& map) {
+  const rating::RowIndex& index = *map.row_index();
+  ASSERT_EQ(index.num_nodes(), map.num_nodes());
+  ASSERT_EQ(index.num_parts(), map.num_shards());
+  ASSERT_EQ(&index.owners(), &map.owners());
+  std::vector<std::uint32_t> next(map.num_shards(), 0);
+  for (rating::NodeId id = 0; id < map.num_nodes(); ++id) {
+    const auto shard = static_cast<std::uint32_t>(map.owner(id));
+    ASSERT_EQ(map.owners()[id], shard);
+    for (std::uint32_t s = 0; s < map.num_shards(); ++s) {
+      if (s == shard) continue;
+      ASSERT_EQ(index.slot(id, s), rating::RowIndex::kNoSlot) << "node " << id;
+    }
+    ASSERT_EQ(index.slot(id, shard), next[shard]) << "node " << id;
+    ASSERT_EQ(index.nodes(shard)[next[shard]], id);
+    ++next[shard];
+  }
+  for (std::uint32_t s = 0; s < map.num_shards(); ++s)
+    EXPECT_EQ(index.nodes(s).size(), next[s]) << "shard " << s;
+}
+
+TEST(ShardMapTest, RanksAreDenseAscendingAndAgreeWithOwners) {
+  for (std::size_t shards = 1; shards <= 8; ++shards) {
+    for (const std::size_t n : {1u, 2u, 1000u, 10000u}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, " << n
+                                      << " nodes");
+      expect_dense_ascending_ranks(ShardMap(shards, n));
+    }
+  }
+}
+
+TEST(ShardMapTest, RanksHoldForTheMapAResizeInstalls) {
+  ServiceConfig cfg;
+  cfg.num_nodes = 1000;
+  cfg.num_shards = 3;
+  ReputationService svc(cfg);
+  for (const std::size_t width : {7u, 2u, 8u}) {
+    svc.resize(width);
+    const ServiceSnapshot snap = svc.snapshot();
+    ASSERT_EQ(snap.num_shards(), width);
+    SCOPED_TRACE(testing::Message() << "after resize to " << width);
+    expect_dense_ascending_ranks(*snap.map);
+  }
+  svc.stop();
 }
 
 }  // namespace
