@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <vector>
+
 namespace p2prep::reputation {
 namespace {
 
@@ -101,6 +106,41 @@ TEST(SummationEngineTest, PretrustedBookkeeping) {
   e.set_pretrusted({3});
   EXPECT_FALSE(e.is_pretrusted(0));
   EXPECT_TRUE(e.is_pretrusted(3));
+}
+
+// A partitioned engine keeps sums for its own nodes only, but its blob
+// keeps one entry per node, 0 for the rest, and a blob that gives a node
+// it does not own a non-zero sum is refused.
+TEST(SummationEngineTest, PartitionedBlobKeepsTheNEntryLayout) {
+  const auto index = std::make_shared<const rating::RowIndex>(
+      std::vector<std::uint32_t>{0, 1, 0, 1}, 2);
+  SummationEngine even(index, 0, /*normalize=*/false);
+  SummationEngine odd(index, 1, /*normalize=*/false);
+  even.ingest(make(1, 2, Score::kPositive));
+  odd.ingest(make(0, 3, Score::kNegative));
+  EXPECT_THROW(even.ingest(make(0, 1, Score::kPositive)), std::out_of_range);
+  EXPECT_EQ(even.raw_sum(2), 1);
+  EXPECT_EQ(even.raw_sum(3), 0);  // another partition's node reads 0
+  EXPECT_EQ(even.reputations().size(), 2u);  // one slot per owned node
+
+  std::ostringstream even_blob, odd_blob;
+  ASSERT_TRUE(even.save_state(even_blob));
+  ASSERT_TRUE(odd.save_state(odd_blob));
+  SummationEngine standalone(4, /*normalize=*/false);
+  std::istringstream as_standalone(even_blob.str());
+  ASSERT_TRUE(standalone.load_state(as_standalone));
+  EXPECT_EQ(standalone.raw_sum(2), 1);
+  EXPECT_EQ(standalone.raw_sum(0) + standalone.raw_sum(1) +
+                standalone.raw_sum(3),
+            0);
+
+  SummationEngine restored(index, 0, /*normalize=*/false);
+  std::istringstream own(even_blob.str());
+  ASSERT_TRUE(restored.load_state(own));
+  EXPECT_EQ(restored.raw_sum(2), 1);
+  std::istringstream foreign(odd_blob.str());  // node 3's sum is not 0
+  EXPECT_FALSE(restored.load_state(foreign));
+  EXPECT_EQ(restored.raw_sum(2), 1);  // unchanged
 }
 
 }  // namespace
