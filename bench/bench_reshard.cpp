@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   cfg.num_nodes = num_nodes;
   cfg.num_shards = 4;
   cfg.queue_capacity = 8192;
-  cfg.epoch_scope = service::EpochScope::kGlobal;
   cfg.epoch_ratings = smoke ? 2048 : 16384;
   cfg.detector = "optimized";
   cfg.detector_config.positive_fraction_min = 0.8;

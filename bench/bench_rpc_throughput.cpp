@@ -46,7 +46,6 @@ service::ServiceConfig service_config() {
   cfg.num_nodes = kNodes;
   cfg.num_shards = 4;
   cfg.queue_capacity = 8192;
-  cfg.epoch_scope = service::EpochScope::kPerShard;
   cfg.epoch_ratings = 4096;
   cfg.detector_config.positive_fraction_min = 0.8;
   cfg.detector_config.complement_fraction_max = 0.2;

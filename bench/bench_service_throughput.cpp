@@ -1,19 +1,12 @@
 // Sharded-service throughput scaling: streams a fixed synthetic workload
-// through ReputationService at 1/2/4/8 shards, in per-shard or global
-// epoch scope, and reports ingested ratings/sec plus epoch-latency
-// percentiles.
+// through ReputationService at 1/2/4/8 shards and reports ingested
+// ratings/sec plus epoch-latency percentiles.
 //
-// Why sharding pays in per-shard scope even on few cores: the epoch
-// cadence is per-shard applied-rating count, so the stream-wide number of
-// detection epochs is fixed (~events / epoch_ratings) while each epoch's
-// optimized sweep runs over one shard's partition — high-reputed rows
-// divided by S — cutting the dominant detection term by the shard count.
-// Global scope sweeps every shard's rows at each epoch barrier (and checks
-// the pairs that span shards, which per-shard scope never does); the
-// scope column measures what that costs. Global scope counts its cadence
-// in total ratings, so its third arm fires every 1024 x S ratings: the
-// rate at which per-shard scope sweeps each row, for an equal-frequency
-// comparison.
+// Every epoch is global: it sweeps every shard's rows at the epoch
+// barrier, cross-shard pairs included. The cadence column picks how often:
+// every 1024 ratings, or every 1024 x S ratings, which sweeps each row as
+// often as a shard-local epoch every 1024 ratings per shard would
+// (DESIGN.md §7 records that comparison).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -47,8 +40,7 @@ std::vector<rating::Rating> workload() {
 }
 
 // Arg 0: shard count. Arg 1: matrix backend (0 = dense, 1 = sparse).
-// Arg 2: epoch scope and cadence (0 = per-shard every 1024 ratings per
-// shard, 1 = global every 1024 ratings, 2 = global every 1024 x S
+// Arg 2: epoch cadence (1 = every 1024 ratings, 2 = every 1024 x S
 // ratings).
 // The backend dimension shows the memory trade directly: dense shard
 // matrices cost num_shards * kNodes^2 cells regardless of traffic, sparse
@@ -63,8 +55,6 @@ void BM_ServiceIngestThroughput(benchmark::State& state) {
   cfg.matrix_backend = state.range(1) == 0 ? rating::MatrixBackend::kDense
                                            : rating::MatrixBackend::kSparse;
   cfg.queue_capacity = 4096;
-  cfg.epoch_scope = state.range(2) == 0 ? service::EpochScope::kPerShard
-                                         : service::EpochScope::kGlobal;
   cfg.epoch_ratings = state.range(2) == 2 ? 1024 * shards : 1024;
   cfg.detector = "optimized";
   cfg.detector_config.positive_fraction_min = 0.8;
@@ -97,8 +87,8 @@ void BM_ServiceIngestThroughput(benchmark::State& state) {
       static_cast<double>(total_ratings), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ServiceIngestThroughput)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}, {0, 1, 2}})
-    ->ArgNames({"shards", "sparse", "scope"})
+    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}, {1, 2}})
+    ->ArgNames({"shards", "sparse", "cadence"})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

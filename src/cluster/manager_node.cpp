@@ -202,35 +202,22 @@ void ManagerNode::recover_from_disk() {
     const std::string ckpt_path = range_ckpt_path(store->range);
     const auto ckpt = service::read_checkpoint(ckpt_path);
     const auto wal = service::read_wal(wal_path);
+    // The service's recovery rule: a WAL older than its checkpoint, or
+    // shorter than the checkpoint claims, refuses start-up.
+    const service::WalResume resume = service::wal_resume_point(ckpt, wal);
     if (ckpt) store->shard.restore(*ckpt);
-    std::uint64_t skip = 0;
-    bool replay = wal.found;
-    if (ckpt && wal.found) {
-      if (wal.generation == ckpt->wal_generation) {
-        skip = ckpt->wal_records_applied;
-      } else if (wal.generation < ckpt->wal_generation) {
-        // A WAL older than its checkpoint never happens in a crash
-        // window (rotation truncates in place); treat it as stale.
-        replay = false;
-      }
+    for (std::size_t i = resume.first_record; i < wal.records.size(); ++i) {
+      if (wal.records[i].kind != service::WalRecordKind::kRating) continue;
+      store->shard.apply_rating(wal.records[i].rating);
     }
-    if (replay) {
-      for (std::size_t i = 0; i < wal.records.size(); ++i) {
-        if (i < skip) continue;
-        if (wal.records[i].kind != service::WalRecordKind::kRating) continue;
-        store->shard.apply_rating(wal.records[i].rating);
-      }
-    }
-    const auto num_shards =
-        static_cast<std::uint32_t>(config_.ring.size());
     if (wal.found) {
       store->shard.attach_wal(service::WalWriter::resume(
-          wal_path, wal.generation, wal.map_epoch, wal.num_shards,
+          wal_path, resume.generation, wal.map_epoch, wal.num_shards,
           wal.valid_bytes, wal.records.size()));
     } else {
-      const std::uint64_t gen = ckpt ? ckpt->wal_generation + 1 : 1;
-      store->shard.attach_wal(
-          service::WalWriter::create(wal_path, gen, 0, num_shards));
+      store->shard.attach_wal(service::WalWriter::create(
+          wal_path, resume.generation, 0,
+          static_cast<std::uint32_t>(config_.ring.size())));
     }
   }
 }

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -30,10 +31,12 @@ struct EpochSnapshot {
   std::vector<rating::DirtyCells> dirty;
 
   /// Per-node owner table (node id -> index into `matrices`), one entry
-  /// per node whenever there is more than one matrix. The service fills
-  /// it from its live ShardMap, so detectors resolve rows correctly
-  /// across resizes. Ignored for single-matrix snapshots.
-  std::vector<std::uint32_t> owners;
+  /// per node whenever there is more than one matrix. Not owned: the
+  /// service views its live ShardMap's table, which the epoch's slot
+  /// table keeps alive, so detectors resolve rows correctly across
+  /// resizes without a copy per epoch. Ignored for single-matrix
+  /// snapshots.
+  std::span<const std::uint32_t> owners;
 
   /// Optional host-provided thread lender. Detectors that support
   /// range-partitioned scans run their tasks through it (merging results

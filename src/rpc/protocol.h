@@ -240,7 +240,7 @@ struct QueryReputationRequest {
 struct QueryReputationResponse {
   double reputation = 0.0;
   std::uint8_t suspected = 0;
-  std::uint64_t epoch = 0;      ///< Owner shard's published epoch.
+  std::uint64_t epoch = 0;      ///< The published global epoch.
   std::uint32_t shard = 0;      ///< Owner shard index.
 
   void encode(std::string& out) const;

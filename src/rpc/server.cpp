@@ -451,7 +451,7 @@ void RpcServer::handle_query_reputation(Reader& r, ResponseHeader& resp,
   // Resolve the owner through the snapshot's own map: shard_of() reads the
   // live map, which a concurrent resize() may already have swapped.
   out.shard = static_cast<std::uint32_t>(snap.owner(req->node));
-  out.epoch = snap.epoch(req->node);
+  out.epoch = snap.epoch();
   out.encode(body);
 }
 

@@ -24,7 +24,9 @@ struct ServiceMetrics {
   double ingest_rate_per_sec = 0.0;     ///< Applied ratings / wall seconds.
 
   // Epochs and detection.
-  std::uint64_t epochs_completed = 0;       ///< Across all shards.
+  /// Sequence number of the last global epoch closed; an epoch counts
+  /// once, however many shards it spans.
+  std::uint64_t epochs_completed = 0;
   std::uint64_t detections_total = 0;       ///< Flagged pairs, cumulative.
   std::uint64_t last_epoch_detections = 0;  ///< Flagged pairs, last epoch.
   double epoch_latency_ms_mean = 0.0;
@@ -36,8 +38,7 @@ struct ServiceMetrics {
   std::uint64_t ring_largest = 0;  ///< Largest ring's member count seen.
   std::uint64_t ring_scan_us = 0;  ///< Last epoch's detector scan time.
 
-  // Parallel global epochs (kGlobal scope; see ServiceConfig::
-  // epoch_scan_threads).
+  // Parallel global epochs (see ServiceConfig::epoch_scan_threads).
   /// Threads of the global epoch's scan pool (gauge; 1 = serial sweeps on
   /// the coordinator).
   std::uint64_t epoch_scan_threads = 1;

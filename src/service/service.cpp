@@ -20,13 +20,9 @@ ReputationService::ReputationService(ServiceConfig config)
   if (config_.cluster) {
     // Decentralized-manager mode: shard state lives in the manager
     // cluster; the local shards are per-epoch working copies refreshed by
-    // pull. Constraints follow from that shape — epochs must be global
-    // (the pull/push commit is cluster-wide), durability belongs to the
+    // pull. Constraints follow from that shape — durability belongs to the
     // managers, and reload_from() resets the virtual-time trigger state,
     // so the cadence must be rating-count based.
-    if (config_.epoch_scope != EpochScope::kGlobal)
-      throw std::invalid_argument(
-          "service: cluster mode requires global epoch scope");
     if (!config_.wal_dir.empty())
       throw std::invalid_argument(
           "service: cluster mode is incompatible with a local wal_dir "
@@ -99,27 +95,24 @@ ReputationService::ReputationService(ServiceConfig config)
 
   auto map = std::make_shared<const ShardMap>(live_shards, config_.num_nodes);
 
-  if (config_.epoch_scope == EpochScope::kGlobal) {
-    // The group detector needs full rows in one matrix; a multi-shard
-    // global sweep cannot provide them (ring handles sharding natively,
-    // and basic/optimized run the cross-shard accomplice exchange).
-    if (config_.detector == "group" && map->num_shards() > 1)
-      throw std::invalid_argument(
-          "service: detector 'group' does not support multi-shard global "
-          "epochs (use per-shard scope, one shard, or detector 'ring')");
-    // The coordinator blocks in parallel_for while the pool scans, so the
-    // pool gets the whole budget.
-    const std::size_t budget =
-        config_.epoch_scan_threads != 0
-            ? config_.epoch_scan_threads
-            : std::min<std::size_t>(
-                  std::max<std::size_t>(1,
-                                        std::thread::hardware_concurrency()),
-                  8);
-    epoch_scan_threads_.store(budget, std::memory_order_relaxed);
-    if (budget > 1)
-      scan_executor_ = std::make_unique<detect::ThreadPoolExecutor>(budget);
-  }
+  // The group detector needs full rows in one matrix; a multi-shard
+  // global sweep cannot provide them (ring handles sharding natively, and
+  // basic/optimized run the cross-shard accomplice exchange).
+  if (config_.detector == "group" && map->num_shards() > 1)
+    throw std::invalid_argument(
+        "service: detector 'group' does not support multi-shard global "
+        "epochs (use one shard, or detector 'ring')");
+  // The coordinator blocks in parallel_for while the pool scans, so the
+  // pool gets the whole budget.
+  const std::size_t budget =
+      config_.epoch_scan_threads != 0
+          ? config_.epoch_scan_threads
+          : std::min<std::size_t>(
+                std::max<std::size_t>(1, std::thread::hardware_concurrency()),
+                8);
+  epoch_scan_threads_.store(budget, std::memory_order_relaxed);
+  if (budget > 1)
+    scan_executor_ = std::make_unique<detect::ThreadPoolExecutor>(budget);
   SlotTable table;
   table.map = map;
   table.map_epoch = live_epoch;
@@ -197,9 +190,7 @@ void ReputationService::write_meta() const {
   out << "p2prep-service-meta 1\n"
       << "num_nodes " << config_.num_nodes << "\n"
       << "num_shards " << config_.num_shards << "\n"
-      << "scope "
-      << (config_.epoch_scope == EpochScope::kGlobal ? "global" : "per_shard")
-      << "\n"
+      << "scope global\n"
       << "detector " << config_.detector << "\n";
   if (!out) throw std::runtime_error("service: cannot write service.meta");
 }
@@ -223,8 +214,9 @@ void ReputationService::check_meta() const {
   // it), so the line is parsed but not enforced.
   if (!(in >> key >> value) || key != "num_shards")
     throw std::runtime_error("service: unrecognized service.meta");
-  expect("scope", config_.epoch_scope == EpochScope::kGlobal ? "global"
-                                                             : "per_shard");
+  // Every epoch is global; a directory written under another scope
+  // replays a different epoch protocol and is refused.
+  expect("scope", "global");
   expect("detector", config_.detector);
 }
 
@@ -309,88 +301,57 @@ void ReputationService::recover(std::vector<ShardDurableState> state,
                               : r.wal.end_offsets.back();
     }
 
-    std::uint64_t skip = 0;
-    const auto& ckpt = state[s].ckpt;
-    if (ckpt && r.wal.found) {
-      if (r.wal.generation < ckpt->wal_generation)
-        throw std::runtime_error("service recover: WAL generation " +
-                                 std::to_string(r.wal.generation) +
-                                 " older than checkpoint " +
-                                 std::to_string(ckpt->wal_generation));
-      if (r.wal.generation == ckpt->wal_generation)
-        skip = ckpt->wal_records_applied;
-      // A younger-generation WAL holds only post-checkpoint records.
-    }
-    if (skip > r.wal.records.size())
-      throw std::runtime_error(
-          "service recover: checkpoint claims more applied records than the "
-          "WAL holds");
-    r.pos = skip;
-    r.generation =
-        r.wal.found ? r.wal.generation : (ckpt ? ckpt->wal_generation : 0);
+    const WalResume resume = wal_resume_point(state[s].ckpt, r.wal);
+    r.pos = resume.first_record;
+    r.generation = resume.generation;
     r.keep_bytes = r.wal.found ? r.wal.valid_bytes : kWalHeaderBytes;
     r.keep_records = r.wal.records.size();
     max_epoch = std::max(max_epoch, slots[s]->shard.epochs_completed());
   }
 
   rating::Tick max_tick = 0;
-  if (config_.epoch_scope == EpochScope::kPerShard) {
+  for (;;) {
     for (std::size_t s = 0; s < slots.size(); ++s) {
       auto& r = shards[s];
-      for (; r.pos < r.wal.records.size(); ++r.pos) {
-        const WalRecord& rec = r.wal.records[r.pos];
-        if (rec.kind == WalRecordKind::kRating)
-          slots[s]->shard.apply_rating(rec.rating);
-        else
-          record_rings(slots[s]->shard.run_local_epoch(),
-                       slots[s]->shard.detector());
+      while (r.pos < r.wal.records.size() &&
+             r.wal.records[r.pos].kind == WalRecordKind::kRating) {
+        slots[s]->shard.apply_rating(r.wal.records[r.pos].rating);
+        max_tick = std::max(max_tick, r.wal.records[r.pos].rating.time);
+        ++r.pos;
       }
     }
-  } else {
-    for (;;) {
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        auto& r = shards[s];
-        while (r.pos < r.wal.records.size() &&
-               r.wal.records[r.pos].kind == WalRecordKind::kRating) {
-          slots[s]->shard.apply_rating(r.wal.records[r.pos].rating);
-          max_tick = std::max(max_tick, r.wal.records[r.pos].rating.time);
-          ++r.pos;
-        }
-      }
-      bool all_at_marker = true;
-      for (const auto& r : shards)
-        all_at_marker = all_at_marker && r.pos < r.wal.records.size();
-      if (!all_at_marker) break;
+    bool all_at_marker = true;
+    for (const auto& r : shards)
+      all_at_marker = all_at_marker && r.pos < r.wal.records.size();
+    if (!all_at_marker) break;
 
-      const std::uint64_t seq = shards[0].wal.records[shards[0].pos].epoch_seq;
-      for (const auto& r : shards) {
-        if (r.wal.records[r.pos].epoch_seq != seq)
-          throw std::runtime_error(
-              "service recover: shards disagree on epoch marker sequence");
-      }
-      run_global_epoch(seq, /*live=*/false);
-      max_epoch = std::max(max_epoch, seq);
-      last_epoch_tick = max_tick;
-      for (auto& r : shards) ++r.pos;
-    }
-
-    // An epoch marker not logged by every shard never ran (workers park at
-    // the barrier before the last shard's marker is written), so drop it
-    // from the resumed WAL; producers will inject that sequence again.
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      auto& r = shards[s];
-      if (r.pos >= r.wal.records.size()) continue;
-      if (r.pos + 1 < r.wal.records.size())
+    const std::uint64_t seq = shards[0].wal.records[shards[0].pos].epoch_seq;
+    for (const auto& r : shards) {
+      if (r.wal.records[r.pos].epoch_seq != seq)
         throw std::runtime_error(
-            "service recover: records found after an unpaired epoch marker");
-      r.keep_records = r.pos;
-      r.keep_bytes =
-          r.pos > 0 ? r.wal.end_offsets[r.pos - 1] : kWalHeaderBytes;
+            "service recover: shards disagree on epoch marker sequence");
     }
-
-    for (const auto& slot : slots)
-      since_epoch += slot->shard.applied_since_epoch_;
+    run_global_epoch(seq, /*live=*/false);
+    max_epoch = std::max(max_epoch, seq);
+    last_epoch_tick = max_tick;
+    for (auto& r : shards) ++r.pos;
   }
+
+  // An epoch marker not logged by every shard never ran (workers park at
+  // the barrier before the last shard's marker is written), so drop it
+  // from the resumed WAL; producers will inject that sequence again.
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    auto& r = shards[s];
+    if (r.pos >= r.wal.records.size()) continue;
+    if (r.pos + 1 < r.wal.records.size())
+      throw std::runtime_error(
+          "service recover: records found after an unpaired epoch marker");
+    r.keep_records = r.pos;
+    r.keep_bytes = r.pos > 0 ? r.wal.end_offsets[r.pos - 1] : kWalHeaderBytes;
+  }
+
+  for (const auto& slot : slots)
+    since_epoch += slot->shard.applied_since_epoch_;
 
   {
     const util::MutexLock lock(route_mu_);
@@ -426,22 +387,13 @@ IngestResult ReputationService::ingest_batch(
   const auto more = [&](std::size_t k) {
     return k < batch.size() && out.stop == IngestResult::Stop::kNone;
   };
-  if (config_.epoch_scope == EpochScope::kPerShard) {
-    // No shared cadence and no resize: take the table once and push
-    // outside route_mu_, so a producer blocked on one full queue stalls
-    // no other shard.
-    const auto table = routing_table();
-    for (std::size_t k = 0; more(k); ++k)
-      route_rating(*table, batch[k], admission, out);
-  } else {
-    // The router owns the epoch cadence, so each push and the marker it
-    // may make due are one atomic routing step; one route_mu_ hold covers
-    // the batch.
-    const util::MutexLock lock(route_mu_);
-    for (std::size_t k = 0; more(k); ++k)
-      if (route_rating(*routing_, batch[k], admission, out))
-        routed_rating(batch[k].time);
-  }
+  // The router owns the epoch cadence, so each push and the marker it may
+  // make due are one atomic routing step; one route_mu_ hold covers the
+  // batch.
+  const util::MutexLock lock(route_mu_);
+  for (std::size_t k = 0; more(k); ++k)
+    if (route_rating(*routing_, batch[k], admission, out))
+      routed_rating(batch[k].time);
   return out;
 }
 
@@ -508,7 +460,7 @@ std::uint64_t ReputationService::queue_depth() const {
 std::uint64_t ReputationService::force_epoch() {
   const util::MutexLock lock(route_mu_);
   const std::uint64_t seq = inject_marker();
-  if (config_.epoch_scope == EpochScope::kGlobal) routed_since_epoch_ = 0;
+  routed_since_epoch_ = 0;
   return seq;
 }
 
@@ -533,10 +485,6 @@ void ReputationService::drain() {
 // --- Resizing --------------------------------------------------------------
 
 ResizeStats ReputationService::resize(std::size_t new_num_shards) {
-  if (config_.epoch_scope != EpochScope::kGlobal)
-    throw std::invalid_argument(
-        "service resize: only global epoch scope supports online resizing "
-        "(per-shard epochs have no fence to move state behind)");
   if (new_num_shards == 0)
     throw std::invalid_argument("service resize: shard count must be >= 1");
   if (config_.detector == "group" && new_num_shards > 1)
@@ -793,20 +741,11 @@ void ReputationService::handle_record(ShardSlot& slot, const WalRecord& rec) {
     }
     slot.shard.stage_record(rec);
     slot.shard.apply_rating(rec.rating);
-    if (config_.epoch_scope == EpochScope::kPerShard &&
-        slot.shard.epoch_due(rec.rating.time)) {
-      slot.shard.log_record(
-          WalRecord::make_marker(slot.shard.epochs_completed() + 1));
-      run_shard_epoch(slot);
-    }
   } else if (rec.kind == WalRecordKind::kEpochMarker) {
     // log_record() writes the staged run with the marker, so an epoch's
     // checkpoint rotation never cuts a run in half.
     slot.shard.log_record(rec);
-    if (config_.epoch_scope == EpochScope::kPerShard)
-      run_shard_epoch(slot);
-    else
-      global_barrier(slot, rec.epoch_seq);
+    global_barrier(rec.epoch_seq);
   } else {
     // Resize fence. Logged so a crash inside the handoff window leaves
     // evidence (recovery strips it and resumes under the old map); a
@@ -826,19 +765,7 @@ void ReputationService::resize_fence(std::uint64_t map_epoch) {
     epoch_cv_.wait(epoch_mu_);
 }
 
-void ReputationService::run_shard_epoch(ShardSlot& slot) {
-  const auto start = std::chrono::steady_clock::now();
-  const core::DetectionReport report = slot.shard.run_local_epoch();
-  record_rings(report, slot.shard.detector());
-  publish_shard(slot.shard);
-  record_epoch_metrics(start, report.pairs.size() + report.rings.size());
-  if (checkpoints_enabled_.load(std::memory_order_relaxed) &&
-      slot.shard.wal_attached() &&
-      slot.shard.epochs_completed() % config_.checkpoint_every_epochs == 0)
-    checkpoint_shard(slot);
-}
-
-void ReputationService::global_barrier(ShardSlot&, std::uint64_t seq) {
+void ReputationService::global_barrier(std::uint64_t seq) {
   bool coordinator = false;
   {
     const util::MutexLock lock(epoch_mu_);
@@ -915,7 +842,7 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
     (void)config_.cluster->push(seq, flagged);
   }
 
-  record_rings(report, *global_detector_);
+  record_rings(report);
 
   if (live) {
     record_epoch_metrics(start, report.pairs.size() + report.rings.size());
@@ -927,7 +854,6 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
 }
 
 void ReputationService::make_global_detector(const SlotTable& table) {
-  if (config_.epoch_scope != EpochScope::kGlobal) return;
   global_detector_ =
       detect::make_detector(config_.detector, config_.detector_config);
   if (global_detector_->wants_dirty_tracking()) {
@@ -943,6 +869,7 @@ core::DetectionReport ReputationService::global_detect(
   snap.matrices.reserve(slots.size());
   for (const auto& slot : slots)
     snap.matrices.push_back(&slot->shard.manager().matrix());
+  // A view, not a copy: `table` holds the map for the whole epoch.
   if (snap.matrices.size() > 1) snap.owners = table.map->owners();
   // Lend the scan pool to the detect layer; a null executor keeps every
   // sweep serial.
@@ -969,8 +896,7 @@ void ReputationService::checkpoint_shard(ShardSlot& slot) {
     checkpoints_enabled_.store(false, std::memory_order_relaxed);
 }
 
-void ReputationService::record_rings(const core::DetectionReport& report,
-                                     const detect::Detector& detector) {
+void ReputationService::record_rings(const core::DetectionReport& report) {
   rings_found_.fetch_add(report.rings.size(), std::memory_order_relaxed);
   for (const auto& ring : report.rings) {
     std::uint64_t prev = ring_largest_.load(std::memory_order_relaxed);
@@ -979,7 +905,8 @@ void ReputationService::record_rings(const core::DetectionReport& report,
                                                 std::memory_order_relaxed)) {
     }
   }
-  ring_scan_us_.store(detector.stats().scan_us, std::memory_order_relaxed);
+  ring_scan_us_.store(global_detector_->stats().scan_us,
+                      std::memory_order_relaxed);
 }
 
 void ReputationService::record_epoch_metrics(
@@ -1032,39 +959,24 @@ std::size_t ReputationService::shard_of(rating::NodeId id) const {
   return id < config_.num_nodes ? table->map->owner(id) : 0;
 }
 
-namespace {
-// Overwrites the view entries of the nodes `shard` owns, and its shard
-// epoch.
-void write_owned(ServiceShard& shard, PublishedView& view) {
-  const reputation::ReputationEngine& engine = shard.engine();
-  const auto& detected = shard.manager().detected();
-  for (const rating::NodeId i : shard.manager().matrix().owned_nodes()) {
-    view.reputations[i] = engine.reputation(i);
-    view.suspected[i] = detected.contains(i) ? 1 : 0;
-  }
-  view.shard_epochs[shard.index()] = shard.epochs_completed();
-}
-}  // namespace
-
 void ReputationService::publish_view(const SlotTable& table) {
   auto view = std::make_shared<PublishedView>();
   view->reputations.assign(config_.num_nodes, 0.0);
   view->suspected.assign(config_.num_nodes, 0);
-  view->shard_epochs.assign(table.slots.size(), 0);
-  for (const auto& slot : table.slots)
-    write_owned(slot->shard, *view);
+  // Every shard closed the same global epoch.
+  view->epoch = table.slots.front()->shard.epochs_completed();
+  for (const auto& slot : table.slots) {
+    ServiceShard& shard = slot->shard;
+    const reputation::ReputationEngine& engine = shard.engine();
+    const auto& detected = shard.manager().detected();
+    for (const rating::NodeId i : shard.manager().matrix().owned_nodes()) {
+      view->reputations[i] = engine.reputation(i);
+      view->suspected[i] = detected.contains(i) ? 1 : 0;
+    }
+  }
   const util::MutexLock lock(view_mu_);
   published_.view = std::move(view);
   published_.map = table.map;
-}
-
-void ReputationService::publish_shard(ServiceShard& shard) {
-  // Copy-on-write under the lock: concurrent shard workers each publish a
-  // complete successor, so none can drop another's entries.
-  const util::MutexLock lock(view_mu_);
-  auto view = std::make_shared<PublishedView>(*published_.view);
-  write_owned(shard, *view);
-  published_.view = std::move(view);
 }
 
 void ReputationService::inspect_matrices(
@@ -1105,12 +1017,7 @@ ServiceMetrics ReputationService::metrics() const {
     m.ingest_rate_per_sec =
         static_cast<double>(applied - applied_base_) / secs;
 
-  if (config_.epoch_scope == EpochScope::kGlobal) {
-    m.epochs_completed = slots.empty() ? 0 : slots[0]->shard.epochs_completed();
-  } else {
-    for (const auto& slot : slots)
-      m.epochs_completed += slot->shard.epochs_completed();
-  }
+  m.epochs_completed = slots.front()->shard.epochs_completed();
   m.detections_total = detections_total_.load(std::memory_order_relaxed);
   m.last_epoch_detections =
       last_epoch_detections_.load(std::memory_order_relaxed);
@@ -1164,14 +1071,8 @@ ServiceMetrics ReputationService::metrics() const {
 }
 
 std::string ReputationService::report_log() const {
-  if (config_.epoch_scope == EpochScope::kGlobal) {
-    const util::MutexLock lock(log_mu_);
-    return report_log_;
-  }
-  const auto table = applied_table();
-  std::string out;
-  for (const auto& slot : table->slots) out += slot->shard.report_log();
-  return out;
+  const util::MutexLock lock(log_mu_);
+  return report_log_;
 }
 
 }  // namespace p2prep::service

@@ -6,32 +6,30 @@
 // and enqueues it on that shard's bounded IngestQueue, waiting at a full
 // queue (Admission::kBlock) or ending the call there (kNoWait, so the RPC
 // front door can shed); a worker thread per shard drains its queue into
-// the shard's incremental manager. Epochs (reputation update +
-// detection) are triggered by rating-count or virtual-time thresholds:
+// the shard's incremental manager.
 //
-//  * EpochScope::kGlobal — the router injects an epoch marker into every
-//    queue; workers barrier on it and the last arriver becomes the epoch
-//    COORDINATOR: it freezes all shards' state, then fans the detection
-//    sweep out as row-range tasks on the service's scan pool (a
-//    detect::ThreadPoolExecutor), merging per-range findings in range
-//    order so the report is byte-identical to a serial pass (cross-shard
-//    pairs included). The other workers stay parked from the barrier to
-//    the commit, so live, recovery-replay and cluster epochs all detect
-//    over the same frozen state. Epochs are totally ordered and
-//    replay-deterministic.
-//  * EpochScope::kPerShard — each shard epochs independently on its own
-//    applied-rating count; detection is shard-local and shards never wait
-//    for each other.
+// Epochs (reputation update + detection) are global. When the router's
+// service-wide rating-count or virtual-time threshold is due (or on
+// force_epoch()), it injects an epoch marker into every queue; workers
+// barrier on it and the last arriver becomes the epoch COORDINATOR: it
+// freezes all shards' state, then fans the detection sweep out as
+// row-range tasks on the service's scan pool (a detect::ThreadPoolExecutor),
+// merging per-range findings in range order so the report is
+// byte-identical to a serial pass, cross-shard pairs included (the paper's
+// manager-to-manager check of a pair that spans two managers). The other
+// workers stay parked from the barrier to the commit, so live,
+// recovery-replay and cluster epochs all detect over the same frozen
+// state. Epochs are totally ordered and replay-deterministic.
 //
-// Elastic resharding (kGlobal only): resize(new_num_shards) changes the
-// shard count online. The router atomically injects a resize fence into
-// every current queue and swaps in the new routing table, so each worker
-// sees exactly the records routed under its map; once every worker is
-// parked at the fence, the handoff moves only the nodes whose owner
-// changed (consistent hashing: ~1/S of keys on grow), commits durably
-// (checkpoint + WAL rotate under the new map), and releases. Ingest for
-// non-moving keys never pauses longer than one handoff window, and
-// detection reports are byte-identical to a never-resized run
+// Elastic resharding: resize(new_num_shards) changes the shard count
+// online. The router atomically injects a resize fence into every current
+// queue and swaps in the new routing table, so each worker sees exactly
+// the records routed under its map; once every worker is parked at the
+// fence, the handoff moves only the nodes whose owner changed (consistent
+// hashing: ~1/S of keys on grow), commits durably (checkpoint + WAL
+// rotate under the new map), and releases. Ingest for non-moving keys
+// never pauses longer than one handoff window, and detection reports are
+// byte-identical to a never-resized run
 // (tests/differential/reshard_differential_test.cpp).
 //
 // Reads (snapshot(), metrics(), report_log()) never block ingest: epochs
@@ -52,7 +50,6 @@
 // byte-identical detection reports (tested).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -78,9 +75,7 @@ namespace p2prep::service {
 struct PublishedView {
   std::vector<double> reputations;     ///< Per node, from its owner shard.
   std::vector<std::uint8_t> suspected; ///< 1 once its owner flagged it.
-  /// The epoch each shard last closed, indexed by the layout the view was
-  /// last published under (a resize keeps it).
-  std::vector<std::uint64_t> shard_epochs;
+  std::uint64_t epoch = 0;  ///< The global epoch the view was published at.
 };
 
 /// Point-in-time read: the published view plus the applied shard map.
@@ -104,19 +99,9 @@ struct ServiceSnapshot {
   [[nodiscard]] bool suspected(rating::NodeId i) const noexcept {
     return view && i < view->suspected.size() && view->suspected[i] != 0;
   }
-  /// Lowest epoch any shard has closed (== the epoch in kGlobal scope).
-  [[nodiscard]] std::uint64_t min_epoch() const noexcept {
-    return view && !view->shard_epochs.empty()
-               ? std::ranges::min(view->shard_epochs)
-               : 0;
-  }
-  /// The epoch node i's shard last closed. A shard grown since the last
-  /// publish has no entry; only kGlobal scope resizes, where every shard
-  /// closes the same epoch.
-  [[nodiscard]] std::uint64_t epoch(rating::NodeId i) const noexcept {
-    const std::size_t s = owner(i);
-    return view && s < view->shard_epochs.size() ? view->shard_epochs[s]
-                                                 : min_epoch();
+  /// The global epoch the view was published at (0 without a view).
+  [[nodiscard]] std::uint64_t epoch() const noexcept {
+    return view ? view->epoch : 0;
   }
 };
 
@@ -146,7 +131,8 @@ class ReputationService {
   /// already holds service state (service.meta present), recovers from
   /// checkpoint + WAL replay first — adopting the shard count the stored
   /// state was written under; a config mismatch with the stored meta
-  /// (num_nodes / scope / detector) throws std::runtime_error.
+  /// (num_nodes / detector), or a directory written under an epoch scope
+  /// other than global, throws std::runtime_error.
   explicit ReputationService(ServiceConfig config);
   ~ReputationService();
 
@@ -175,17 +161,17 @@ class ReputationService {
 
   /// Injects an epoch marker into every shard queue (asynchronously; use
   /// drain() to wait for completion). Returns the marker's sequence
-  /// number. Works in both scopes; forced epochs are WAL-logged and thus
-  /// replayed at the same stream position on recovery.
+  /// number. Forced epochs are WAL-logged and thus replayed at the same
+  /// stream position on recovery.
   std::uint64_t force_epoch();
 
-  /// Changes the shard count online (kGlobal scope only; blocks until the
-  /// handoff committed). Only nodes whose ShardMap owner changes move;
-  /// ingest of non-moving keys continues throughout, bounded by one
-  /// handoff window. Throws std::invalid_argument for unsupported
-  /// configurations (per-shard scope, shard count 0, detector "group"
-  /// with > 1 shard, normalized engine) and std::runtime_error when the
-  /// service is stopped or the durable commit fails.
+  /// Changes the shard count online (blocks until the handoff committed).
+  /// Only nodes whose ShardMap owner changes move; ingest of non-moving
+  /// keys continues throughout, bounded by one handoff window. Throws
+  /// std::invalid_argument for unsupported configurations (shard count 0,
+  /// detector "group" with > 1 shard, decentralized-manager mode) and
+  /// std::runtime_error when the service is stopped or the durable commit
+  /// fails.
   ResizeStats resize(std::size_t new_num_shards);
 
   /// Closes the ingest queues, lets workers drain them, and joins. Safe
@@ -208,8 +194,8 @@ class ReputationService {
   void inspect_matrices(
       const std::function<void(std::size_t, const rating::RatingMatrix&)>&
           fn) const;
-  /// Concatenated detection reports: the global epoch log (kGlobal) or
-  /// the shard logs in shard order (kPerShard).
+  /// Concatenated detection reports of every global epoch, in order
+  /// (empty unless ServiceConfig::record_reports).
   [[nodiscard]] std::string report_log() const;
 
   [[nodiscard]] const ServiceConfig& config() const noexcept {
@@ -273,8 +259,8 @@ class ReputationService {
   /// its owner's queue in `table` and counts the outcome into `out`.
   bool route_rating(const SlotTable& table, const rating::Rating& r,
                     Admission admission, IngestResult& out);
-  /// Global scope, after a rating entered its owner queue: when the epoch
-  /// cadence is due, injects the next epoch marker.
+  /// After a rating entered its owner queue: when the epoch cadence is
+  /// due, injects the next epoch marker.
   void routed_rating(rating::Tick tick) P2PREP_REQUIRES(route_mu_);
   /// Pushes epoch marker ++epoch_seq_ into every routed queue; returns it.
   std::uint64_t inject_marker() P2PREP_REQUIRES(route_mu_);
@@ -284,8 +270,7 @@ class ReputationService {
   /// mode); ratings are staged into the shard's WAL run, markers and
   /// fences write the run.
   void handle_record(ShardSlot& slot, const WalRecord& rec);
-  void run_shard_epoch(ShardSlot& slot);
-  void global_barrier(ShardSlot& slot, std::uint64_t seq);
+  void global_barrier(std::uint64_t seq);
   /// Worker side of a resize: parks at the fence until the handoff for
   /// `map_epoch` committed (or the service is crashing).
   void resize_fence(std::uint64_t map_epoch);
@@ -300,14 +285,10 @@ class ReputationService {
   void record_epoch_metrics(std::chrono::steady_clock::time_point start,
                             std::size_t detections);
   void checkpoint_shard(ShardSlot& slot);
-  void record_rings(const core::DetectionReport& report,
-                    const detect::Detector& detector);
+  void record_rings(const core::DetectionReport& report);
   /// Publishes a view rebuilt from every shard of `table` (whose workers
   /// are parked or not started) with the table's map.
   void publish_view(const SlotTable& table) P2PREP_EXCLUDES(view_mu_);
-  /// Per-shard scope, on `shard`'s worker: publishes a copy of the view
-  /// with the entries of the nodes `shard` owns overwritten.
-  void publish_shard(ServiceShard& shard) P2PREP_EXCLUDES(view_mu_);
   /// (Re)creates global_detector_ for `table` — at construction and after
   /// every resize (streaming detectors rebuild their caches from the
   /// re-partitioned matrices on the next epoch) — and turns on dirty
@@ -316,11 +297,10 @@ class ReputationService {
 
   ServiceConfig config_;
   /// Cross-shard detector instance for global epochs, built by
-  /// detect::make_detector. Null in per-shard scope, where each shard owns
-  /// its detector.
+  /// detect::make_detector.
   std::unique_ptr<detect::Detector> global_detector_;
-  /// Scan threads lent to global-epoch sweeps: kGlobal scope with a
-  /// budget above 1 (ServiceConfig::epoch_scan_threads). Null = serial.
+  /// Scan threads lent to global-epoch sweeps when the budget is above 1
+  /// (ServiceConfig::epoch_scan_threads). Null = serial.
   std::unique_ptr<detect::ThreadPoolExecutor> scan_executor_;
   bool recovered_ = false;
   /// Cleared (from any worker) when a checkpoint attempt fails, so the
@@ -351,14 +331,14 @@ class ReputationService {
   /// Serializes resize() calls against each other and against stop().
   util::Mutex resize_mu_;
 
-  // Router state (kGlobal cadence) and the routing-generation table.
+  // Router state (epoch cadence) and the routing-generation table.
   mutable util::Mutex route_mu_ P2PREP_ACQUIRED_AFTER(resize_mu_);
   std::shared_ptr<const SlotTable> routing_ P2PREP_GUARDED_BY(route_mu_);
   std::uint64_t epoch_seq_ P2PREP_GUARDED_BY(route_mu_) = 0;
   std::uint64_t routed_since_epoch_ P2PREP_GUARDED_BY(route_mu_) = 0;
   rating::Tick global_last_epoch_tick_ P2PREP_GUARDED_BY(route_mu_) = 0;
 
-  // Epoch barrier and resize fence (kGlobal scope).
+  // Epoch barrier and resize fence.
   util::Mutex epoch_mu_ P2PREP_ACQUIRED_AFTER(resize_mu_);
   util::CondVar epoch_cv_;
   std::size_t arrived_ P2PREP_GUARDED_BY(epoch_mu_) = 0;
@@ -386,7 +366,7 @@ class ReputationService {
   std::atomic<std::uint64_t> detections_total_{0};
   std::atomic<std::uint64_t> last_epoch_detections_{0};
   std::atomic<std::uint64_t> checkpoints_written_{0};
-  // Ring gauges, recorded by record_rings() in both scopes.
+  // Ring gauges, recorded by record_rings() at every epoch.
   std::atomic<std::uint64_t> rings_found_{0};
   std::atomic<std::uint64_t> ring_largest_{0};
   std::atomic<std::uint64_t> ring_scan_us_{0};
@@ -409,7 +389,7 @@ class ReputationService {
       P2PREP_ACQUIRED_AFTER(resize_mu_, epoch_mu_);
   std::vector<double> epoch_latency_ms_ P2PREP_GUARDED_BY(latency_mu_);
 
-  // Global-scope report log.
+  // Report log.
   mutable util::Mutex log_mu_ P2PREP_ACQUIRED_AFTER(resize_mu_, epoch_mu_);
   std::string report_log_ P2PREP_GUARDED_BY(log_mu_);
 

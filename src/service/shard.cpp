@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "detect/registry.h"
-
 namespace p2prep::service {
 
 namespace {
@@ -58,9 +56,7 @@ ServiceShard::ServiceShard(std::size_t index, const ServiceConfig& config,
       config_(&config),
       map_num_shards_(static_cast<std::uint32_t>(map.num_shards())),
       row_index_(row_index_of(index, config, map)),
-      engine_(row_index_, part(), kNormalize),
-      detector_(
-          detect::make_detector(config.detector, config.detector_config)) {
+      engine_(row_index_, part(), kNormalize) {
   reset_manager();
   matrix_bytes_.store(manager_->matrix().approx_memory_bytes(),
                       std::memory_order_relaxed);
@@ -115,28 +111,6 @@ bool ServiceShard::apply_rating(const rating::Rating& r) {
   return true;
 }
 
-bool ServiceShard::epoch_due(rating::Tick now) const noexcept {
-  if (config_->epoch_ratings > 0 &&
-      applied_since_epoch_ >= config_->epoch_ratings)
-    return true;
-  if (config_->epoch_ticks > 0 &&
-      now >= last_epoch_tick_ + config_->epoch_ticks)
-    return true;
-  return false;
-}
-
-core::DetectionReport ServiceShard::run_local_epoch() {
-  manager_->update_reputations();
-  core::DetectionReport report = manager_->run_detection(*detector_);
-  const std::uint64_t epoch = epochs_completed() + 1;
-  close_epoch(epoch);
-  if (config_->record_reports) {
-    append_report(format_epoch_report("shard " + std::to_string(index_),
-                                      epoch, report));
-  }
-  return report;
-}
-
 void ServiceShard::commit_epoch(std::uint64_t epoch_seq,
                                 const std::vector<rating::NodeId>& flagged,
                                 const ShardMap& map) {
@@ -158,16 +132,6 @@ void ServiceShard::close_epoch(std::uint64_t epoch) {
   // matrix, so this is where the footprint gauge refreshes.
   matrix_bytes_.store(manager_->matrix().approx_memory_bytes(),
                       std::memory_order_relaxed);
-}
-
-void ServiceShard::append_report(const std::string& text) {
-  const util::MutexLock lock(log_mu_);
-  report_log_ += text;
-}
-
-std::string ServiceShard::report_log() const {
-  const util::MutexLock lock(log_mu_);
-  return report_log_;
 }
 
 std::optional<ShardCheckpoint> ServiceShard::make_checkpoint() const {
@@ -317,11 +281,6 @@ void ServiceShard::reset_manager() {
   manager_ = std::make_unique<managers::IncrementalCentralizedManager>(
       row_index_, part(), engine_, config_->detector_config,
       config_->matrix_backend);
-  // Per-shard epochs feed the detector this shard's matrix; when it
-  // streams (ring), record dirty cells so epochs cost O(changed nnz).
-  if (config_->epoch_scope == EpochScope::kPerShard &&
-      detector_->wants_dirty_tracking())
-    manager_->enable_dirty_tracking();
 }
 
 }  // namespace p2prep::service

@@ -1,15 +1,17 @@
 // One shard of the online reputation service: an IncrementalCentralizedManager
-// plus its SummationEngine, detector, WAL writer and epoch counters. Shards
-// own disjoint ratee partitions (the consistent-hash service::ShardMap over
+// plus its SummationEngine, WAL writer and epoch counters. Shards own
+// disjoint ratee partitions (the consistent-hash service::ShardMap over
 // dht::hash_node), so every quantity detection needs about node i — its
 // matrix row, window totals, engine reputation — lives wholly inside its
 // owner shard. The shard's worker thread (owned by ReputationService) is
-// the only mutator; readers go through the service's published view. The
-// shard's matrix and engine hold state only for the nodes it owns, slotted
-// through the shard map's shared rating::RowIndex. A resize moves a node
-// between shards via take_node()/restore_node() while both workers are
-// parked at the resize barrier, and set_shard_map_stamp() re-slots every
-// surviving shard for the new map in between.
+// the only mutator between epochs; the service's global epoch detects over
+// every shard while their workers are parked, and readers go through the
+// service's published view. The shard's matrix and engine hold state only
+// for the nodes it owns, slotted through the shard map's shared
+// rating::RowIndex. A resize moves a node between shards via
+// take_node()/restore_node() while both workers are parked at the resize
+// barrier, and set_shard_map_stamp() re-slots every surviving shard for
+// the new map in between.
 #pragma once
 
 #include <atomic>
@@ -22,7 +24,7 @@
 #include <vector>
 
 #include "core/config.h"
-#include "detect/detector.h"
+#include "core/evidence.h"
 #include "managers/incremental.h"
 #include "reputation/summation.h"
 #include "service/shard_map.h"
@@ -31,22 +33,6 @@
 #include "util/thread_annotations.h"
 
 namespace p2prep::service {
-
-/// Which state an epoch freezes and detects over.
-enum class EpochScope {
-  /// Epoch markers are injected into every shard queue; workers barrier on
-  /// them and the last arriver coordinates one detection sweep across all
-  /// shards' frozen state — fanned out as row-range tasks over the
-  /// service's scan pool (see ServiceConfig::epoch_scan_threads), with
-  /// per-range results merged deterministically. Catches colluding pairs
-  /// that span shards; epochs are totally ordered service-wide.
-  kGlobal,
-  /// Each shard runs epochs on its own cadence over its own partition.
-  /// Detection is shard-local (a pair spanning two shards is never
-  /// mutually checked), but shards never wait for each other — the
-  /// throughput configuration.
-  kPerShard,
-};
 
 /// Transport seam of the decentralized-manager service mode: when
 /// ServiceConfig::cluster is set, shard workers forward ratings to the
@@ -83,9 +69,8 @@ struct ServiceConfig {
   std::size_t num_shards = 1;
   std::size_t queue_capacity = 4096;
 
-  EpochScope epoch_scope = EpochScope::kGlobal;
-  /// Rating-count epoch trigger: total accepted ratings (kGlobal) or
-  /// per-shard applied ratings (kPerShard). 0 disables.
+  /// Rating-count epoch trigger: an epoch fires after this many accepted
+  /// ratings, counted service-wide by the router. 0 disables.
   std::uint64_t epoch_ratings = 1024;
   /// Virtual-time epoch trigger: an epoch fires when an ingested rating's
   /// tick is >= last epoch tick + epoch_ticks. 0 disables.
@@ -106,8 +91,8 @@ struct ServiceConfig {
   /// Keep per-epoch detection report text (report_log()).
   bool record_reports = true;
 
-  /// Scan threads for the global-epoch detection sweep (kGlobal only); 0 =
-  /// auto (min(hardware_concurrency, 8)), 1 = serial on the coordinator.
+  /// Scan threads for the global-epoch detection sweep; 0 = auto
+  /// (min(hardware_concurrency, 8)), 1 = serial on the coordinator.
   /// Above 1, a detect::ThreadPoolExecutor of this many threads runs the
   /// sweep's row-range tasks while the coordinator waits; per-range
   /// results merge in range order, so reports, WAL bytes and checkpoints
@@ -123,9 +108,9 @@ struct ServiceConfig {
   /// multi-process manager cluster behind this seam — workers forward
   /// ratings instead of applying them, the global epoch pulls range state
   /// back to detect over it and pushes the verdicts cluster-wide.
-  /// Requires kGlobal scope with a rating-count trigger, no local wal_dir
-  /// and a basic/optimized detector; num_shards must equal the cluster's
-  /// ring size. Durability is the managers' concern, not the service's.
+  /// Requires a rating-count trigger, no local wal_dir and a
+  /// basic/optimized detector; num_shards must equal the cluster's ring
+  /// size. Durability is the managers' concern, not the service's.
   std::shared_ptr<ClusterBackend> cluster;
 
   [[nodiscard]] bool valid() const noexcept {
@@ -135,9 +120,9 @@ struct ServiceConfig {
 };
 
 /// Deterministic detection-report text: header line with epoch number,
-/// source label ("shard k" / "global"), pair/ring counts and flagged ids,
-/// then one evidence line per pair and per ring. Byte-stable across runs
-/// — the recovery tests compare it.
+/// source label (the service writes "global"), pair/ring counts and
+/// flagged ids, then one evidence line per pair and per ring. Byte-stable
+/// across runs — the recovery tests compare it.
 [[nodiscard]] std::string format_epoch_report(
     const std::string& label, std::uint64_t epoch,
     const core::DetectionReport& report);
@@ -234,11 +219,6 @@ class ServiceShard {
   /// manager rejected it (cannot happen for ratings that passed service
   /// validation).
   bool apply_rating(const rating::Rating& r);
-  /// Per-shard cadence check, evaluated after each applied rating.
-  [[nodiscard]] bool epoch_due(rating::Tick now) const noexcept;
-  /// Runs one shard-local epoch: engine update, detection, suppression,
-  /// epoch close. Returns the epoch's detection report.
-  core::DetectionReport run_local_epoch();
 
   // --- Hooks for service-driven (global) epochs ---
   [[nodiscard]] managers::IncrementalCentralizedManager& manager() noexcept {
@@ -251,17 +231,12 @@ class ServiceShard {
   [[nodiscard]] reputation::ReputationEngine& engine() noexcept {
     return engine_;
   }
-  [[nodiscard]] const detect::Detector& detector() const noexcept {
-    return *detector_;
-  }
   /// Commits global epoch `epoch_seq` (service and cluster managers alike):
   /// the verdicts for the flagged ids this shard owns under `map`, one
   /// engine update when anything was flagged, then the epoch close.
   void commit_epoch(std::uint64_t epoch_seq,
                     const std::vector<rating::NodeId>& flagged,
                     const ShardMap& map);
-
-  [[nodiscard]] std::string report_log() const;
 
   // --- Counters (atomic: read by metrics() from any thread) ---
   [[nodiscard]] std::uint64_t applied_total() const noexcept {
@@ -298,7 +273,6 @@ class ServiceShard {
   /// restore() after the engine blob: suppression, detected set, cells
   /// and counters, then republishes. Nothing in it refuses a checkpoint.
   void install_checkpoint(const ShardCheckpoint& ckpt);
-  void append_report(const std::string& text);
 
   std::size_t index_;
   const ServiceConfig* config_;
@@ -308,7 +282,6 @@ class ServiceShard {
   std::shared_ptr<const rating::RowIndex> row_index_;
   reputation::SummationEngine engine_;
   std::unique_ptr<managers::IncrementalCentralizedManager> manager_;
-  std::unique_ptr<detect::Detector> detector_;
   std::optional<WalWriter> wal_;
   /// Staged frames of the current run and their record count (worker
   /// thread only).
@@ -325,9 +298,6 @@ class ServiceShard {
   std::atomic<std::uint64_t> wal_records_{0};
   std::atomic<std::uint64_t> wal_bytes_{0};
   std::atomic<std::uint64_t> matrix_bytes_{0};
-
-  mutable util::Mutex log_mu_;
-  std::string report_log_ P2PREP_GUARDED_BY(log_mu_);
 
   friend class ReputationService;
 };

@@ -455,4 +455,24 @@ std::optional<ShardCheckpoint> parse_checkpoint(std::string_view content) {
   return ckpt;
 }
 
+WalResume wal_resume_point(const std::optional<ShardCheckpoint>& ckpt,
+                           const WalReadResult& wal) {
+  if (!wal.found) return {0, ckpt ? ckpt->wal_generation + 1 : 0};
+  WalResume out{0, wal.generation};
+  if (!ckpt) return out;
+  if (wal.generation < ckpt->wal_generation)
+    throw std::runtime_error("recover: WAL generation " +
+                             std::to_string(wal.generation) +
+                             " older than checkpoint " +
+                             std::to_string(ckpt->wal_generation));
+  if (wal.generation == ckpt->wal_generation) {
+    if (ckpt->wal_records_applied > wal.records.size())
+      throw std::runtime_error(
+          "recover: checkpoint claims more applied records than the WAL "
+          "holds");
+    out.first_record = ckpt->wal_records_applied;
+  }
+  return out;
+}
+
 }  // namespace p2prep::service

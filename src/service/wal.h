@@ -35,8 +35,10 @@
 // crash window: records in a WAL whose generation matches the checkpoint
 // are skipped up to wal_records_applied, records in a younger-generation
 // WAL are all post-checkpoint, and a WAL older than its checkpoint is
-// corruption. Checkpoints are written to a temp file and renamed so a
-// crash never leaves a half-written snapshot in place.
+// corruption (wal_resume_point() below is that rule, for the service's
+// shards and the cluster managers' key ranges alike). Checkpoints are
+// written to a temp file and renamed so a crash never leaves a
+// half-written snapshot in place.
 #pragma once
 
 #include <cstddef>
@@ -276,5 +278,26 @@ struct ShardCheckpoint {
 /// Fuzzed by fuzz/fuzz_checkpoint.cpp.
 [[nodiscard]] std::optional<ShardCheckpoint> parse_checkpoint(
     std::string_view content);
+
+// --- Recovery --------------------------------------------------------------
+
+/// Where one durable log — a service shard's or a cluster key range's —
+/// resumes after a restart.
+struct WalResume {
+  /// First WAL record the checkpoint does not already cover.
+  std::size_t first_record = 0;
+  /// Generation of the WAL to reopen, or of the one to create when no WAL
+  /// was found (one past the checkpoint's, which rotation would have made).
+  std::uint64_t generation = 0;
+};
+
+/// The one recovery rule for a checkpoint + WAL pair (either may be
+/// missing). A WAL of the checkpoint's generation replays from record
+/// wal_records_applied; a younger WAL holds only post-checkpoint records.
+/// Throws std::runtime_error when the WAL is older than the checkpoint or
+/// holds fewer records than the checkpoint claims: the two files do not
+/// belong together, and appending to that WAL would lose what it acks.
+[[nodiscard]] WalResume wal_resume_point(
+    const std::optional<ShardCheckpoint>& ckpt, const WalReadResult& wal);
 
 }  // namespace p2prep::service

@@ -15,7 +15,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -566,6 +568,58 @@ TEST_F(ClusterTest, GaugesTravelTheGetMetricsWire) {
   service::ServiceMetrics m2;
   ASSERT_TRUE(client.get_metrics(2, &m2));
   EXPECT_EQ(m2.cluster_forwards, 1u);
+}
+
+// A manager recovers its ranges under the service's recovery rule: a WAL
+// older than its checkpoint, or shorter than the checkpoint claims,
+// refuses start-up. Resuming appends to such a WAL would acknowledge
+// ratings the next restart skips.
+TEST(ClusterRecoveryTest, MismatchedCheckpointAndWalRefuseStartUp) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "p2prep_cluster_recovery_rule";
+  ManagerNodeConfig cfg;
+  cfg.ring = {{"127.0.0.1", 0}};  // one manager: it holds range 0
+  cfg.service.num_nodes = kNumNodes;
+  cfg.data_dir = dir.string();
+  const auto write_range = [&dir](std::uint64_t ckpt_generation,
+                                  std::uint64_t ckpt_records,
+                                  std::uint64_t wal_generation,
+                                  std::uint64_t wal_records) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    service::ShardCheckpoint ckpt;
+    ckpt.wal_generation = ckpt_generation;
+    ckpt.wal_records_applied = ckpt_records;
+    ASSERT_TRUE(
+        service::write_checkpoint((dir / "range-0.ckpt").string(), ckpt));
+    service::WalWriter wal = service::WalWriter::create(
+        (dir / "range-0.wal").string(), wal_generation, 0, 1);
+    for (std::uint64_t k = 0; k < wal_records; ++k)
+      wal.append(service::WalRecord::make_rating(
+          {1, 2, Score::kPositive, static_cast<rating::Tick>(k)}));
+  };
+
+  // The WAL is a generation older than the checkpoint.
+  write_range(2, 0, 1, 3);
+  {
+    ManagerNode node(cfg);
+    EXPECT_THROW(node.start(), std::runtime_error);
+  }
+  // The checkpoint claims 5 records of a 2-record WAL generation.
+  write_range(1, 5, 1, 2);
+  {
+    ManagerNode node(cfg);
+    EXPECT_THROW(node.start(), std::runtime_error);
+  }
+  // Control: a matching pair starts and replays nothing twice.
+  write_range(1, 2, 1, 3);
+  {
+    ManagerNode node(cfg);
+    ASSERT_NO_THROW(node.start());
+    EXPECT_EQ(node.metrics_snapshot().ratings_applied, 1u);
+    node.stop();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

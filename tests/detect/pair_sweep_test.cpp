@@ -301,7 +301,7 @@ TEST(PairSweepOracle, RejectsShortOwnerTable) {
   const DetectorConfig cfg = testgen::config_for(7);
   const World world(trace, cfg, 3, cfg.frequency_min, MatrixBackend::kSparse);
   detect::EpochSnapshot snap = world.snapshot();
-  snap.owners.pop_back();
+  snap.owners = snap.owners.first(snap.owners.size() - 1);
   EXPECT_THROW((void)detect::sweep_basic(snap, cfg), std::invalid_argument);
   EXPECT_THROW((void)detect::sweep_optimized(snap, cfg),
                std::invalid_argument);

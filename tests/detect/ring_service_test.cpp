@@ -63,43 +63,8 @@ TEST(DetectRingServiceTest, UnknownDetectorFailsFastListingNames) {
   }
 }
 
-TEST(DetectRingServiceTest, PerShardRingDetectionSuppressesAndReports) {
-  ServiceConfig cfg = ring_config(20, 1);
-  cfg.epoch_scope = service::EpochScope::kPerShard;
-  ReputationService svc(cfg);
-
-  const std::vector<NodeId> ring = {0, 1, 2};
-  ingest_ring(svc, ring, 10);
-  svc.force_epoch();
-  svc.drain();
-
-  const ServiceMetrics m = svc.metrics();
-  EXPECT_EQ(m.rings_found, 1u);
-  EXPECT_EQ(m.ring_largest, 3u);
-  EXPECT_EQ(m.detections_total, 1u);
-
-  const std::string log = svc.report_log();
-  EXPECT_NE(log.find("rings=1"), std::string::npos) << log;
-  EXPECT_NE(log.find("ring(0, 1, 2)"), std::string::npos) << log;
-
-  const service::ServiceSnapshot snap = svc.snapshot();
-  for (const NodeId member : ring) {
-    EXPECT_TRUE(snap.suspected(member)) << member;
-    EXPECT_EQ(snap.reputation(member), 0.0) << member;  // kReset
-  }
-  EXPECT_FALSE(snap.suspected(10));
-
-  // The gauge line rides through ServiceMetrics::to_string (what the CLI
-  // metrics command prints).
-  EXPECT_NE(m.to_string().find("rings: found=1 largest=3"),
-            std::string::npos);
-  svc.stop();
-}
-
 TEST(DetectRingServiceTest, GlobalScopeRunsRingPluginAcrossShards) {
-  ServiceConfig cfg = ring_config(40, 3);
-  ASSERT_EQ(cfg.epoch_scope, service::EpochScope::kGlobal);
-  ReputationService svc(cfg);
+  ReputationService svc(ring_config(40, 3));
 
   const std::vector<NodeId> ring = {4, 9, 17, 23};
   ingest_ring(svc, ring, 31);
@@ -109,14 +74,24 @@ TEST(DetectRingServiceTest, GlobalScopeRunsRingPluginAcrossShards) {
   ServiceMetrics m = svc.metrics();
   EXPECT_EQ(m.rings_found, 1u);
   EXPECT_EQ(m.ring_largest, 4u);
+  EXPECT_EQ(m.detections_total, 1u);
 
   const std::string log = svc.report_log();
   EXPECT_NE(log.find("global"), std::string::npos) << log;
+  EXPECT_NE(log.find("rings=1"), std::string::npos) << log;
   EXPECT_NE(log.find("ring(4, 9, 17, 23)"), std::string::npos) << log;
 
   const service::ServiceSnapshot snap = svc.snapshot();
-  for (const NodeId member : ring)
+  for (const NodeId member : ring) {
     EXPECT_TRUE(snap.suspected(member)) << member;
+    EXPECT_EQ(snap.reputation(member), 0.0) << member;  // kReset
+  }
+  EXPECT_FALSE(snap.suspected(31));
+
+  // The gauge line rides through ServiceMetrics::to_string (what the CLI
+  // metrics command prints).
+  EXPECT_NE(m.to_string().find("rings: found=1 largest=4"),
+            std::string::npos);
 
   // A second epoch over untouched state: the streaming cache must keep
   // reporting the same ring (the service feeds the detector dirty deltas).

@@ -55,7 +55,6 @@ ServiceConfig config_for_seed(const testgen::Trace& t, std::uint64_t seed,
   ServiceConfig cfg;
   cfg.num_nodes = t.n;
   cfg.num_shards = 1 + seed % 4;
-  cfg.epoch_scope = seed % 5 == 0 ? EpochScope::kPerShard : EpochScope::kGlobal;
   // Cadence: rating count, virtual time, or both.
   cfg.epoch_ratings = seed % 3 == 1 ? 0 : 97 + seed % 113;
   cfg.epoch_ticks = seed % 3 == 0 ? 0 : 130 + seed % 71;

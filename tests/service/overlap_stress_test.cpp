@@ -31,7 +31,6 @@ ServiceConfig stress_config() {
   cfg.num_nodes = kN;
   cfg.num_shards = 4;
   cfg.queue_capacity = 64;
-  cfg.epoch_scope = EpochScope::kGlobal;
   cfg.epoch_ratings = 120;  // frequent epochs so barriers recur
   cfg.epoch_scan_threads = 4;
   cfg.detector_config.frequency_min = 20;

@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -282,36 +283,6 @@ TEST_F(RecoveryTest, CheckpointCompactionPreservesByteIdenticalReports) {
   }
 }
 
-TEST_F(RecoveryTest, PerShardScopeRecoversCadenceEpochs) {
-  ServiceConfig cfg = durable_config();
-  cfg.epoch_scope = EpochScope::kPerShard;
-  cfg.epoch_ratings = 40;  // natural cadence epochs, logged as markers
-  const std::vector<Rating> workload = collusion_workload(25, kN);
-
-  std::string log_before;
-  std::vector<double> reps_before(kN);
-  {
-    ReputationService svc(cfg);
-    for (const Rating& r : workload) ASSERT_TRUE(svc.ingest(r));
-    svc.drain();
-    log_before = svc.report_log();
-    const ServiceSnapshot snap = svc.snapshot();
-    for (rating::NodeId i = 0; i < kN; ++i)
-      reps_before[i] = snap.reputation(i);
-    svc.crash_stop();
-  }
-  EXPECT_FALSE(log_before.empty());
-
-  ReputationService svc(cfg);
-  ASSERT_TRUE(svc.recovered());
-  EXPECT_EQ(svc.report_log(), log_before);
-  EXPECT_EQ(svc.metrics().ratings_applied, workload.size());
-  const ServiceSnapshot snap = svc.snapshot();
-  for (rating::NodeId i = 0; i < kN; ++i)
-    EXPECT_EQ(snap.reputation(i), reps_before[i]) << "node " << i;
-  svc.stop();
-}
-
 TEST_F(RecoveryTest, ConfigMismatchWithStoredStateThrows) {
   {
     ReputationService svc(durable_config());
@@ -324,6 +295,21 @@ TEST_F(RecoveryTest, ConfigMismatchWithStoredStateThrows) {
   ServiceConfig other = durable_config();
   other.num_nodes = kN + 1;
   EXPECT_THROW(ReputationService svc(other), std::runtime_error);
+
+  // Every epoch is global: a directory written under per-shard scope
+  // replays another epoch protocol, so it is refused too.
+  const fs::path meta = dir_ / "service.meta";
+  std::string text;
+  {
+    std::ifstream in(meta);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string global_line = "scope global\n";
+  const auto at = text.find(global_line);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, global_line.size(), "scope per_shard\n");
+  std::ofstream(meta, std::ios::trunc) << text;
+  EXPECT_THROW(ReputationService svc(durable_config()), std::runtime_error);
 }
 
 TEST_F(RecoveryTest, ConfigShardCountIsIgnoredWhenStateExists) {
@@ -367,6 +353,9 @@ TEST_F(RecoveryTest, RecoveryAdoptsResizedShardCount) {
   EXPECT_EQ(svc.num_shards(), kShards + 2);
   EXPECT_EQ(svc.metrics().ratings_applied, workload.size());
   EXPECT_EQ(svc.metrics().shard_map_epoch, 1u);
+  // Recovery publishes the one global epoch the shards closed.
+  EXPECT_EQ(svc.snapshot().epoch(), 1u);
+  EXPECT_EQ(svc.snapshot().epoch(), svc.metrics().epochs_completed);
   svc.stop();
 }
 

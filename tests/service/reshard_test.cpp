@@ -162,7 +162,8 @@ TEST(ReshardTest, SnapshotReadsSurviveAResize) {
   const std::uint64_t last = svc.force_epoch();
   svc.drain();
   const ServiceSnapshot before = svc.snapshot();
-  ASSERT_EQ(before.min_epoch(), last);
+  ASSERT_EQ(before.epoch(), last);
+  ASSERT_EQ(before.epoch(), svc.metrics().epochs_completed);
 
   // Meaningful only if a flagged node changes owner on the grow.
   bool flagged_moves = false;
@@ -172,8 +173,13 @@ TEST(ReshardTest, SnapshotReadsSurviveAResize) {
   const auto expect_reads_unchanged = [&](std::size_t shards) {
     const ServiceSnapshot after = svc.snapshot();
     EXPECT_EQ(after.num_shards(), shards);
-    EXPECT_EQ(after.min_epoch(), last);
+    // One published epoch: the view, the metrics and every node's RPC
+    // answer agree, on the shards a grow added too.
+    EXPECT_EQ(after.epoch(), last);
+    EXPECT_EQ(after.epoch(), svc.metrics().epochs_completed);
+    std::size_t on_grown_shards = 0;
     for (NodeId i = 0; i < kN; ++i) {
+      if (after.owner(i) >= 2) ++on_grown_shards;
       EXPECT_EQ(after.reputation(i), before.reputation(i)) << i;
       EXPECT_EQ(after.suspected(i), before.suspected(i)) << i;
       rpc::QueryReputationResponse resp;
@@ -183,6 +189,7 @@ TEST(ReshardTest, SnapshotReadsSurviveAResize) {
       EXPECT_EQ(resp.suspected != 0, before.suspected(i)) << i;
       EXPECT_EQ(resp.shard, after.owner(i)) << i;
     }
+    EXPECT_EQ(on_grown_shards > 0, shards > 2);
   };
   ASSERT_GT(svc.resize(4).keys_moved, 0u);
   expect_reads_unchanged(4);
@@ -279,7 +286,7 @@ TEST(ReshardTest, MovedRowsReadTheSameThroughTheirNewOwnerOnly) {
 // small per-shard constant (a matrix header), not by 8 B a node a shard.
 TEST(ReshardTest, EmptyServiceMatrixBytesGrowByAConstantPerShard) {
   constexpr std::size_t kNodes = 10'000;
-  constexpr std::uint64_t kPerShardBytes = 512;
+  constexpr std::uint64_t kBytesPerShard = 512;
   const auto matrix_bytes = [](std::size_t shards) {
     ServiceConfig cfg;
     cfg.num_nodes = kNodes;
@@ -292,7 +299,7 @@ TEST(ReshardTest, EmptyServiceMatrixBytesGrowByAConstantPerShard) {
   const std::uint64_t one = matrix_bytes(1);
   const std::uint64_t eight = matrix_bytes(8);
   EXPECT_GE(one, kNodes * 8);  // a slot per node, somewhere
-  EXPECT_LE(eight, one + 7 * kPerShardBytes);
+  EXPECT_LE(eight, one + 7 * kBytesPerShard);
 
   // The same after growing 1 -> 8 (the epoch refreshes each gauge).
   ServiceConfig cfg;
@@ -301,7 +308,7 @@ TEST(ReshardTest, EmptyServiceMatrixBytesGrowByAConstantPerShard) {
   svc.resize(8);
   svc.force_epoch();
   svc.drain();
-  EXPECT_LE(svc.metrics().matrix_bytes, one + 7 * kPerShardBytes);
+  EXPECT_LE(svc.metrics().matrix_bytes, one + 7 * kBytesPerShard);
   svc.stop();
 }
 
@@ -364,7 +371,7 @@ TEST(ReshardTest, RestartAfterAGrowReadsTheClosedEpoch) {
       if ((k + 1) % step == 0 && (k + 1) / step <= 10) svc.force_epoch();
     }
     svc.drain();
-    ASSERT_EQ(svc.snapshot().min_epoch(), 10u);
+    ASSERT_EQ(svc.snapshot().epoch(), 10u);
     ASSERT_GT(svc.resize(4).keys_moved, 0u);
     svc.stop();
   }
@@ -372,21 +379,13 @@ TEST(ReshardTest, RestartAfterAGrowReadsTheClosedEpoch) {
   ASSERT_TRUE(svc.recovered());
   ASSERT_EQ(svc.num_shards(), 4u);
   const ServiceSnapshot snap = svc.snapshot();
-  EXPECT_EQ(snap.min_epoch(), 10u);
-  for (NodeId i = 0; i < kN; ++i) EXPECT_EQ(snap.epoch(i), 10u) << i;
+  EXPECT_EQ(snap.epoch(), 10u);
+  EXPECT_EQ(snap.epoch(), svc.metrics().epochs_completed);
   svc.stop();
   fs::remove_all(dir);
 }
 
 // --- Rejected configurations ----------------------------------------------
-
-TEST(ReshardTest, PerShardScopeCannotResize) {
-  ServiceConfig cfg = reshard_config(2);
-  cfg.epoch_scope = EpochScope::kPerShard;
-  ReputationService svc(cfg);
-  EXPECT_THROW(svc.resize(4), std::invalid_argument);
-  svc.stop();
-}
 
 TEST(ReshardTest, ZeroShardsIsRejected) {
   ReputationService svc(reshard_config(2));

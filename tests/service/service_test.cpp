@@ -80,65 +80,6 @@ TEST(ServiceTest, IngestAfterStopReturnsFalse) {
   EXPECT_FALSE(svc.ingest({1, 2, Score::kPositive, 1}));
 }
 
-TEST(ServiceTest, PerShardScopeFlagsSameShardColluders) {
-  constexpr std::size_t kN = 40;
-  ServiceConfig cfg = base_config(kN, 2);
-  cfg.epoch_scope = EpochScope::kPerShard;
-  ReputationService svc(cfg);
-
-  // Per-shard detection can only see a pair whose members share a shard.
-  rating::NodeId c0 = 0;
-  while (svc.shard_of(c0) != 0) ++c0;
-  rating::NodeId c1 = c0 + 1;
-  while (svc.shard_of(c1) != 0 || c1 == c0) ++c1;
-  ASSERT_LT(c1, kN);
-
-  rating::Tick t = 0;
-  for (int k = 0; k < 30; ++k) {
-    ASSERT_TRUE(svc.ingest({c0, c1, Score::kPositive, t++}));
-    ASSERT_TRUE(svc.ingest({c1, c0, Score::kPositive, t++}));
-  }
-  // Five outsiders give one negative each: the complement evidence.
-  int outsiders = 0;
-  for (rating::NodeId i = 0; i < kN && outsiders < 5; ++i) {
-    if (i == c0 || i == c1) continue;
-    ASSERT_TRUE(svc.ingest({i, c0, Score::kNegative, t++}));
-    ASSERT_TRUE(svc.ingest({i, c1, Score::kNegative, t++}));
-    ++outsiders;
-  }
-  // Everyone else becomes high-reputed through infrequent positives.
-  for (rating::NodeId i = 0; i < kN; ++i) {
-    if (i == c0 || i == c1) continue;
-    auto rater = static_cast<rating::NodeId>((i + 1) % kN);
-    while (rater == i || rater == c0 || rater == c1)
-      rater = static_cast<rating::NodeId>((rater + 1) % kN);
-    for (int k = 0; k < 10; ++k)
-      ASSERT_TRUE(svc.ingest({rater, i, Score::kPositive, t++}));
-  }
-
-  svc.force_epoch();
-  svc.drain();
-
-  const ServiceSnapshot snap = svc.snapshot();
-  EXPECT_TRUE(snap.suspected(c0));
-  EXPECT_TRUE(snap.suspected(c1));
-  // Suppression (kReset) zeroed the colluders' reputations.
-  EXPECT_EQ(snap.reputation(c0), 0.0);
-  EXPECT_EQ(snap.reputation(c1), 0.0);
-  std::size_t suspects = 0;
-  for (rating::NodeId i = 0; i < kN; ++i)
-    if (snap.suspected(i)) ++suspects;
-  EXPECT_EQ(suspects, 2u);
-
-  const std::string log = svc.report_log();
-  EXPECT_NE(log.find("shard 0"), std::string::npos);
-  EXPECT_NE(log.find("pairs=1"), std::string::npos);
-
-  const ServiceMetrics m = svc.metrics();
-  EXPECT_GE(m.epochs_completed, 2u);  // one forced epoch per shard
-  EXPECT_EQ(m.detections_total, 1u);
-}
-
 class GlobalEquivalenceTest : public ::testing::TestWithParam<std::string> {};
 
 // The cross-shard global sweep must reproduce a single centralized
@@ -223,7 +164,7 @@ TEST(ServiceTest, GlobalRatingCountCadenceFiresEpochs) {
   svc.drain();
   const ServiceMetrics m = svc.metrics();
   EXPECT_EQ(m.epochs_completed, 2u);  // 120 accepted / 50
-  EXPECT_EQ(svc.snapshot().min_epoch(), 2u);
+  EXPECT_EQ(svc.snapshot().epoch(), 2u);
 }
 
 TEST(ServiceTest, SnapshotReadsOutsideTheNodeSpaceAreEmpty) {
@@ -246,7 +187,7 @@ TEST(ServiceTest, SnapshotReadsOutsideTheNodeSpaceAreEmpty) {
   const ServiceSnapshot empty;
   EXPECT_EQ(empty.reputation(0), 0.0);
   EXPECT_FALSE(empty.suspected(0));
-  EXPECT_EQ(empty.min_epoch(), 0u);
+  EXPECT_EQ(empty.epoch(), 0u);
   EXPECT_EQ(empty.num_shards(), 0u);
 }
 

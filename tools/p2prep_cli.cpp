@@ -134,8 +134,7 @@ int usage() {
                "[--one-way] [--camouflage F]\n"
                "            [--churn-leave F] [--churn-rejoin F]\n"
                "  serve-replay --in FILE [--from-trace] [--shards N]\n"
-               "            [--scope global|per-shard] [--epoch-ratings N] "
-               "[--epoch-ticks N]\n"
+               "            [--epoch-ratings N] [--epoch-ticks N]\n"
                "            [--detector basic|optimized|group|ring] "
                "[--matrix-backend dense|sparse]\n"
                "            [--wal-dir DIR] [--checkpoint-every N]\n"
@@ -446,11 +445,12 @@ bool service_config_from(const Args& args, std::size_t num_nodes,
   cfg.wal_dir = args.get("wal-dir");
   cfg.checkpoint_every_epochs = args.get_u64("checkpoint-every", 0);
 
-  const std::string scope = args.get("scope", "global");
-  if (scope == "global") cfg.epoch_scope = service::EpochScope::kGlobal;
-  else if (scope == "per-shard")
-    cfg.epoch_scope = service::EpochScope::kPerShard;
-  else return false;
+  // Every epoch is global. Args accepts any flag, so a scope this build
+  // does not run must fail here rather than silently run global epochs.
+  if (args.get("scope", "global") != "global") {
+    std::fprintf(stderr, "error: --scope: every epoch is global\n");
+    return false;
+  }
 
   cfg.detector = args.get("detector", cfg.detector);
   try {  // fail fast on an unknown name, with make_detector's message
