@@ -61,10 +61,10 @@ int main() {
   for (std::size_t managers_n : {8u, 16u, 32u, 64u, 128u}) {
     auto sys = make_system(managers_n);
     const auto pipelined = managers::measure_detection_round(
-        sys, managers::DetectionMethod::kOptimized, model, true);
+        sys, "optimized", model, true);
     auto sys2 = make_system(managers_n);
     const auto sequential = managers::measure_detection_round(
-        sys2, managers::DetectionMethod::kOptimized, model, false);
+        sys2, "optimized", model, false);
     table.add_row(
         {util::Table::num(static_cast<std::uint64_t>(managers_n)),
          util::Table::num(static_cast<std::uint64_t>(pipelined.cross_checks)),

@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
               answer.hops);
 
   // Run the decentralized detection protocol.
-  const auto outcome =
-      system.run_detection(managers::DetectionMethod::kOptimized);
+  const auto outcome = system.run_detection("optimized");
   util::Table table({"metric", "value"});
   table.add_row({"pairs flagged",
                  util::Table::num(static_cast<std::uint64_t>(

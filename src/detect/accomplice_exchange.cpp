@@ -79,6 +79,7 @@ std::uint32_t propagate_accomplices(const EpochSnapshot& snapshot,
               if (!core::frequency_ok(from_k, config) ||
                   !core::positive_fraction_ok(from_k, config))
                 return;
+              snapshot.partner_check(d, k);
               const rating::PairStats& from_d =
                   snapshot.matrix_of(k).cell(k, d);
               cost.add_scan();

@@ -172,12 +172,14 @@ core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
             ev.positive_fraction_second = 0.0;
             ev.complement_fraction_second = 0.0;
             // Repeat the whole check from n_j's line.
-            if (cfg.require_mutual &&
-                !directional(report, mj, mj.row_view(j), j, i,
-                             row_scan_cells(mj, j),
-                             ev.positive_fraction_second,
-                             ev.complement_fraction_second))
-              continue;
+            if (cfg.require_mutual) {
+              snapshot.partner_check(i, j);
+              if (!directional(report, mj, mj.row_view(j), j, i,
+                               row_scan_cells(mj, j),
+                               ev.positive_fraction_second,
+                               ev.complement_fraction_second))
+                continue;
+            }
             report.pairs.push_back(ev);
           }
         }
@@ -234,6 +236,7 @@ core::DetectionReport sweep_optimized(const EpochSnapshot& snapshot,
             if (cfg.require_mutual) {
               // Symmetric side: n_j high-reputed, rated frequently by n_i,
               // and passing the same test.
+              snapshot.partner_check(i, j);
               report.cost.add_check();
               if (!mj.high_reputed(j) ||
                   !directional(report, mj.row_view(j), i))

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -43,6 +44,24 @@ struct EpochSnapshot {
   /// in task-index order, so the report stays byte-identical to a serial
   /// pass); null means serial. Not owned; valid for the on_epoch() call.
   Executor* executor = nullptr;
+
+  /// Optional partner hook: on_partner_check(from, partner) runs each time
+  /// a kernel, having passed the check from `from`'s side, reads
+  /// `partner`'s row to repeat it from the other side — the point where
+  /// a decentralized manager would ask the partner's manager (Sec. IV-D).
+  /// Three sites call it: sweep_basic's second directional check,
+  /// sweep_optimized's require_mutual branch (before the partner's C1
+  /// read) and propagate_accomplices' read of cell(partner, from). It
+  /// observes only: reports and cost counters are the same with or
+  /// without it. Null everywhere but the decentralized managers; with an
+  /// executor it may run concurrently from several tasks.
+  std::function<void(rating::NodeId from, rating::NodeId partner)>
+      on_partner_check;
+
+  /// Calls on_partner_check(from, partner) when one is installed.
+  void partner_check(rating::NodeId from, rating::NodeId partner) const {
+    if (on_partner_check) on_partner_check(from, partner);
+  }
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return matrices.empty() ? 0 : matrices.front()->size();

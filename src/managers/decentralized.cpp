@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
-#include "core/formula.h"
-#include "core/predicates.h"
+#include "detect/registry.h"
+#include "rating/matrix.h"
 
 namespace p2prep::managers {
 
@@ -110,231 +111,64 @@ void DecentralizedReputationSystem::reset_window() {
   for (auto& [mgr, shard] : shards_) shard.reset_window();
 }
 
-std::vector<rating::NodeId> DecentralizedReputationSystem::sorted_raters(
-    const rating::RatingStore& shard, rating::NodeId i) {
-  std::vector<rating::NodeId> raters;
-  shard.for_each_window_rater(
-      i, [&raters](rating::NodeId j, const rating::PairStats&) {
-        raters.push_back(j);
-      });
-  std::sort(raters.begin(), raters.end());
-  return raters;
-}
-
-bool DecentralizedReputationSystem::local_directional_check(
-    const rating::RatingStore& shard, rating::NodeId i, rating::NodeId j,
-    DetectionMethod method, double& positive_fraction,
-    double& complement_fraction, util::CostCounter& cost) const {
-  const rating::PairStats pair = shard.window_pair(i, j);
-  cost.add_scan();
-
-  cost.add_check();
-  if (!core::frequency_ok(pair, config_.detector)) return false;
-  positive_fraction = pair.positive_fraction();
-
-  if (method == DetectionMethod::kBasic) {
-    cost.add_check();
-    if (!core::positive_fraction_ok(pair, config_.detector)) return false;
-    // Complement via explicit scan of every other rater (the O(n) step).
-    // Joint-complement mode skips other frequent raters (suspected
-    // partners) so they cannot mask each other (DetectorConfig docs).
-    rating::PairStats complement;
-    shard.for_each_window_rater(
-        i, [&](rating::NodeId k, const rating::PairStats& stats) {
-          if (k == j) return;
-          cost.add_scan();
-          if (config_.detector.joint_complement &&
-              stats.total >= config_.detector.frequency_min) {
-            return;
-          }
-          complement += stats;
-        });
-    complement_fraction = complement.positive_fraction();
-    cost.add_check();
-    return core::complement_ok(complement, config_.detector);
-  }
-
-  // Optimized path.
-  const rating::PairStats& totals = shard.window_totals(i);
-  if (!config_.detector.joint_complement) {
-    // Paper-literal Formula (2) on quantities the manager already has.
-    complement_fraction =
-        (totals - pair).positive_fraction();  // evidence only, O(1)
-    cost.add_check();
-    return core::optimized_directional(pair, totals.total,
-                                       totals.reputation_delta(),
-                                       config_.detector);
-  }
-
-  // Joint-complement generalization: C3 from the pair cell, C2 from the
-  // frequent-rater aggregate. A deployed manager maintains the aggregate
-  // incrementally (O(1) per rating, see RatingMatrix::add_rating); this
-  // simulation recomputes it from the shard but charges the single
-  // aggregate read the deployment would pay.
-  cost.add_check();
-  if (!core::positive_fraction_ok(pair, config_.detector)) return false;
-  rating::PairStats frequent;
-  shard.for_each_window_rater(
-      i, [&](rating::NodeId k, const rating::PairStats& stats) {
-        (void)k;
-        if (stats.total >= config_.detector.frequency_min) frequent += stats;
-      });
-  cost.add_scan();  // the aggregate read
-  const rating::PairStats complement = totals - frequent;
-  complement_fraction = complement.positive_fraction();
-  cost.add_check();
-  return core::complement_ok(complement, config_.detector);
-}
-
 DecentralizedReputationSystem::DetectionOutcome
-DecentralizedReputationSystem::run_detection(DetectionMethod method,
+DecentralizedReputationSystem::run_detection(std::string_view detector,
                                              bool suppress) {
-  DetectionOutcome outcome;
-  const double t_r = config_.detector.high_rep_threshold;
+  const std::unique_ptr<detect::Detector> kernel =
+      detect::make_detector(detector, config_.detector);
+  const std::size_t n = config_.num_nodes;
 
-  // Managers run their scans in id order for deterministic reports; in a
-  // deployment they run concurrently and independently.
+  // Each manager freezes its own rows into one sparse matrix; the C1 view
+  // is the window sum of the nodes it owns (0 elsewhere, never read).
+  std::vector<rating::RatingMatrix> matrices;
+  matrices.reserve(shards_.size());
+  std::vector<std::uint32_t> owners(n);
+  std::vector<double> reps(n);
   for (const auto& [mgr, shard] : shards_) {
-    for (rating::NodeId i = 0; i < config_.num_nodes; ++i) {
+    std::fill(reps.begin(), reps.end(), 0.0);
+    for (rating::NodeId i = 0; i < n; ++i) {
       if (manager_index_[i] != mgr) continue;
-      outcome.report.cost.add_check();
-      const auto r_i = static_cast<double>(
-          shard.window_totals(i).reputation_delta());
-      if (r_i <= t_r) continue;  // C1 for the local node
-
-      for (rating::NodeId j : sorted_raters(shard, i)) {
-        double a_i = 0.0;
-        double b_i = 0.0;
-        if (!local_directional_check(shard, i, j, method, a_i, b_i,
-                                     outcome.report.cost)) {
-          continue;
-        }
-
-        // n_i is suspected to collude with n_j; resolve n_j's side.
-        const rating::NodeId mgr_j = manager_index_[j];
-        double a_j = 0.0;
-        double b_j = 0.0;
-        bool j_side = false;
-        double r_j = 0.0;
-        if (mgr_j == mgr) {
-          ++outcome.local_checks;
-          r_j = static_cast<double>(
-              shard.window_totals(j).reputation_delta());
-          outcome.report.cost.add_check();
-          j_side = r_j > t_r &&
-                   local_directional_check(shard, j, i, method, a_j, b_j,
-                                           outcome.report.cost);
-        } else {
-          // Insert(j, msg): DHT-route the check request to n_j's manager.
-          const dht::LookupResult route =
-              ring_.lookup(mgr, dht::hash_reputation_record(j));
-          assert(route.owner == mgr_j);
-          ++outcome.check_requests;
-          outcome.request_hops += route.hops;
-          if (cross_check_observer_)
-            cross_check_observer_(mgr, mgr_j, route.hops);
-          const rating::RatingStore& remote = shards_.at(mgr_j);
-          r_j = static_cast<double>(
-              remote.window_totals(j).reputation_delta());
-          outcome.report.cost.add_check();
-          j_side = r_j > t_r &&
-                   local_directional_check(remote, j, i, method, a_j, b_j,
-                                           outcome.report.cost);
-          ++outcome.check_responses;  // direct reply to the requester
-        }
-        if (!j_side) continue;
-
-        core::PairEvidence ev;
-        ev.first = i;
-        ev.second = j;
-        ev.ratings_to_first = shard.window_pair(i, j).total;
-        ev.ratings_to_second =
-            shards_.at(mgr_j).window_pair(j, i).total;
-        ev.positive_fraction_first = a_i;
-        ev.positive_fraction_second = a_j;
-        ev.complement_fraction_first = b_i;
-        ev.complement_fraction_second = b_j;
-        ev.global_rep_first = r_i;
-        ev.global_rep_second = r_j;
-        outcome.report.pairs.push_back(ev);
-      }
+      owners[i] = static_cast<std::uint32_t>(matrices.size());
+      reps[i] =
+          static_cast<double>(shard.window_totals(i).reputation_delta());
     }
+    matrices.push_back(rating::RatingMatrix::build(
+        shard, reps, config_.detector.high_rep_threshold,
+        config_.detector.frequency_min, rating::MatrixBackend::kSparse));
   }
 
-  // Accomplice propagation across shards (see
-  // detect/accomplice_exchange.h): once a node is flagged, any mutual
-  // frequent mostly-positive partner of it is flagged too. The
-  // partner-side pair stats live at the partner's manager, so each probe
-  // that crosses shards is another routed request.
-  if (config_.detector.flag_accomplices) {
-    std::unordered_set<std::uint64_t> known;
-    std::vector<rating::NodeId> worklist;
-    std::unordered_set<rating::NodeId> queued;
-    for (const core::PairEvidence& e : outcome.report.pairs) {
-      known.insert(core::pair_key(e.first, e.second));
-      if (queued.insert(e.first).second) worklist.push_back(e.first);
-      if (queued.insert(e.second).second) worklist.push_back(e.second);
-    }
-    while (!worklist.empty()) {
-      const rating::NodeId d = worklist.back();
-      worklist.pop_back();
-      const rating::NodeId mgr_d = manager_index_[d];
-      const rating::RatingStore& shard_d = shards_.at(mgr_d);
-      for (rating::NodeId k : sorted_raters(shard_d, d)) {
-        if (known.contains(core::pair_key(d, k))) continue;
-        const rating::PairStats from_k = shard_d.window_pair(d, k);
-        outcome.report.cost.add_scan();
-        outcome.report.cost.add_check();
-        if (!core::frequency_ok(from_k, config_.detector) ||
-            !core::positive_fraction_ok(from_k, config_.detector)) {
-          continue;
-        }
-        const rating::NodeId mgr_k = manager_index_[k];
-        if (mgr_k != mgr_d) {
-          const dht::LookupResult route =
-              ring_.lookup(mgr_d, dht::hash_reputation_record(k));
-          assert(route.owner == mgr_k);
-          ++outcome.check_requests;
-          outcome.request_hops += route.hops;
-          ++outcome.check_responses;
-          if (cross_check_observer_)
-            cross_check_observer_(mgr_d, mgr_k, route.hops);
-        }
-        const rating::PairStats from_d =
-            shards_.at(mgr_k).window_pair(k, d);
-        outcome.report.cost.add_scan();
-        outcome.report.cost.add_check();
-        if (!core::frequency_ok(from_d, config_.detector) ||
-            !core::positive_fraction_ok(from_d, config_.detector)) {
-          continue;
-        }
-        core::PairEvidence ev;
-        ev.first = d;
-        ev.second = k;
-        ev.ratings_to_first = from_k.total;
-        ev.ratings_to_second = from_d.total;
-        ev.positive_fraction_first = from_k.positive_fraction();
-        ev.positive_fraction_second = from_d.positive_fraction();
-        ev.complement_fraction_first =
-            (shard_d.window_totals(d) - from_k).positive_fraction();
-        ev.complement_fraction_second =
-            (shards_.at(mgr_k).window_totals(k) - from_d).positive_fraction();
-        ev.global_rep_first = static_cast<double>(
-            shard_d.window_totals(d).reputation_delta());
-        ev.global_rep_second = static_cast<double>(
-            shards_.at(mgr_k).window_totals(k).reputation_delta());
-        outcome.report.pairs.push_back(ev);
-        known.insert(core::pair_key(d, k));
-        if (queued.insert(k).second) worklist.push_back(k);
-      }
-    }
-  }
+  detect::EpochSnapshot snapshot;
+  for (const rating::RatingMatrix& m : matrices)
+    snapshot.matrices.push_back(&m);
+  snapshot.owners = owners;
 
+  // The message model: the checking manager resolves the partner's side
+  // itself when it owns the partner, else DHT-routes a check request
+  // (Insert(ID_partner, msg)) to the partner's manager, which replies
+  // directly.
+  DetectionOutcome outcome;
+  snapshot.on_partner_check = [&](rating::NodeId from,
+                                  rating::NodeId partner) {
+    const rating::NodeId mgr = manager_index_[from];
+    const rating::NodeId mgr_partner = manager_index_[partner];
+    if (mgr == mgr_partner) {
+      ++outcome.local_checks;
+      return;
+    }
+    const dht::LookupResult route =
+        ring_.lookup(mgr, dht::hash_reputation_record(partner));
+    assert(route.owner == mgr_partner);
+    ++outcome.check_requests;
+    ++outcome.check_responses;
+    outcome.request_hops += route.hops;
+    if (cross_check_observer_)
+      cross_check_observer_(mgr, mgr_partner, route.hops);
+  };
+
+  outcome.report = kernel->on_epoch(snapshot);
   outcome.report.cost.add_message(outcome.check_requests +
                                   outcome.check_responses +
                                   outcome.request_hops);
-  outcome.report.canonicalize();
-
   if (suppress) {
     for (rating::NodeId id : outcome.report.colluders()) detected_.insert(id);
   }

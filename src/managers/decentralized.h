@@ -5,7 +5,14 @@
 // with Insert(ID_i, r_i) routed through the ring, and managers run the
 // detection protocol shard-locally, contacting the partner's manager with a
 // check request (another DHT-routed message) when a suspected pair spans
-// two managers.
+// two managers (Sec. IV-D).
+//
+// Detection runs the shared kernels (detect/pair_sweep.h,
+// detect/accomplice_exchange.h) over one sparse matrix per manager, the
+// same multi-matrix EpochSnapshot the service's global epoch sweeps. The
+// message model rides on the snapshot's partner hook: each time a kernel
+// repeats a check from the partner's side, the partner's manager either
+// is the checking manager (a local check) or receives a routed request.
 //
 // Reputations here are the window summation values R_i = N+_i - N-_i the
 // paper's Sec. IV-A model prescribes, so DetectorConfig::high_rep_threshold
@@ -21,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -30,11 +38,6 @@
 #include "rating/store.h"
 
 namespace p2prep::managers {
-
-enum class DetectionMethod {
-  kBasic,      ///< Sec. IV-B: complement via explicit row scan.
-  kOptimized,  ///< Sec. IV-C: complement via Formula (2).
-};
 
 class DecentralizedReputationSystem {
  public:
@@ -108,11 +111,14 @@ class DecentralizedReputationSystem {
     std::uint64_t local_checks = 0;     ///< Pair checks resolved shard-locally.
   };
 
-  /// Runs the full decentralized detection round: every manager scans its
-  /// responsible nodes and the cross-manager protocol resolves remote
-  /// partners. When `suppress` is true, flagged nodes' reputations are
-  /// pinned to 0 for subsequent queries.
-  DetectionOutcome run_detection(DetectionMethod method, bool suppress = true);
+  /// Runs the full decentralized detection round with the detector
+  /// detect::make_detector builds under `detector` ("basic" for Sec. IV-B,
+  /// "optimized" for Sec. IV-C): every manager scans its responsible nodes
+  /// and the cross-manager protocol resolves remote partners. When
+  /// `suppress` is true, flagged nodes' reputations are pinned to 0 for
+  /// subsequent queries. Throws std::invalid_argument for an unknown name.
+  DetectionOutcome run_detection(std::string_view detector,
+                                 bool suppress = true);
 
   /// Observer invoked for every cross-manager check request the detection
   /// protocol sends (requesting manager, target manager, routing hops).
@@ -142,27 +148,12 @@ class DecentralizedReputationSystem {
   /// every reassigned row to its new shard.
   HandoffStats reassign_shards();
 
-  /// One-directional deep check evaluated by `i`'s manager on its own
-  /// shard. Fills fraction outputs; charges `cost`.
-  [[nodiscard]] bool local_directional_check(const rating::RatingStore& shard,
-                                             rating::NodeId i,
-                                             rating::NodeId j,
-                                             DetectionMethod method,
-                                             double& positive_fraction,
-                                             double& complement_fraction,
-                                             util::CostCounter& cost) const;
-
-  /// Sorted list of raters of `i` in `shard`'s current window
-  /// (deterministic iteration order for reproducible reports).
-  [[nodiscard]] static std::vector<rating::NodeId> sorted_raters(
-      const rating::RatingStore& shard, rating::NodeId i);
-
   Config config_;
   CrossCheckObserver cross_check_observer_;
   dht::ChordRing ring_;
   /// manager id -> that manager's shard ledger (rows of responsible nodes).
   std::map<rating::NodeId, rating::RatingStore> shards_;
-  /// node id -> manager id (fixed after construction; no churn modeled).
+  /// node id -> manager id; add_manager/remove_manager reassign it.
   std::vector<rating::NodeId> manager_index_;
   std::unordered_set<rating::NodeId> detected_;
   std::uint64_t transport_messages_ = 0;

@@ -10,7 +10,7 @@
 namespace p2prep::managers {
 
 RoundLatency measure_detection_round(DecentralizedReputationSystem& system,
-                                     DetectionMethod method,
+                                     std::string_view detector,
                                      const LatencyModel& model,
                                      bool pipelined) {
   if (!model.enabled) return RoundLatency{};
@@ -24,7 +24,7 @@ RoundLatency measure_detection_round(DecentralizedReputationSystem& system,
       [&checks](rating::NodeId from, rating::NodeId to, std::size_t hops) {
         checks.push_back({from, to, hops});
       });
-  (void)system.run_detection(method, /*suppress=*/false);
+  (void)system.run_detection(detector, /*suppress=*/false);
   system.set_cross_check_observer(nullptr);
 
   RoundLatency result;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "managers/decentralized.h"
 
@@ -47,12 +48,13 @@ struct RoundLatency {
   std::size_t events = 0;
 };
 
-/// Runs one detection round on `system` (without suppressing, so the
-/// measurement does not change system state) and simulates its message
+/// Runs one detection round with the detector named `detector` on
+/// `system` (without suppressing, so the measurement does not change
+/// system state) and simulates its message
 /// pattern. `pipelined` = managers keep all checks in flight concurrently;
 /// otherwise each manager issues its checks one after another.
 [[nodiscard]] RoundLatency measure_detection_round(
-    DecentralizedReputationSystem& system, DetectionMethod method,
+    DecentralizedReputationSystem& system, std::string_view detector,
     const LatencyModel& model, bool pipelined = true);
 
 }  // namespace p2prep::managers

@@ -275,8 +275,15 @@ void ReputationService::recover(std::vector<ShardDurableState> state,
   // router/barrier state in locals and publishes it under the proper
   // locks at the end — keeping the thread-safety contracts checkable.
   std::uint64_t max_epoch = 0;
-  rating::Tick last_epoch_tick = 0;
   std::uint64_t since_epoch = 0;
+  // The tick cadence resumes from the checkpoints: each one carries the
+  // highest tick its shard applied before the checkpointed epoch's marker,
+  // so their maximum is the anchor that marker set.
+  rating::Tick max_tick = 0;
+  for (const ShardDurableState& shard : state)
+    if (shard.ckpt)
+      max_tick = std::max(max_tick, shard.ckpt->last_epoch_tick);
+  rating::Tick last_epoch_tick = max_tick;
 
   for (std::size_t s = 0; s < slots.size(); ++s) {
     auto& r = shards[s];
@@ -309,7 +316,6 @@ void ReputationService::recover(std::vector<ShardDurableState> state,
     max_epoch = std::max(max_epoch, slots[s]->shard.epochs_completed());
   }
 
-  rating::Tick max_tick = 0;
   for (;;) {
     for (std::size_t s = 0; s < slots.size(); ++s) {
       auto& r = shards[s];
@@ -357,6 +363,7 @@ void ReputationService::recover(std::vector<ShardDurableState> state,
     const util::MutexLock lock(route_mu_);
     epoch_seq_ = max_epoch;
     global_last_epoch_tick_ = last_epoch_tick;
+    max_routed_tick_ = max_tick;
     routed_since_epoch_ = since_epoch;
   }
   {
@@ -427,20 +434,22 @@ bool ReputationService::route_rating(const SlotTable& table,
 
 void ReputationService::routed_rating(rating::Tick tick) {
   ++routed_since_epoch_;
+  max_routed_tick_ = std::max(max_routed_tick_, tick);
   const bool due =
       (config_.epoch_ratings > 0 &&
        routed_since_epoch_ >= config_.epoch_ratings) ||
       (config_.epoch_ticks > 0 &&
        tick >= global_last_epoch_tick_ + config_.epoch_ticks);
-  if (due) {
-    inject_marker();
-    routed_since_epoch_ = 0;
-    global_last_epoch_tick_ = tick;
-  }
+  if (due) inject_marker();
 }
 
 std::uint64_t ReputationService::inject_marker() {
   const std::uint64_t seq = ++epoch_seq_;
+  // One rule for every marker, whatever made it due, and the one recover()
+  // applies when it replays the marker: the tick cadence anchors at the
+  // highest tick routed before it.
+  routed_since_epoch_ = 0;
+  global_last_epoch_tick_ = max_routed_tick_;
   for (const auto& slot : routing_->slots) {
     if (slot->queue.push_forced(WalRecord::make_marker(seq)))
       routed_records_.fetch_add(1, std::memory_order_relaxed);
@@ -459,9 +468,7 @@ std::uint64_t ReputationService::queue_depth() const {
 
 std::uint64_t ReputationService::force_epoch() {
   const util::MutexLock lock(route_mu_);
-  const std::uint64_t seq = inject_marker();
-  routed_since_epoch_ = 0;
-  return seq;
+  return inject_marker();
 }
 
 void ReputationService::drain() {

@@ -262,7 +262,8 @@ class ReputationService {
   /// After a rating entered its owner queue: when the epoch cadence is
   /// due, injects the next epoch marker.
   void routed_rating(rating::Tick tick) P2PREP_REQUIRES(route_mu_);
-  /// Pushes epoch marker ++epoch_seq_ into every routed queue; returns it.
+  /// Pushes epoch marker ++epoch_seq_ into every routed queue and restarts
+  /// both cadences at it; returns the sequence.
   std::uint64_t inject_marker() P2PREP_REQUIRES(route_mu_);
 
   void worker_loop(std::shared_ptr<ShardSlot> slot);
@@ -336,7 +337,10 @@ class ReputationService {
   std::shared_ptr<const SlotTable> routing_ P2PREP_GUARDED_BY(route_mu_);
   std::uint64_t epoch_seq_ P2PREP_GUARDED_BY(route_mu_) = 0;
   std::uint64_t routed_since_epoch_ P2PREP_GUARDED_BY(route_mu_) = 0;
+  /// The tick cadence's anchor: the highest tick routed before the last
+  /// epoch marker. recover() rebuilds both from checkpoints and replay.
   rating::Tick global_last_epoch_tick_ P2PREP_GUARDED_BY(route_mu_) = 0;
+  rating::Tick max_routed_tick_ P2PREP_GUARDED_BY(route_mu_) = 0;
 
   // Epoch barrier and resize fence.
   util::Mutex epoch_mu_ P2PREP_ACQUIRED_AFTER(resize_mu_);

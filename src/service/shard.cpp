@@ -107,7 +107,7 @@ bool ServiceShard::apply_rating(const rating::Rating& r) {
   if (!manager_->ingest(r)) return false;
   applied_total_.fetch_add(1, std::memory_order_relaxed);
   ++applied_since_epoch_;
-  last_applied_tick_ = r.time;
+  last_applied_tick_ = std::max(last_applied_tick_, r.time);
   return true;
 }
 

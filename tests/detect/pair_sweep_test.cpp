@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/formula.h"
@@ -311,6 +313,120 @@ TEST(PairSweepOracle, RejectsShortOwnerTable) {
   EXPECT_THROW(
       (void)detect::make_detector("ring", cfg)->on_epoch(snap),
       std::invalid_argument);
+}
+
+// The partner hook (EpochSnapshot::on_partner_check) on a 3-matrix
+// snapshot fires exactly once per passed first-side check at each of its
+// three sites — every ordered (i, j) whose partner side the sweep goes on
+// to examine, and every accomplice probe whose first direction passed —
+// and installing it changes neither the report nor the cost counters.
+TEST(PairSweepOracle, PartnerHookFiresOncePerPassedFirstSide) {
+  using Calls = std::vector<std::pair<NodeId, NodeId>>;
+  std::size_t accomplice_pairs = 0;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    testgen::Trace trace = testgen::make_trace(seed);
+    // A compromised honest node boosting colluder 0 and boosted back: no
+    // pairwise verdict (everyone rates it well), an accomplice of 0's.
+    const auto boosted = static_cast<NodeId>(trace.colluders);
+    for (rating::Tick k = 0; k < 15; ++k) {
+      trace.ratings.push_back({0, boosted, rating::Score::kPositive, k});
+      trace.ratings.push_back({boosted, 0, rating::Score::kPositive, k});
+    }
+    DetectorConfig cfg = testgen::config_for(seed);
+    cfg.require_mutual = true;
+    cfg.flag_accomplices = true;
+    const World world(trace, cfg, 3, cfg.frequency_min,
+                      MatrixBackend::kSparse);
+    const RatingMatrix& m = world.combined;
+    const std::size_t n = m.size();
+
+    // Each kernel twice, without and with the hook, on the same input.
+    const auto run = [&](const auto& kernel, Calls* calls) {
+      detect::EpochSnapshot snap = world.snapshot();
+      if (calls != nullptr)
+        snap.on_partner_check = [calls](NodeId from, NodeId partner) {
+          calls->emplace_back(from, partner);
+        };
+      return kernel(snap);
+    };
+    const auto expect_same = [](const DetectionReport& want,
+                                const DetectionReport& got) {
+      expect_same_pairs(want, got);
+      EXPECT_EQ(want.cost, got.cost);
+    };
+
+    // sweep_basic: i high-reputed, j high-reputed and not already examined
+    // from its own row (j > i), and i's side passed.
+    Calls basic_calls;
+    const auto basic = [&](const detect::EpochSnapshot& snap) {
+      return detect::sweep_basic(snap, cfg);
+    };
+    const DetectionReport basic_report = run(basic, nullptr);
+    expect_same(basic_report, run(basic, &basic_calls));
+    Calls want_basic;
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = i + 1; j < n; ++j) {
+        double a = 0.0;
+        double b = 0.0;
+        util::CostCounter ignored;
+        if (m.high_reputed(i) && m.high_reputed(j) &&
+            basic_directional(m, cfg, i, j, a, b, ignored))
+          want_basic.emplace_back(i, j);
+      }
+    }
+    EXPECT_EQ(basic_calls, want_basic);
+
+    // sweep_optimized: every ordered (i, j) with i high-reputed whose
+    // i side passed, before n_j's C1 read.
+    Calls optimized_calls;
+    const auto optimized = [&](const detect::EpochSnapshot& snap) {
+      return detect::sweep_optimized(snap, cfg);
+    };
+    const DetectionReport optimized_report = run(optimized, nullptr);
+    expect_same(optimized_report, run(optimized, &optimized_calls));
+    Calls want_optimized;
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = 0; j < n; ++j) {
+        util::CostCounter ignored;
+        if (j != i && m.high_reputed(i) &&
+            optimized_directional(m, cfg, i, j, ignored))
+          want_optimized.emplace_back(i, j);
+      }
+    }
+    EXPECT_EQ(optimized_calls, want_optimized);
+
+    // propagate_accomplices: a probe (d, k) fires at most once, only for a
+    // flagged d whose cell from k is frequent and mostly positive, and
+    // every pair the exchange adds was probed from one of its ends.
+    Calls accomplice_calls;
+    const auto accomplices = [&](const detect::EpochSnapshot& snap) {
+      DetectionReport report = basic_report;
+      (void)detect::propagate_accomplices(snap, cfg, report);
+      return report;
+    };
+    const DetectionReport full = run(accomplices, nullptr);
+    expect_same(full, run(accomplices, &accomplice_calls));
+    Calls sorted = accomplice_calls;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+    const std::vector<NodeId> flagged = full.colluders();
+    for (const auto& [d, k] : accomplice_calls) {
+      EXPECT_TRUE(std::binary_search(flagged.begin(), flagged.end(), d));
+      EXPECT_TRUE(core::frequency_ok(m.cell(d, k), cfg));
+      EXPECT_TRUE(core::positive_fraction_ok(m.cell(d, k), cfg));
+    }
+    for (const core::PairEvidence& e : full.pairs) {
+      if (basic_report.contains(e.first, e.second)) continue;
+      ++accomplice_pairs;
+      EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(),
+                                     std::pair(e.first, e.second)) ||
+                  std::binary_search(sorted.begin(), sorted.end(),
+                                     std::pair(e.second, e.first)))
+          << e.to_string();
+    }
+  }
+  EXPECT_GT(accomplice_pairs, 0u);
 }
 
 // Matrices built without a frequency threshold carry no frequent-rater

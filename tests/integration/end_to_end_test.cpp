@@ -193,8 +193,7 @@ TEST(EndToEndTest, DecentralizedMatchesSimulatedWorkload) {
         });
   }
 
-  const auto outcome =
-      dht_system.run_detection(managers::DetectionMethod::kOptimized);
+  const auto outcome = dht_system.run_detection("optimized");
   for (const auto& [a, b] : roles.collusion_edges)
     EXPECT_TRUE(outcome.report.contains(a, b)) << a << "," << b;
 }

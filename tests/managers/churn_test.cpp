@@ -96,8 +96,7 @@ TEST(ChurnTest, DetectionSurvivesChurn) {
   sys.add_manager(40);
   sys.add_manager(41);
   sys.remove_manager(2);
-  const auto outcome =
-      sys.run_detection(DetectionMethod::kOptimized);
+  const auto outcome = sys.run_detection("optimized");
   EXPECT_TRUE(outcome.report.contains(0, 1));
 }
 

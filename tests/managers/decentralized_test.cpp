@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "detect/basic_detector.h"
-#include "detect/optimized_detector.h"
+#include <vector>
+
+#include "detect/registry.h"
 #include "rating/matrix.h"
+#include "service/shard.h"
+#include "tests/differential/trace_gen.h"
 
 namespace p2prep::managers {
 namespace {
@@ -78,8 +81,7 @@ TEST(DecentralizedTest, QueryReputationRoutesAndAnswers) {
 TEST(DecentralizedTest, DetectsCollusionAcrossShards) {
   DecentralizedReputationSystem sys(config(30));
   feed_collusion(sys, 30);
-  const auto outcome =
-      sys.run_detection(DetectionMethod::kOptimized);
+  const auto outcome = sys.run_detection("optimized");
   EXPECT_TRUE(outcome.report.contains(0, 1));
   EXPECT_TRUE(sys.detected().contains(0));
   EXPECT_TRUE(sys.detected().contains(1));
@@ -93,8 +95,8 @@ TEST(DecentralizedTest, BasicAndOptimizedAgree) {
   DecentralizedReputationSystem b(config(40));
   feed_collusion(a, 40);
   feed_collusion(b, 40);
-  const auto ra = a.run_detection(DetectionMethod::kBasic);
-  const auto rb = b.run_detection(DetectionMethod::kOptimized);
+  const auto ra = a.run_detection("basic");
+  const auto rb = b.run_detection("optimized");
   ASSERT_EQ(ra.report.pairs.size(), rb.report.pairs.size());
   for (std::size_t i = 0; i < ra.report.pairs.size(); ++i) {
     EXPECT_EQ(ra.report.pairs[i].first, rb.report.pairs[i].first);
@@ -103,42 +105,49 @@ TEST(DecentralizedTest, BasicAndOptimizedAgree) {
 }
 
 TEST(DecentralizedTest, AgreesWithCentralizedDetection) {
-  // The decentralized protocol must flag exactly the pairs a centralized
-  // detector flags on the union of all shards.
-  DecentralizedReputationSystem sys(config(40));
-  feed_collusion(sys, 40);
+  // The decentralized protocol must report exactly what the same detector
+  // reports on one matrix built from the union of all shards — pairs and
+  // every evidence field — at any manager count: one manager, a few, or a
+  // flat DHT where every node manages itself. The seeds sweep the
+  // joint-complement, mutuality and accomplice settings (testgen).
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    const testgen::Trace trace = testgen::make_trace(seed);
+    DecentralizedReputationSystem::Config cfg;
+    cfg.num_nodes = trace.n;
+    cfg.detector = testgen::config_for(seed);
 
-  // Build the equivalent centralized matrix: merge shard data.
-  rating::RatingStore merged(40);
-  for (int k = 0; k < 50; ++k) {
-    merged.ingest(make(0, 1, Score::kPositive));
-    merged.ingest(make(1, 0, Score::kPositive));
-  }
-  for (rating::NodeId r = 3; r < 40; ++r) {
-    merged.ingest(make(r, 0, Score::kNegative));
-    merged.ingest(make(r, 1, Score::kNegative));
-    merged.ingest(make(r, 2, Score::kPositive));
-  }
-  std::vector<double> reps(40);
-  for (rating::NodeId i = 0; i < 40; ++i)
-    reps[i] =
-        static_cast<double>(merged.window_totals(i).reputation_delta());
-  const auto matrix = rating::RatingMatrix::build(merged, reps, 0.0);
-  core::DetectorConfig dc = config(40).detector;
-  const auto central =
-      detect::BasicDetector(dc).on_epoch(detect::EpochSnapshot::of(matrix));
-  const auto dist = sys.run_detection(DetectionMethod::kBasic);
-  ASSERT_EQ(central.pairs.size(), dist.report.pairs.size());
-  for (std::size_t i = 0; i < central.pairs.size(); ++i) {
-    EXPECT_EQ(central.pairs[i].first, dist.report.pairs[i].first);
-    EXPECT_EQ(central.pairs[i].second, dist.report.pairs[i].second);
+    rating::RatingStore merged(trace.n);
+    for (const Rating& r : trace.ratings) (void)merged.ingest(r);
+    std::vector<double> reps(trace.n);
+    for (rating::NodeId i = 0; i < trace.n; ++i)
+      reps[i] =
+          static_cast<double>(merged.window_totals(i).reputation_delta());
+    const auto matrix = rating::RatingMatrix::build(
+        merged, reps, cfg.detector.high_rep_threshold);
+
+    for (const std::size_t managers : {std::size_t{1}, std::size_t{7},
+                                       trace.n}) {
+      std::vector<rating::NodeId> manager_ids(managers);
+      for (rating::NodeId id = 0; id < managers; ++id) manager_ids[id] = id;
+      for (const char* detector : {"basic", "optimized"}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " managers "
+                                          << managers << ' ' << detector);
+        DecentralizedReputationSystem sys(cfg, manager_ids);
+        for (const Rating& r : trace.ratings) (void)sys.ingest(r);
+        const auto central = detect::make_detector(detector, cfg.detector)
+                                 ->on_epoch(detect::EpochSnapshot::of(matrix));
+        const auto dist = sys.run_detection(detector);
+        EXPECT_EQ(service::format_epoch_report("round", 1, dist.report),
+                  service::format_epoch_report("round", 1, central));
+      }
+    }
   }
 }
 
 TEST(DecentralizedTest, CrossManagerChecksGenerateMessages) {
   DecentralizedReputationSystem sys(config(30));
   feed_collusion(sys, 30);
-  const auto outcome = sys.run_detection(DetectionMethod::kOptimized);
+  const auto outcome = sys.run_detection("optimized");
   // Nodes 0 and 1 almost surely hash to different managers among 30;
   // either way the protocol reports consistent accounting.
   if (sys.manager_of(0) != sys.manager_of(1)) {
@@ -154,7 +163,7 @@ TEST(DecentralizedTest, WindowResetClearsDetectionInput) {
   DecentralizedReputationSystem sys(config(30));
   feed_collusion(sys, 30);
   sys.reset_window();
-  const auto outcome = sys.run_detection(DetectionMethod::kBasic);
+  const auto outcome = sys.run_detection("basic");
   EXPECT_TRUE(outcome.report.pairs.empty());
 }
 

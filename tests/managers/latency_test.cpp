@@ -49,10 +49,10 @@ DecentralizedReputationSystem make_system() {
 TEST(LatencyTest, MeasurementDoesNotPerturbSystem) {
   auto sys = make_system();
   const auto latency = measure_detection_round(
-      sys, DetectionMethod::kOptimized, LatencyModel{});
+      sys, "optimized", LatencyModel{});
   EXPECT_TRUE(sys.detected().empty());  // suppress=false inside
   // The real detection afterwards still flags all pairs.
-  const auto outcome = sys.run_detection(DetectionMethod::kOptimized);
+  const auto outcome = sys.run_detection("optimized");
   EXPECT_EQ(outcome.report.pairs.size(), 3u);
   (void)latency;
 }
@@ -60,7 +60,7 @@ TEST(LatencyTest, MeasurementDoesNotPerturbSystem) {
 TEST(LatencyTest, CrossChecksProduceLatency) {
   auto sys = make_system();
   const auto latency = measure_detection_round(
-      sys, DetectionMethod::kOptimized, LatencyModel{});
+      sys, "optimized", LatencyModel{});
   // With 60 managers the pair endpoints almost surely live on different
   // managers; accounting must be internally consistent either way.
   if (latency.cross_checks > 0) {
@@ -77,9 +77,9 @@ TEST(LatencyTest, PipelinedNoSlowerThanSequential) {
   auto sys = make_system();
   const LatencyModel model{.per_hop_ms = 25.0, .jitter_ms = 5.0, .seed = 9};
   const auto pipelined = measure_detection_round(
-      sys, DetectionMethod::kOptimized, model, /*pipelined=*/true);
+      sys, "optimized", model, /*pipelined=*/true);
   const auto sequential = measure_detection_round(
-      sys, DetectionMethod::kOptimized, model, /*pipelined=*/false);
+      sys, "optimized", model, /*pipelined=*/false);
   EXPECT_LE(pipelined.completion_ms, sequential.completion_ms + 1e-9);
   EXPECT_EQ(pipelined.cross_checks, sequential.cross_checks);
   EXPECT_EQ(pipelined.messages, sequential.messages);
@@ -89,8 +89,8 @@ TEST(LatencyTest, DeterministicForSeed) {
   auto sys1 = make_system();
   auto sys2 = make_system();
   const LatencyModel model{.per_hop_ms = 20.0, .jitter_ms = 10.0, .seed = 4};
-  const auto a = measure_detection_round(sys1, DetectionMethod::kBasic, model);
-  const auto b = measure_detection_round(sys2, DetectionMethod::kBasic, model);
+  const auto a = measure_detection_round(sys1, "basic", model);
+  const auto b = measure_detection_round(sys2, "basic", model);
   EXPECT_DOUBLE_EQ(a.completion_ms, b.completion_ms);
   EXPECT_EQ(a.messages, b.messages);
 }
@@ -98,8 +98,7 @@ TEST(LatencyTest, DeterministicForSeed) {
 TEST(LatencyTest, ZeroJitterGivesExactHopMultiples) {
   auto sys = make_system();
   const LatencyModel model{.per_hop_ms = 10.0, .jitter_ms = 0.0, .seed = 1};
-  const auto latency = measure_detection_round(
-      sys, DetectionMethod::kOptimized, model);
+  const auto latency = measure_detection_round(sys, "optimized", model);
   if (latency.cross_checks > 0) {
     // Every RTT is hops*10 + 10; the average is a multiple of 10.
     const double rem =
