@@ -1,13 +1,13 @@
 // Ablation: group collusion (the paper's future work). Injects mutually
 // rating collectives of growing size into rating matrices and compares the
-// pairwise detectors against core::detect_groups: all catch every
+// pairwise detectors against detect::detect_groups: all catch every
 // member (a clique is just many pairs), but only the group detector names
 // the collective and its structure; its cost stays on the Optimized
 // method's order, far below the Basic method's.
 #include <cstdio>
 
-#include "core/group_detector.h"
 #include "detect/basic_detector.h"
+#include "detect/group_detector.h"
 #include "detect/optimized_detector.h"
 #include "detect/registry.h"
 #include "detect/snapshot.h"
@@ -103,7 +103,7 @@ int main() {
         detect::BasicDetector(config()).on_epoch(snapshot);
     const auto optimized =
         detect::OptimizedDetector(config()).on_epoch(snapshot);
-    const auto groups = core::detect_groups(matrix, config());
+    const auto groups = detect::detect_groups(snapshot, config());
 
     std::string group_desc = "none";
     if (!groups.groups.empty()) {

@@ -39,12 +39,9 @@ std::vector<rating::Rating> workload() {
   return ratings;
 }
 
-// Arg 0: shard count. Arg 1: matrix backend (0 = dense, 1 = sparse).
-// Arg 2: epoch cadence (1 = every 1024 ratings, 2 = every 1024 x S
-// ratings).
-// The backend dimension shows the memory trade directly: dense shard
-// matrices cost num_shards * kNodes^2 cells regardless of traffic, sparse
-// ones O(nnz) — the matrix_bytes counter reports the aggregate gauge.
+// Arg 0: shard count. Arg 1: epoch cadence (1 = every 1024 ratings,
+// 2 = every 1024 x S ratings). Shard matrices are sparse; the
+// matrix_bytes counter reports their aggregate O(nnz) footprint.
 void BM_ServiceIngestThroughput(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const std::vector<rating::Rating> ratings = workload();
@@ -52,10 +49,8 @@ void BM_ServiceIngestThroughput(benchmark::State& state) {
   service::ServiceConfig cfg;
   cfg.num_nodes = kNodes;
   cfg.num_shards = shards;
-  cfg.matrix_backend = state.range(1) == 0 ? rating::MatrixBackend::kDense
-                                           : rating::MatrixBackend::kSparse;
   cfg.queue_capacity = 4096;
-  cfg.epoch_ratings = state.range(2) == 2 ? 1024 * shards : 1024;
+  cfg.epoch_ratings = state.range(1) == 2 ? 1024 * shards : 1024;
   cfg.detector = "optimized";
   cfg.detector_config.positive_fraction_min = 0.8;
   cfg.detector_config.complement_fraction_max = 0.2;
@@ -87,8 +82,8 @@ void BM_ServiceIngestThroughput(benchmark::State& state) {
       static_cast<double>(total_ratings), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ServiceIngestThroughput)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}, {1, 2}})
-    ->ArgNames({"shards", "sparse", "cadence"})
+    ->ArgsProduct({{1, 2, 4, 8}, {1, 2}})
+    ->ArgNames({"shards", "cadence"})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -58,7 +58,7 @@ struct ManagerNodeConfig {
   /// M: copies of each key range (primary + M-1 successors). Clamped to
   /// the ring size by valid().
   std::uint32_t replication = 1;
-  /// Per-range shard configuration (num_nodes, detector, backend, ...).
+  /// Per-range shard configuration (num_nodes, detector, thresholds, ...).
   /// wal_dir is ignored — durability is governed by data_dir below.
   service::ServiceConfig service;
   /// Directory for this manager's per-range WAL + checkpoint files;

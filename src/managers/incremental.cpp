@@ -7,16 +7,19 @@ namespace p2prep::managers {
 IncrementalCentralizedManager::IncrementalCentralizedManager(
     std::size_t num_nodes, reputation::ReputationEngine& engine,
     core::DetectorConfig detector_config, rating::MatrixBackend backend)
-    : IncrementalCentralizedManager(rating::RowIndex::single(num_nodes), 0,
-                                    engine, detector_config, backend) {}
+    : engine_(engine),
+      detector_config_(detector_config),
+      matrix_(num_nodes, backend) {
+  engine_.resize(matrix_.size());
+  matrix_.set_frequency_threshold(detector_config_.frequency_min);
+}
 
 IncrementalCentralizedManager::IncrementalCentralizedManager(
     std::shared_ptr<const rating::RowIndex> index, std::uint32_t part,
-    reputation::ReputationEngine& engine, core::DetectorConfig detector_config,
-    rating::MatrixBackend backend)
+    reputation::ReputationEngine& engine, core::DetectorConfig detector_config)
     : engine_(engine),
       detector_config_(detector_config),
-      matrix_(std::move(index), part, backend) {
+      matrix_(std::move(index), part, rating::MatrixBackend::kSparse) {
   engine_.resize(matrix_.size());
   matrix_.set_frequency_threshold(detector_config_.frequency_min);
 }

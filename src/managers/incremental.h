@@ -25,20 +25,19 @@ class IncrementalCentralizedManager {
  public:
   /// `backend` selects the matrix representation: the dense oracle
   /// (paper-cost reference) or the sparse hash-map rows. Detection output
-  /// is bit-identical across backends (tests/differential/); per-shard
-  /// service managers default to sparse for the O(nnz) footprint.
+  /// is bit-identical across backends (tests/differential/).
   IncrementalCentralizedManager(
       std::size_t num_nodes, reputation::ReputationEngine& engine,
       core::DetectorConfig detector_config,
       rating::MatrixBackend backend = rating::MatrixBackend::kDense);
   /// A manager for partition `part` of `index` (a service shard): its
-  /// matrix holds rows for that partition's nodes only, and it accepts
-  /// ratings only for them. `engine` must cover the same partition.
+  /// sparse matrix holds rows for that partition's nodes only, and it
+  /// accepts ratings only for them. `engine` must cover the same
+  /// partition.
   IncrementalCentralizedManager(std::shared_ptr<const rating::RowIndex> index,
                                 std::uint32_t part,
                                 reputation::ReputationEngine& engine,
-                                core::DetectorConfig detector_config,
-                                rating::MatrixBackend backend);
+                                core::DetectorConfig detector_config);
 
   /// Records one rating in both the matrix and the engine. O(1). False
   /// for a self-rating, an id out of range or a ratee the partition does

@@ -36,14 +36,15 @@
 // Two storage backends implement the same cell contract (MatrixBackend):
 //  * kDense  — all n cells of each owned row, zeroes included. Element access
 //    and full-row scans cost exactly what the paper's complexity analysis
-//    charges, so this is the reference ("oracle") representation.
+//    charges, so this is the reference ("oracle") representation: build()
+//    and the standalone constructors default to it.
 //  * kSparse — the non-empty (rater, stats) cells of each row, inline in
 //    the row's block and kept sorted by rater (layout below). Real rating
 //    graphs are extremely sparse (the Amazon/Overstock traces), so this
 //    cuts the footprint from O(n^2) to O(nnz) while producing
 //    bit-identical detection results; tests/differential/ proves the
-//    equivalence against the dense oracle. Sharded service managers
-//    default to this backend.
+//    equivalence against the dense oracle. Every service shard matrix
+//    uses this backend.
 //
 // Sparse row layout. A row is a sorted main run plus a sorted tail of at
 // most ~sqrt(row size) cells, all 8-byte cells in the row's block with no

@@ -72,9 +72,9 @@ struct ServiceMetrics {
   std::uint64_t checkpoints_written = 0;
 
   // Memory.
-  /// Resident bytes of all shards' rating matrices (per-backend estimate,
-  /// refreshed at epoch boundaries). The sparse-vs-dense backend choice
-  /// shows up here: O(nnz) versus num_shards * num_nodes^2 cells.
+  /// Resident bytes of all shards' sparse rating matrices (estimate,
+  /// refreshed at epoch boundaries): one row slot per owned node plus
+  /// O(nnz) cells.
   std::uint64_t matrix_bytes = 0;
 
   // RPC front door (rpc/server.h). All zero when the service is driven

@@ -95,13 +95,6 @@ ReputationService::ReputationService(ServiceConfig config)
 
   auto map = std::make_shared<const ShardMap>(live_shards, config_.num_nodes);
 
-  // The group detector needs full rows in one matrix; a multi-shard
-  // global sweep cannot provide them (ring handles sharding natively, and
-  // basic/optimized run the cross-shard accomplice exchange).
-  if (config_.detector == "group" && map->num_shards() > 1)
-    throw std::invalid_argument(
-        "service: detector 'group' does not support multi-shard global "
-        "epochs (use one shard, or detector 'ring')");
   // The coordinator blocks in parallel_for while the pool scans, so the
   // pool gets the whole budget.
   const std::size_t budget =
@@ -494,10 +487,6 @@ void ReputationService::drain() {
 ResizeStats ReputationService::resize(std::size_t new_num_shards) {
   if (new_num_shards == 0)
     throw std::invalid_argument("service resize: shard count must be >= 1");
-  if (config_.detector == "group" && new_num_shards > 1)
-    throw std::invalid_argument(
-        "service resize: detector 'group' does not support multi-shard "
-        "global epochs");
   if (config_.cluster)
     throw std::invalid_argument(
         "service resize: decentralized-manager mode pins the shard count "

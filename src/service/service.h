@@ -169,9 +169,8 @@ class ReputationService {
   /// Only nodes whose ShardMap owner changes move; ingest of non-moving
   /// keys continues throughout, bounded by one handoff window. Throws
   /// std::invalid_argument for unsupported configurations (shard count 0,
-  /// detector "group" with > 1 shard, decentralized-manager mode) and
-  /// std::runtime_error when the service is stopped or the durable commit
-  /// fails.
+  /// decentralized-manager mode) and std::runtime_error when the service
+  /// is stopped or the durable commit fails.
   ResizeStats resize(std::size_t new_num_shards);
 
   /// Closes the ingest queues, lets workers drain them, and joins. Safe

@@ -159,8 +159,8 @@ std::optional<ShardCheckpoint> ServiceShard::make_checkpoint() const {
   const auto& matrix = manager_->matrix();
   for (const rating::NodeId i : matrix.owned_nodes()) {
     if (matrix.totals(i).total == 0) continue;
-    // Ascending-rater enumeration on both matrix backends, so checkpoint
-    // files are byte-identical regardless of the configured backend.
+    // Ascending-rater enumeration, so checkpoint files are byte-identical
+    // to what the same cells would write from any backend.
     matrix.for_each_nonzero_cell(
         i, [&ckpt, i](rating::NodeId k, const rating::PairStats& stats) {
           ckpt.cells.push_back({i, k, stats});
@@ -279,8 +279,7 @@ void ServiceShard::reload_from(const ShardCheckpoint& ckpt) {
 
 void ServiceShard::reset_manager() {
   manager_ = std::make_unique<managers::IncrementalCentralizedManager>(
-      row_index_, part(), engine_, config_->detector_config,
-      config_->matrix_backend);
+      row_index_, part(), engine_, config_->detector_config);
 }
 
 }  // namespace p2prep::service

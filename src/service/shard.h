@@ -83,13 +83,6 @@ struct ServiceConfig {
   /// std::invalid_argument at construction, naming every detector.
   std::string detector = "optimized";
   core::DetectorConfig detector_config{};
-  /// Matrix representation of each shard's IncrementalCentralizedManager.
-  /// Sparse by default: shard matrices hold O(nnz) cells instead of
-  /// num_nodes^2, which is what makes S shards affordable. Detection
-  /// output, WAL contents and checkpoints are byte-identical across
-  /// backends (tests/differential/service_backend_test.cpp), so a durable
-  /// directory written under one backend recovers under the other.
-  rating::MatrixBackend matrix_backend = rating::MatrixBackend::kSparse;
   /// Keep per-epoch detection report text (report_log()).
   bool record_reports = true;
 

@@ -9,10 +9,6 @@
 // tests/differential/cluster_differential_test.cpp.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -27,30 +23,13 @@
 #include "cluster/protocol.h"
 #include "rpc/client.h"
 #include "service/wal.h"
+#include "tests/cluster/reserved_port.h"
 
 namespace p2prep::cluster {
 namespace {
 
 using rating::Rating;
 using rating::Score;
-
-/// Reserves a free loopback port by binding an ephemeral socket and
-/// closing it. The tiny race (another process grabbing the port before
-/// the manager binds it) is acceptable in tests.
-std::uint16_t reserve_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
 
 constexpr std::size_t kNumNodes = 60;
 constexpr std::size_t kRingSize = 3;
@@ -59,8 +38,10 @@ constexpr std::uint32_t kReplication = 2;
 class ClusterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    for (std::size_t i = 0; i < kRingSize; ++i)
-      ring_.push_back({"127.0.0.1", reserve_port()});
+    for (std::size_t i = 0; i < kRingSize; ++i) {
+      ports_.emplace_back();
+      ring_.push_back({"127.0.0.1", ports_.back().port()});
+    }
     for (std::size_t i = 0; i < kRingSize; ++i) {
       nodes_.push_back(std::make_unique<ManagerNode>(node_config(i)));
       nodes_.back()->start();
@@ -117,6 +98,7 @@ class ClusterTest : public ::testing::Test {
     return ratee == 0 ? 1 : static_cast<rating::NodeId>(ratee - 1);
   }
 
+  std::vector<testutil::ReservedPort> ports_;  // held until teardown
   std::vector<ManagerEndpoint> ring_;
   std::vector<std::unique_ptr<ManagerNode>> nodes_;
 };

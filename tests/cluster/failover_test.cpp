@@ -29,27 +29,13 @@
 #include "cluster/client.h"
 #include "cluster/protocol.h"
 #include "service/wal.h"
+#include "tests/cluster/reserved_port.h"
 #include "tests/differential/trace_gen.h"
 
 namespace p2prep::cluster {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::uint16_t reserve_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
 
 bool port_open(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -155,6 +141,7 @@ class ClusterFailoverTest : public ::testing::Test {
   void TearDown() override { fs::remove_all(root_); }
 
   struct Cluster {
+    std::vector<testutil::ReservedPort> ports;  // outlive the processes
     std::vector<ManagerEndpoint> ring;
     std::vector<ManagerProcess> procs{kRingSize};
     fs::path dir;
@@ -163,8 +150,10 @@ class ClusterFailoverTest : public ::testing::Test {
   void start_cluster(Cluster& c, const std::string& name,
                      std::size_t num_nodes) {
     c.dir = root_ / name;
-    for (std::size_t i = 0; i < kRingSize; ++i)
-      c.ring.push_back({"127.0.0.1", reserve_port()});
+    for (std::size_t i = 0; i < kRingSize; ++i) {
+      c.ports.emplace_back();
+      c.ring.push_back({"127.0.0.1", c.ports.back().port()});
+    }
     for (std::size_t i = 0; i < kRingSize; ++i)
       c.procs[i].spawn(i, c.ring, num_nodes,
                        c.dir / ("mgr" + std::to_string(i)));

@@ -1,4 +1,4 @@
-#include "core/group_detector.h"
+#include "detect/group_detector.h"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,8 @@
 namespace p2prep::core {
 namespace {
 
+using detect::CollusionGroup;
+using detect::GroupDetectionReport;
 using testing::Scenario;
 
 DetectorConfig config() {
@@ -33,9 +35,13 @@ Scenario ring_scenario(std::size_t n, std::size_t size) {
   return s;
 }
 
+GroupDetectionReport groups_in(const rating::RatingMatrix& matrix) {
+  return detect::detect_groups(detect::EpochSnapshot::of(matrix), config());
+}
+
 TEST(GroupDetectorTest, DetectsTriangleCollective) {
   // The paper's future-work case: three nodes mutually boosting.
-  const auto report = detect_groups(ring_scenario(40, 3).build(), config());
+  const auto report = groups_in(ring_scenario(40, 3).build());
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.groups[0].members,
             (std::vector<rating::NodeId>{0, 1, 2}));
@@ -45,13 +51,13 @@ TEST(GroupDetectorTest, DetectsTriangleCollective) {
 }
 
 TEST(GroupDetectorTest, PairIsTwoNodeGroup) {
-  const auto report = detect_groups(ring_scenario(40, 2).build(), config());
+  const auto report = groups_in(ring_scenario(40, 2).build());
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.groups[0].members, (std::vector<rating::NodeId>{0, 1}));
 }
 
 TEST(GroupDetectorTest, LargeCliqueDetectedAsOneGroup) {
-  const auto report = detect_groups(ring_scenario(60, 6).build(), config());
+  const auto report = groups_in(ring_scenario(60, 6).build());
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.groups[0].members.size(), 6u);
   EXPECT_EQ(report.groups[0].edges.size(), 15u);  // 6 choose 2
@@ -65,7 +71,7 @@ TEST(GroupDetectorTest, ChainMergesIntoOneComponent) {
     s.crowd(5, 40, id, 0.05);
     s.set_rep(id, 0.2);
   }
-  const auto report = detect_groups(s.build(), config());
+  const auto report = groups_in(s.build());
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.groups[0].members, (std::vector<rating::NodeId>{0, 1, 2}));
   EXPECT_EQ(report.groups[0].edges.size(), 2u);  // chain, not triangle
@@ -79,13 +85,13 @@ TEST(GroupDetectorTest, PopularCollectiveNotFlagged) {
     s.crowd(5, 40, id, 0.9);
     s.set_rep(id, 0.2);
   }
-  EXPECT_TRUE(detect_groups(s.build(), config()).groups.empty());
+  EXPECT_TRUE(groups_in(s.build()).groups.empty());
 }
 
 TEST(GroupDetectorTest, LowReputationMembersExcluded) {
   Scenario s = ring_scenario(40, 3);
   s.set_rep(0, 0.0).set_rep(1, 0.0).set_rep(2, 0.0);
-  EXPECT_TRUE(detect_groups(s.build(), config()).groups.empty());
+  EXPECT_TRUE(groups_in(s.build()).groups.empty());
 }
 
 TEST(GroupDetectorTest, InfrequentEdgesIgnored) {
@@ -94,7 +100,7 @@ TEST(GroupDetectorTest, InfrequentEdgesIgnored) {
   s.crowd(5, 40, 0, 0.05);
   s.crowd(5, 40, 1, 0.05);
   s.set_rep(0, 0.2).set_rep(1, 0.2);
-  EXPECT_TRUE(detect_groups(s.build(), config()).groups.empty());
+  EXPECT_TRUE(groups_in(s.build()).groups.empty());
 }
 
 TEST(GroupDetectorTest, DisjointGroupsReportedSeparately) {
@@ -105,7 +111,7 @@ TEST(GroupDetectorTest, DisjointGroupsReportedSeparately) {
     s.crowd(20, 60, id, 0.05);
     s.set_rep(id, 0.2);
   }
-  const auto report = detect_groups(s.build(), config());
+  const auto report = groups_in(s.build());
   ASSERT_EQ(report.groups.size(), 2u);
   EXPECT_EQ(report.groups[0].members.size(), 3u);
   EXPECT_EQ(report.groups[1].members,
@@ -117,7 +123,7 @@ TEST(GroupDetectorTest, DisjointGroupsReportedSeparately) {
 }
 
 TEST(GroupDetectorTest, EvidenceFieldsAndToString) {
-  const auto report = detect_groups(ring_scenario(40, 3).build(), config());
+  const auto report = groups_in(ring_scenario(40, 3).build());
   ASSERT_EQ(report.groups.size(), 1u);
   const CollusionGroup& g = report.groups[0];
   EXPECT_EQ(g.inside_ratings, 3u * 2u * 30u);  // 3 edges, 30 each way
@@ -128,7 +134,7 @@ TEST(GroupDetectorTest, EvidenceFieldsAndToString) {
 
 TEST(GroupDetectorTest, EmptyMatrix) {
   rating::RatingMatrix matrix(10);
-  const auto report = detect_groups(matrix, config());
+  const auto report = groups_in(matrix);
   EXPECT_TRUE(report.groups.empty());
   EXPECT_TRUE(report.colluders().empty());
 }

@@ -21,6 +21,7 @@
 #include "core/predicates.h"
 #include "detect/accomplice_exchange.h"
 #include "detect/executor.h"
+#include "detect/group_detector.h"
 #include "detect/registry.h"
 #include "detect/snapshot.h"
 #include "rating/matrix.h"
@@ -291,13 +292,35 @@ TEST_P(PairSweepOracleTest, OptimizedMatchesPaperLiteralLoop) {
   check(oracle_optimized, detect::sweep_optimized);
 }
 
+// detect_groups reads every row through its owner matrix, so a 3-matrix
+// snapshot must name the same groups, with the same evidence and cost, as
+// the combined matrix.
+TEST_P(PairSweepOracleTest, GroupsMatchOneMatrix) {
+  const std::uint64_t seed = GetParam();
+  const testgen::Trace trace = testgen::make_trace(seed);
+  const DetectorConfig cfg = testgen::config_for(seed);
+  for (MatrixBackend backend :
+       {MatrixBackend::kDense, MatrixBackend::kSparse}) {
+    SCOPED_TRACE(rating::to_string(backend));
+    const World world(trace, cfg, 3, cfg.frequency_min, backend);
+    const detect::GroupDetectionReport want =
+        detect::detect_groups(detect::EpochSnapshot::of(world.combined), cfg);
+    const detect::GroupDetectionReport got =
+        detect::detect_groups(world.snapshot(), cfg);
+    ASSERT_EQ(want.groups.size(), got.groups.size());
+    for (std::size_t g = 0; g < want.groups.size(); ++g)
+      EXPECT_EQ(want.groups[g].to_string(), got.groups[g].to_string());
+    EXPECT_EQ(want.cost.total(), got.cost.total());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PairSweepOracleTest,
                          ::testing::Range<std::uint64_t>(0, 100));
 
 // A multi-matrix snapshot must name the owner of every node: rows resolved
 // by a guess instead would read the wrong shard's (empty) row. Sweeps, the
-// accomplice exchange and the ring detector reject a short owner table
-// before reading any row.
+// accomplice exchange and the group and ring detectors reject a short
+// owner table before reading any row.
 TEST(PairSweepOracle, RejectsShortOwnerTable) {
   const testgen::Trace trace = testgen::make_trace(7);
   const DetectorConfig cfg = testgen::config_for(7);
@@ -310,9 +333,11 @@ TEST(PairSweepOracle, RejectsShortOwnerTable) {
   DetectionReport report;
   EXPECT_THROW(detect::propagate_accomplices(snap, cfg, report),
                std::invalid_argument);
-  EXPECT_THROW(
-      (void)detect::make_detector("ring", cfg)->on_epoch(snap),
-      std::invalid_argument);
+  for (const char* name : {"group", "ring"}) {
+    EXPECT_THROW((void)detect::make_detector(name, cfg)->on_epoch(snap),
+                 std::invalid_argument)
+        << name;
+  }
 }
 
 // The partner hook (EpochSnapshot::on_partner_check) on a 3-matrix

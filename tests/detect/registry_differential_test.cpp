@@ -4,7 +4,7 @@
 // (format_epoch_report) to detect::sweep_{basic,optimized} plus
 // detect::propagate_accomplices called directly — same pairs, same
 // evidence text, same colluder sets, same cost; the "group" detector's
-// rings must carry exactly core::detect_groups' member sets.
+// rings must carry exactly detect::detect_groups' member sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "core/group_detector.h"
 #include "detect/accomplice_exchange.h"
+#include "detect/group_detector.h"
 #include "detect/pair_sweep.h"
 #include "detect/registry.h"
 #include "detect/snapshot.h"
@@ -83,8 +83,8 @@ TEST_P(RegistryDifferentialTest, OptimizedMatchesSweepAndExchange) {
 }
 
 TEST_P(RegistryDifferentialTest, GroupCarriesDetectGroupsMembersAsRings) {
-  const core::GroupDetectionReport direct =
-      core::detect_groups(matrix_, cfg_);
+  const detect::GroupDetectionReport direct =
+      detect::detect_groups(detect::EpochSnapshot::of(matrix_), cfg_);
   const core::DetectionReport registered = via_registry("group");
   ASSERT_EQ(registered.rings.size(), direct.groups.size());
   // canonicalize() sorts rings by member list; mirror it on the groups.

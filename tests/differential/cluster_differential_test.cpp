@@ -11,10 +11,6 @@
 // lanes so ctest runs them in parallel.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,27 +19,13 @@
 #include "cluster/backend.h"
 #include "cluster/manager_node.h"
 #include "service/service.h"
+#include "tests/cluster/reserved_port.h"
 #include "tests/differential/trace_gen.h"
 
 namespace p2prep::service {
 namespace {
 
 using rating::Rating;
-
-std::uint16_t reserve_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
 
 constexpr std::size_t kRingSize = 3;
 constexpr std::uint32_t kReplication = 2;
@@ -87,9 +69,13 @@ RunResult run_trace(const ServiceConfig& cfg, const std::vector<Rating>& load) {
 /// Replays the trace through a fresh in-process 3-manager cluster and a
 /// service in decentralized-manager mode.
 RunResult run_clustered(const testgen::Trace& t, std::uint64_t seed) {
+  // The reservations outlive the manager nodes declared after them.
+  std::vector<testutil::ReservedPort> ports;
   std::vector<cluster::ManagerEndpoint> ring;
-  for (std::size_t i = 0; i < kRingSize; ++i)
-    ring.push_back({"127.0.0.1", reserve_port()});
+  for (std::size_t i = 0; i < kRingSize; ++i) {
+    ports.emplace_back();
+    ring.push_back({"127.0.0.1", ports.back().port()});
+  }
 
   std::vector<std::unique_ptr<cluster::ManagerNode>> nodes;
   for (std::size_t i = 0; i < kRingSize; ++i) {

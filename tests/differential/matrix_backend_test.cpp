@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "core/group_detector.h"
 #include "detect/basic_detector.h"
+#include "detect/group_detector.h"
 #include "detect/optimized_detector.h"
 #include "managers/incremental.h"
 #include "rating/matrix.h"
@@ -103,12 +103,12 @@ void expect_reports_identical(const core::DetectionReport& dense,
             service::format_epoch_report("diff", 1, sparse));
 }
 
-void expect_group_reports_identical(const core::GroupDetectionReport& dense,
-                                    const core::GroupDetectionReport& sparse) {
+void expect_group_reports_identical(const detect::GroupDetectionReport& dense,
+                                    const detect::GroupDetectionReport& sparse) {
   ASSERT_EQ(dense.groups.size(), sparse.groups.size());
   for (std::size_t g = 0; g < dense.groups.size(); ++g) {
-    const core::CollusionGroup& a = dense.groups[g];
-    const core::CollusionGroup& b = sparse.groups[g];
+    const detect::CollusionGroup& a = dense.groups[g];
+    const detect::CollusionGroup& b = sparse.groups[g];
     EXPECT_EQ(a.members, b.members);
     EXPECT_EQ(a.edges, b.edges);
     EXPECT_EQ(a.outside_positive_fraction, b.outside_positive_fraction);
@@ -148,8 +148,8 @@ TEST_P(MatrixBackendDifferentialTest, SnapshotBuildMatchesDenseOracle) {
                            basic.on_epoch(sparse_snap));
   expect_reports_identical(optimized.on_epoch(dense_snap),
                            optimized.on_epoch(sparse_snap));
-  expect_group_reports_identical(core::detect_groups(dense, cfg),
-                                 core::detect_groups(sparse, cfg));
+  expect_group_reports_identical(detect::detect_groups(dense_snap, cfg),
+                                 detect::detect_groups(sparse_snap, cfg));
 
   // Without precomputed frequent aggregates the Optimized joint-complement
   // path falls back to a full row recompute — the other sparse row-scan

@@ -92,7 +92,6 @@ TEST_P(ParallelEpochDifferentialTest, HundredSeedsByteIdenticalToSerial) {
     const testgen::Trace t = testgen::make_trace(seed);
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                      std::size_t{4}}) {
-      if (detector == "group" && shards > 1) continue;  // 1-shard only
       const RunResult serial =
           run_trace(make_cfg(t, seed, shards, detector, kSerial), t.ratings);
       ASSERT_FALSE(serial.report_log.empty())
@@ -155,10 +154,9 @@ class ParallelEpochDurableTest : public ::testing::Test {
 TEST_F(ParallelEpochDurableTest, WalAndCheckpointBytesMatchSerial) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const std::string detector = kDetectors[seed % 4];
-    const std::size_t shards = detector == std::string("group") ? 1 : 4;
     const testgen::Trace t = testgen::make_trace(seed);
 
-    ServiceConfig cfg = make_cfg(t, seed, shards, detector, kSerial);
+    ServiceConfig cfg = make_cfg(t, seed, 4, detector, kSerial);
     cfg.wal_dir = dir_.string();
     // Every second epoch checkpoints, so both runs alternate plain and
     // WAL-rotating epochs within one trace.

@@ -5,8 +5,8 @@
 #include <sstream>
 #include <string>
 
-#include "core/group_detector.h"
 #include "detect/basic_detector.h"
+#include "detect/group_detector.h"
 #include "detect/optimized_detector.h"
 #include "dht/chord.h"
 #include "rating/matrix.h"
@@ -76,7 +76,7 @@ TEST_P(FuzzSeedTest, DetectorsSaneOnRandomMatrices) {
   const auto snapshot = detect::EpochSnapshot::of(matrix);
   const auto basic = detect::BasicDetector(config).on_epoch(snapshot);
   const auto optimized = detect::OptimizedDetector(config).on_epoch(snapshot);
-  const auto groups = core::detect_groups(matrix, config);
+  const auto groups = detect::detect_groups(snapshot, config);
 
   // Reports are canonical: ordered pairs, ids in range, cost sane.
   auto check = [&](const core::DetectionReport& report) {

@@ -1,6 +1,6 @@
 // Concurrency acceptance tests for the RPC front-end, and the designated
 // TSan workload for it (tools/run_static_analysis.sh runs
-// ctest -R 'ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency'
+// ctest -R 'ServiceConcurrency|GlobalEquivalence|RpcConcurrency'
 // under P2PREP_SANITIZE=thread):
 //  * ratings submitted by 4 concurrent TCP clients land byte-identically
 //    (same shard checkpoint files) to the same stream ingested directly —

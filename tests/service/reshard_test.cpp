@@ -85,8 +85,9 @@ RunResult capture(const ReputationService& svc) {
 }
 
 /// Replays the whole workload without any resize and captures the result.
-RunResult static_run(std::size_t shards, const std::vector<Rating>& load) {
-  ReputationService svc(reshard_config(shards));
+RunResult static_run(const ServiceConfig& cfg,
+                     const std::vector<Rating>& load) {
+  ReputationService svc(cfg);
   for (const Rating& r : load) EXPECT_TRUE(svc.ingest(r));
   svc.force_epoch();
   svc.drain();
@@ -97,7 +98,7 @@ RunResult static_run(std::size_t shards, const std::vector<Rating>& load) {
 
 TEST(ReshardTest, GrowMidStreamKeepsReportsByteIdentical) {
   const auto load = reshard_workload(61);
-  const RunResult expected = static_run(2, load);
+  const RunResult expected = static_run(reshard_config(2), load);
   ASSERT_FALSE(expected.report_log.empty());
 
   ReputationService svc(reshard_config(2));
@@ -117,7 +118,7 @@ TEST(ReshardTest, GrowMidStreamKeepsReportsByteIdentical) {
 
 TEST(ReshardTest, ShrinkMidStreamKeepsReportsByteIdentical) {
   const auto load = reshard_workload(62);
-  const RunResult expected = static_run(4, load);
+  const RunResult expected = static_run(reshard_config(4), load);
 
   ReputationService svc(reshard_config(4));
   const std::size_t half = load.size() / 2;
@@ -126,6 +127,30 @@ TEST(ReshardTest, ShrinkMidStreamKeepsReportsByteIdentical) {
   EXPECT_EQ(rs.num_shards, 2u);
   EXPECT_GT(rs.keys_moved, 0u);
   for (std::size_t k = half; k < load.size(); ++k)
+    ASSERT_TRUE(svc.ingest(load[k]));
+  svc.force_epoch();
+  svc.drain();
+  EXPECT_EQ(capture(svc), expected);
+  svc.stop();
+}
+
+// The group detector reads every row through its owner matrix, so a
+// one-shard "group" service may grow like any other: the report log,
+// reputations and suspected set after a 1 -> 4 grow mid-stream equal a
+// never-resized one-shard run's.
+TEST(ReshardTest, GroupDetectorGrowsMidStreamByteIdentical) {
+  const auto load = reshard_workload(63);
+  ServiceConfig cfg = reshard_config(1);
+  cfg.detector = "group";
+  const RunResult expected = static_run(cfg, load);
+  ASSERT_NE(expected.report_log.find("ring("), std::string::npos);
+
+  ReputationService svc(cfg);
+  const std::size_t third = load.size() / 3;
+  for (std::size_t k = 0; k < third; ++k) ASSERT_TRUE(svc.ingest(load[k]));
+  EXPECT_GT(svc.resize(4).keys_moved, 0u);
+  EXPECT_EQ(svc.num_shards(), 4u);
+  for (std::size_t k = third; k < load.size(); ++k)
     ASSERT_TRUE(svc.ingest(load[k]));
   svc.force_epoch();
   svc.drain();
@@ -393,14 +418,6 @@ TEST(ReshardTest, ZeroShardsIsRejected) {
   svc.stop();
 }
 
-TEST(ReshardTest, GroupDetectorCannotGrowPastOneShard) {
-  ServiceConfig cfg = reshard_config(1);
-  cfg.detector = "group";
-  ReputationService svc(cfg);
-  EXPECT_THROW(svc.resize(2), std::invalid_argument);
-  EXPECT_EQ(svc.num_shards(), 1u);
-  svc.stop();
-}
 
 TEST(ReshardTest, ResizeAfterStopThrows) {
   ReputationService svc(reshard_config(2));
@@ -497,7 +514,7 @@ TEST_F(ReshardCrashTest, FenceMarkerAtWalTailIsStrippedOnRecovery) {
     ASSERT_TRUE(svc.ingest(load[k]));
   svc.force_epoch();
   svc.drain();
-  EXPECT_EQ(capture(svc), static_run(3, load));
+  EXPECT_EQ(capture(svc), static_run(reshard_config(3), load));
   svc.stop();
 }
 
@@ -545,7 +562,7 @@ TEST_F(ReshardCrashTest, CommittedResizeRecoversAtTheNewWidth) {
   svc.force_epoch();
   svc.drain();
   const RunResult actual = capture(svc);
-  const RunResult expected = static_run(2, load);
+  const RunResult expected = static_run(reshard_config(2), load);
   EXPECT_EQ(actual.reputations, expected.reputations);
   EXPECT_EQ(actual.suspected, expected.suspected);
   // Pre-resize epochs were restored from the commit's checkpoints, not

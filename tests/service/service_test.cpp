@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -10,8 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "detect/basic_detector.h"
-#include "detect/optimized_detector.h"
+#include "detect/registry.h"
 #include "managers/incremental.h"
 #include "reputation/summation.h"
 #include "util/rng.h"
@@ -35,25 +36,38 @@ ServiceConfig base_config(std::size_t n, std::size_t shards) {
 }
 
 /// The incremental-manager test workload: colluding pairs (0,1) and (2,3)
-/// plus random background ratings that leave the colluders' complements
-/// negative and everyone else well-rated.
-std::vector<Rating> collusion_workload(std::uint64_t seed, std::size_t n) {
+/// — plus, with `triangle`, the mutually boosting ring {4,5,6} — boosting
+/// each other `rounds` times, and `per_rater` random background ratings
+/// per node that leave the colluders' complements negative and everyone
+/// else well-rated.
+std::vector<Rating> collusion_workload(std::uint64_t seed, std::size_t n,
+                                       int rounds = 40, int per_rater = 5,
+                                       bool triangle = false) {
   std::vector<Rating> out;
   util::Rng rng(seed);
   rating::Tick t = 0;
-  for (int k = 0; k < 40; ++k) {
-    out.push_back({0, 1, Score::kPositive, t++});
-    out.push_back({1, 0, Score::kPositive, t++});
-    out.push_back({2, 3, Score::kPositive, t++});
-    out.push_back({3, 2, Score::kPositive, t++});
+  const auto boost = [&](rating::NodeId a, rating::NodeId b) {
+    out.push_back({a, b, Score::kPositive, t++});
+    out.push_back({b, a, Score::kPositive, t++});
+  };
+  for (int k = 0; k < rounds; ++k) {
+    boost(0, 1);
+    boost(2, 3);
+    if (triangle) {
+      boost(4, 5);
+      boost(5, 6);
+      boost(4, 6);
+    }
   }
+  const rating::NodeId colluders = triangle ? 7 : 4;
   for (rating::NodeId rater = 0; rater < n; ++rater) {
-    for (int k = 0; k < 5; ++k) {
+    for (int k = 0; k < per_rater; ++k) {
       auto ratee = static_cast<rating::NodeId>(rng.next_below(n));
       if (ratee == rater) ratee = static_cast<rating::NodeId>((ratee + 1) % n);
       out.push_back({rater, ratee,
-                     rng.chance(ratee < 4 ? 0.05 : 0.85) ? Score::kPositive
-                                                         : Score::kNegative,
+                     rng.chance(ratee < colluders ? 0.05 : 0.85)
+                         ? Score::kPositive
+                         : Score::kNegative,
                      t++});
     }
   }
@@ -82,71 +96,111 @@ TEST(ServiceTest, IngestAfterStopReturnsFalse) {
 
 class GlobalEquivalenceTest : public ::testing::TestWithParam<std::string> {};
 
-// The cross-shard global sweep must reproduce a single centralized
-// manager + detector byte for byte: same flagged pairs, same evidence
-// values in the report text, same post-suppression reputations.
+/// One GlobalEquivalenceTest input: a collusion_workload and its size.
+struct EquivalenceLoad {
+  std::uint64_t seed;
+  std::size_t n;
+  int rounds;
+  int per_rater;
+  bool triangle;
+};
+
+// The cross-shard global sweep over sparse shard matrices must reproduce
+// a single centralized manager (dense matrix) + the same detector byte for
+// byte: same flagged pairs and rings, same evidence values in the report
+// text, same post-suppression reputations — for every detector, at 1, 3
+// and 4 shards, on every load. The reference ring detector runs without
+// dirty tracking, so it rebuilds its graph every epoch while the
+// service's updates incrementally.
 TEST_P(GlobalEquivalenceTest, MatchesSingleManagerReference) {
-  constexpr std::size_t kN = 50;
-  ServiceConfig cfg = base_config(kN, 3);
-  cfg.detector = GetParam();
-  ReputationService svc(cfg);
+  const std::string& detector = GetParam();
+  constexpr EquivalenceLoad kLoads[] = {
+      {11, 50, 40, 5, false},
+      {31, 60, 45, 6, false},
+      {32, 60, 45, 6, false},
+      {13, 50, 40, 5, true},  // a 3-member ring for the ring detector
+  };
+  std::uint64_t detections = 0;
+  for (const EquivalenceLoad& load : kLoads) {
+    for (const std::size_t shards : {1u, 3u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << load.seed << " shards " << shards);
+      ServiceConfig cfg = base_config(load.n, shards);
+      cfg.detector = detector;
+      ReputationService svc(cfg);
 
-  // Accomplice propagation stays on across shards (the cross-shard
-  // flagged-set exchange); the single-manager reference runs the core
-  // detectors' own walk with the same config and must agree.
-  core::DetectorConfig ref_cfg = svc.config().detector_config;
-  ASSERT_TRUE(ref_cfg.flag_accomplices);
-  reputation::SummationEngine ref_engine(kN, /*normalize=*/false);
-  managers::IncrementalCentralizedManager ref(kN, ref_engine, ref_cfg);
-  std::unique_ptr<detect::Detector> ref_detector;
-  if (GetParam() == "basic")
-    ref_detector = std::make_unique<detect::BasicDetector>(ref_cfg);
-  else
-    ref_detector = std::make_unique<detect::OptimizedDetector>(ref_cfg);
+      // Accomplice propagation stays on across shards (the cross-shard
+      // flagged-set exchange); the single-manager reference runs the
+      // detectors' own walk with the same config and must agree.
+      core::DetectorConfig ref_cfg = svc.config().detector_config;
+      ASSERT_TRUE(ref_cfg.flag_accomplices);
+      reputation::SummationEngine ref_engine(load.n, /*normalize=*/false);
+      managers::IncrementalCentralizedManager ref(load.n, ref_engine,
+                                                  ref_cfg);
+      const std::unique_ptr<detect::Detector> ref_detector =
+          detect::make_detector(detector, ref_cfg);
 
-  const std::vector<Rating> workload = collusion_workload(11, kN);
-  std::string expected_log;
-  std::uint64_t expected_detections = 0;
+      const std::vector<Rating> workload = collusion_workload(
+          load.seed, load.n, load.rounds, load.per_rater, load.triangle);
+      std::string expected_log;
+      std::uint64_t expected_detections = 0;
 
-  const std::size_t chunk = workload.size() / 3 + 1;
-  std::size_t fed = 0;
-  while (fed < workload.size()) {
-    const std::size_t end = std::min(fed + chunk, workload.size());
-    for (; fed < end; ++fed) {
-      ASSERT_TRUE(svc.ingest(workload[fed]));
-      ASSERT_TRUE(ref.ingest(workload[fed]));
+      const std::size_t chunk = workload.size() / 3 + 1;
+      std::size_t fed = 0;
+      while (fed < workload.size()) {
+        const std::size_t end = std::min(fed + chunk, workload.size());
+        for (; fed < end; ++fed) {
+          ASSERT_TRUE(svc.ingest(workload[fed]));
+          ASSERT_TRUE(ref.ingest(workload[fed]));
+        }
+        const std::uint64_t seq = svc.force_epoch();
+        svc.drain();
+
+        ref.update_reputations();
+        const core::DetectionReport ref_report = ref.run_detection(
+            *ref_detector,
+            managers::CentralizedManager::SuppressionMode::kReset);
+        expected_log += format_epoch_report("global", seq, ref_report);
+        expected_detections +=
+            ref_report.pairs.size() + ref_report.rings.size();
+      }
+      svc.stop();
+
+      EXPECT_EQ(svc.report_log(), expected_log);
+      EXPECT_EQ(svc.metrics().detections_total, expected_detections);
+      detections += expected_detections;
+
+      const ServiceSnapshot snap = svc.snapshot();
+      for (rating::NodeId i = 0; i < load.n; ++i) {
+        EXPECT_EQ(snap.reputation(i), ref_engine.detection_reputation(i))
+            << "node " << i;
+        EXPECT_EQ(snap.suspected(i), ref.detected().contains(i))
+            << "node " << i;
+      }
+      // The ring detector names only collectives of >= 3 members; every
+      // other detector names the planted pairs.
+      if (detector != "ring") {
+        EXPECT_TRUE(snap.suspected(0) && snap.suspected(1));
+        EXPECT_TRUE(snap.suspected(2) && snap.suspected(3));
+      } else if (load.triangle) {
+        EXPECT_TRUE(snap.suspected(4) && snap.suspected(5) &&
+                    snap.suspected(6));
+      }
     }
-    const std::uint64_t seq = svc.force_epoch();
-    svc.drain();
-
-    ref.update_reputations();
-    const core::DetectionReport ref_report = ref.run_detection(
-        *ref_detector, managers::CentralizedManager::SuppressionMode::kReset);
-    expected_log += format_epoch_report("global", seq, ref_report);
-    expected_detections += ref_report.pairs.size();
   }
-  svc.stop();
-
-  EXPECT_EQ(svc.report_log(), expected_log);
-  EXPECT_EQ(svc.metrics().detections_total, expected_detections);
-  EXPECT_GT(expected_detections, 0u);
-
-  const ServiceSnapshot snap = svc.snapshot();
-  for (rating::NodeId i = 0; i < kN; ++i) {
-    EXPECT_EQ(snap.reputation(i), ref_engine.detection_reputation(i))
-        << "node " << i;
-    EXPECT_EQ(snap.suspected(i), ref.detected().contains(i)) << "node " << i;
-  }
-  EXPECT_TRUE(snap.suspected(0) && snap.suspected(1));
-  EXPECT_TRUE(snap.suspected(2) && snap.suspected(3));
+  EXPECT_GT(detections, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Detectors, GlobalEquivalenceTest,
                          ::testing::Values(std::string("basic"),
-                                           std::string("optimized")),
+                                           std::string("optimized"),
+                                           std::string("group"),
+                                           std::string("ring")),
                          [](const auto& info) {
-                           return info.param == "basic" ? "Basic"
-                                                        : "Optimized";
+                           std::string name = info.param;
+                           name[0] = static_cast<char>(std::toupper(
+                               static_cast<unsigned char>(name[0])));
+                           return name;
                          });
 
 TEST(ServiceTest, GlobalRatingCountCadenceFiresEpochs) {

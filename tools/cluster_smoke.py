@@ -24,11 +24,14 @@ REPLICATION = 2
 
 
 def reserve_port():
+    """Binds 127.0.0.1:0 with SO_REUSEADDR and returns the socket, bound
+    and never listening. While it stays open no other bind(0) or outgoing
+    connect() gets the port, and a manager (which sets SO_REUSEADDR) can
+    still listen on it. Close it only after the manager has stopped."""
     s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
+    return s
 
 
 def wait_port(port, timeout=20.0):
@@ -59,6 +62,7 @@ def main():
     cli = sys.argv[1]
     work = tempfile.mkdtemp(prefix="p2prep_cluster_smoke_")
     managers = []
+    reservations = []
     try:
         trace = os.path.join(work, "trace.csv")
         subprocess.run(
@@ -77,7 +81,8 @@ def main():
                 max_id = max(max_id, int(rater), int(ratee))
         nodes = max_id + 1
 
-        ports = [reserve_port() for _ in range(RING_SIZE)]
+        reservations = [reserve_port() for _ in range(RING_SIZE)]
+        ports = [s.getsockname()[1] for s in reservations]
         ring = ",".join(f"127.0.0.1:{p}" for p in ports)
         for i in range(RING_SIZE):
             managers.append(subprocess.Popen(
@@ -130,6 +135,8 @@ def main():
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+        for s in reservations:
+            s.close()
         shutil.rmtree(work, ignore_errors=True)
 
 

@@ -135,8 +135,7 @@ int usage() {
                "            [--churn-leave F] [--churn-rejoin F]\n"
                "  serve-replay --in FILE [--from-trace] [--shards N]\n"
                "            [--epoch-ratings N] [--epoch-ticks N]\n"
-               "            [--detector basic|optimized|group|ring] "
-               "[--matrix-backend dense|sparse]\n"
+               "            [--detector basic|optimized|group|ring]\n"
                "            [--wal-dir DIR] [--checkpoint-every N]\n"
                "            [--queue N] [--report]\n"
                "            [--ta F] [--tb F] [--tn N] [--tr F] "
@@ -459,15 +458,6 @@ bool service_config_from(const Args& args, std::size_t num_nodes,
     std::fprintf(stderr, "error: %s\n", e.what());
     return false;
   }
-
-  // Detection output is identical across backends; sparse (the default)
-  // keeps shard matrices at O(nnz) memory, dense is the paper-cost oracle.
-  const std::string backend = args.get("matrix-backend", "sparse");
-  if (backend == "dense")
-    cfg.matrix_backend = rating::MatrixBackend::kDense;
-  else if (backend == "sparse")
-    cfg.matrix_backend = rating::MatrixBackend::kSparse;
-  else return false;
   return true;
 }
 
@@ -855,10 +845,6 @@ int cmd_manager(const Args& args) {
   cfg.service.epoch_ratings = args.get_u64("epoch-ratings", 4096);
   cfg.service.detector = args.get("detector", "optimized");
   cfg.service.detector_config = detector_config_from(args);
-  const std::string backend = args.get("matrix-backend", "sparse");
-  cfg.service.matrix_backend = backend == "dense"
-                                   ? rating::MatrixBackend::kDense
-                                   : rating::MatrixBackend::kSparse;
 
   if (args.has("latency-ms")) {
     cfg.latency.enabled = true;

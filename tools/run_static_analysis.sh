@@ -28,9 +28,9 @@
 #   P2PREP_CTEST_FILTER   ctest -R filter for werror/asan stages (default:
 #                         all tests)
 #   P2PREP_TSAN_FILTER    ctest -R filter for the tsan stage (default:
-#                         ServiceConcurrency plus the backend-differential
-#                         service tests, which race-check the sparse
-#                         matrix backend's concurrent epoch path, plus
+#                         ServiceConcurrency plus GlobalEquivalence,
+#                         which runs every detector in the sharded
+#                         service against a single-manager reference, plus
 #                         RpcConcurrency — the multi-client loopback
 #                         smoke of the RPC front-end — plus
 #                         the Reshard suites, which race-check the
@@ -67,7 +67,7 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_prefix="${P2PREP_BUILD_PREFIX:-${repo_root}/build-}"
 jobs="${P2PREP_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 ctest_filter="${P2PREP_CTEST_FILTER:-}"
-tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|ServiceBackendDifferential|RpcConcurrency|Reshard|OverlapStress|ParallelEpoch|AccompliceExchange|Cluster|IngestQueueWake|WalRun|IngestBatch}"
+tsan_filter="${P2PREP_TSAN_FILTER:-ServiceConcurrency|GlobalEquivalence|RpcConcurrency|Reshard|OverlapStress|ParallelEpoch|AccompliceExchange|Cluster|IngestQueueWake|WalRun|IngestBatch}"
 clangxx="${P2PREP_CLANG:-$(command -v clang++ || true)}"
 clang_tidy="$(command -v clang-tidy || true)"
 
