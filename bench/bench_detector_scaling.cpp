@@ -1,7 +1,9 @@
 // Propositions 4.1 / 4.2: detector complexity scaling. Google-benchmark
 // timings plus the detectors' own work-unit counters over growing n with
 // all rows high-reputed (the worst case the propositions bound):
-// Basic = O(m n^2), Optimized = O(m n).
+// Basic = O(m n^2), Optimized = O(m n). The matrices charge row scans by
+// stored cells (ScanCost::kStored), so Basic's complement scans cost row
+// nnz, not n; bench_fig13_cost charges the paper's full-row scans.
 //
 // The BM_ParallelEpochService family adds the service-level dimension:
 // full global-epoch wall time (freeze, multithreaded sweep, accomplice
@@ -9,7 +11,7 @@
 // density trace. `--smoke` runs only that family at reduced size — the
 // ctest entry BenchDetectorScaling.Smoke keeps the wiring from rotting.
 //
-// BM_HotRowInsert times the sparse backend's worst-case row insert: one
+// BM_HotRowInsert times the matrix's worst-case row insert: one
 // row filled with 1k/10k/100k distinct raters in shuffled order.
 #include <benchmark/benchmark.h>
 
@@ -42,7 +44,7 @@ core::DetectorConfig config() {
   return c;
 }
 
-rating::RatingMatrix make_world(std::size_t n, rating::MatrixBackend backend) {
+rating::RatingMatrix make_world(std::size_t n) {
   util::Rng rng(n);
   rating::RatingStore store(n);
   // 5% of nodes are colluders in consecutive pairs.
@@ -68,21 +70,15 @@ rating::RatingMatrix make_world(std::size_t n, rating::MatrixBackend backend) {
     }
   }
   std::vector<double> reps(n, 0.2);  // everyone high-reputed: m = n
-  return rating::RatingMatrix::build(store, reps, 0.05, 0, backend);
+  return rating::RatingMatrix::build(store, reps, 0.05, 0,
+                                     rating::ScanCost::kStored);
 }
 
-// Arg 0: n. Arg 1: matrix backend (0 = dense oracle, 1 = sparse rows).
-// The dense work counters are the paper's Figure 13 quantities; the sparse
-// rows trade the fixed n-wide Basic row scan for an O(row nnz) one at
-// identical verdicts, and matrix_bytes shows the footprint gap.
-rating::MatrixBackend backend_of(const benchmark::State& state) {
-  return state.range(1) == 0 ? rating::MatrixBackend::kDense
-                             : rating::MatrixBackend::kSparse;
-}
+// Arg 0: n.
 
 void BM_BasicDetect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto matrix = make_world(n, backend_of(state));
+  const auto matrix = make_world(n);
   detect::BasicDetector detector(config());
   std::uint64_t work = 0;
   for (auto _ : state) {
@@ -97,13 +93,11 @@ void BM_BasicDetect(benchmark::State& state) {
   state.counters["matrix_bytes"] =
       benchmark::Counter(static_cast<double>(matrix.approx_memory_bytes()));
 }
-BENCHMARK(BM_BasicDetect)
-    ->ArgsProduct({{50, 100, 200, 400}, {0, 1}});
+BENCHMARK(BM_BasicDetect)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
 
 /// Ring world: directed boost cycles of size 3-5 (one per 40 nodes)
 /// buried in the same organic background as make_world.
-rating::RatingMatrix make_ring_world(std::size_t n,
-                                     rating::MatrixBackend backend) {
+rating::RatingMatrix make_ring_world(std::size_t n) {
   util::Rng rng(n * 7 + 1);
   rating::RatingStore store(n);
   const std::size_t rings = std::max<std::size_t>(1, n / 40);
@@ -132,12 +126,13 @@ rating::RatingMatrix make_ring_world(std::size_t n,
     }
   }
   std::vector<double> reps(n, 0.2);
-  return rating::RatingMatrix::build(store, reps, 0.05, 0, backend);
+  return rating::RatingMatrix::build(store, reps, 0.05, 0,
+                                     rating::ScanCost::kStored);
 }
 
 void BM_OptimizedDetect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto matrix = make_world(n, backend_of(state));
+  const auto matrix = make_world(n);
   detect::OptimizedDetector detector(config());
   std::uint64_t work = 0;
   for (auto _ : state) {
@@ -152,15 +147,14 @@ void BM_OptimizedDetect(benchmark::State& state) {
   state.counters["matrix_bytes"] =
       benchmark::Counter(static_cast<double>(matrix.approx_memory_bytes()));
 }
-BENCHMARK(BM_OptimizedDetect)
-    ->ArgsProduct({{50, 100, 200, 400}, {0, 1}});
+BENCHMARK(BM_OptimizedDetect)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
 
 // The third detector dimension: make_detector-constructed streaming ring
 // detection, full rebuild every epoch (no dirty delta in the snapshot).
 // Work scales with nnz + boost-graph size, not n^2.
 void BM_RingDetect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto matrix = make_ring_world(n, backend_of(state));
+  const auto matrix = make_ring_world(n);
   const auto detector = detect::make_detector("ring", config());
   std::uint64_t work = 0;
   std::size_t rings = 0;
@@ -177,8 +171,7 @@ void BM_RingDetect(benchmark::State& state) {
   state.counters["matrix_bytes"] =
       benchmark::Counter(static_cast<double>(matrix.approx_memory_bytes()));
 }
-BENCHMARK(BM_RingDetect)
-    ->ArgsProduct({{50, 100, 200, 400}, {0, 1}});
+BENCHMARK(BM_RingDetect)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
 
 // Streaming pay-off: 10k nodes at 1% density, ~0.5% of cells dirtied per
 // epoch. Arg 0 selects the epoch mode — 0 rebuilds the boost-edge cache
@@ -191,7 +184,7 @@ void BM_RingEpoch10k(benchmark::State& state) {
   constexpr std::size_t kCells = kNodes * kNodes / 100;  // 1% density
   constexpr std::size_t kDirtyPerEpoch = kCells / 200;   // 0.5% per epoch
 
-  rating::RatingMatrix matrix(kNodes, rating::MatrixBackend::kSparse);
+  rating::RatingMatrix matrix(kNodes, rating::ScanCost::kStored);
   util::Rng rng(11);
   // Planted rings of size 3-5 so every epoch finds real cycles.
   rating::NodeId next = 0;
@@ -339,7 +332,7 @@ void BM_HotRowInsert(benchmark::State& state) {
   for (std::size_t k = cells - 1; k > 0; --k)
     std::swap(raters[k], raters[rng.next_below(k + 1)]);
 
-  rating::RatingMatrix m(cells + 1, rating::MatrixBackend::kSparse);
+  rating::RatingMatrix m(cells + 1, rating::ScanCost::kStored);
   for (auto _ : state) {
     for (rating::NodeId rater : raters)
       m.add_rating(0, rater, rating::Score::kPositive);

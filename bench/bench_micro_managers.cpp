@@ -1,8 +1,9 @@
 // Micro-benchmarks of the two centralized manager bookkeeping models:
-// snapshot (rebuild the dense matrix from the store per detection pass)
+// snapshot (rebuild the matrix from the store per detection pass)
 // vs incremental (maintain the matrix per rating). The detection results
 // are identical; this measures the bookkeeping trade: snapshot pays
-// O(n^2) per pass, incremental pays O(1) per rating plus O(n) per epoch.
+// O(n + nnz) per pass, incremental pays O(1) per rating plus O(n) per
+// epoch.
 #include <benchmark/benchmark.h>
 
 #include "detect/optimized_detector.h"

@@ -48,10 +48,10 @@ GroupDetectionReport detect_groups(const EpochSnapshot& snapshot,
   const std::size_t n = snapshot.num_nodes();
 
   // 1. Mutual-boosting edges among high-reputed nodes. All matrix access
-  // is point lookups through the owner matrix's backend-agnostic cell()
-  // accessor (an absent sparse cell reads as the empty aggregate), so the
-  // pass — and the component C2 sums below — is bit-identical across
-  // backends and shard layouts.
+  // is point lookups through the owner matrix's cell() accessor (an
+  // absent cell reads as the empty aggregate), so the pass — and the
+  // component C2 sums below — is bit-identical across scan-cost rules
+  // and shard layouts.
   auto boosts = [&](rating::NodeId target, rating::NodeId by) {
     const rating::PairStats& cell = snapshot.matrix_of(target).cell(target, by);
     report.cost.add_scan();

@@ -46,10 +46,10 @@ core::DetectionReport sweep_ranges(
   return report;
 }
 
-/// Whether `m` stores `cell` (for_each_cell visits it): every cell on the
-/// dense backend, only the non-empty ones on the sparse backend.
+/// Whether for_each_cell visits `cell` of `m`: every cell under kFullRow,
+/// only the non-empty ones under kStored.
 bool stored(const RatingMatrix& m, const PairStats& cell) {
-  return m.backend() == rating::MatrixBackend::kDense || cell.total > 0;
+  return m.scan_cost() == rating::ScanCost::kFullRow || cell.total > 0;
 }
 
 /// Cells a paper-literal scan of row i visits besides the diagonal — the

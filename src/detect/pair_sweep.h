@@ -11,7 +11,7 @@
 // std::invalid_argument before scanning.
 //
 // Cost: every counter equals what the paper-literal serial loops charge
-// on one matrix holding all rows, on either backend
+// on one matrix holding all rows, under either scan-cost rule
 // (tests/detect/pair_sweep_test.cpp). The Basic method's per-pair
 // complement scan of row i is charged from its stored-cell count
 // (RatingMatrix::stored_cells) while its sums come from the row

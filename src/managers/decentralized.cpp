@@ -134,7 +134,7 @@ DecentralizedReputationSystem::run_detection(std::string_view detector,
     }
     matrices.push_back(rating::RatingMatrix::build(
         shard, reps, config_.detector.high_rep_threshold,
-        config_.detector.frequency_min, rating::MatrixBackend::kSparse));
+        config_.detector.frequency_min, rating::ScanCost::kStored));
   }
 
   detect::EpochSnapshot snapshot;

@@ -6,10 +6,10 @@ namespace p2prep::managers {
 
 IncrementalCentralizedManager::IncrementalCentralizedManager(
     std::size_t num_nodes, reputation::ReputationEngine& engine,
-    core::DetectorConfig detector_config, rating::MatrixBackend backend)
+    core::DetectorConfig detector_config)
     : engine_(engine),
       detector_config_(detector_config),
-      matrix_(num_nodes, backend) {
+      matrix_(num_nodes, rating::ScanCost::kFullRow) {
   engine_.resize(matrix_.size());
   matrix_.set_frequency_threshold(detector_config_.frequency_min);
 }
@@ -19,7 +19,7 @@ IncrementalCentralizedManager::IncrementalCentralizedManager(
     reputation::ReputationEngine& engine, core::DetectorConfig detector_config)
     : engine_(engine),
       detector_config_(detector_config),
-      matrix_(std::move(index), part, rating::MatrixBackend::kSparse) {
+      matrix_(std::move(index), part, rating::ScanCost::kStored) {
   engine_.resize(matrix_.size());
   matrix_.set_frequency_threshold(detector_config_.frequency_min);
 }

@@ -1,6 +1,6 @@
 // IncrementalCentralizedManager: the deployment-shaped variant of
 // CentralizedManager. Instead of snapshotting the RatingStore into a fresh
-// dense matrix before every detection pass (O(n^2) per pass), it maintains
+// matrix before every detection pass (O(nnz) per pass), it maintains
 // the RatingMatrix directly as ratings arrive — O(1) per rating including
 // the frequent-rater aggregates — and refreshes only the global-reputation
 // column after each engine epoch (O(n)). Detection results are identical
@@ -23,16 +23,15 @@ namespace p2prep::managers {
 
 class IncrementalCentralizedManager {
  public:
-  /// `backend` selects the matrix representation: the dense oracle
-  /// (paper-cost reference) or the sparse hash-map rows. Detection output
-  /// is bit-identical across backends (tests/differential/).
-  IncrementalCentralizedManager(
-      std::size_t num_nodes, reputation::ReputationEngine& engine,
-      core::DetectorConfig detector_config,
-      rating::MatrixBackend backend = rating::MatrixBackend::kDense);
+  /// A standalone manager over every node. Its matrix charges the
+  /// paper's full-row scans (rating::ScanCost::kFullRow).
+  IncrementalCentralizedManager(std::size_t num_nodes,
+                                reputation::ReputationEngine& engine,
+                                core::DetectorConfig detector_config);
   /// A manager for partition `part` of `index` (a service shard): its
-  /// sparse matrix holds rows for that partition's nodes only, and it
-  /// accepts ratings only for them. `engine` must cover the same
+  /// matrix holds rows for that partition's nodes only, charges row scans
+  /// by stored cells (rating::ScanCost::kStored), and it accepts ratings
+  /// only for them. `engine` must cover the same
   /// partition.
   IncrementalCentralizedManager(std::shared_ptr<const rating::RowIndex> index,
                                 std::uint32_t part,

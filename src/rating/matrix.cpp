@@ -21,18 +21,15 @@ bool host_default(double rep, bool high) {
 
 const RatingMatrix::Row RatingMatrix::kEmptyRow{};
 
-RatingMatrix::RatingMatrix(std::size_t num_nodes, MatrixBackend backend)
-    : RatingMatrix(RowIndex::single(num_nodes), 0, backend) {}
+RatingMatrix::RatingMatrix(std::size_t num_nodes, ScanCost scan)
+    : RatingMatrix(RowIndex::single(num_nodes), 0, scan) {}
 
 RatingMatrix::RatingMatrix(std::shared_ptr<const RowIndex> index,
-                           std::uint32_t part, MatrixBackend backend)
-    : backend_(backend),
+                           std::uint32_t part, ScanCost scan)
+    : scan_(scan),
       index_(std::move(index)),
       part_(part),
-      rows_(index_->nodes(part).size()) {
-  if (backend_ == MatrixBackend::kDense)
-    for (std::uint32_t s = 0; s < rows_.size(); ++s) materialize(s);
-}
+      rows_(index_->nodes(part).size()) {}
 
 void RatingMatrix::repartition(std::shared_ptr<const RowIndex> index) {
   if (index->num_nodes() != size() || part_ >= index->num_parts())
@@ -50,59 +47,49 @@ void RatingMatrix::repartition(std::shared_ptr<const RowIndex> index) {
   }
   rows_ = std::move(rows);
   index_ = std::move(index);
-  if (backend_ == MatrixBackend::kDense)
-    for (std::uint32_t s = 0; s < rows_.size(); ++s) materialize(s);
 }
 
 RatingMatrix RatingMatrix::build(const RatingStore& store,
                                  std::span<const double> global_reps,
                                  double high_rep_threshold,
                                  std::uint32_t frequency_threshold,
-                                 MatrixBackend backend) {
+                                 ScanCost scan) {
   const std::size_t n = store.num_nodes();
   assert(global_reps.size() == n);
-  RatingMatrix m(n, backend);
+  RatingMatrix m(n, scan);
   m.frequency_threshold_ = frequency_threshold;
-  const bool sparse = backend == MatrixBackend::kSparse;
   for (NodeId i = 0; i < n; ++i) {
     m.set_global_reputation(i, global_reps[i], high_rep_threshold);
     const PairStats& totals = store.window_totals(i);
     if (totals.total == 0) continue;  // no window raters
     m.materialize(i);  // one partition: node i's slot is i
     // The row's final cell count is known: size its block exactly.
-    Row& row = sparse ? m.resize_row(i, static_cast<std::uint32_t>(
-                                            store.window_rater_count(i)))
-                      : *m.rows_[i];
+    Row& row = m.resize_row(
+        i, static_cast<std::uint32_t>(store.window_rater_count(i)));
     row.totals = totals;
     store.for_each_window_rater(
         i, [&m, i, frequency_threshold, &row](NodeId rater,
                                               const PairStats& stats) {
-          if (m.backend_ == MatrixBackend::kDense) {
-            row.dense_cells()[rater] = stats;
-          } else {
-            assert(row.size < row.capacity);
-            row.cells()[row.size++] = {rater, m.store_counts(i, rater, stats)};
-          }
+          assert(row.size < row.capacity);
+          row.cells()[row.size++] = {rater, m.store_counts(i, rater, stats)};
           if (frequency_threshold > 0 && stats.total >= frequency_threshold)
             row.frequent_totals += stats;
         });
-    if (sparse) {
-      // The store enumerates raters unordered: sort once into the main run.
-      std::sort(row.cells(), row.cells() + row.size, RaterLess{});
-      row.main_len = row.size;
-    }
+    // The store enumerates raters unordered: sort once into the main run.
+    std::sort(row.cells(), row.cells() + row.size, RaterLess{});
+    row.main_len = row.size;
   }
   return m;
 }
 
-void RatingMatrix::insert_cell(std::uint32_t s, SparseCell cell) {
+void RatingMatrix::insert_cell(std::uint32_t s, Cell cell) {
   Row* row = rows_[s].get();
   if (row->size == row->capacity) {
     // Grow by ~1.25x: bounded slack, amortized O(1) cells copied per insert.
     row = &resize_row(s, row->capacity + std::max(1u, row->size / 4));
   }
-  SparseCell* const cells = row->cells();
-  SparseCell* const end = cells + row->size;
+  Cell* const cells = row->cells();
+  Cell* const end = cells + row->size;
   if (row->main_len == row->size) {
     // No tail yet. An ascending append is O(1), and a small row stays one
     // sorted run: its direct insert moves < kFlatRowCells cells.
@@ -113,7 +100,7 @@ void RatingMatrix::insert_cell(std::uint32_t s, SparseCell cell) {
       return;
     }
     if (row->size < Row::kFlatRowCells) {
-      SparseCell* const at =
+      Cell* const at =
           std::lower_bound(cells, end, cell.rater, RaterLess{});
       std::copy_backward(at, end, end + 1);
       *at = cell;
@@ -129,7 +116,7 @@ void RatingMatrix::insert_cell(std::uint32_t s, SparseCell cell) {
     std::inplace_merge(cells, cells + row->main_len, end, RaterLess{});
     row->main_len = row->size;
   }
-  SparseCell* const at =
+  Cell* const at =
       std::lower_bound(cells + row->main_len, end, cell.rater, RaterLess{});
   std::copy_backward(at, end, end + 1);
   *at = cell;
@@ -139,7 +126,7 @@ void RatingMatrix::insert_cell(std::uint32_t s, SparseCell cell) {
 std::uint32_t RatingMatrix::Row::seek_from(std::uint32_t from,
                                            std::uint32_t lo, std::uint32_t hi,
                                            NodeId rater) const {
-  const SparseCell* const c = cells();
+  const Cell* const c = cells();
   const auto lower_bound = [&](std::uint32_t first, std::uint32_t last) {
     return static_cast<std::uint32_t>(
         std::lower_bound(c + first, c + last, rater, RaterLess{}) - c);
@@ -159,11 +146,9 @@ std::uint32_t RatingMatrix::Row::seek_from(std::uint32_t from,
 RatingMatrix::Row& RatingMatrix::materialize(std::uint32_t s) {
   RowPtr& slot = rows_[s];
   if (slot == nullptr) {
-    const std::size_t cells = backend_ == MatrixBackend::kDense ? size() : 0;
-    void* block = std::malloc(sizeof(Row) + cells * sizeof(PairStats));
+    void* block = std::malloc(sizeof(Row));
     if (block == nullptr) throw std::bad_alloc();
     slot.reset(new (block) Row{});
-    std::uninitialized_fill_n(slot->dense_cells(), cells, PairStats{});
   }
   return *slot;
 }
@@ -172,9 +157,9 @@ RatingMatrix::Row& RatingMatrix::resize_row(std::uint32_t s,
                                             std::uint32_t capacity) {
   RowPtr& slot = rows_[s];
   assert(slot != nullptr && capacity >= slot->size);
-  // Row and SparseCell are trivially copyable, so realloc may move them.
+  // Row and Cell are trivially copyable, so realloc may move them.
   void* block = std::realloc(
-      slot.get(), sizeof(Row) + std::size_t{capacity} * sizeof(SparseCell));
+      slot.get(), sizeof(Row) + std::size_t{capacity} * sizeof(Cell));
   if (block == nullptr) throw std::bad_alloc();  // the old block is intact
   (void)slot.release();
   slot.reset(static_cast<Row*>(block));
@@ -184,21 +169,16 @@ RatingMatrix::Row& RatingMatrix::resize_row(std::uint32_t s,
 
 bool RatingMatrix::release_if_unused(std::uint32_t s) {
   const Row& row = *rows_[s];
-  if (backend_ == MatrixBackend::kDense || row.size != 0 ||
-      !host_default(row.global_rep, row.high_reputed()))
+  if (row.size != 0 || !host_default(row.global_rep, row.high_reputed()))
     return false;
   rows_[s].reset();
   return true;
 }
 
 void RatingMatrix::clear_row(NodeId i, std::uint32_t s, Row& row) {
-  if (backend_ == MatrixBackend::kDense) {
-    std::fill_n(row.dense_cells(), size(), PairStats{});
-  } else {
-    drop_escaped(i, row);
-    row.main_len = 0;
-    row.size = 0;
-  }
+  drop_escaped(i, row);
+  row.main_len = 0;
+  row.size = 0;
   row.totals = PairStats{};
   row.frequent_totals = PairStats{};
   // A row that stays (for its host meta) frees its cell storage.
@@ -211,7 +191,7 @@ PairStats RatingMatrix::escaped_cell(NodeId ratee, NodeId rater) const {
 
 std::uint32_t RatingMatrix::store_counts(NodeId ratee, NodeId rater,
                                          const PairStats& stats) {
-  assert(stats.total > 0 && "a stored sparse cell is never empty");
+  assert(stats.total > 0 && "a stored cell is never empty");
   if (packable(stats)) return pack(stats);
   escaped_.insert_or_assign(cell_key(ratee, rater), stats);
   return kEscaped;
@@ -220,11 +200,6 @@ std::uint32_t RatingMatrix::store_counts(NodeId ratee, NodeId rater,
 PairStats RatingMatrix::add_to_cell(NodeId ratee, std::uint32_t s,
                                     NodeId rater, Score score) {
   assert(ratee < size() && rater < size());
-  if (backend_ == MatrixBackend::kDense) {
-    PairStats& cell = rows_[s]->dense_cells()[rater];
-    cell.add(score);
-    return cell;
-  }
   std::uint32_t* counts = rows_[s]->find(rater);
   if (counts == nullptr) {
     PairStats cell;
@@ -246,21 +221,18 @@ PairStats RatingMatrix::add_to_cell(NodeId ratee, std::uint32_t s,
 void RatingMatrix::drop_escaped(NodeId i, const Row& row) {
   if (escaped_.empty()) return;
   for (std::uint32_t k = 0; k < row.size; ++k) {
-    const SparseCell& c = row.cells()[k];
+    const Cell& c = row.cells()[k];
     if (c.counts == kEscaped) escaped_.erase(cell_key(i, c.rater));
   }
   if (escaped_.empty()) escaped_ = decltype(escaped_)();  // free the buckets
 }
 
 std::size_t RatingMatrix::approx_memory_bytes() const noexcept {
-  const std::size_t dense_row_bytes =
-      backend_ == MatrixBackend::kDense ? size() * sizeof(PairStats) : 0;
   std::size_t bytes = sizeof(RatingMatrix) + rows_.capacity() * sizeof(RowPtr);
   for (const RowPtr& row : rows_)
     if (row != nullptr)
-      bytes += sizeof(Row) + dense_row_bytes +
-               std::size_t{row->capacity} * sizeof(SparseCell);
-  // The sparse escape store: its bucket array and one node per escaped
+      bytes += sizeof(Row) + std::size_t{row->capacity} * sizeof(Cell);
+  // The escape store: its bucket array and one node per escaped
   // cell (a next pointer beside the key and stats), once it holds any.
   if (!escaped_.empty())
     bytes += escaped_.bucket_count() * sizeof(void*) +
@@ -330,12 +302,8 @@ void RatingMatrix::restore_cell(NodeId ratee, NodeId rater,
   if (stats.total == 0) return;
   const std::uint32_t s = owned_slot(ratee);
   assert(cell(ratee, rater).total == 0 && "restore_cell target must be empty");
-  Row& target = materialize(s);
-  if (backend_ == MatrixBackend::kDense) {
-    target.dense_cells()[rater] = stats;
-  } else {
-    insert_cell(s, {rater, store_counts(ratee, rater, stats)});
-  }
+  materialize(s);
+  insert_cell(s, {rater, store_counts(ratee, rater, stats)});
   Row& row = *rows_[s];  // re-fetched: the insert may move the row
   row.totals += stats;
   if (frequency_threshold_ > 0 && stats.total >= frequency_threshold_) {
@@ -346,7 +314,7 @@ void RatingMatrix::restore_cell(NodeId ratee, NodeId rater,
 
 void RatingMatrix::reserve_cells(NodeId ratee, std::size_t cells) {
   const std::uint32_t s = owned_slot(ratee);
-  if (backend_ == MatrixBackend::kDense || cells == 0) return;
+  if (cells == 0) return;
   const Row& row = materialize(s);
   const std::size_t capacity = row.size + cells;
   assert(capacity < std::size_t{1} << 32);

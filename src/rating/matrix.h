@@ -20,34 +20,34 @@
 // allocated on the row's first write as ONE heap block: a 48-byte header
 // (host meta — global reputation and high-reputed flag — window totals,
 // frequent aggregate and the cell bookkeeping) followed by the row's
-// cells inline: all n on the dense backend, the stored ones on the sparse
-// backend. On the sparse backend a row exists
-// exactly while it holds a cell or non-default host meta: take_row,
-// clear_window and set_global_reputation free it again once neither
-// holds. An empty slot reads as an untouched row through every accessor
-// (zero totals, no cells, global reputation 0, not high-reputed), so
-// detectors charge the same costs either way. The dense oracle allocates
-// every owned row up front and never frees one.
+// non-empty cells inline. A row exists exactly while it holds a cell or
+// non-default host meta: take_row, clear_window and
+// set_global_reputation free it again once neither holds. An empty slot
+// reads as an untouched row through every accessor (zero totals, no
+// cells, global reputation 0, not high-reputed).
 // clear_window and approx_memory_bytes walk the owned slots, so they cost
 // time in proportion to the nodes the partition owns. repartition()
 // re-slots the rows for a new index without copying a cell, and drops
 // the rows of nodes the partition no longer owns.
 //
-// Two storage backends implement the same cell contract (MatrixBackend):
-//  * kDense  — all n cells of each owned row, zeroes included. Element access
-//    and full-row scans cost exactly what the paper's complexity analysis
-//    charges, so this is the reference ("oracle") representation: build()
-//    and the standalone constructors default to it.
-//  * kSparse — the non-empty (rater, stats) cells of each row, inline in
-//    the row's block and kept sorted by rater (layout below). Real rating
-//    graphs are extremely sparse (the Amazon/Overstock traces), so this
-//    cuts the footprint from O(n^2) to O(nnz) while producing
-//    bit-identical detection results; tests/differential/ proves the
-//    equivalence against the dense oracle. Every service shard matrix
-//    uses this backend.
+// One representation, two scan-cost rules (ScanCost). Every matrix stores
+// only its non-empty cells: real rating graphs are extremely sparse (the
+// Amazon/Overstock traces), so the footprint is O(nnz), not O(n^2). What
+// a row scan costs is a separate choice, fixed at construction:
+//  * kFullRow — a row scan visits all n columns, absent cells reading as
+//    empty stats: the paper's cost model (Sec. IV-B, Fig. 13), where the
+//    Basic method's complement scan charges n cells. build(), the
+//    standalone constructors and so every paper-figure path default to it.
+//  * kStored  — a row scan visits the row's stored cells only. Every
+//    service shard matrix uses this rule.
+// The rule changes for_each_cell and stored_cells() and nothing else:
+// cell reads, aggregates, for_each_nonzero_cell (checkpoints, take_row,
+// the ring detector) and every detector verdict are identical under both.
+// tests/rating/reference_matrix.h is the test-only reference model the
+// differential suites hold every matrix against.
 //
-// Sparse row layout. A row is a sorted main run plus a sorted tail of at
-// most ~sqrt(row size) cells, all 8-byte cells in the row's block with no
+// Row layout. A row is a sorted main run plus a sorted tail of at most
+// ~sqrt(row size) cells, all 8-byte cells in the row's block with no
 // per-cell heap node. A new cell that sorts after every stored one
 // (restore_cell replay) is an O(1) append to the main run, and a row
 // under kFlatRowCells cells takes a direct sorted insert. Any other new
@@ -87,12 +87,11 @@
 // counts the 8-byte owned-row slots, each allocated row's 48-byte header,
 // its cell capacity (8 bytes a cell) and the escape store.
 //
-// Detector hot paths consume rows through the backend-agnostic visitors
-// (for_each_cell / for_each_nonzero_cell) instead of indexing a dense
-// span. Row scans the paper's cost model charges element by element (the
-// Basic method's complement scan) are charged from stored_cells(): n on
-// the dense oracle (the paper's full-row scan), row nnz on the sparse
-// backend.
+// Detector hot paths consume rows through the visitors (for_each_cell /
+// for_each_nonzero_cell). Row scans the paper's cost model charges element
+// by element (the Basic method's complement scan) are charged from
+// stored_cells(): n under kFullRow (the paper's full-row scan), row nnz
+// under kStored.
 //
 // Two reputation views coexist on purpose:
 //  * `global_reputation` — whatever the host reputation system computed
@@ -109,7 +108,6 @@
 #include <cstdlib>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -122,17 +120,13 @@
 
 namespace p2prep::rating {
 
-/// Storage representation of a RatingMatrix. Every detector verdict is
-/// identical across backends (differential-tested); only memory footprint
-/// and per-row scan cost differ.
-enum class MatrixBackend : std::uint8_t {
-  kDense,   ///< Contiguous n x n cells — the paper-cost oracle.
-  kSparse,  ///< Sorted-run row of non-empty cells — O(nnz) memory.
+/// What a row scan of a RatingMatrix visits, and so what the paper's cost
+/// model charges for it. Storage and every detector verdict are the same
+/// under both rules; only for_each_cell and stored_cells() differ.
+enum class ScanCost : std::uint8_t {
+  kFullRow,  ///< all n columns — the paper's full-row scan
+  kStored,   ///< the row's stored (non-empty) cells
 };
-
-[[nodiscard]] constexpr std::string_view to_string(MatrixBackend b) noexcept {
-  return b == MatrixBackend::kDense ? "dense" : "sparse";
-}
 
 /// Cells mutated since the last take_dirty_cells() call, for incremental
 /// consumers (the streaming ring detector caches derived per-cell state
@@ -153,14 +147,14 @@ class RatingMatrix {
   RatingMatrix() : RatingMatrix(0) {}
   /// A standalone matrix: one partition owning every node of [0, num_nodes).
   explicit RatingMatrix(std::size_t num_nodes,
-                        MatrixBackend backend = MatrixBackend::kDense);
+                        ScanCost scan = ScanCost::kFullRow);
   /// Partition `part` of `index`: rows for the nodes it owns only.
   RatingMatrix(std::shared_ptr<const RowIndex> index, std::uint32_t part,
-               MatrixBackend backend = MatrixBackend::kDense);
+               ScanCost scan = ScanCost::kFullRow);
 
   /// Snapshots the window horizon of `store` into a matrix with the given
-  /// backend. `global_reps[i]` is the host system's reputation for node i
-  /// (its size must equal store.num_nodes()); rows with
+  /// scan-cost rule. `global_reps[i]` is the host system's reputation for
+  /// node i (its size must equal store.num_nodes()); rows with
   /// global_reps[i] > high_rep_threshold are flagged live. When
   /// `frequency_threshold` > 0, each row also carries the aggregate of its
   /// frequent raters' cells (every rater with N_(i,k) >= frequency_threshold)
@@ -170,9 +164,9 @@ class RatingMatrix {
                             std::span<const double> global_reps,
                             double high_rep_threshold,
                             std::uint32_t frequency_threshold = 0,
-                            MatrixBackend backend = MatrixBackend::kDense);
+                            ScanCost scan = ScanCost::kFullRow);
 
-  [[nodiscard]] MatrixBackend backend() const noexcept { return backend_; }
+  [[nodiscard]] ScanCost scan_cost() const noexcept { return scan_; }
 
   /// Number of nodes, owned or not: every accessor takes ids below it.
   [[nodiscard]] std::size_t size() const noexcept {
@@ -234,17 +228,15 @@ class RatingMatrix {
   /// lookup. Valid until the matrix is next mutated.
   class RowView {
    public:
-    /// a_(ratee,rater), by value: a sparse cell is stored packed (see the
-    /// layout note at the top of this file), so there is no PairStats in
-    /// memory to refer to. An absent sparse cell reads as the empty
-    /// aggregate, exactly like an untouched dense cell. O(1) on the dense
-    /// backend; on the sparse one O(1) per step of an ascending sweep
-    /// along the row and O(log row nnz) otherwise — the Optimized
-    /// method's per-pair read. Forced inline: the pair sweeps call it n
-    /// times per high row, and GCC 12 otherwise emits an out-of-line call
-    /// per probe, which made a serial Optimized sweep ~15% slower.
+    /// a_(ratee,rater), by value: a cell is stored packed (see the layout
+    /// note at the top of this file), so there is no PairStats in memory
+    /// to refer to. An absent cell reads as the empty aggregate. O(1) per
+    /// step of an ascending sweep along the row and O(log row nnz)
+    /// otherwise — the Optimized method's per-pair read. Forced inline:
+    /// the pair sweeps call it n times per high row, and GCC 12 otherwise
+    /// emits an out-of-line call per probe, which made a serial Optimized
+    /// sweep ~15% slower.
     [[nodiscard, gnu::always_inline]] PairStats cell(NodeId rater) const {
-      if (dense_ != nullptr) return dense_[rater];
       const std::uint32_t* counts =
           row_ != nullptr ? row_->find(rater) : nullptr;
       if (counts == nullptr) return {};
@@ -257,8 +249,7 @@ class RatingMatrix {
     friend class RatingMatrix;
     const RatingMatrix* matrix_ = nullptr;
     NodeId ratee_ = 0;
-    const Row* row_ = nullptr;          ///< null for an empty sparse row
-    const PairStats* dense_ = nullptr;  ///< an owned dense row's cells
+    const Row* row_ = nullptr;  ///< null for an empty row
   };
 
   /// The one row lookup: row `ratee` when this partition owns it, else
@@ -270,8 +261,6 @@ class RatingMatrix {
     const std::uint32_t s = slot(ratee);
     if (s == RowIndex::kNoSlot) return view;
     view.row_ = rows_[s].get();
-    if (backend_ == MatrixBackend::kDense)
-      view.dense_ = view.row_->dense_cells();
     return view;
   }
 
@@ -282,53 +271,49 @@ class RatingMatrix {
     return row_view(ratee).cell(rater);
   }
 
-  /// Number of cells for_each_cell visits in row `ratee`: n on the dense
-  /// backend, the row's non-empty cells on the sparse one.
+  /// Number of cells for_each_cell visits in row `ratee`: n under
+  /// kFullRow, the row's non-empty cells under kStored.
   [[nodiscard]] std::size_t stored_cells(NodeId ratee) const {
-    return backend_ == MatrixBackend::kDense ? size() : row(ratee).size;
+    return scan_ == ScanCost::kFullRow ? size() : row(ratee).size;
   }
 
-  /// Cells the block of sparse row `ratee` has room for (0 on the dense
-  /// backend and for an empty slot); approx_memory_bytes() charges 8
-  /// bytes for each. See "Cell capacity" at the top of this file.
+  /// Cells the block of row `ratee` has room for (0 for an empty slot);
+  /// approx_memory_bytes() charges 8 bytes for each. See "Cell capacity"
+  /// at the top of this file.
   [[nodiscard]] std::size_t cell_capacity(NodeId ratee) const {
     return row(ratee).capacity;
   }
 
-  /// Visits every STORED cell of row `ratee` as fn(rater, stats), in
-  /// ascending rater order on both backends. The dense backend stores all
-  /// n columns (including empty ones — the paper's full-row scan); the
-  /// sparse backend stores only non-empty cells. This is the detector
-  /// hot-path row iterator.
+  /// The row scan the scan-cost rule charges, as fn(rater, stats) in
+  /// ascending rater order: under kFullRow all n columns, an absent cell
+  /// reading as empty stats (the paper's full-row scan); under kStored
+  /// the non-empty cells only. This is the detector hot-path row
+  /// iterator.
   template <typename Fn>
   void for_each_cell(NodeId ratee, Fn&& fn) const {
-    if (backend_ == MatrixBackend::kDense) {
-      const RowView row = row_view(ratee);
-      const PairStats empty;
-      for (NodeId k = 0; k < size(); ++k)
-        fn(k, row.dense_ != nullptr ? row.dense_[k] : empty);
-    } else {
-      row(ratee).for_each([&](const SparseCell& c) {
-        fn(c.rater, stats_of(ratee, c.rater, c.counts));
-      });
+    if (scan_ == ScanCost::kStored) {
+      for_each_nonzero_cell(ratee, fn);
+      return;
     }
+    const RowView row = row_view(ratee);
+    for (NodeId k = 0; k < size(); ++k) fn(k, row.cell(k));
   }
 
   /// Visits the non-empty cells (total > 0) of row `ratee` in ascending
-  /// rater order on BOTH backends — the deterministic enumeration used by
-  /// snapshot/checkpoint/transfer paths, byte-stable across backends.
+  /// rater order under either rule — the deterministic enumeration used
+  /// by snapshot/checkpoint/transfer paths, O(row nnz).
   template <typename Fn>
   void for_each_nonzero_cell(NodeId ratee, Fn&& fn) const {
-    for_each_cell(ratee, [&fn](NodeId k, const PairStats& stats) {
-      if (stats.total > 0) fn(k, stats);
+    row(ratee).for_each([&](const Cell& c) {
+      fn(c.rater, stats_of(ratee, c.rater, c.counts));
     });
   }
 
   /// Row-range visitor: for_each_nonzero_cell over every row in
   /// [row_begin, row_end), ascending row then ascending rater order, as
-  /// fn(ratee, rater, stats). Deterministic on both backends; the
-  /// parallel detection passes partition a matrix into disjoint row
-  /// ranges with this and merge the per-range results in range order.
+  /// fn(ratee, rater, stats). Deterministic; the parallel detection
+  /// passes partition a matrix into disjoint row ranges with this and
+  /// merge the per-range results in range order.
   template <typename Fn>
   void for_each_nonzero_cell_in_rows(NodeId row_begin, NodeId row_end,
                                      Fn&& fn) const {
@@ -342,17 +327,17 @@ class RatingMatrix {
 
   /// Resident-memory estimate of this matrix (cells + rows), in bytes:
   /// the owned-row slots, each existing row's header, its cell capacity
-  /// (8 bytes a sparse cell) and the escape store's buckets and nodes.
-  /// The shared RowIndex is not charged: its host charges it once for
-  /// all partitions (RowIndex::slot_table_bytes). Exact for the dense
-  /// backend; tests/rating/matrix_memory_test.cpp holds the sparse one
-  /// within 20% of the measured heap growth. The bench memory columns and
+  /// (8 bytes a cell) and the escape store's buckets and nodes. The
+  /// shared RowIndex is not charged: its host charges it once for all
+  /// partitions (RowIndex::slot_table_bytes).
+  /// tests/rating/matrix_memory_test.cpp holds it within 20% of the
+  /// measured heap growth. The bench memory columns and
   /// the footprint regression test read this.
   [[nodiscard]] std::size_t approx_memory_bytes() const noexcept;
 
-  /// What a standalone dense matrix of `num_nodes` costs, without
-  /// allocating it — the oracle the <5%-footprint regression check
-  /// compares against.
+  /// What a standalone matrix of `num_nodes` would cost if it stored all
+  /// n cells of every row as PairStats — an analytic figure, never
+  /// allocated, that the footprint regression checks compare against.
   [[nodiscard]] static std::size_t dense_footprint_bytes(
       std::size_t num_nodes) noexcept;
 
@@ -371,19 +356,19 @@ class RatingMatrix {
   /// reputations, high-reputed flags, and the frequency threshold are
   /// preserved — they belong to the host system, not the window. Only
   /// owned slots are visited, so the cost is proportional to them; a
-  /// sparse row whose host meta is at its default is freed.
+  /// row whose host meta is at its default is freed.
   void clear_window();
 
   /// Restores a window cell verbatim (checkpoint recovery): installs
   /// `stats` at (ratee, rater) and folds it into the row totals and, when
   /// frequent, the frequent aggregate. The target cell must be empty; an
-  /// empty `stats` restores nothing, so the sparse backend keeps storing
-  /// only non-empty cells.
+  /// empty `stats` restores nothing, so the matrix keeps storing only
+  /// non-empty cells.
   void restore_cell(NodeId ratee, NodeId rater, const PairStats& stats);
 
   /// Makes room in row `ratee` for `cells` more cells, sized exactly, so
   /// a replay of that many non-empty cells through restore_cell leaves no
-  /// growth slack. A no-op on the dense backend and for `cells` == 0.
+  /// growth slack. A no-op for `cells` == 0.
   void reserve_cells(NodeId ratee, std::size_t cells);
 
   /// Extracts row `ratee` for a shard handoff: returns its non-empty
@@ -391,7 +376,7 @@ class RatingMatrix {
   /// reinstalls on the receiving matrix), then clears the cells and the
   /// row's totals / frequent aggregate. Global reputation and the
   /// high-reputed flag are left in place until repartition() drops the
-  /// row, and a sparse row without them is freed. A node this partition
+  /// row, and a row without them is freed. A node this partition
   /// does not own has nothing to take. Dirty tracking
   /// cannot express a removal, so a non-empty take marks the next delta
   /// incomplete (full detector rebuild).
@@ -412,13 +397,12 @@ class RatingMatrix {
   [[nodiscard]] DirtyCells take_dirty_cells();
 
  private:
-  /// One stored sparse cell: the rater and its packed counters.
-  struct SparseCell {
+  /// One stored cell: the rater and its packed counters.
+  struct Cell {
     NodeId rater;
     std::uint32_t counts;  ///< pack(stats), or kEscaped
   };
-  static_assert(sizeof(SparseCell) == 8,
-                "the cell size the memory notes quote");
+  static_assert(sizeof(Cell) == 8, "the cell size the memory notes quote");
 
   // Packed counters: N+ in bits 0-10, N- in bits 11-21 and the neutral
   // count in bits 22-31; N is their sum.
@@ -452,17 +436,17 @@ class RatingMatrix {
 
   /// Orders cells (and cells against a rater id) by rater.
   struct RaterLess {
-    bool operator()(const SparseCell& a, const SparseCell& b) const {
+    bool operator()(const Cell& a, const Cell& b) const {
       return a.rater < b.rater;
     }
-    bool operator()(const SparseCell& a, NodeId rater) const {
+    bool operator()(const Cell& a, NodeId rater) const {
       return a.rater < rater;
     }
   };
 
   /// One allocated row: a 48-byte header — the host meta, the window
   /// aggregates and the cell bookkeeping — followed in the same heap block
-  /// by `capacity` sparse cells (none under kDense). The stored cells are
+  /// by `capacity` cells. The stored cells are
   /// two runs sorted by rater, cells()[0, main_len) and the tail
   /// cells()[main_len, size); a rater is stored in at most one of them.
   struct Row {
@@ -480,25 +464,17 @@ class RatingMatrix {
     [[nodiscard]] bool high_reputed() const { return high; }
 
     /// The cells, inline after the header.
-    [[nodiscard]] const SparseCell* cells() const {
-      return reinterpret_cast<const SparseCell*>(this + 1);
+    [[nodiscard]] const Cell* cells() const {
+      return reinterpret_cast<const Cell*>(this + 1);
     }
-    [[nodiscard]] SparseCell* cells() {
-      return reinterpret_cast<SparseCell*>(this + 1);
+    [[nodiscard]] Cell* cells() {
+      return reinterpret_cast<Cell*>(this + 1);
     }
-    /// A dense row's n cells, inline after the header.
-    [[nodiscard]] const PairStats* dense_cells() const {
-      return reinterpret_cast<const PairStats*>(this + 1);
-    }
-    [[nodiscard]] PairStats* dense_cells() {
-      return reinterpret_cast<PairStats*>(this + 1);
-    }
-
     /// The packed counts of `rater`'s cell, nullptr when absent.
     [[nodiscard]] const std::uint32_t* find(NodeId rater) const {
       Finger& f = finger();
       if (f.row != this) f = {this, 0, main_len};
-      const SparseCell* c = cells();
+      const Cell* c = cells();
       const std::uint32_t in_main = seek(f.main, 0, main_len, rater);
       f.main = in_main;
       if (in_main < main_len && c[in_main].rater == rater)
@@ -517,10 +493,10 @@ class RatingMatrix {
     /// fn(cell) over both runs, merged into ascending rater order.
     template <typename Fn>
     void for_each(Fn&& fn) const {
-      const SparseCell* a = cells();
-      const SparseCell* const a_end = a + main_len;
-      const SparseCell* b = a_end;
-      const SparseCell* const b_end = a + size;
+      const Cell* a = cells();
+      const Cell* const a_end = a + main_len;
+      const Cell* b = a_end;
+      const Cell* const b_end = a + size;
       while (a != a_end && b != b_end) fn(a->rater < b->rater ? *a++ : *b++);
       for (; a != a_end; ++a) fn(*a);
       for (; b != b_end; ++b) fn(*b);
@@ -532,7 +508,7 @@ class RatingMatrix {
     /// there; seek_from() handles every other case.
     [[nodiscard]] std::uint32_t seek(std::uint32_t from, std::uint32_t lo,
                                      std::uint32_t hi, NodeId rater) const {
-      const SparseCell* c = cells();
+      const Cell* c = cells();
       if (from >= lo && from <= hi &&
           (from == lo || c[from - 1].rater < rater) &&
           (from == hi || c[from].rater >= rater))
@@ -546,7 +522,7 @@ class RatingMatrix {
                                           std::uint32_t hi,
                                           NodeId rater) const;
 
-    /// Per-thread search finger into the last sparse row read. The pair
+    /// Per-thread search finger into the last row read. The pair
     /// sweeps read a row at ascending raters (a_ij for j = 0..n-1), so
     /// resuming each run's search where the previous read stopped makes
     /// a whole-row sweep O(n + nnz) instead of O(n log nnz). The finger
@@ -564,8 +540,7 @@ class RatingMatrix {
     }
   };
   static_assert(sizeof(Row) == 48, "the row header size the memory notes quote");
-  static_assert(sizeof(Row) % alignof(SparseCell) == 0 &&
-                    sizeof(Row) % alignof(PairStats) == 0,
+  static_assert(sizeof(Row) % alignof(Cell) == 0,
                 "cells start aligned right after the header");
 
   /// Owns a row block, which is malloc'd so that growth can realloc it.
@@ -597,14 +572,13 @@ class RatingMatrix {
   /// size cells. The block may move: references to the row are stale
   /// after it.
   Row& resize_row(std::uint32_t s, std::uint32_t capacity);
-  /// Stores `cell` in the existing sparse row at slot s, whose rater must
+  /// Stores `cell` in the existing row at slot s, whose rater must
   /// be absent (see the row layout note at the top of this file); grows
   /// the block when it is full, so references to the row are stale after
   /// it.
-  void insert_cell(std::uint32_t s, SparseCell cell);
-  /// Frees the sparse row at slot s once it holds no cell and its host
-  /// meta is at the default, and returns whether it did; a no-op on the
-  /// dense backend.
+  void insert_cell(std::uint32_t s, Cell cell);
+  /// Frees the row at slot s once it holds no cell and its host meta is
+  /// at the default, and returns whether it did.
   bool release_if_unused(std::uint32_t s);
   /// Zeroes node i's cells and window aggregates (`row` is its row, at
   /// slot s), then frees the row if that left it unused, else its cell
@@ -615,7 +589,7 @@ class RatingMatrix {
   [[nodiscard]] static std::uint64_t cell_key(NodeId ratee, NodeId rater) {
     return (static_cast<std::uint64_t>(ratee) << 32) | rater;
   }
-  /// The stats of sparse cell (ratee, rater), whose stored counts are
+  /// The stats of cell (ratee, rater), whose stored counts are
   /// `counts`.
   [[nodiscard]] PairStats stats_of(NodeId ratee, NodeId rater,
                                    std::uint32_t counts) const {
@@ -625,15 +599,14 @@ class RatingMatrix {
   }
   /// An escaped cell's stats (the cold half of stats_of).
   [[nodiscard]] PairStats escaped_cell(NodeId ratee, NodeId rater) const;
-  /// The counts to store for non-empty sparse cell (ratee, rater):
+  /// The counts to store for non-empty cell (ratee, rater):
   /// pack(stats) when it fits, else kEscaped after (re)writing the cell
   /// into the escape store.
   std::uint32_t store_counts(NodeId ratee, NodeId rater,
                              const PairStats& stats);
   /// Adds one `score` rating to cell (ratee, rater) of existing row
-  /// `ratee`, at slot s, and returns the cell's new stats; creates the
-  /// cell on the sparse backend, so references to the row are stale
-  /// after it.
+  /// `ratee`, at slot s, and returns the cell's new stats; a new cell may
+  /// grow the row, so references to the row are stale after it.
   PairStats add_to_cell(NodeId ratee, std::uint32_t s, NodeId rater,
                         Score score);
   /// Drops row i's escaped cells from the escape store, releasing its
@@ -645,11 +618,11 @@ class RatingMatrix {
     if (dirty_on_) dirty_.insert(cell_key(ratee, rater));
   }
 
-  MatrixBackend backend_ = MatrixBackend::kDense;
+  ScanCost scan_ = ScanCost::kFullRow;
   std::shared_ptr<const RowIndex> index_;  // shared by the partitioning
   std::uint32_t part_ = 0;                 // this matrix's partition
   std::vector<RowPtr> rows_;       // one slot per owned node
-  // Sparse cells whose counts overflow a packed field, exact, by cell_key.
+  // Cells whose counts overflow a packed field, exact, by cell_key.
   std::unordered_map<std::uint64_t, PairStats> escaped_;
   std::size_t high_count_ = 0;
   std::uint32_t frequency_threshold_ = 0;

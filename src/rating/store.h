@@ -4,7 +4,7 @@
 // horizons: the current reputation-update window T (what the paper's
 // detection thresholds N_(i,j) >= T_N are defined over) and the node's
 // lifetime (what the summation reputation R_i = N+_i - N-_i is defined
-// over). Reputation managers snapshot this store into a dense RatingMatrix
+// over). Reputation managers snapshot this store into a RatingMatrix
 // before running detection.
 #pragma once
 

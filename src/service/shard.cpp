@@ -4,6 +4,7 @@
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace p2prep::service {
 
@@ -160,7 +161,7 @@ std::optional<ShardCheckpoint> ServiceShard::make_checkpoint() const {
   for (const rating::NodeId i : matrix.owned_nodes()) {
     if (matrix.totals(i).total == 0) continue;
     // Ascending-rater enumeration, so checkpoint files are byte-identical
-    // to what the same cells would write from any backend.
+    // for the same cells whatever order they were written in.
     matrix.for_each_nonzero_cell(
         i, [&ckpt, i](rating::NodeId k, const rating::PairStats& stats) {
           ckpt.cells.push_back({i, k, stats});
@@ -221,6 +222,25 @@ void ServiceShard::check_ids(const ShardCheckpoint& ckpt) const {
                   }))
     throw std::runtime_error("shard restore: checkpoint names a node id >= " +
                              std::to_string(n));
+  // make_checkpoint writes each cell once, row-major in ascending rater
+  // order, and ingest refuses self-ratings. A duplicate cell would store
+  // two cells for one rater, and install_checkpoint's per-row reservation
+  // assumes the order.
+  const auto key = [](const CheckpointCell& c) {
+    return std::pair(c.ratee, c.rater);
+  };
+  if (std::adjacent_find(ckpt.cells.begin(), ckpt.cells.end(),
+                         [&key](const CheckpointCell& a,
+                                const CheckpointCell& b) {
+                           return key(a) >= key(b);
+                         }) != ckpt.cells.end())
+    throw std::runtime_error(
+        "shard restore: checkpoint cells are not strictly ascending by "
+        "(ratee, rater)");
+  if (std::any_of(ckpt.cells.begin(), ckpt.cells.end(),
+                  [](const CheckpointCell& c) { return c.ratee == c.rater; }))
+    throw std::runtime_error(
+        "shard restore: checkpoint holds a self-rating cell");
   const rating::RatingMatrix& matrix = manager_->matrix();
   if (std::any_of(ckpt.cells.begin(), ckpt.cells.end(),
                   [&matrix](const CheckpointCell& c) {

@@ -166,9 +166,10 @@ class ServiceShard {
   /// Restores state from a checkpoint (fresh shard only) and republishes
   /// the engine's reputations. Throws std::runtime_error, before
   /// touching any state, when a cell, suppressed or detected id is
-  /// >= num_nodes, a cell's ratee is a node this shard does not own, or
-  /// the engine blob does not load (a CRC-valid checkpoint can still be
-  /// hostile, or sized for another node count).
+  /// >= num_nodes, the cells are not strictly ascending by (ratee, rater),
+  /// a cell is a self-rating, a cell's ratee is a node this shard does not
+  /// own, or the engine blob does not load (a CRC-valid checkpoint can
+  /// still be hostile, or sized for another node count).
   void restore(const ShardCheckpoint& ckpt);
   /// Discards the shard's entire state (engine, matrix, counters) and
   /// restores from `ckpt` — restore() for a shard that has already lived.
@@ -262,8 +263,9 @@ class ServiceShard {
   [[nodiscard]] std::uint32_t part() const noexcept {
     return static_cast<std::uint32_t>(index_);
   }
-  /// Throws std::runtime_error when `ckpt` names an id >= num_nodes or a
-  /// cell of a ratee this shard does not own.
+  /// Throws std::runtime_error when `ckpt` names an id >= num_nodes, its
+  /// cells are not strictly ascending by (ratee, rater), one is a
+  /// self-rating, or one is of a ratee this shard does not own.
   void check_ids(const ShardCheckpoint& ckpt) const;
   /// restore() after the engine blob: suppression, detected set, cells
   /// and counters, then republishes. Nothing in it refuses a checkpoint.

@@ -1,8 +1,8 @@
 // The cell-driven pair sweeps (detect/pair_sweep.h) against an oracle: the
 // paper-literal Basic / Optimized loops, which probe every column j of
 // every high-reputed row (Basic with the paper's checked-pair marks and an
-// element-by-element complement row scan). Over 100 randomized traces, on
-// both matrix backends, over one matrix and over three shard matrices,
+// element-by-element complement row scan). Over 100 randomized traces,
+// under both scan-cost rules, over one matrix and over three shard matrices,
 // serial and through a thread-pool executor, the sweeps must flag the same
 // pairs with the same evidence AND charge the same element scans and
 // checks as the oracle does on the combined matrix — the Figure 13 cost
@@ -27,16 +27,17 @@
 #include "rating/matrix.h"
 #include "rating/store.h"
 #include "tests/differential/trace_gen.h"
+#include "tests/rating/reference_matrix.h"
 
 namespace p2prep {
 namespace {
 
 using core::DetectionReport;
 using core::DetectorConfig;
-using rating::MatrixBackend;
 using rating::NodeId;
 using rating::PairStats;
 using rating::RatingMatrix;
+using rating::ScanCost;
 
 // --- Oracle: the paper-literal single-matrix loops -------------------------
 
@@ -187,7 +188,7 @@ DetectionReport oracle_optimized(const RatingMatrix& m,
 
 /// One trace built as a combined matrix plus `shards` shard matrices
 /// (node i's row in matrix i % shards, every matrix carrying every node's
-/// reputation), for a given backend and frequency threshold.
+/// reputation), for a given scan-cost rule and frequency threshold.
 struct World {
   RatingMatrix combined;
   std::vector<RatingMatrix> shards;
@@ -195,7 +196,7 @@ struct World {
 
   World(const testgen::Trace& trace, const DetectorConfig& cfg,
         std::size_t num_shards, std::uint32_t threshold,
-        MatrixBackend backend) {
+        ScanCost scan) {
     rating::RatingStore all(trace.n);
     std::vector<rating::RatingStore> parts(num_shards,
                                            rating::RatingStore(trace.n));
@@ -207,10 +208,10 @@ struct World {
     }
     const std::vector<double> reps = testgen::reputations_of(all);
     combined = RatingMatrix::build(all, reps, cfg.high_rep_threshold,
-                                   threshold, backend);
+                                   threshold, scan);
     for (const rating::RatingStore& part : parts) {
       shards.push_back(RatingMatrix::build(part, reps, cfg.high_rep_threshold,
-                                           threshold, backend));
+                                           threshold, scan));
     }
   }
 
@@ -253,7 +254,7 @@ class PairSweepOracleTest : public ::testing::TestWithParam<std::uint64_t> {
   using Sweep = DetectionReport (*)(const detect::EpochSnapshot&,
                                     const DetectorConfig&);
 
-  /// Every backend x shard count x executor combination of `sweep`
+  /// Every scan-cost rule x shard count x executor combination of `sweep`
   /// against `oracle` on the combined matrix. Every fifth seed builds the
   /// matrices without a frequency threshold, exercising the recompute
   /// fallback.
@@ -262,15 +263,14 @@ class PairSweepOracleTest : public ::testing::TestWithParam<std::uint64_t> {
     const testgen::Trace trace = testgen::make_trace(seed);
     const DetectorConfig cfg = testgen::config_for(seed);
     const std::uint32_t threshold = seed % 5 == 0 ? 0 : cfg.frequency_min;
-    for (MatrixBackend backend :
-         {MatrixBackend::kDense, MatrixBackend::kSparse}) {
+    for (ScanCost scan : {ScanCost::kFullRow, ScanCost::kStored}) {
       for (std::size_t shards : {1u, 3u}) {
-        const World world(trace, cfg, shards, threshold, backend);
+        const World world(trace, cfg, shards, threshold, scan);
         const DetectionReport want = oracle(world.combined, cfg);
         for (detect::Executor* exec : {static_cast<detect::Executor*>(nullptr),
                                        &shared_executor()}) {
           SCOPED_TRACE(::testing::Message()
-                       << rating::to_string(backend) << " S=" << shards
+                       << testref::arm_name(scan) << " S=" << shards
                        << (exec != nullptr ? " executor" : " serial"));
           detect::EpochSnapshot snap = world.snapshot();
           snap.executor = exec;
@@ -299,10 +299,9 @@ TEST_P(PairSweepOracleTest, GroupsMatchOneMatrix) {
   const std::uint64_t seed = GetParam();
   const testgen::Trace trace = testgen::make_trace(seed);
   const DetectorConfig cfg = testgen::config_for(seed);
-  for (MatrixBackend backend :
-       {MatrixBackend::kDense, MatrixBackend::kSparse}) {
-    SCOPED_TRACE(rating::to_string(backend));
-    const World world(trace, cfg, 3, cfg.frequency_min, backend);
+  for (ScanCost scan : {ScanCost::kFullRow, ScanCost::kStored}) {
+    SCOPED_TRACE(testref::arm_name(scan));
+    const World world(trace, cfg, 3, cfg.frequency_min, scan);
     const detect::GroupDetectionReport want =
         detect::detect_groups(detect::EpochSnapshot::of(world.combined), cfg);
     const detect::GroupDetectionReport got =
@@ -324,7 +323,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PairSweepOracleTest,
 TEST(PairSweepOracle, RejectsShortOwnerTable) {
   const testgen::Trace trace = testgen::make_trace(7);
   const DetectorConfig cfg = testgen::config_for(7);
-  const World world(trace, cfg, 3, cfg.frequency_min, MatrixBackend::kSparse);
+  const World world(trace, cfg, 3, cfg.frequency_min, ScanCost::kStored);
   detect::EpochSnapshot snap = world.snapshot();
   snap.owners = snap.owners.first(snap.owners.size() - 1);
   EXPECT_THROW((void)detect::sweep_basic(snap, cfg), std::invalid_argument);
@@ -362,7 +361,7 @@ TEST(PairSweepOracle, PartnerHookFiresOncePerPassedFirstSide) {
     cfg.require_mutual = true;
     cfg.flag_accomplices = true;
     const World world(trace, cfg, 3, cfg.frequency_min,
-                      MatrixBackend::kSparse);
+                      ScanCost::kStored);
     const RatingMatrix& m = world.combined;
     const std::size_t n = m.size();
 
@@ -466,8 +465,8 @@ TEST_P(ThresholdlessShardsTest, RegistryFlagsSameAsOneMatrix) {
   const testgen::Trace trace = testgen::make_trace(seed);
   DetectorConfig cfg = testgen::config_for(seed);
   cfg.joint_complement = true;
-  const World one(trace, cfg, 1, 0, MatrixBackend::kSparse);
-  const World three(trace, cfg, 3, 0, MatrixBackend::kSparse);
+  const World one(trace, cfg, 1, 0, ScanCost::kStored);
+  const World three(trace, cfg, 3, 0, ScanCost::kStored);
   for (const char* name : {"basic", "optimized"}) {
     SCOPED_TRACE(name);
     const DetectionReport want =

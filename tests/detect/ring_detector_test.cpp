@@ -21,9 +21,9 @@ namespace {
 
 using detect::EpochSnapshot;
 using detect::RingDetector;
-using rating::MatrixBackend;
 using rating::NodeId;
 using rating::RatingMatrix;
+using rating::ScanCost;
 using rating::Score;
 
 void add_many(RatingMatrix& m, NodeId ratee, NodeId rater, int n, Score s) {
@@ -61,7 +61,7 @@ core::DetectionReport run_ref(const core::DetectorConfig& cfg,
 }
 
 TEST(DetectRingTest, PlantedRingsRecoveredWithPerfectPrecisionAndRecall) {
-  RatingMatrix m(40, MatrixBackend::kSparse);
+  RatingMatrix m(40, ScanCost::kStored);
   const std::vector<NodeId> ring3 = {0, 1, 2};
   const std::vector<NodeId> ring4 = {10, 11, 12, 13};
   const std::vector<NodeId> ring5 = {20, 21, 22, 23, 24};
@@ -113,7 +113,7 @@ TEST(DetectRingTest, PlantedRingsRecoveredWithPerfectPrecisionAndRecall) {
 }
 
 TEST(DetectRingTest, RingSizeMinAndFrequencyPeelAreConfigurable) {
-  RatingMatrix m(10, MatrixBackend::kSparse);
+  RatingMatrix m(10, ScanCost::kStored);
   plant_ring(m, {0, 1, 2}, 25);       // tight ring
   plant_ring(m, {5, 6, 7, 8}, 21);    // weaker ring
   core::DetectorConfig cfg;
@@ -131,7 +131,7 @@ TEST(DetectRingTest, RingSizeMinAndFrequencyPeelAreConfigurable) {
 }
 
 TEST(DetectRingTest, JointComplementGateRejectsOrganicallyPopularCycles) {
-  RatingMatrix m(20, MatrixBackend::kSparse);
+  RatingMatrix m(20, ScanCost::kStored);
   const std::vector<NodeId> cycle = {0, 1, 2};
   plant_ring(m, cycle);
   // Genuinely popular members: plenty of positive outside opinion (each
@@ -162,7 +162,7 @@ TEST(DetectRingTest, PairOnlyTracesProduceZeroRingFlags) {
     util::Rng rng(seed);
     const std::size_t n = 24 + rng.next_below(25);
     const std::size_t pairs = 1 + rng.next_below(3);
-    RatingMatrix matrix(n, MatrixBackend::kSparse);
+    RatingMatrix matrix(n, ScanCost::kStored);
     for (std::size_t p = 0; p < pairs; ++p) {
       const auto a = static_cast<NodeId>(2 * p);
       const auto b = static_cast<NodeId>(2 * p + 1);
@@ -197,7 +197,7 @@ TEST(DetectRingTest, PairOnlyTracesProduceZeroRingFlags) {
 // over the same matrix — through edge creation, ring completion and edge
 // destruction.
 TEST(DetectRingTest, IncrementalEpochsMatchFullRebuildByteForByte) {
-  RatingMatrix live(40, MatrixBackend::kSparse);
+  RatingMatrix live(40, ScanCost::kStored);
   live.set_dirty_tracking(true);
   ASSERT_TRUE(live.dirty_tracking());
 

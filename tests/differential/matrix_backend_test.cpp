@@ -1,15 +1,17 @@
-// Dense-oracle differential tests for the sparse matrix backend.
+// Reference-model differential tests for the rating matrix.
 //
-// The dense RatingMatrix charges exactly the paper's costs and has been
-// validated against the paper's figures, so it serves as the oracle: for
-// randomized rating traces (skewed organic traffic with colluding pairs
-// injected per Fig. 3), the sparse backend must reproduce the dense
-// matrix's state bit for bit — reputations, live-row flags, window totals,
-// frequent-rater aggregates, every cell — and every detector (Basic,
-// Optimized, Group) plus the incremental manager must emit byte-identical
-// reports on top of it. Verdict-affecting sums are integer accumulations,
-// so the sparse rows' unordered iteration cannot perturb them; these tests
-// prove that end to end across 100 seeds.
+// For randomized rating traces (skewed organic traffic with colluding
+// pairs injected per Fig. 3), every matrix — built from a store by
+// build(), filled rating by rating, or maintained by the incremental
+// manager, under both scan-cost rules — must read exactly as the
+// test-only reference model (tests/rating/reference_matrix.h): an ordered
+// map of cells that recomputes totals and frequent aggregates from its own
+// cells. Every detector (Basic, Optimized, Group) plus the incremental
+// manager must then emit byte-identical reports under both rules, since
+// the rule changes what a row scan charges and nothing a verdict reads.
+// The suite and test names predate the reference model, when a dense
+// n x n matrix was the oracle; the reference model answers every cell of
+// the same n x n grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,63 +28,33 @@
 #include "reputation/summation.h"
 #include "service/shard.h"
 #include "tests/differential/trace_gen.h"
+#include "tests/rating/reference_matrix.h"
 #include "util/rng.h"
 
 namespace p2prep {
 namespace {
 
-using rating::MatrixBackend;
 using rating::NodeId;
 using rating::PairStats;
 using rating::Rating;
 using rating::RatingMatrix;
 using rating::RatingStore;
+using rating::ScanCost;
 using rating::Score;
 
 using testgen::Trace;
 using testgen::config_for;
 using testgen::make_trace;
 using testgen::reputations_of;
+using testref::ReferenceMatrix;
+using testref::expect_matches;
 
-void expect_matrices_identical(const RatingMatrix& dense,
-                               const RatingMatrix& sparse) {
-  ASSERT_EQ(dense.size(), sparse.size());
-  EXPECT_EQ(dense.high_reputed_count(), sparse.high_reputed_count());
-  EXPECT_EQ(dense.frequency_threshold(), sparse.frequency_threshold());
-  for (NodeId i = 0; i < dense.size(); ++i) {
-    EXPECT_EQ(dense.high_reputed(i), sparse.high_reputed(i)) << "row " << i;
-    EXPECT_EQ(dense.global_reputation(i), sparse.global_reputation(i))
-        << "row " << i;
-    EXPECT_EQ(dense.totals(i), sparse.totals(i)) << "row " << i;
-    EXPECT_EQ(dense.frequent_totals(i), sparse.frequent_totals(i))
-        << "row " << i;
-    EXPECT_EQ(dense.window_reputation(i), sparse.window_reputation(i))
-        << "row " << i;
-    for (NodeId j = 0; j < dense.size(); ++j) {
-      EXPECT_EQ(dense.cell(i, j), sparse.cell(i, j))
-          << "cell (" << i << ", " << j << ")";
-      EXPECT_EQ(dense.cell(i, j).total > 0, sparse.cell(i, j).total > 0)
-          << "cell (" << i << ", " << j << ")";
-    }
-    // The deterministic enumeration must agree element for element.
-    std::vector<std::pair<NodeId, PairStats>> dense_cells;
-    std::vector<std::pair<NodeId, PairStats>> sparse_cells;
-    dense.for_each_nonzero_cell(i, [&](NodeId k, const PairStats& s) {
-      dense_cells.emplace_back(k, s);
-    });
-    sparse.for_each_nonzero_cell(i, [&](NodeId k, const PairStats& s) {
-      sparse_cells.emplace_back(k, s);
-    });
-    EXPECT_EQ(dense_cells, sparse_cells) << "row " << i;
-  }
-}
-
-void expect_reports_identical(const core::DetectionReport& dense,
-                              const core::DetectionReport& sparse) {
-  ASSERT_EQ(dense.pairs.size(), sparse.pairs.size());
-  for (std::size_t k = 0; k < dense.pairs.size(); ++k) {
-    const core::PairEvidence& a = dense.pairs[k];
-    const core::PairEvidence& b = sparse.pairs[k];
+void expect_reports_identical(const core::DetectionReport& full,
+                              const core::DetectionReport& stored) {
+  ASSERT_EQ(full.pairs.size(), stored.pairs.size());
+  for (std::size_t k = 0; k < full.pairs.size(); ++k) {
+    const core::PairEvidence& a = full.pairs[k];
+    const core::PairEvidence& b = stored.pairs[k];
     EXPECT_EQ(a.first, b.first);
     EXPECT_EQ(a.second, b.second);
     EXPECT_EQ(a.ratings_to_first, b.ratings_to_first);
@@ -94,21 +66,21 @@ void expect_reports_identical(const core::DetectionReport& dense,
     EXPECT_EQ(a.global_rep_first, b.global_rep_first);
     EXPECT_EQ(a.global_rep_second, b.global_rep_second);
   }
-  EXPECT_EQ(dense.colluders(), sparse.colluders());
+  EXPECT_EQ(full.colluders(), stored.colluders());
   // The operator-facing text — evidence lines included — must be
   // byte-identical (costs are intentionally excluded from the report
-  // text: the sparse backend's cheaper row scans are the one permitted
-  // difference).
-  EXPECT_EQ(service::format_epoch_report("diff", 1, dense),
-            service::format_epoch_report("diff", 1, sparse));
+  // text: kStored's cheaper row scans are the one permitted difference).
+  EXPECT_EQ(service::format_epoch_report("diff", 1, full),
+            service::format_epoch_report("diff", 1, stored));
 }
 
-void expect_group_reports_identical(const detect::GroupDetectionReport& dense,
-                                    const detect::GroupDetectionReport& sparse) {
-  ASSERT_EQ(dense.groups.size(), sparse.groups.size());
-  for (std::size_t g = 0; g < dense.groups.size(); ++g) {
-    const detect::CollusionGroup& a = dense.groups[g];
-    const detect::CollusionGroup& b = sparse.groups[g];
+void expect_group_reports_identical(
+    const detect::GroupDetectionReport& full,
+    const detect::GroupDetectionReport& stored) {
+  ASSERT_EQ(full.groups.size(), stored.groups.size());
+  for (std::size_t g = 0; g < full.groups.size(); ++g) {
+    const detect::CollusionGroup& a = full.groups[g];
+    const detect::CollusionGroup& b = stored.groups[g];
     EXPECT_EQ(a.members, b.members);
     EXPECT_EQ(a.edges, b.edges);
     EXPECT_EQ(a.outside_positive_fraction, b.outside_positive_fraction);
@@ -116,7 +88,7 @@ void expect_group_reports_identical(const detect::GroupDetectionReport& dense,
     EXPECT_EQ(a.inside_ratings, b.inside_ratings);
     EXPECT_EQ(a.to_string(), b.to_string());
   }
-  EXPECT_EQ(dense.colluders(), sparse.colluders());
+  EXPECT_EQ(full.colluders(), stored.colluders());
 }
 
 class MatrixBackendDifferentialTest
@@ -129,51 +101,72 @@ TEST_P(MatrixBackendDifferentialTest, SnapshotBuildMatchesDenseOracle) {
   for (const Rating& r : trace.ratings) ASSERT_TRUE(store.ingest(r));
   const std::vector<double> reps = reputations_of(store);
   const core::DetectorConfig cfg = config_for(seed);
+  const ReferenceMatrix ref = ReferenceMatrix::of(
+      trace.ratings, reps, cfg.high_rep_threshold, cfg.frequency_min);
 
-  const RatingMatrix dense =
+  const RatingMatrix full =
       RatingMatrix::build(store, reps, cfg.high_rep_threshold,
-                          cfg.frequency_min, MatrixBackend::kDense);
-  const RatingMatrix sparse =
+                          cfg.frequency_min, ScanCost::kFullRow);
+  const RatingMatrix stored =
       RatingMatrix::build(store, reps, cfg.high_rep_threshold,
-                          cfg.frequency_min, MatrixBackend::kSparse);
-  EXPECT_EQ(dense.backend(), MatrixBackend::kDense);
-  EXPECT_EQ(sparse.backend(), MatrixBackend::kSparse);
-  expect_matrices_identical(dense, sparse);
+                          cfg.frequency_min, ScanCost::kStored);
+  EXPECT_EQ(full.scan_cost(), ScanCost::kFullRow);
+  EXPECT_EQ(stored.scan_cost(), ScanCost::kStored);
+  expect_matches(full, ref);
+  expect_matches(stored, ref);
+
+  // The same window rating by rating: add_rating's incremental frequent
+  // aggregates against the model's recomputed ones.
+  RatingMatrix added(trace.n, ScanCost::kStored);
+  added.set_frequency_threshold(cfg.frequency_min);
+  for (const Rating& r : trace.ratings)
+    added.add_rating(r.ratee, r.rater, r.score);
+  for (NodeId i = 0; i < trace.n; ++i)
+    added.set_global_reputation(i, reps[i], cfg.high_rep_threshold);
+  expect_matches(added, ref);
 
   detect::BasicDetector basic(cfg);
   detect::OptimizedDetector optimized(cfg);
-  const auto dense_snap = detect::EpochSnapshot::of(dense);
-  const auto sparse_snap = detect::EpochSnapshot::of(sparse);
-  expect_reports_identical(basic.on_epoch(dense_snap),
-                           basic.on_epoch(sparse_snap));
-  expect_reports_identical(optimized.on_epoch(dense_snap),
-                           optimized.on_epoch(sparse_snap));
-  expect_group_reports_identical(detect::detect_groups(dense_snap, cfg),
-                                 detect::detect_groups(sparse_snap, cfg));
+  const auto full_snap = detect::EpochSnapshot::of(full);
+  const auto stored_snap = detect::EpochSnapshot::of(stored);
+  expect_reports_identical(basic.on_epoch(full_snap),
+                           basic.on_epoch(stored_snap));
+  expect_reports_identical(optimized.on_epoch(full_snap),
+                           optimized.on_epoch(stored_snap));
+  expect_group_reports_identical(detect::detect_groups(full_snap, cfg),
+                                 detect::detect_groups(stored_snap, cfg));
 
   // Without precomputed frequent aggregates the Optimized joint-complement
-  // path falls back to a full row recompute — the other sparse row-scan
-  // code path; it must agree with the dense oracle too.
-  const RatingMatrix dense_recompute = RatingMatrix::build(
-      store, reps, cfg.high_rep_threshold, 0, MatrixBackend::kDense);
-  const RatingMatrix sparse_recompute = RatingMatrix::build(
-      store, reps, cfg.high_rep_threshold, 0, MatrixBackend::kSparse);
+  // path falls back to a full row recompute — the other row-scan code
+  // path; it must agree under both rules too.
+  const RatingMatrix full_recompute = RatingMatrix::build(
+      store, reps, cfg.high_rep_threshold, 0, ScanCost::kFullRow);
+  const RatingMatrix stored_recompute = RatingMatrix::build(
+      store, reps, cfg.high_rep_threshold, 0, ScanCost::kStored);
+  expect_matches(stored_recompute, ReferenceMatrix::of(
+                                       trace.ratings, reps,
+                                       cfg.high_rep_threshold, 0));
   expect_reports_identical(
-      optimized.on_epoch(detect::EpochSnapshot::of(dense_recompute)),
-      optimized.on_epoch(detect::EpochSnapshot::of(sparse_recompute)));
+      optimized.on_epoch(detect::EpochSnapshot::of(full_recompute)),
+      optimized.on_epoch(detect::EpochSnapshot::of(stored_recompute)));
 }
 
+// A standalone manager (kFullRow) and a one-partition shard manager
+// (kStored) over the same stream: both matrices read as the model after
+// every epoch, and both emit the same reports and suppressions.
 TEST_P(MatrixBackendDifferentialTest, IncrementalManagerMatchesDenseOracle) {
   const std::uint64_t seed = GetParam();
   const Trace trace = make_trace(seed);
   const core::DetectorConfig cfg = config_for(seed);
 
-  reputation::SummationEngine dense_engine(trace.n, /*normalize=*/false);
-  reputation::SummationEngine sparse_engine(trace.n, /*normalize=*/false);
-  managers::IncrementalCentralizedManager dense_mgr(
-      trace.n, dense_engine, cfg, MatrixBackend::kDense);
-  managers::IncrementalCentralizedManager sparse_mgr(
-      trace.n, sparse_engine, cfg, MatrixBackend::kSparse);
+  reputation::SummationEngine full_engine(trace.n, /*normalize=*/false);
+  reputation::SummationEngine stored_engine(trace.n, /*normalize=*/false);
+  managers::IncrementalCentralizedManager full_mgr(trace.n, full_engine, cfg);
+  managers::IncrementalCentralizedManager stored_mgr(
+      rating::RowIndex::single(trace.n), 0, stored_engine, cfg);
+  EXPECT_EQ(full_mgr.matrix().scan_cost(), ScanCost::kFullRow);
+  EXPECT_EQ(stored_mgr.matrix().scan_cost(), ScanCost::kStored);
+  ReferenceMatrix ref(trace.n, cfg.frequency_min);
   detect::OptimizedDetector detector(cfg);
 
   const auto run_epoch = [&](managers::IncrementalCentralizedManager& mgr,
@@ -183,36 +176,48 @@ TEST_P(MatrixBackendDifferentialTest, IncrementalManagerMatchesDenseOracle) {
         detector, managers::CentralizedManager::SuppressionMode::kReset);
     return service::format_epoch_report("diff", epoch, report);
   };
+  // The managers refresh every reputation from their engine last.
+  const auto expect_both_match = [&] {
+    for (NodeId i = 0; i < trace.n; ++i) {
+      ref.set_global_reputation(i, full_engine.detection_reputation(i),
+                                cfg.high_rep_threshold);
+    }
+    expect_matches(full_mgr.matrix(), ref);
+    expect_matches(stored_mgr.matrix(), ref);
+  };
+  const auto ingest = [&](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) {
+      const Rating& r = trace.ratings[k];
+      ASSERT_TRUE(full_mgr.ingest(r));
+      ASSERT_TRUE(stored_mgr.ingest(r));
+      ref.add_rating(r.ratee, r.rater, r.score);
+    }
+  };
 
   // Window 1: first half of the stream.
   const std::size_t half = trace.ratings.size() / 2;
-  for (std::size_t k = 0; k < half; ++k) {
-    ASSERT_TRUE(dense_mgr.ingest(trace.ratings[k]));
-    ASSERT_TRUE(sparse_mgr.ingest(trace.ratings[k]));
-  }
-  EXPECT_EQ(run_epoch(dense_mgr, 1), run_epoch(sparse_mgr, 1));
-  expect_matrices_identical(dense_mgr.matrix(), sparse_mgr.matrix());
+  ingest(0, half);
+  EXPECT_EQ(run_epoch(full_mgr, 1), run_epoch(stored_mgr, 1));
+  expect_both_match();
 
   // Window 2: suppression from window 1 carries over identically.
-  dense_mgr.reset_window();
-  sparse_mgr.reset_window();
-  for (std::size_t k = half; k < trace.ratings.size(); ++k) {
-    ASSERT_TRUE(dense_mgr.ingest(trace.ratings[k]));
-    ASSERT_TRUE(sparse_mgr.ingest(trace.ratings[k]));
-  }
-  EXPECT_EQ(run_epoch(dense_mgr, 2), run_epoch(sparse_mgr, 2));
-  expect_matrices_identical(dense_mgr.matrix(), sparse_mgr.matrix());
+  full_mgr.reset_window();
+  stored_mgr.reset_window();
+  ref.clear_window();
+  ingest(half, trace.ratings.size());
+  EXPECT_EQ(run_epoch(full_mgr, 2), run_epoch(stored_mgr, 2));
+  expect_both_match();
 
-  std::vector<NodeId> dense_detected(dense_mgr.detected().begin(),
-                                     dense_mgr.detected().end());
-  std::vector<NodeId> sparse_detected(sparse_mgr.detected().begin(),
-                                      sparse_mgr.detected().end());
-  std::sort(dense_detected.begin(), dense_detected.end());
-  std::sort(sparse_detected.begin(), sparse_detected.end());
-  EXPECT_EQ(dense_detected, sparse_detected);
+  std::vector<NodeId> full_detected(full_mgr.detected().begin(),
+                                    full_mgr.detected().end());
+  std::vector<NodeId> stored_detected(stored_mgr.detected().begin(),
+                                      stored_mgr.detected().end());
+  std::sort(full_detected.begin(), full_detected.end());
+  std::sort(stored_detected.begin(), stored_detected.end());
+  EXPECT_EQ(full_detected, stored_detected);
   for (NodeId i = 0; i < trace.n; ++i) {
-    EXPECT_EQ(dense_engine.detection_reputation(i),
-              sparse_engine.detection_reputation(i))
+    EXPECT_EQ(full_engine.detection_reputation(i),
+              stored_engine.detection_reputation(i))
         << "node " << i;
   }
 }
@@ -220,14 +225,14 @@ TEST_P(MatrixBackendDifferentialTest, IncrementalManagerMatchesDenseOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MatrixBackendDifferentialTest,
                          ::testing::Range<std::uint64_t>(0, 100));
 
-// Footprint regression: a 10k-node matrix at 1% density must cost the
-// sparse backend less than 5% of what the dense backend would allocate.
-// The dense side is the analytic oracle (dense_footprint_bytes) —
-// actually allocating it would be ~1.2 GB.
+// Footprint regression: a 10k-node matrix at 1% density must cost less
+// than 5% of what storing all n cells of every row would. That side is
+// the analytic figure dense_footprint_bytes — allocating it would take
+// ~1.2 GB.
 TEST(MatrixBackendMemoryTest, Sparse10kOnePercentUnderFivePercentOfDense) {
   constexpr std::size_t kNodes = 10000;
   constexpr std::size_t kCells = kNodes * kNodes / 100;
-  RatingMatrix sparse(kNodes, MatrixBackend::kSparse);
+  RatingMatrix sparse(kNodes);
   util::Rng rng(7);
   for (std::size_t c = 0; c < kCells; ++c) {
     const auto ratee = static_cast<NodeId>(rng.next_below(kNodes));
@@ -238,7 +243,7 @@ TEST(MatrixBackendMemoryTest, Sparse10kOnePercentUnderFivePercentOfDense) {
   const std::size_t dense_bytes = RatingMatrix::dense_footprint_bytes(kNodes);
   EXPECT_LT(sparse.approx_memory_bytes(), dense_bytes / 20)
       << "sparse bytes: " << sparse.approx_memory_bytes()
-      << ", dense oracle: " << dense_bytes;
+      << ", all n cells a row: " << dense_bytes;
 }
 
 }  // namespace

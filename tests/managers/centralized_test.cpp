@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "detect/basic_detector.h"
 #include "detect/optimized_detector.h"
 #include "reputation/summation.h"
+#include "util/rng.h"
 
 namespace p2prep::managers {
 namespace {
@@ -185,6 +188,63 @@ TEST(CentralizedManagerTest, DefaultConfirmationIsImmediate) {
   EXPECT_EQ(mgr.confirmation_passes(), 1u);
   mgr.set_confirmation_passes(0);  // clamped to 1
   EXPECT_EQ(mgr.confirmation_passes(), 1u);
+}
+
+// The paper's Overstock scale: 100,000 nodes and a few thousand ratings.
+// The snapshot stores only the rated cells, where storing all n cells of
+// every row would take dense_footprint_bytes(100000), ~160 GB; its row
+// scans still charge the paper's n cells, and the planted pair is flagged
+// at once.
+TEST(CentralizedManagerTest, PaperScaleSnapshotIsSparse) {
+  constexpr std::size_t kN = 100'000;
+  constexpr rating::NodeId kA = 70'000;
+  constexpr rating::NodeId kB = 70'001;
+  reputation::SummationEngine engine;
+  core::DetectorConfig cfg = config();
+  // T_R filters on raw sums: the pair's ~40 each pass, an organic node's
+  // few ratings do not.
+  cfg.high_rep_threshold = 10;
+  CentralizedManager mgr(kN, engine, cfg);
+  for (int k = 0; k < 50; ++k) {
+    ASSERT_TRUE(mgr.ingest(make(kA, kB, Score::kPositive)));
+    ASSERT_TRUE(mgr.ingest(make(kB, kA, Score::kPositive)));
+  }
+  util::Rng rng(kN);
+  const auto node = [&rng] {
+    return static_cast<rating::NodeId>(rng.next_below(kN));
+  };
+  for (int k = 0; k < 10; ++k) {
+    mgr.ingest(make(node(), kA, Score::kNegative));
+    mgr.ingest(make(node(), kB, Score::kNegative));
+  }
+  for (int k = 0; k < 3000; ++k) {
+    const rating::NodeId rater = node();
+    const rating::NodeId ratee = node();
+    if (rater == ratee) continue;
+    mgr.ingest(make(rater, ratee,
+                    rng.chance(0.85) ? Score::kPositive : Score::kNegative));
+  }
+  mgr.update_reputations();
+
+  detect::OptimizedDetector detector(cfg);
+  const auto start = std::chrono::steady_clock::now();
+  const core::DetectionReport report =
+      mgr.run_detection(detector, CentralizedManager::SuppressionMode::kNone);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(report.contains(kA, kB));
+  EXPECT_EQ(report.pairs.size(), 1u);
+  EXPECT_LT(took.count(), 1.0);
+
+  const rating::RatingMatrix snapshot = mgr.snapshot();
+  EXPECT_EQ(snapshot.scan_cost(), rating::ScanCost::kFullRow);
+  EXPECT_EQ(snapshot.high_reputed_count(), 2u);
+  EXPECT_EQ(snapshot.stored_cells(kA), kN);
+  // An 8-byte slot per node plus, for the ~3,000 rated rows, a 48-byte
+  // header and 8 bytes a cell: about 1 MB.
+  EXPECT_LT(snapshot.approx_memory_bytes(), 2'000'000u);
+  EXPECT_GT(rating::RatingMatrix::dense_footprint_bytes(kN),
+            std::size_t{100'000} * snapshot.approx_memory_bytes());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "rating/matrix.h"
 #include "rating/store.h"
 #include "tests/differential/trace_gen.h"
+#include "tests/rating/reference_matrix.h"
 #include "util/rng.h"
 
 #if defined(__GLIBC__) && \
@@ -75,7 +76,7 @@ struct Shards {
     index = std::make_shared<const RowIndex>(std::move(owners), kShards);
     for (std::uint32_t p = 0; p < kShards; ++p) {
       matrices[p] =
-          std::make_unique<RatingMatrix>(index, p, MatrixBackend::kSparse);
+          std::make_unique<RatingMatrix>(index, p, ScanCost::kStored);
       matrices[p]->set_frequency_threshold(frequency_threshold);
     }
   }
@@ -137,7 +138,7 @@ class HeapStatsTest : public ::testing::Test {
 
 class MatrixMemoryModelTest
     : public HeapStatsTest,
-      public ::testing::WithParamInterface<MatrixBackend> {};
+      public ::testing::WithParamInterface<ScanCost> {};
 
 TEST_P(MatrixMemoryModelTest, BuiltFromStoreWithinTwentyPercentOfHeap) {
   RatingStore store(kNodes);
@@ -243,10 +244,10 @@ TEST_F(MatrixMemoryModelShardedTest, DetectSweepShapeWithinTwentyPercentOfHeap) 
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MatrixMemoryModelTest,
-                         ::testing::Values(MatrixBackend::kSparse,
-                                           MatrixBackend::kDense),
+                         ::testing::Values(ScanCost::kStored,
+                                           ScanCost::kFullRow),
                          [](const auto& info) {
-                           return std::string(to_string(info.param));
+                           return testref::arm_name(info.param);
                          });
 
 }  // namespace

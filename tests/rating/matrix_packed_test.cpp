@@ -1,13 +1,13 @@
-// Packed sparse cells and their escape store.
+// Packed cells and their escape store.
 //
-// A sparse cell keeps its N+, N- and neutral counts packed into 11, 11 and
+// A cell keeps its N+, N- and neutral counts packed into 11, 11 and
 // 10 bits of one word beside the rater. A cell whose count outgrows its
 // field moves to a per-matrix escape store. These tests drive cells across
 // each field's limit, through add_rating and restore_cell, and check that
 // every reader still sees the exact counts; that take_row and clear_window
-// free escaped entries; and that on streams with heavy pairs the sparse
-// backend matches the dense oracle cell for cell and checkpoint byte for
-// byte.
+// free escaped entries; and that on streams with heavy pairs every matrix
+// matches the reference model (tests/rating/reference_matrix.h) cell for
+// cell and checkpoint byte for byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +21,7 @@
 #include "rating/matrix.h"
 #include "rating/store.h"
 #include "service/wal.h"
+#include "tests/rating/reference_matrix.h"
 #include "util/rng.h"
 
 namespace p2prep::rating {
@@ -79,19 +80,16 @@ void expect_row_exact(const RatingMatrix& m, NodeId ratee, const Row& want) {
 }
 
 class RatingMatrixPackedCellTest
-    : public ::testing::TestWithParam<std::tuple<MatrixBackend, Score>> {
+    : public ::testing::TestWithParam<std::tuple<ScanCost, Score>> {
  protected:
   static constexpr std::size_t kNodes = 8;
   static constexpr NodeId kRatee = 1;
   static constexpr NodeId kHeavy = 4;
 
-  RatingMatrixPackedCellTest() : m_(kNodes, backend()) {
+  RatingMatrixPackedCellTest() : m_(kNodes, std::get<0>(GetParam())) {
     m_.set_frequency_threshold(3);
   }
 
-  [[nodiscard]] MatrixBackend backend() const {
-    return std::get<0>(GetParam());
-  }
   [[nodiscard]] Score score() const { return std::get<1>(GetParam()); }
   /// The count of score() ratings that first overflows its field.
   [[nodiscard]] std::uint32_t overflow() const {
@@ -131,9 +129,7 @@ TEST_P(RatingMatrixPackedCellTest, AddRatingCrossesFieldLimitExactly) {
     expect_exact();
   }
   EXPECT_EQ(m_.cell(kRatee, kHeavy).total, overflow() + 2);
-  if (backend() == MatrixBackend::kSparse) {
-    EXPECT_GT(m_.approx_memory_bytes(), packed_bytes);  // the escape store
-  }
+  EXPECT_GT(m_.approx_memory_bytes(), packed_bytes);  // the escape store
 
   for (const Score s : {Score::kPositive, Score::kNegative, Score::kNeutral})
     add(kRatee, kHeavy, s);
@@ -215,34 +211,33 @@ TEST_P(RatingMatrixPackedCellTest, RestoreCellKeepsOversizedStatsExact) {
 // The largest packable aggregate packs: restoring it costs a cell, never
 // an escape-store entry.
 TEST(RatingMatrixTest, LargestPackableCellNeedsNoEscape) {
-  RatingMatrix small(4, MatrixBackend::kSparse);
-  RatingMatrix largest(4, MatrixBackend::kSparse);
+  RatingMatrix small(4, ScanCost::kStored);
+  RatingMatrix largest(4, ScanCost::kStored);
   small.restore_cell(1, 2, stats(1, 1, 0));
   largest.restore_cell(
       1, 2,
       stats(2 * (kSignOverflow - 1) + kNeutralOverflow - 1,
             kSignOverflow - 1, kSignOverflow - 1));
   EXPECT_EQ(largest.approx_memory_bytes(), small.approx_memory_bytes());
-  RatingMatrix escaped(4, MatrixBackend::kSparse);
+  RatingMatrix escaped(4, ScanCost::kStored);
   escaped.restore_cell(1, 2, stats(kSignOverflow, kSignOverflow, 0));
   EXPECT_GT(escaped.approx_memory_bytes(), small.approx_memory_bytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     BackendsAndSigns, RatingMatrixPackedCellTest,
-    ::testing::Combine(::testing::Values(MatrixBackend::kSparse,
-                                         MatrixBackend::kDense),
+    ::testing::Combine(::testing::Values(ScanCost::kStored, ScanCost::kFullRow),
                        ::testing::Values(Score::kPositive, Score::kNegative,
                                          Score::kNeutral)),
     [](const auto& info) {
       const Score s = std::get<1>(info.param);
-      return std::string(to_string(std::get<0>(info.param))) + "_" +
+      return testref::arm_name(std::get<0>(info.param)) + "_" +
              (s == Score::kPositive   ? "positive"
               : s == Score::kNegative ? "negative"
                                       : "neutral");
     });
 
-// --- Dense-oracle differential on heavy pairs -------------------------------
+// --- Reference-model differential on heavy pairs ---------------------------
 
 constexpr std::size_t kDiffNodes = 40;
 
@@ -284,93 +279,95 @@ std::vector<Rating> heavy_pair_stream(std::uint64_t seed) {
   return out;
 }
 
-/// The matrix's cells as a checkpoint image, enumerated the way
-/// ServiceShard::make_checkpoint does.
-std::string checkpoint_bytes(const RatingMatrix& m) {
+/// Cells as a checkpoint image, ascending by (ratee, rater) as
+/// ServiceShard::make_checkpoint enumerates them; `row(i)` gives row i's
+/// non-empty cells.
+template <typename RowOf>
+std::string checkpoint_bytes(std::size_t n, RowOf row) {
   service::ShardCheckpoint ckpt;
-  for (NodeId i = 0; i < m.size(); ++i) {
-    if (m.totals(i).total == 0) continue;
-    m.for_each_nonzero_cell(i, [&](NodeId k, const PairStats& s) {
-      ckpt.cells.push_back({i, k, s});
-    });
-  }
+  for (NodeId i = 0; i < n; ++i)
+    for (const auto& [k, s] : row(i)) ckpt.cells.push_back({i, k, s});
   return service::encode_checkpoint(ckpt);
 }
+std::string checkpoint_bytes(const RatingMatrix& m) {
+  return checkpoint_bytes(m.size(), [&m](NodeId i) {
+    Cells cells;
+    m.for_each_nonzero_cell(
+        i, [&](NodeId k, const PairStats& s) { cells.emplace_back(k, s); });
+    return cells;
+  });
+}
 
-void expect_same(const RatingMatrix& dense, const RatingMatrix& sparse) {
-  ASSERT_EQ(dense.size(), sparse.size());
-  for (NodeId i = 0; i < dense.size(); ++i) {
-    EXPECT_EQ(dense.totals(i), sparse.totals(i)) << "row " << i;
-    EXPECT_EQ(dense.frequent_totals(i), sparse.frequent_totals(i))
-        << "row " << i;
-    for (NodeId j = 0; j < dense.size(); ++j)
-      ASSERT_EQ(dense.cell(i, j), sparse.cell(i, j))
-          << "cell (" << i << ", " << j << ")";
-    Row want;
-    dense.for_each_nonzero_cell(
-        i, [&](NodeId k, const PairStats& s) { want[k] = s; });
-    expect_row_exact(sparse, i, want);
-  }
-  EXPECT_EQ(checkpoint_bytes(dense), checkpoint_bytes(sparse));
+/// `m` reads as the model through every accessor, and checkpoints to the
+/// bytes the model's cells encode to.
+void expect_same(const testref::ReferenceMatrix& ref, const RatingMatrix& m) {
+  testref::expect_matches(m, ref);
+  EXPECT_EQ(checkpoint_bytes(m), checkpoint_bytes(ref.size(), [&](NodeId i) {
+              return ref.row(i);
+            }));
 }
 
 class RatingMatrixHeavyPairDifferentialTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-// The stream's first half goes into a dense and a sparse matrix; both are
-// checkpointed and restored into a fresh matrix of each backend; the
-// second half goes into all four, with one heavy row handed off through
-// take_row and restore_cell midway. Every matrix must agree with the dense
-// oracle throughout, checkpoint bytes included.
+// The stream's first half goes into a full-row and a stored-cell matrix
+// and the model; the matrices are checkpointed and restored into a fresh
+// matrix of each rule; the second half goes into all four, with one heavy
+// row handed off through take_row and restore_cell midway. Every matrix
+// must agree with the reference model throughout, checkpoint bytes
+// included. (The test name predates the model, when a dense matrix was
+// the oracle.)
 TEST_P(RatingMatrixHeavyPairDifferentialTest, SparseMatchesDenseOracle) {
   const std::uint64_t seed = GetParam();
   const std::vector<Rating> stream = heavy_pair_stream(seed);
   const std::uint32_t tn = 1 + static_cast<std::uint32_t>(seed % 40);
 
+  testref::ReferenceMatrix ref(kDiffNodes, tn);
   std::vector<RatingMatrix> m;
-  m.emplace_back(kDiffNodes, MatrixBackend::kDense);
-  m.emplace_back(kDiffNodes, MatrixBackend::kSparse);
+  m.emplace_back(kDiffNodes, ScanCost::kFullRow);
+  m.emplace_back(kDiffNodes, ScanCost::kStored);
   const std::size_t empty_bytes = m[1].approx_memory_bytes();
   for (RatingMatrix& x : m) x.set_frequency_threshold(tn);
+  const auto add = [&](const Rating& r) {
+    for (RatingMatrix& x : m) x.add_rating(r.ratee, r.rater, r.score);
+    ref.add_rating(r.ratee, r.rater, r.score);
+  };
   const std::size_t half = stream.size() / 2;
-  for (std::size_t k = 0; k < half; ++k)
-    for (RatingMatrix& x : m)
-      x.add_rating(stream[k].ratee, stream[k].rater, stream[k].score);
-  expect_same(m[0], m[1]);
+  for (std::size_t k = 0; k < half; ++k) add(stream[k]);
+  for (const RatingMatrix& x : m) expect_same(ref, x);
 
   const std::optional<service::ShardCheckpoint> ckpt =
       service::parse_checkpoint(checkpoint_bytes(m[1]));
   ASSERT_TRUE(ckpt.has_value());
-  for (const MatrixBackend b :
-       {MatrixBackend::kDense, MatrixBackend::kSparse}) {
-    RatingMatrix& restored = m.emplace_back(kDiffNodes, b);
+  for (const ScanCost scan : {ScanCost::kFullRow, ScanCost::kStored}) {
+    RatingMatrix& restored = m.emplace_back(kDiffNodes, scan);
     restored.set_frequency_threshold(tn);
     for (const service::CheckpointCell& c : ckpt->cells)
       restored.restore_cell(c.ratee, c.rater, c.stats);
   }
-  for (std::size_t x = 1; x < m.size(); ++x) expect_same(m[0], m[x]);
+  for (const RatingMatrix& x : m) expect_same(ref, x);
 
-  // The same half through a window snapshot (build), on both backends.
+  // The same half through a window snapshot (build), under both rules.
   RatingStore store(kDiffNodes);
   for (std::size_t k = 0; k < half; ++k) ASSERT_TRUE(store.ingest(stream[k]));
   const std::vector<double> reps(kDiffNodes, 0.0);
-  expect_same(m[0], RatingMatrix::build(store, reps, 0.5, tn,
-                                        MatrixBackend::kDense));
-  expect_same(m[0], RatingMatrix::build(store, reps, 0.5, tn,
-                                        MatrixBackend::kSparse));
+  for (const ScanCost scan : {ScanCost::kFullRow, ScanCost::kStored})
+    expect_same(ref, RatingMatrix::build(store, reps, 0.5, tn, scan));
 
   const NodeId heavy = stream.back().ratee;
   for (std::size_t k = half; k < stream.size(); ++k) {
-    for (RatingMatrix& x : m)
-      x.add_rating(stream[k].ratee, stream[k].rater, stream[k].score);
+    add(stream[k]);
     if (k == half + (stream.size() - half) / 2) {
+      const Cells want = ref.take_row(heavy);
+      for (const auto& [rater, s] : want) ref.restore_cell(heavy, rater, s);
       for (RatingMatrix& x : m) {
         const Cells cells = x.take_row(heavy);
+        EXPECT_EQ(cells, want);
         for (const auto& [rater, s] : cells) x.restore_cell(heavy, rater, s);
       }
     }
   }
-  for (std::size_t x = 1; x < m.size(); ++x) expect_same(m[0], m[x]);
+  for (const RatingMatrix& x : m) expect_same(ref, x);
 
   m[1].clear_window();
   EXPECT_EQ(m[1].approx_memory_bytes(), empty_bytes);

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "tests/rating/reference_matrix.h"
 #include "util/rng.h"
 
 namespace p2prep::rating {
@@ -84,7 +85,7 @@ TEST(RatingMatrixTest, AddRatingUpdatesCellAndTotals) {
 TEST(RatingMatrixTest, CellVisitorMatchesCells) {
   RatingMatrix m(3);
   m.add_rating(1, 2, Score::kPositive);
-  // The dense backend stores all n columns; the visitor exposes them all.
+  // Under the default full-row rule the visitor scans all n columns.
   std::size_t visited = 0;
   m.for_each_cell(1, [&](NodeId k, const PairStats& stats) {
     ++visited;
@@ -98,15 +99,15 @@ TEST(RatingMatrixTest, CellVisitorMatchesCells) {
 }
 
 TEST(RatingMatrixTest, SparseBackendStoresOnlyTouchedCells) {
-  RatingMatrix m(4, MatrixBackend::kSparse);
-  EXPECT_EQ(m.backend(), MatrixBackend::kSparse);
+  RatingMatrix m(4, ScanCost::kStored);
+  EXPECT_EQ(m.scan_cost(), ScanCost::kStored);
   m.add_rating(1, 0, Score::kPositive);
   m.add_rating(1, 0, Score::kNegative);
   m.add_rating(1, 3, Score::kPositive);
 
   std::size_t visited = 0;
   m.for_each_cell(1, [&](NodeId, const PairStats&) { ++visited; });
-  EXPECT_EQ(visited, 2u);  // only the two touched cells are stored
+  EXPECT_EQ(visited, 2u);  // only the two touched cells are scanned
 
   EXPECT_EQ(m.cell(1, 0).total, 2u);
   EXPECT_EQ(m.cell(1, 2).total, 0u);  // absent cell reads as empty
@@ -128,28 +129,33 @@ TEST(RatingMatrixTest, SparseBackendStoresOnlyTouchedCells) {
   EXPECT_EQ(visited, 0u);
 }
 
+// The scan-cost rule is not a storage layout: a full-row matrix stores
+// exactly what a stored-cell one does, a small fraction of what all n
+// cells of every row would take (the analytic dense_footprint_bytes).
 TEST(RatingMatrixTest, SparseFootprintBeatsDenseOracle) {
   constexpr std::size_t kNodes = 512;
-  RatingMatrix sparse(kNodes, MatrixBackend::kSparse);
-  RatingMatrix dense(kNodes, MatrixBackend::kDense);
+  RatingMatrix stored(kNodes, ScanCost::kStored);
+  RatingMatrix full(kNodes, ScanCost::kFullRow);
   for (NodeId i = 0; i + 1 < kNodes; i += 2) {
-    sparse.add_rating(i, i + 1, Score::kPositive);
-    dense.add_rating(i, i + 1, Score::kPositive);
+    stored.add_rating(i, i + 1, Score::kPositive);
+    full.add_rating(i, i + 1, Score::kPositive);
   }
-  EXPECT_LT(sparse.approx_memory_bytes(), dense.approx_memory_bytes() / 10);
-  // The analytic oracle is a floor of the measured dense footprint (the
-  // measurement adds the pair-mark set's overhead on top).
-  EXPECT_GE(dense.approx_memory_bytes(),
-            RatingMatrix::dense_footprint_bytes(kNodes));
-  EXPECT_LT(dense.approx_memory_bytes(),
-            RatingMatrix::dense_footprint_bytes(kNodes) + 4096);
+  EXPECT_EQ(full.approx_memory_bytes(), stored.approx_memory_bytes());
+  EXPECT_LT(stored.approx_memory_bytes(),
+            RatingMatrix::dense_footprint_bytes(kNodes) / 10);
+  // The analytic figure: one 48-byte row header and slot per node plus
+  // n PairStats per row.
+  EXPECT_EQ(RatingMatrix::dense_footprint_bytes(kNodes),
+            sizeof(RatingMatrix) + kNodes * (sizeof(void*) + 48) +
+                kNodes * kNodes * sizeof(PairStats));
 }
 
-// Row lifecycle. A sparse row is allocated on its first write and freed
-// once it holds no cell and its host meta is at the default; the dense
-// oracle holds every row. Either way an unwritten row reads as empty.
+// Row lifecycle. A row is allocated on its first write and freed once it
+// holds no cell and its host meta is at the default, under either
+// scan-cost rule. An unwritten row reads as empty, and a full-row scan of
+// it visits n empty cells.
 class RatingMatrixRowLifecycleTest
-    : public ::testing::TestWithParam<MatrixBackend> {
+    : public ::testing::TestWithParam<ScanCost> {
  protected:
   static constexpr std::size_t kNodes = 16;
   static constexpr double kHighRep = 0.05;
@@ -168,8 +174,7 @@ class RatingMatrixRowLifecycleTest
       EXPECT_EQ(m_.cell(i, j), PairStats{}) << "cell (" << i << ", " << j << ")";
       EXPECT_EQ(m_.cell(i, j).total, 0u);
     }
-    const std::size_t stored =
-        GetParam() == MatrixBackend::kDense ? kNodes : 0;
+    const std::size_t stored = GetParam() == ScanCost::kFullRow ? kNodes : 0;
     EXPECT_EQ(m_.stored_cells(i), stored);
     std::size_t visited = 0;
     m_.for_each_cell(i, [&](NodeId, const PairStats& stats) {
@@ -206,8 +211,7 @@ TEST_P(RatingMatrixRowLifecycleTest, UnwrittenRowsReadAsEmpty) {
   for (NodeId i = 0; i < kNodes; ++i) {
     if (i != 3) expect_untouched(i);
   }
-  if (GetParam() == MatrixBackend::kSparse)
-    EXPECT_GT(m_.approx_memory_bytes(), empty_bytes);
+  EXPECT_GT(m_.approx_memory_bytes(), empty_bytes);
 
   // A zero reputation below the threshold is the default: no row appears.
   const std::size_t bytes = m_.approx_memory_bytes();
@@ -256,7 +260,7 @@ TEST_P(RatingMatrixRowLifecycleTest, HostMetaSurvivesTakeRowAndClearWindow) {
   EXPECT_EQ(m_.high_reputed_count(), 1u);
   EXPECT_EQ(m_.totals(3), PairStats{});
   EXPECT_EQ(m_.stored_cells(3),
-            GetParam() == MatrixBackend::kDense ? kNodes : 0u);
+            GetParam() == ScanCost::kFullRow ? kNodes : 0u);
 
   write_row(3);
   m_.clear_window();
@@ -270,19 +274,22 @@ TEST_P(RatingMatrixRowLifecycleTest, HostMetaSurvivesTakeRowAndClearWindow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RatingMatrixRowLifecycleTest,
-                         ::testing::Values(MatrixBackend::kSparse,
-                                           MatrixBackend::kDense),
+                         ::testing::Values(ScanCost::kStored,
+                                           ScanCost::kFullRow),
                          [](const auto& info) {
-                           return std::string(to_string(info.param));
+                           return testref::arm_name(info.param);
                          });
 
-// With no ratings, a sparse matrix costs its row slots and little else.
+// With no ratings, a matrix costs its row slots and little else, under
+// either scan-cost rule.
 TEST(RatingMatrixTest, EmptySparse10kMatrixUnder100KB) {
-  const RatingMatrix m(10'000, MatrixBackend::kSparse);
-  EXPECT_LE(m.approx_memory_bytes(), 100'000u);
+  for (const ScanCost scan : {ScanCost::kStored, ScanCost::kFullRow}) {
+    const RatingMatrix m(10'000, scan);
+    EXPECT_LE(m.approx_memory_bytes(), 100'000u);
+  }
 }
 
-// A hot sparse row: 100k distinct raters arriving in shuffled order, the
+// A hot row: 100k distinct raters arriving in shuffled order, the
 // worst case for a sorted row layout (every insert lands mid-row). Raters
 // are the even ids, so every odd id is an absent cell between two stored
 // ones.
@@ -371,7 +378,7 @@ class HotSparseRowTest : public ::testing::Test {
     EXPECT_EQ(visited, 0u);
   }
 
-  RatingMatrix m_{2 * kRaters + 2, MatrixBackend::kSparse};
+  RatingMatrix m_{2 * kRaters + 2, ScanCost::kStored};
 };
 
 TEST_F(HotSparseRowTest, ShuffledInsertsStayOrderedAndFast) {
@@ -407,18 +414,18 @@ TEST_F(HotSparseRowTest, TakeRowAndClearWindowFreeThenRefill) {
   expect_full_row();
 }
 
-// A full sparse row grows its block by ~1.25x, so a row grown by inserts
+// A full row grows its block by ~1.25x, so a row grown by inserts
 // keeps at most max(1, size / 4) unused cells, and a row whose final count
 // is known (build(), a restore_cell replay after reserve_cells, a take_row
 // handoff) is sized exactly. Growth moves the block: checking every cell
-// and aggregate against a dense per-row oracle at each growth step catches
+// and aggregate against a per-row reference at each growth step catches
 // a row reference held across the move. Threshold 1 makes every new cell
 // join the frequent aggregate in the same add_rating that grows the row.
 TEST(RatingMatrixTest, SparseRowSlackIsBounded) {
   constexpr std::size_t kNodes = 20'001;
   const std::vector<std::size_t> row_sizes{1,  2,  3,   4,   5,    8,     9,
                                            63, 64, 65,  100, 1000, 20'000};
-  RatingMatrix m(kNodes, MatrixBackend::kSparse);
+  RatingMatrix m(kNodes, ScanCost::kStored);
   m.set_frequency_threshold(1);
   RatingStore store(kNodes);
   std::vector<std::vector<PairStats>> oracle(row_sizes.size());
@@ -476,9 +483,9 @@ TEST(RatingMatrixTest, SparseRowSlackIsBounded) {
   // Rows whose final count is known have no slack.
   const std::vector<double> reps(kNodes, 0.0);
   const RatingMatrix built =
-      RatingMatrix::build(store, reps, 0.5, 1, MatrixBackend::kSparse);
-  RatingMatrix replayed(kNodes, MatrixBackend::kSparse);
-  RatingMatrix handed_off(kNodes, MatrixBackend::kSparse);
+      RatingMatrix::build(store, reps, 0.5, 1, ScanCost::kStored);
+  RatingMatrix replayed(kNodes, ScanCost::kStored);
+  RatingMatrix handed_off(kNodes, ScanCost::kStored);
   replayed.set_frequency_threshold(1);
   handed_off.set_frequency_threshold(1);
   for (NodeId ratee = 0; ratee < row_sizes.size(); ++ratee) {
@@ -510,7 +517,7 @@ TEST(RatingMatrixTest, SparseRowSlackIsBounded) {
   }
 }
 
-// Sparse reads resume from a per-thread finger left by the previous read.
+// Cell reads resume from a per-thread finger left by the previous read.
 // Interleave reads in every order (ascending sweeps, descending, random,
 // hopping between rows and between matrices) with inserts, take_row and
 // clear_window, and check every read against a reference map.
@@ -520,7 +527,7 @@ TEST(RatingMatrixTest, SparseReadsMatchReferenceUnderAnyProbeOrder) {
   std::vector<RatingMatrix> matrices;
   std::vector<std::vector<std::vector<PairStats>>> expected;
   for (int k = 0; k < 2; ++k) {
-    matrices.emplace_back(kNodes, MatrixBackend::kSparse);
+    matrices.emplace_back(kNodes, ScanCost::kStored);
     expected.emplace_back(kNodes, std::vector<PairStats>(kNodes));
   }
   const auto check = [&](std::size_t m, NodeId i, NodeId j) {

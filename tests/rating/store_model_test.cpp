@@ -9,6 +9,7 @@
 
 #include "rating/matrix.h"
 #include "rating/store.h"
+#include "tests/rating/reference_matrix.h"
 #include "util/rng.h"
 
 namespace p2prep::rating {
@@ -188,9 +189,9 @@ TEST_P(StoreModelTest, SparseSnapshotSurvivesTransferInterleavings) {
     }
   }
 
-  // The snapshot a manager would take of the transferred store must be
-  // identical under both matrix backends — the sparse representation sees
-  // the exact state the dense oracle sees.
+  // The snapshot a manager would take of the transferred store must read,
+  // under both scan-cost rules, as the reference model of the reference
+  // store's window.
   std::int64_t max_rep = 1;
   for (NodeId i = 0; i < kNodes; ++i)
     max_rep = std::max(max_rep, reference.reputation(i));
@@ -200,17 +201,15 @@ TEST_P(StoreModelTest, SparseSnapshotSurvivesTransferInterleavings) {
       reps[i] = static_cast<double>(reference.reputation(i)) /
                 static_cast<double>(max_rep);
   }
-  const RatingMatrix dense =
-      RatingMatrix::build(a, reps, 0.05, 3, MatrixBackend::kDense);
-  const RatingMatrix sparse =
-      RatingMatrix::build(a, reps, 0.05, 3, MatrixBackend::kSparse);
+  testref::ReferenceMatrix model(kNodes, 3);
   for (NodeId i = 0; i < kNodes; ++i) {
-    EXPECT_EQ(dense.high_reputed(i), sparse.high_reputed(i));
-    EXPECT_EQ(dense.totals(i), sparse.totals(i));
-    EXPECT_EQ(dense.frequent_totals(i), sparse.frequent_totals(i));
+    model.set_global_reputation(i, reps[i], 0.05);
     for (NodeId j = 0; j < kNodes; ++j)
-      EXPECT_EQ(dense.cell(i, j), sparse.cell(i, j));
+      model.restore_cell(i, j, reference.window_pair(i, j));
   }
+  for (const ScanCost scan : {ScanCost::kFullRow, ScanCost::kStored})
+    testref::expect_matches(RatingMatrix::build(a, reps, 0.05, 3, scan),
+                            model);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreModelTest,

@@ -3,6 +3,7 @@
 // byte-identical to an uninterrupted reference run over the same stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -10,6 +11,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/basic_detector.h"
@@ -545,6 +547,66 @@ TEST_F(RecoveryTest, CheckpointWithOutOfRangeIdsIsRefused) {
     EXPECT_EQ(state(), before);
     ServiceShard fresh(0, shard_cfg);
     EXPECT_THROW(fresh.restore(*bad), std::runtime_error);
+  }
+}
+
+// make_checkpoint writes each cell once, row-major in ascending rater
+// order, and never a self-rating. A CRC-valid checkpoint that repeats a
+// cell, holds a diagonal cell or breaks the order is refused by restore()
+// and by the cluster's reload_from() before any state moves; accepted, a
+// repeated cell would store two cells for one rater.
+TEST_F(RecoveryTest, CheckpointWithDuplicateOrDiagonalCellsIsRefused) {
+  constexpr std::size_t kSmall = 16;
+  ServiceConfig cfg = durable_config(/*checkpoint_every=*/1);
+  cfg.num_nodes = kSmall;
+  cfg.num_shards = 1;
+  {
+    ReputationService svc(cfg);
+    for (const Rating& r : collusion_workload(27, kSmall))
+      ASSERT_TRUE(svc.ingest(r));
+    svc.force_epoch();
+    svc.drain();
+    svc.stop();
+  }
+  const std::optional<ShardCheckpoint> good =
+      read_checkpoint((dir_ / "shard-000.ckpt").string());
+  ASSERT_TRUE(good.has_value());
+  ASSERT_GE(good->cells.size(), 2u);
+  const CheckpointCell first = good->cells[0];
+  ASSERT_EQ(good->cells[1].ratee, first.ratee);  // a row of two cells
+
+  ServiceConfig shard_cfg = cfg;
+  shard_cfg.wal_dir.clear();
+  ServiceShard shard(0, shard_cfg);
+  shard.reload_from(*good);
+  const auto state = [&shard] {
+    return encode_checkpoint(*shard.make_checkpoint());
+  };
+  const std::string before = state();
+
+  ShardCheckpoint duplicate = *good;
+  duplicate.cells.insert(duplicate.cells.begin() + 1, first);
+  // The diagonal cell sorts into place, so only its diagonal is wrong.
+  ShardCheckpoint diagonal = *good;
+  const CheckpointCell self{first.ratee, first.ratee,
+                            rating::PairStats{1, 1, 0}};
+  diagonal.cells.insert(
+      std::lower_bound(diagonal.cells.begin(), diagonal.cells.end(), self,
+                       [](const CheckpointCell& a, const CheckpointCell& b) {
+                         return std::pair(a.ratee, a.rater) <
+                                std::pair(b.ratee, b.rater);
+                       }),
+      self);
+  ShardCheckpoint unordered = *good;
+  std::swap(unordered.cells[0], unordered.cells[1]);
+  for (const ShardCheckpoint* bad : {&duplicate, &diagonal, &unordered}) {
+    const std::optional<ShardCheckpoint> pulled =
+        parse_checkpoint(encode_checkpoint(*bad));
+    ASSERT_TRUE(pulled.has_value());
+    EXPECT_THROW(shard.reload_from(*pulled), std::runtime_error);
+    EXPECT_EQ(state(), before);
+    ServiceShard fresh(0, shard_cfg);
+    EXPECT_THROW(fresh.restore(*pulled), std::runtime_error);
   }
 }
 
