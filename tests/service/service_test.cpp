@@ -105,9 +105,9 @@ struct EquivalenceLoad {
   bool triangle;
 };
 
-// The cross-shard global sweep over sparse shard matrices must reproduce
-// a single centralized manager (dense matrix) + the same detector byte for
-// byte: same flagged pairs and rings, same evidence values in the report
+// The cross-shard global sweep over the shard matrices (kStored) must
+// reproduce a single centralized manager (kFullRow) + the same detector
+// byte for byte: same flagged pairs and rings, same evidence values in the report
 // text, same post-suppression reputations — for every detector, at 1, 3
 // and 4 shards, on every load. The reference ring detector runs without
 // dirty tracking, so it rebuilds its graph every epoch while the
