@@ -1,14 +1,10 @@
-// Micro-benchmarks of the two centralized manager bookkeeping models:
-// snapshot (rebuild the matrix from the store per detection pass)
-// vs incremental (maintain the matrix per rating). The detection results
-// are identical; this measures the bookkeeping trade: snapshot pays
-// O(n + nnz) per pass, incremental pays O(1) per rating plus O(n) per
-// epoch.
+// Micro-benchmark of the centralized manager's bookkeeping over one
+// detection window: O(1) matrix maintenance per rating, an O(n)
+// reputation-column refresh per epoch, and one Optimized detection pass.
 #include <benchmark/benchmark.h>
 
 #include "detect/optimized_detector.h"
 #include "managers/centralized.h"
-#include "managers/incremental.h"
 #include "reputation/summation.h"
 #include "util/rng.h"
 
@@ -41,7 +37,7 @@ std::vector<rating::Rating> workload(std::size_t n, std::size_t events) {
   return ratings;
 }
 
-void BM_SnapshotManagerCycle(benchmark::State& state) {
+void BM_ManagerCycle(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto ratings = workload(n, n * 20);
   detect::OptimizedDetector detector(config());
@@ -56,36 +52,7 @@ void BM_SnapshotManagerCycle(benchmark::State& state) {
     mgr.reset_window();
   }
 }
-BENCHMARK(BM_SnapshotManagerCycle)->Arg(100)->Arg(200)->Arg(400);
-
-void BM_IncrementalManagerCycle(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto ratings = workload(n, n * 20);
-  detect::OptimizedDetector detector(config());
-  for (auto _ : state) {
-    state.PauseTiming();
-    reputation::SummationEngine engine;
-    managers::IncrementalCentralizedManager mgr(n, engine, config());
-    state.ResumeTiming();
-    for (const auto& r : ratings) mgr.ingest(r);
-    mgr.update_reputations();
-    benchmark::DoNotOptimize(mgr.run_detection(detector));
-    mgr.reset_window();
-  }
-}
-BENCHMARK(BM_IncrementalManagerCycle)->Arg(100)->Arg(200)->Arg(400);
-
-void BM_SnapshotBuildOnly(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  reputation::SummationEngine engine;
-  managers::CentralizedManager mgr(n, engine, config());
-  for (const auto& r : workload(n, n * 20)) mgr.ingest(r);
-  mgr.update_reputations();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mgr.snapshot());
-  }
-}
-BENCHMARK(BM_SnapshotBuildOnly)->Arg(100)->Arg(200)->Arg(400);
+BENCHMARK(BM_ManagerCycle)->Arg(100)->Arg(200)->Arg(400);
 
 }  // namespace
 

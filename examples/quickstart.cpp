@@ -18,7 +18,7 @@ int main() {
   constexpr std::size_t kNodes = 10;
 
   // 1. A reputation engine (eBay-style summation) and a manager that owns
-  //    the rating ledger and runs detection over it.
+  //    the rating matrix and runs detection over it.
   reputation::SummationEngine engine;
   core::DetectorConfig config;      // T_a=0.8, T_b=0.2, T_N=20, T_R=0.05
   managers::CentralizedManager manager(kNodes, engine, config);

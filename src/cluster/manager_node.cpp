@@ -745,7 +745,7 @@ rpc::Status ManagerNode::handle_colluder_set(rpc::Reader& r,
       // pre-detection engine update, then the same commit the service
       // runs on each shard.
       store->shard.manager().update_reputations();
-      store->shard.commit_epoch(req->epoch_seq, req->flagged, map_);
+      store->shard.commit_epoch(req->epoch_seq, req->flagged);
       // The epoch commit is the durable point: checkpoint + rotate keeps
       // each range's WAL a pure post-epoch rating stream.
       if (!config_.data_dir.empty() &&

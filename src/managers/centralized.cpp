@@ -1,68 +1,70 @@
 #include "managers/centralized.h"
 
+#include <utility>
+
 namespace p2prep::managers {
 
 CentralizedManager::CentralizedManager(std::size_t num_nodes,
                                        reputation::ReputationEngine& engine,
                                        core::DetectorConfig detector_config)
-    : store_(num_nodes),
-      engine_(engine),
-      detector_config_(detector_config) {
-  engine_.resize(num_nodes);
+    : engine_(engine),
+      detector_config_(detector_config),
+      matrix_(num_nodes, rating::ScanCost::kFullRow) {
+  engine_.resize(matrix_.size());
+  matrix_.set_frequency_threshold(detector_config_.frequency_min);
+}
+
+CentralizedManager::CentralizedManager(
+    std::shared_ptr<const rating::RowIndex> index, std::uint32_t part,
+    reputation::ReputationEngine& engine, core::DetectorConfig detector_config)
+    : engine_(engine),
+      detector_config_(detector_config),
+      matrix_(std::move(index), part, rating::ScanCost::kStored) {
+  engine_.resize(matrix_.size());
+  matrix_.set_frequency_threshold(detector_config_.frequency_min);
 }
 
 bool CentralizedManager::ingest(const rating::Rating& r) {
-  if (!store_.ingest(r)) return false;
+  if (r.rater == r.ratee || r.rater >= matrix_.size() ||
+      !matrix_.owns(r.ratee))
+    return false;
+  matrix_.add_rating(r.ratee, r.rater, r.score);
   engine_.ingest(r);
   return true;
 }
 
-void CentralizedManager::update_reputations() { engine_.update_epoch(); }
+void CentralizedManager::refresh_reputations() {
+  for (const rating::NodeId i : matrix_.owned_nodes()) refresh_reputation(i);
+}
 
-void CentralizedManager::reset_window() { store_.reset_window(); }
+void CentralizedManager::update_reputations() {
+  engine_.update_epoch();
+  refresh_reputations();
+}
 
-rating::RatingMatrix CentralizedManager::snapshot() const {
-  std::vector<double> detection_reps(store_.num_nodes());
-  for (rating::NodeId i = 0; i < detection_reps.size(); ++i)
-    detection_reps[i] = engine_.detection_reputation(i);
-  return rating::RatingMatrix::build(store_, detection_reps,
-                                     detector_config_.high_rep_threshold,
-                                     detector_config_.frequency_min);
+void CentralizedManager::reset_window() {
+  matrix_.clear_window();
+  refresh_reputations();
 }
 
 core::DetectionReport CentralizedManager::run_detection(
-    detect::Detector& detector, SuppressionMode mode) {
-  const rating::RatingMatrix matrix = snapshot();
-  core::DetectionReport report =
-      detector.on_epoch(detect::EpochSnapshot::of(matrix));
-
-  // Confirmation policy: advance streaks for flagged pairs, reset the
-  // rest, and collect the nodes of pairs that have reached the bar.
-  std::unordered_set<std::uint64_t> flagged_now;
-  std::vector<rating::NodeId> confirmed;
-  for (const core::PairEvidence& e : report.pairs) {
-    const std::uint64_t key = core::pair_key(e.first, e.second);
-    flagged_now.insert(key);
-    const std::size_t streak = ++pair_streaks_[key];
-    if (streak >= confirmation_passes_) {
-      confirmed.push_back(e.first);
-      confirmed.push_back(e.second);
-    }
-  }
-  for (auto it = pair_streaks_.begin(); it != pair_streaks_.end();) {
-    if (!flagged_now.contains(it->first)) it = pair_streaks_.erase(it);
-    else ++it;
-  }
-
-  if (mode != SuppressionMode::kNone && !confirmed.empty()) {
-    for (rating::NodeId id : confirmed) {
-      detected_.insert(id);
-      if (mode == SuppressionMode::kPin) engine_.suppress(id);
-      else engine_.reset_reputation(id);
-    }
-    engine_.update_epoch();
-  }
+    detect::Detector& detector) {
+  detect::EpochSnapshot snap = detect::EpochSnapshot::of(matrix_);
+  if (matrix_.dirty_tracking())
+    snap.dirty.push_back(matrix_.take_dirty_cells());
+  core::DetectionReport report = detector.on_epoch(snap);
+  apply_verdicts(report.colluders());
   return report;
+}
+
+void CentralizedManager::apply_verdicts(
+    std::span<const rating::NodeId> flagged) {
+  for (const rating::NodeId id : flagged) {
+    if (!matrix_.owns(id)) continue;
+    detected_.insert(id);
+    engine_.reset_reputation(id);
+  }
+  if (!flagged.empty()) update_reputations();
 }
 
 }  // namespace p2prep::managers

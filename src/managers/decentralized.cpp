@@ -48,7 +48,8 @@ DecentralizedReputationSystem::ReputationAnswer
 DecentralizedReputationSystem::query_reputation(rating::NodeId requester,
                                                 rating::NodeId target) {
   ReputationAnswer answer;
-  if (target >= config_.num_nodes) return answer;
+  if (requester >= config_.num_nodes || target >= config_.num_nodes)
+    return answer;
   const rating::NodeId start =
       ring_.contains(requester) ? requester : manager_index_[requester];
   const dht::LookupResult route =

@@ -70,7 +70,9 @@ class DecentralizedReputationSystem {
   bool ingest(const rating::Rating& r);
 
   /// A client queries a node's reputation with Lookup(ID): routed through
-  /// the ring, hop-counted. Suppressed nodes report 0.
+  /// the ring, hop-counted. Suppressed nodes report 0; a requester or
+  /// target id >= num_nodes gets the empty answer (0, no hops,
+  /// kInvalidNode).
   struct ReputationAnswer {
     std::int64_t reputation = 0;
     std::size_t hops = 0;

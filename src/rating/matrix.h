@@ -341,7 +341,7 @@ class RatingMatrix {
   [[nodiscard]] static std::size_t dense_footprint_bytes(
       std::size_t num_nodes) noexcept;
 
-  // --- Direct mutation (for tests and incremental managers) ---
+  // --- Direct mutation (for tests and the centralized manager) ---
 
   void set_global_reputation(NodeId i, double rep, double high_rep_threshold);
   void add_rating(NodeId ratee, NodeId rater, Score score);

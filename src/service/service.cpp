@@ -822,7 +822,7 @@ void ReputationService::run_global_epoch(std::uint64_t seq, bool live) {
   const std::vector<rating::NodeId> flagged = report.colluders();
 
   for (const auto& slot : slots)
-    slot->shard.commit_epoch(seq, flagged, *table->map);
+    slot->shard.commit_epoch(seq, flagged);
   if (config_.record_reports) {
     std::string text = format_epoch_report("global", seq, report);
     const util::MutexLock lock(log_mu_);

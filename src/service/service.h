@@ -6,7 +6,7 @@
 // and enqueues it on that shard's bounded IngestQueue, waiting at a full
 // queue (Admission::kBlock) or ending the call there (kNoWait, so the RPC
 // front door can shed); a worker thread per shard drains its queue into
-// the shard's incremental manager.
+// the shard's manager (a partition managers::CentralizedManager).
 //
 // Epochs (reputation update + detection) are global. When the router's
 // service-wide rating-count or virtual-time threshold is due (or on

@@ -113,15 +113,8 @@ bool ServiceShard::apply_rating(const rating::Rating& r) {
 }
 
 void ServiceShard::commit_epoch(std::uint64_t epoch_seq,
-                                const std::vector<rating::NodeId>& flagged,
-                                const ShardMap& map) {
-  // Suppression: the paper's reset of every implicated node.
-  for (rating::NodeId id : flagged) {
-    if (map.owner(id) != index_) continue;
-    manager_->restore_detected({id});
-    engine_.reset_reputation(id);
-  }
-  if (!flagged.empty()) manager_->update_reputations();
+                                const std::vector<rating::NodeId>& flagged) {
+  manager_->apply_verdicts(flagged);
   close_epoch(epoch_seq);
 }
 
@@ -298,7 +291,7 @@ void ServiceShard::reload_from(const ShardCheckpoint& ckpt) {
 }
 
 void ServiceShard::reset_manager() {
-  manager_ = std::make_unique<managers::IncrementalCentralizedManager>(
+  manager_ = std::make_unique<managers::CentralizedManager>(
       row_index_, part(), engine_, config_->detector_config);
 }
 

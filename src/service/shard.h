@@ -1,9 +1,9 @@
-// One shard of the online reputation service: an IncrementalCentralizedManager
-// plus its SummationEngine, WAL writer and epoch counters. Shards own
-// disjoint ratee partitions (the consistent-hash service::ShardMap over
-// dht::hash_node), so every quantity detection needs about node i — its
-// matrix row, window totals, engine reputation — lives wholly inside its
-// owner shard. The shard's worker thread (owned by ReputationService) is
+// One shard of the online reputation service: a managers::CentralizedManager
+// over its partition, plus its SummationEngine, WAL writer and epoch
+// counters. Shards own disjoint ratee partitions (the consistent-hash
+// service::ShardMap over dht::hash_node), so every quantity detection
+// needs about node i — its matrix row, window totals, engine reputation —
+// lives wholly inside its owner shard. The shard's worker thread (owned by ReputationService) is
 // the only mutator between epochs; the service's global epoch detects over
 // every shard while their workers are parked, and readers go through the
 // service's published view. The shard's matrix and engine hold state only
@@ -25,7 +25,7 @@
 
 #include "core/config.h"
 #include "core/evidence.h"
-#include "managers/incremental.h"
+#include "managers/centralized.h"
 #include "reputation/summation.h"
 #include "service/shard_map.h"
 #include "service/wal.h"
@@ -217,22 +217,20 @@ class ServiceShard {
   bool apply_rating(const rating::Rating& r);
 
   // --- Hooks for service-driven (global) epochs ---
-  [[nodiscard]] managers::IncrementalCentralizedManager& manager() noexcept {
+  [[nodiscard]] managers::CentralizedManager& manager() noexcept {
     return *manager_;
   }
-  [[nodiscard]] const managers::IncrementalCentralizedManager& manager()
-      const noexcept {
+  [[nodiscard]] const managers::CentralizedManager& manager() const noexcept {
     return *manager_;
   }
   [[nodiscard]] reputation::ReputationEngine& engine() noexcept {
     return engine_;
   }
   /// Commits global epoch `epoch_seq` (service and cluster managers alike):
-  /// the verdicts for the flagged ids this shard owns under `map`, one
-  /// engine update when anything was flagged, then the epoch close.
+  /// the manager's apply_verdicts() over the service-wide flagged ids,
+  /// then the epoch close.
   void commit_epoch(std::uint64_t epoch_seq,
-                    const std::vector<rating::NodeId>& flagged,
-                    const ShardMap& map);
+                    const std::vector<rating::NodeId>& flagged);
 
   // --- Counters (atomic: read by metrics() from any thread) ---
   [[nodiscard]] std::uint64_t applied_total() const noexcept {
@@ -278,7 +276,7 @@ class ServiceShard {
   /// The live map's owner and rank tables, shared with every shard.
   std::shared_ptr<const rating::RowIndex> row_index_;
   reputation::SummationEngine engine_;
-  std::unique_ptr<managers::IncrementalCentralizedManager> manager_;
+  std::unique_ptr<managers::CentralizedManager> manager_;
   std::optional<WalWriter> wal_;
   /// Staged frames of the current run and their record count (worker
   /// thread only).

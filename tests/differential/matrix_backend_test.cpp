@@ -22,7 +22,7 @@
 #include "detect/basic_detector.h"
 #include "detect/group_detector.h"
 #include "detect/optimized_detector.h"
-#include "managers/incremental.h"
+#include "managers/centralized.h"
 #include "rating/matrix.h"
 #include "rating/store.h"
 #include "reputation/summation.h"
@@ -161,19 +161,18 @@ TEST_P(MatrixBackendDifferentialTest, IncrementalManagerMatchesDenseOracle) {
 
   reputation::SummationEngine full_engine(trace.n, /*normalize=*/false);
   reputation::SummationEngine stored_engine(trace.n, /*normalize=*/false);
-  managers::IncrementalCentralizedManager full_mgr(trace.n, full_engine, cfg);
-  managers::IncrementalCentralizedManager stored_mgr(
+  managers::CentralizedManager full_mgr(trace.n, full_engine, cfg);
+  managers::CentralizedManager stored_mgr(
       rating::RowIndex::single(trace.n), 0, stored_engine, cfg);
   EXPECT_EQ(full_mgr.matrix().scan_cost(), ScanCost::kFullRow);
   EXPECT_EQ(stored_mgr.matrix().scan_cost(), ScanCost::kStored);
   ReferenceMatrix ref(trace.n, cfg.frequency_min);
   detect::OptimizedDetector detector(cfg);
 
-  const auto run_epoch = [&](managers::IncrementalCentralizedManager& mgr,
+  const auto run_epoch = [&](managers::CentralizedManager& mgr,
                              std::uint64_t epoch) {
     mgr.update_reputations();
-    const core::DetectionReport report = mgr.run_detection(
-        detector, managers::CentralizedManager::SuppressionMode::kReset);
+    const core::DetectionReport report = mgr.run_detection(detector);
     return service::format_epoch_report("diff", epoch, report);
   };
   // The managers refresh every reputation from their engine last.

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -83,6 +84,23 @@ TEST(CliFlags, UnknownFlagIsRefused) {
   const CliRun retired =
       run_cli("detect --in /nonexistent.csv --matrix-backend dense");
   EXPECT_EQ(retired.exit_code, 2) << retired.output;
+}
+
+// An unknown trace kind exits 2 without touching --out: the file keeps
+// every byte it had.
+TEST(CliFlags, UnknownTraceKindLeavesOutFileAlone) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("p2prep_cli_trace_" + std::to_string(::getpid()) + ".csv");
+  const std::string bytes = "rater,ratee,score,time\n0,1,1,0\n";
+  { std::ofstream(path, std::ios::binary) << bytes; }
+  const CliRun run = run_cli("trace bogus --out " + path.string());
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  std::ifstream in(path, std::ios::binary);
+  const std::string after((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, bytes);
+  std::filesystem::remove(path);
 }
 
 /// Each subcommand's flags as its usage lists them, in order; a boolean

@@ -13,6 +13,7 @@
 #include "reputation/weighted.h"
 #include "trace/analysis.h"
 #include "trace/overstock.h"
+#include "tests/detect/capturing_detector.h"
 
 namespace p2prep {
 namespace {
@@ -167,8 +168,10 @@ TEST(EndToEndTest, DecentralizedMatchesSimulatedWorkload) {
   const net::NodeRoles roles = net::paper_roles(6, 0);
 
   reputation::WeightedFeedbackEngine engine;
-  net::Simulator sim(config, roles, engine);
+  detect::testing::CapturingDetector capture;
+  net::Simulator sim(config, roles, engine, &capture);
   sim.run_sim_cycle();
+  ASSERT_EQ(capture.passes(), 1u);
 
   managers::DecentralizedReputationSystem::Config dcfg;
   dcfg.num_nodes = config.num_nodes;
@@ -178,19 +181,15 @@ TEST(EndToEndTest, DecentralizedMatchesSimulatedWorkload) {
   dcfg.detector.high_rep_threshold = 0.0;
   managers::DecentralizedReputationSystem dht_system(dcfg);
 
-  // Replay the centralized ledger into the DHT deployment (lifetime
-  // horizon: the simulator rolls its window over after each cycle).
-  const auto& store = sim.manager().store();
-  for (rating::NodeId ratee = 0; ratee < config.num_nodes; ++ratee) {
-    store.for_each_lifetime_rater(
-        ratee, [&](rating::NodeId rater, const rating::PairStats& stats) {
-          for (std::uint32_t k = 0; k < stats.positive; ++k)
-            dht_system.ingest({.rater = rater, .ratee = ratee,
-                               .score = rating::Score::kPositive, .time = 0});
-          for (std::uint32_t k = 0; k < stats.negative; ++k)
-            dht_system.ingest({.rater = rater, .ratee = ratee,
-                               .score = rating::Score::kNegative, .time = 0});
-        });
+  // Replay the cycle's window, as the manager's detection pass saw it
+  // before the simulator rolled it over, into the DHT deployment.
+  for (const auto& [ratee, rater, stats] : capture.cells()) {
+    for (std::uint32_t k = 0; k < stats.positive; ++k)
+      dht_system.ingest({.rater = rater, .ratee = ratee,
+                         .score = rating::Score::kPositive, .time = 0});
+    for (std::uint32_t k = 0; k < stats.negative; ++k)
+      dht_system.ingest({.rater = rater, .ratee = ratee,
+                         .score = rating::Score::kNegative, .time = 0});
   }
 
   const auto outcome = dht_system.run_detection("optimized");

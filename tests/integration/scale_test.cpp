@@ -5,7 +5,7 @@
 #include <chrono>
 
 #include "detect/optimized_detector.h"
-#include "managers/incremental.h"
+#include "managers/centralized.h"
 #include "reputation/summation.h"
 #include "util/rng.h"
 
@@ -20,7 +20,7 @@ TEST(ScaleTest, OptimizedDetectionAtTwoThousandNodes) {
   config.complement_fraction_max = 0.2;
   config.frequency_min = 20;
   config.high_rep_threshold = 0.05;
-  managers::IncrementalCentralizedManager mgr(kN, engine, config);
+  managers::CentralizedManager mgr(kN, engine, config);
 
   util::Rng rng(2000);
   // 20 colluding pairs + 60k organic ratings.

@@ -6,6 +6,7 @@
 
 #include "detect/basic_detector.h"
 #include "detect/optimized_detector.h"
+#include "detect/ring_detector.h"
 #include "reputation/summation.h"
 #include "util/rng.h"
 
@@ -46,9 +47,10 @@ TEST(CentralizedManagerTest, IngestFeedsStoreAndEngine) {
   reputation::SummationEngine engine;
   CentralizedManager mgr(10, engine, config());
   EXPECT_TRUE(mgr.ingest(make(0, 1, Score::kPositive)));
-  EXPECT_EQ(mgr.store().event_count(), 1u);
+  EXPECT_EQ(mgr.matrix().totals(1).total, 1u);
   EXPECT_EQ(engine.raw_sum(1), 1);
   EXPECT_FALSE(mgr.ingest(make(0, 0, Score::kPositive)));  // self-rating
+  EXPECT_EQ(mgr.matrix().totals(0).total, 0u);
 }
 
 TEST(CentralizedManagerTest, SnapshotReflectsEngineReputations) {
@@ -56,7 +58,7 @@ TEST(CentralizedManagerTest, SnapshotReflectsEngineReputations) {
   CentralizedManager mgr(10, engine, config());
   feed_collusion(mgr, 10);
   mgr.update_reputations();
-  const rating::RatingMatrix m = mgr.snapshot();
+  const rating::RatingMatrix& m = mgr.matrix();
   EXPECT_EQ(m.size(), 10u);
   EXPECT_EQ(m.cell(1, 0).total, 50u);
   // Node 2 got all the crowd's positives: high-reputed after normalization.
@@ -79,20 +81,6 @@ TEST(CentralizedManagerTest, DetectionFlagsAndSuppressesColluders) {
   EXPECT_EQ(engine.reputation(0), 0.0);
   EXPECT_EQ(engine.reputation(1), 0.0);
   EXPECT_GT(engine.reputation(2), 0.0);
-}
-
-TEST(CentralizedManagerTest, NoSuppressLeavesEngineUntouched) {
-  reputation::SummationEngine engine;
-  CentralizedManager mgr(20, engine, config());
-  feed_collusion(mgr, 20);
-  mgr.update_reputations();
-  const double before = engine.reputation(0);
-  detect::BasicDetector detector(config());
-  const auto report = mgr.run_detection(
-      detector, CentralizedManager::SuppressionMode::kNone);
-  EXPECT_TRUE(report.contains(0, 1));
-  EXPECT_TRUE(mgr.detected().empty());
-  EXPECT_DOUBLE_EQ(engine.reputation(0), before);
 }
 
 TEST(CentralizedManagerTest, WindowResetClearsPairCounters) {
@@ -127,74 +115,11 @@ TEST(CentralizedManagerTest, BasicAndOptimizedAgreeThroughManager) {
   }
 }
 
-
-TEST(CentralizedManagerTest, ConfirmationPolicyDelaysSuppression) {
-  reputation::SummationEngine engine;
-  CentralizedManager mgr(20, engine, config());
-  mgr.set_confirmation_passes(2);
-  EXPECT_EQ(mgr.confirmation_passes(), 2u);
-  feed_collusion(mgr, 20);
-  mgr.update_reputations();
-  detect::OptimizedDetector detector(config());
-
-  // Pass 1: pair flagged, streak 1 < 2 -> no suppression yet.
-  const auto first = mgr.run_detection(detector);
-  EXPECT_TRUE(first.contains(0, 1));
-  EXPECT_TRUE(mgr.detected().empty());
-  EXPECT_GT(engine.reputation(0), 0.0);
-
-  // Pass 2 over the same window: streak reaches 2 -> suppressed.
-  const auto second = mgr.run_detection(detector);
-  EXPECT_TRUE(second.contains(0, 1));
-  EXPECT_TRUE(mgr.detected().contains(0));
-  EXPECT_EQ(engine.reputation(0), 0.0);
-}
-
-TEST(CentralizedManagerTest, ConfirmationStreakResetsWhenPairVanishes) {
-  reputation::SummationEngine engine;
-  CentralizedManager mgr(20, engine, config());
-  mgr.set_confirmation_passes(2);
-  feed_collusion(mgr, 20);
-  mgr.update_reputations();
-  detect::OptimizedDetector detector(config());
-  (void)mgr.run_detection(detector);  // streak 1
-  EXPECT_TRUE(mgr.detected().empty());
-
-  // The window rolls over with no fresh collusion: the pair disappears
-  // from detection and its streak resets.
-  mgr.reset_window();
-  (void)mgr.run_detection(detector);
-  EXPECT_TRUE(mgr.detected().empty());
-
-  // Colluding again restarts from streak 1.
-  for (int k = 0; k < 50; ++k) {
-    mgr.ingest(make(0, 1, Score::kPositive));
-    mgr.ingest(make(1, 0, Score::kPositive));
-  }
-  for (rating::NodeId r = 3; r < 20; ++r) {
-    mgr.ingest(make(r, 0, Score::kNegative));
-    mgr.ingest(make(r, 1, Score::kNegative));
-  }
-  mgr.update_reputations();
-  (void)mgr.run_detection(detector);
-  EXPECT_TRUE(mgr.detected().empty());  // streak back at 1
-  (void)mgr.run_detection(detector);
-  EXPECT_TRUE(mgr.detected().contains(0));  // confirmed
-}
-
-TEST(CentralizedManagerTest, DefaultConfirmationIsImmediate) {
-  reputation::SummationEngine engine;
-  CentralizedManager mgr(20, engine, config());
-  EXPECT_EQ(mgr.confirmation_passes(), 1u);
-  mgr.set_confirmation_passes(0);  // clamped to 1
-  EXPECT_EQ(mgr.confirmation_passes(), 1u);
-}
-
 // The paper's Overstock scale: 100,000 nodes and a few thousand ratings.
-// The snapshot stores only the rated cells, where storing all n cells of
-// every row would take dense_footprint_bytes(100000), ~160 GB; its row
-// scans still charge the paper's n cells, and the planted pair is flagged
-// at once.
+// The manager's matrix stores only the rated cells, where storing all n
+// cells of every row would take dense_footprint_bytes(100000), ~160 GB;
+// its row scans still charge the paper's n cells, and the planted pair is
+// flagged at once.
 TEST(CentralizedManagerTest, PaperScaleSnapshotIsSparse) {
   constexpr std::size_t kN = 100'000;
   constexpr rating::NodeId kA = 70'000;
@@ -226,25 +151,82 @@ TEST(CentralizedManagerTest, PaperScaleSnapshotIsSparse) {
   }
   mgr.update_reputations();
 
+  const rating::RatingMatrix& matrix = mgr.matrix();
+  EXPECT_EQ(matrix.scan_cost(), rating::ScanCost::kFullRow);
+  EXPECT_EQ(matrix.high_reputed_count(), 2u);
+  EXPECT_EQ(matrix.stored_cells(kA), kN);
+  // An 8-byte slot per node plus, for the ~3,000 rated rows, a 48-byte
+  // header and 8 bytes a cell (with growth slack): about 1 MB.
+  EXPECT_LT(matrix.approx_memory_bytes(), 2'000'000u);
+  EXPECT_GT(rating::RatingMatrix::dense_footprint_bytes(kN),
+            std::size_t{100'000} * matrix.approx_memory_bytes());
+
   detect::OptimizedDetector detector(cfg);
   const auto start = std::chrono::steady_clock::now();
-  const core::DetectionReport report =
-      mgr.run_detection(detector, CentralizedManager::SuppressionMode::kNone);
+  const core::DetectionReport report = mgr.run_detection(detector);
   const std::chrono::duration<double> took =
       std::chrono::steady_clock::now() - start;
   EXPECT_TRUE(report.contains(kA, kB));
   EXPECT_EQ(report.pairs.size(), 1u);
   EXPECT_LT(took.count(), 1.0);
+}
 
-  const rating::RatingMatrix snapshot = mgr.snapshot();
-  EXPECT_EQ(snapshot.scan_cost(), rating::ScanCost::kFullRow);
-  EXPECT_EQ(snapshot.high_reputed_count(), 2u);
-  EXPECT_EQ(snapshot.stored_cells(kA), kN);
-  // An 8-byte slot per node plus, for the ~3,000 rated rows, a 48-byte
-  // header and 8 bytes a cell: about 1 MB.
-  EXPECT_LT(snapshot.approx_memory_bytes(), 2'000'000u);
-  EXPECT_GT(rating::RatingMatrix::dense_footprint_bytes(kN),
-            std::size_t{100'000} * snapshot.approx_memory_bytes());
+// Suppression covers ring members as well as pair members: a planted
+// directed 3-ring 0 -> 1 -> 2 -> 0 under the ring detector ends with every
+// member recorded and its engine reputation reset.
+TEST(CentralizedManagerTest, RingMembersAreSuppressed) {
+  constexpr std::size_t kN = 40;
+  reputation::SummationEngine engine(kN, /*normalize=*/false);
+  core::DetectorConfig cfg;  // paper defaults: T_a=0.8 T_b=0.2 T_N=20
+  CentralizedManager mgr(kN, engine, cfg);
+  const std::vector<rating::NodeId> ring = {0, 1, 2};
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    // Each member boosts its successor, too often to be organic...
+    for (int k = 0; k < 25; ++k)
+      ASSERT_TRUE(mgr.ingest(
+          make(ring[i], ring[(i + 1) % ring.size()], Score::kPositive)));
+    // ...while an outside rater's few negatives give C2 its context.
+    for (int k = 0; k < 3; ++k)
+      ASSERT_TRUE(mgr.ingest(make(35, ring[i], Score::kNegative)));
+  }
+  mgr.update_reputations();
+  for (const rating::NodeId id : ring) ASSERT_GT(engine.raw_sum(id), 0);
+
+  detect::RingDetector detector(cfg);
+  const core::DetectionReport report = mgr.run_detection(detector);
+  ASSERT_EQ(report.rings.size(), 1u);
+  EXPECT_EQ(report.rings[0].members, ring);
+  EXPECT_TRUE(report.pairs.empty());
+  for (const rating::NodeId id : ring) {
+    EXPECT_TRUE(mgr.detected().contains(id)) << id;
+    EXPECT_EQ(engine.raw_sum(id), 0) << id;
+    EXPECT_EQ(engine.reputation(id), 0.0) << id;
+  }
+  EXPECT_EQ(mgr.detected().size(), ring.size());
+}
+
+// A shard's manager applies only the verdicts for nodes its partition
+// owns (an id past the key space is nobody's), but re-publishes whenever
+// the service-wide list is non-empty.
+TEST(CentralizedManagerTest, ApplyVerdictsSkipsNodesOfOtherPartitions) {
+  constexpr std::size_t kN = 10;
+  // Partition 0 owns the even nodes, partition 1 the odd ones.
+  std::vector<std::uint32_t> owner(kN);
+  for (rating::NodeId i = 0; i < kN; ++i) owner[i] = i % 2;
+  const auto index = std::make_shared<const rating::RowIndex>(owner, 2);
+  reputation::SummationEngine engine(index, 0, /*normalize=*/false);
+  CentralizedManager mgr(index, 0, engine, config());
+  ASSERT_TRUE(mgr.ingest(make(1, 4, Score::kPositive)));
+  ASSERT_FALSE(mgr.ingest(make(4, 1, Score::kPositive)));  // not owned
+  mgr.update_reputations();
+  ASSERT_EQ(engine.raw_sum(4), 1);
+
+  const std::vector<rating::NodeId> flagged = {3, 4, rating::kInvalidNode};
+  mgr.apply_verdicts(flagged);
+  EXPECT_TRUE(mgr.detected().contains(4));
+  EXPECT_FALSE(mgr.detected().contains(3));
+  EXPECT_EQ(engine.raw_sum(4), 0);
+  EXPECT_FALSE(mgr.matrix().high_reputed(4));
 }
 
 }  // namespace

@@ -78,6 +78,21 @@ TEST(DecentralizedTest, QueryReputationRoutesAndAnswers) {
   EXPECT_EQ(answer.manager, sys.manager_of(7));
 }
 
+TEST(DecentralizedTest, OutOfRangeRequesterGetsTheEmptyAnswer) {
+  DecentralizedReputationSystem sys(config(30));
+  sys.ingest(make(5, 7, Score::kPositive));
+  for (const rating::NodeId requester :
+       {rating::NodeId{30}, rating::NodeId{31}, rating::kInvalidNode}) {
+    const auto answer = sys.query_reputation(requester, 7);
+    EXPECT_EQ(answer.reputation, 0) << requester;
+    EXPECT_EQ(answer.hops, 0u) << requester;
+    EXPECT_EQ(answer.manager, rating::kInvalidNode) << requester;
+  }
+  const auto valid = sys.query_reputation(29, 7);
+  EXPECT_EQ(valid.reputation, 1);
+  EXPECT_EQ(valid.manager, sys.manager_of(7));
+}
+
 TEST(DecentralizedTest, DetectsCollusionAcrossShards) {
   DecentralizedReputationSystem sys(config(30));
   feed_collusion(sys, 30);

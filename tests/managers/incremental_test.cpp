@@ -1,9 +1,10 @@
-#include "managers/incremental.h"
+#include "managers/centralized.h"
 
 #include <gtest/gtest.h>
 
 #include "detect/basic_detector.h"
 #include "detect/optimized_detector.h"
+#include "rating/store.h"
 #include "reputation/summation.h"
 #include "util/rng.h"
 
@@ -22,7 +23,7 @@ core::DetectorConfig config() {
   return c;
 }
 
-/// Streams the same random workload into both manager variants.
+/// Streams a random workload with two colluding pairs.
 template <typename Fn>
 void stream_workload(std::uint64_t seed, std::size_t n, Fn&& deliver) {
   util::Rng rng(seed);
@@ -45,35 +46,47 @@ void stream_workload(std::uint64_t seed, std::size_t n, Fn&& deliver) {
   }
 }
 
+// The live matrix detects exactly what a matrix rebuilt from a rating
+// ledger (RatingMatrix::build over a RatingStore) detects.
 TEST(IncrementalManagerTest, MatchesSnapshotManagerDetection) {
   constexpr std::size_t kN = 50;
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     reputation::SummationEngine engine_a;
     reputation::SummationEngine engine_b;
-    CentralizedManager snapshot(kN, engine_a, config());
-    IncrementalCentralizedManager incremental(kN, engine_b, config());
+    engine_a.resize(kN);
+    rating::RatingStore store(kN);
+    CentralizedManager incremental(kN, engine_b, config());
 
     stream_workload(seed, kN, [&](const Rating& r) {
-      EXPECT_EQ(snapshot.ingest(r), incremental.ingest(r));
+      const bool stored = store.ingest(r);
+      if (stored) engine_a.ingest(r);
+      EXPECT_EQ(stored, incremental.ingest(r));
     });
-    snapshot.update_reputations();
+    engine_a.update_epoch();
     incremental.update_reputations();
 
+    std::vector<double> reps(kN);
+    for (rating::NodeId i = 0; i < kN; ++i)
+      reps[i] = engine_a.detection_reputation(i);
+    const rating::RatingMatrix snapshot = rating::RatingMatrix::build(
+        store, reps, config().high_rep_threshold, config().frequency_min);
+
     detect::OptimizedDetector detector(config());
-    const auto ra = snapshot.run_detection(detector);
+    const auto ra = detector.on_epoch(detect::EpochSnapshot::of(snapshot));
     const auto rb = incremental.run_detection(detector);
     ASSERT_EQ(ra.pairs.size(), rb.pairs.size()) << "seed " << seed;
     for (std::size_t i = 0; i < ra.pairs.size(); ++i) {
       EXPECT_EQ(ra.pairs[i].first, rb.pairs[i].first);
       EXPECT_EQ(ra.pairs[i].second, rb.pairs[i].second);
     }
-    EXPECT_EQ(snapshot.detected().size(), incremental.detected().size());
+    EXPECT_EQ(ra.cost.total(), rb.cost.total()) << "seed " << seed;
+    EXPECT_EQ(ra.colluders().size(), incremental.detected().size());
   }
 }
 
 TEST(IncrementalManagerTest, DetectsAndSuppresses) {
   reputation::SummationEngine engine;
-  IncrementalCentralizedManager mgr(30, engine, config());
+  CentralizedManager mgr(30, engine, config());
   stream_workload(9, 30, [&](const Rating& r) { mgr.ingest(r); });
   mgr.update_reputations();
   detect::BasicDetector detector(config());
@@ -86,7 +99,7 @@ TEST(IncrementalManagerTest, DetectsAndSuppresses) {
 
 TEST(IncrementalManagerTest, WindowResetClearsCounters) {
   reputation::SummationEngine engine;
-  IncrementalCentralizedManager mgr(20, engine, config());
+  CentralizedManager mgr(20, engine, config());
   stream_workload(5, 20, [&](const Rating& r) { mgr.ingest(r); });
   mgr.update_reputations();
   mgr.reset_window();
@@ -99,7 +112,7 @@ TEST(IncrementalManagerTest, WindowResetClearsCounters) {
 
 TEST(IncrementalManagerTest, RejectsInvalidRatings) {
   reputation::SummationEngine engine;
-  IncrementalCentralizedManager mgr(10, engine, config());
+  CentralizedManager mgr(10, engine, config());
   EXPECT_FALSE(mgr.ingest({3, 3, Score::kPositive, 0}));
   EXPECT_FALSE(mgr.ingest({3, 10, Score::kPositive, 0}));
   EXPECT_FALSE(mgr.ingest({10, 3, Score::kPositive, 0}));
@@ -107,7 +120,7 @@ TEST(IncrementalManagerTest, RejectsInvalidRatings) {
 
 TEST(IncrementalManagerTest, FrequentAggregateMaintained) {
   reputation::SummationEngine engine;
-  IncrementalCentralizedManager mgr(10, engine, config());
+  CentralizedManager mgr(10, engine, config());
   for (int k = 0; k < 25; ++k)
     mgr.ingest({0, 1, Score::kPositive, 0});
   EXPECT_EQ(mgr.matrix().frequent_totals(1).total, 25u);

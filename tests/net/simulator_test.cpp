@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "detect/optimized_detector.h"
 #include "reputation/weighted.h"
+#include "tests/detect/capturing_detector.h"
 
 namespace p2prep::net {
 namespace {
@@ -166,26 +169,27 @@ TEST(SimulatorTest, CapacityBoundsPerNodeServiceLoad) {
 TEST(SimulatorTest, RequestsGoToClusterMembersOnly) {
   reputation::WeightedFeedbackEngine engine;
   const SimConfig c = small_config();
-  Simulator sim(c, paper_roles(4, 2), engine);
+  detect::testing::CapturingDetector capture;
+  Simulator sim(c, paper_roles(4, 2), engine, &capture);
   sim.run_sim_cycle();
-  // Every rating in the manager's store connects a client to a server
+  // Every rating in the cycle's window connects a client to a server
   // sharing at least one interest.
-  const auto& store = sim.manager().store();
-  for (rating::NodeId server = 0; server < c.num_nodes; ++server) {
-    store.for_each_window_rater(
-        server, [&](rating::NodeId client, const rating::PairStats&) {
-          // Collusion partners rate each other regardless of interest.
-          for (const auto& [a, b] : sim.roles().collusion_edges) {
-            if ((a == client && b == server) || (b == client && a == server))
-              return;
-          }
-          bool shared = false;
-          for (InterestId cat : sim.overlay().interests_of(client)) {
-            if (sim.overlay().has_interest(server, cat)) shared = true;
-          }
-          EXPECT_TRUE(shared)
-              << "client " << client << " rated non-neighbor " << server;
+  ASSERT_FALSE(capture.cells().empty());
+  for (const auto& [server, client, stats] : capture.cells()) {
+    // Collusion partners rate each other regardless of interest.
+    const bool partners = std::any_of(
+        sim.roles().collusion_edges.begin(), sim.roles().collusion_edges.end(),
+        [client, server](const auto& edge) {
+          return (edge.first == client && edge.second == server) ||
+                 (edge.second == client && edge.first == server);
         });
+    if (partners) continue;
+    bool shared = false;
+    for (InterestId cat : sim.overlay().interests_of(client)) {
+      if (sim.overlay().has_interest(server, cat)) shared = true;
+    }
+    EXPECT_TRUE(shared) << "client " << client << " rated non-neighbor "
+                        << server;
   }
 }
 

@@ -16,7 +16,7 @@
 
 #include "detect/basic_detector.h"
 #include "detect/optimized_detector.h"
-#include "managers/incremental.h"
+#include "managers/centralized.h"
 #include "reputation/summation.h"
 #include "service/service.h"
 #include "util/rng.h"
@@ -102,12 +102,11 @@ class RecoveryTest : public ::testing::Test {
     }
     std::string run_epoch(std::uint64_t seq) {
       manager.update_reputations();
-      const auto report = manager.run_detection(
-          *detector, managers::CentralizedManager::SuppressionMode::kReset);
+      const auto report = manager.run_detection(*detector);
       return format_epoch_report("global", seq, report);
     }
     reputation::SummationEngine engine;
-    managers::IncrementalCentralizedManager manager;
+    managers::CentralizedManager manager;
     std::unique_ptr<detect::Detector> detector;
   };
 

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "detect/registry.h"
-#include "managers/incremental.h"
+#include "managers/centralized.h"
 #include "reputation/summation.h"
 #include "util/rng.h"
 
@@ -135,8 +135,7 @@ TEST_P(GlobalEquivalenceTest, MatchesSingleManagerReference) {
       core::DetectorConfig ref_cfg = svc.config().detector_config;
       ASSERT_TRUE(ref_cfg.flag_accomplices);
       reputation::SummationEngine ref_engine(load.n, /*normalize=*/false);
-      managers::IncrementalCentralizedManager ref(load.n, ref_engine,
-                                                  ref_cfg);
+      managers::CentralizedManager ref(load.n, ref_engine, ref_cfg);
       const std::unique_ptr<detect::Detector> ref_detector =
           detect::make_detector(detector, ref_cfg);
 
@@ -157,9 +156,8 @@ TEST_P(GlobalEquivalenceTest, MatchesSingleManagerReference) {
         svc.drain();
 
         ref.update_reputations();
-        const core::DetectionReport ref_report = ref.run_detection(
-            *ref_detector,
-            managers::CentralizedManager::SuppressionMode::kReset);
+        const core::DetectionReport ref_report =
+            ref.run_detection(*ref_detector);
         expected_log += format_epoch_report("global", seq, ref_report);
         expected_detections +=
             ref_report.pairs.size() + ref_report.rings.size();

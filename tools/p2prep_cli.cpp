@@ -217,6 +217,8 @@ rating::RatingStore build_store(const std::vector<rating::Rating>& ratings) {
 int cmd_trace(const Args& args) {
   if (args.positional().empty()) return usage();
   const std::string kind = args.positional()[0];
+  // An unknown kind must not truncate --out on its way to the usage exit.
+  if (kind != "amazon" && kind != "overstock") return usage();
 
   std::ofstream file;
   std::ostream* os = &std::cout;
@@ -244,22 +246,19 @@ int cmd_trace(const Args& args) {
                  tr.ratings.size(), tr.truth.suspicious_sellers.size());
     return 0;
   }
-  if (kind == "overstock") {
-    trace::OverstockTraceConfig config;
-    config.num_users = args.get_u64("users", config.num_users);
-    config.num_transactions =
-        args.get_u64("transactions", config.num_transactions);
-    config.num_collusion_pairs = args.get_u64("pairs",
-                                              config.num_collusion_pairs);
-    config.days = args.get_u64("days", config.days);
-    config.seed = args.get_u64("seed", config.seed);
-    const auto tr = trace::generate_overstock_trace(config);
-    trace::write_trace_csv(*os, tr.ratings);
-    std::fprintf(stderr, "wrote %zu ratings (%zu colluding pairs)\n",
-                 tr.ratings.size(), tr.truth.collusion_pairs.size());
-    return 0;
-  }
-  return usage();
+  trace::OverstockTraceConfig config;
+  config.num_users = args.get_u64("users", config.num_users);
+  config.num_transactions =
+      args.get_u64("transactions", config.num_transactions);
+  config.num_collusion_pairs =
+      args.get_u64("pairs", config.num_collusion_pairs);
+  config.days = args.get_u64("days", config.days);
+  config.seed = args.get_u64("seed", config.seed);
+  const auto tr = trace::generate_overstock_trace(config);
+  trace::write_trace_csv(*os, tr.ratings);
+  std::fprintf(stderr, "wrote %zu ratings (%zu colluding pairs)\n",
+               tr.ratings.size(), tr.truth.collusion_pairs.size());
+  return 0;
 }
 
 int cmd_analyze(const Args& args) {
