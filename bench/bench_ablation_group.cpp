@@ -12,7 +12,6 @@
 #include "detect/registry.h"
 #include "detect/snapshot.h"
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -29,15 +28,23 @@ core::DetectorConfig config() {
   return c;
 }
 
+/// Sets every node's global reputation to its window sum; any positive sum
+/// is high-reputed.
+void rate_by_window_sum(rating::RatingMatrix& m) {
+  for (rating::NodeId i = 0; i < m.size(); ++i)
+    m.set_global_reputation(i, static_cast<double>(m.window_reputation(i)),
+                            0.0);
+}
+
 rating::RatingMatrix make_world(std::size_t n, std::size_t group_size) {
   util::Rng rng(group_size * 131 + n);
-  rating::RatingStore store(n);
+  rating::RatingMatrix m(n);
+  m.set_frequency_threshold(config().frequency_min);
   // One clique of `group_size` nodes starting at 0.
   for (rating::NodeId a = 0; a < group_size; ++a) {
     for (rating::NodeId b = 0; b < group_size; ++b) {
       if (a == b) continue;
-      for (int k = 0; k < 30; ++k)
-        store.ingest({a, b, rating::Score::kPositive, 0});
+      for (int k = 0; k < 30; ++k) m.add_rating(b, a, rating::Score::kPositive);
     }
   }
   // Organic background: colluders get panned, normals praised.
@@ -45,18 +52,14 @@ rating::RatingMatrix make_world(std::size_t n, std::size_t group_size) {
     for (int k = 0; k < 6; ++k) {
       auto ratee = static_cast<rating::NodeId>(rng.next_below(n));
       if (ratee == rater) ratee = static_cast<rating::NodeId>((ratee + 1) % n);
-      store.ingest({rater, ratee,
-                    rng.chance(ratee < group_size ? 0.05 : 0.85)
-                        ? rating::Score::kPositive
-                        : rating::Score::kNegative,
-                    0});
+      m.add_rating(ratee, rater,
+                   rng.chance(ratee < group_size ? 0.05 : 0.85)
+                       ? rating::Score::kPositive
+                       : rating::Score::kNegative);
     }
   }
-  std::vector<double> reps(n);
-  for (rating::NodeId i = 0; i < n; ++i)
-    reps[i] = static_cast<double>(store.window_totals(i).reputation_delta());
-  return rating::RatingMatrix::build(store, reps, 0.0,
-                                     config().frequency_min);
+  rate_by_window_sum(m);
+  return m;
 }
 
 /// A directed boost ring 0 -> 1 -> ... -> ring_size-1 -> 0 (each member
@@ -64,28 +67,24 @@ rating::RatingMatrix make_world(std::size_t n, std::size_t group_size) {
 /// member pair is mutual, so the paper's pairwise predicates see nothing.
 rating::RatingMatrix make_ring_world(std::size_t n, std::size_t ring_size) {
   util::Rng rng(ring_size * 977 + n);
-  rating::RatingStore store(n);
+  rating::RatingMatrix m(n);
+  m.set_frequency_threshold(config().frequency_min);
   for (rating::NodeId u = 0; u < ring_size; ++u) {
     const auto v = static_cast<rating::NodeId>((u + 1) % ring_size);
-    for (int k = 0; k < 30; ++k)
-      store.ingest({u, v, rating::Score::kPositive, 0});
+    for (int k = 0; k < 30; ++k) m.add_rating(v, u, rating::Score::kPositive);
   }
   for (rating::NodeId rater = 0; rater < n; ++rater) {
     for (int k = 0; k < 6; ++k) {
       auto ratee = static_cast<rating::NodeId>(rng.next_below(n));
       if (ratee == rater) ratee = static_cast<rating::NodeId>((ratee + 1) % n);
-      store.ingest({rater, ratee,
-                    rng.chance(ratee < ring_size ? 0.05 : 0.85)
-                        ? rating::Score::kPositive
-                        : rating::Score::kNegative,
-                    0});
+      m.add_rating(ratee, rater,
+                   rng.chance(ratee < ring_size ? 0.05 : 0.85)
+                       ? rating::Score::kPositive
+                       : rating::Score::kNegative);
     }
   }
-  std::vector<double> reps(n);
-  for (rating::NodeId i = 0; i < n; ++i)
-    reps[i] = static_cast<double>(store.window_totals(i).reputation_delta());
-  return rating::RatingMatrix::build(store, reps, 0.0,
-                                     config().frequency_min);
+  rate_by_window_sum(m);
+  return m;
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "detect/pair_sweep.h"
 #include "detect/snapshot.h"
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "util/rng.h"
 
 namespace {
@@ -26,27 +25,26 @@ core::DetectorConfig config() {
 
 rating::RatingMatrix make_world(std::size_t n) {
   util::Rng rng(n + 1);
-  rating::RatingStore store(n);
+  rating::RatingMatrix m(n);
   for (std::size_t p = 0; p < n / 20; ++p) {
     const auto a = static_cast<rating::NodeId>(2 * p);
     const auto b = static_cast<rating::NodeId>(2 * p + 1);
     for (int k = 0; k < 40; ++k) {
-      store.ingest({a, b, rating::Score::kPositive, 0});
-      store.ingest({b, a, rating::Score::kPositive, 0});
+      m.add_rating(b, a, rating::Score::kPositive);
+      m.add_rating(a, b, rating::Score::kPositive);
     }
   }
   for (rating::NodeId rater = 0; rater < n; ++rater) {
     for (int k = 0; k < 6; ++k) {
       auto ratee = static_cast<rating::NodeId>(rng.next_below(n));
       if (ratee == rater) ratee = static_cast<rating::NodeId>((ratee + 1) % n);
-      store.ingest({rater, ratee,
-                    rng.chance(0.6) ? rating::Score::kPositive
-                                    : rating::Score::kNegative,
-                    0});
+      m.add_rating(ratee, rater,
+                   rng.chance(0.6) ? rating::Score::kPositive
+                                   : rating::Score::kNegative);
     }
   }
-  std::vector<double> reps(n, 0.2);
-  return rating::RatingMatrix::build(store, reps, 0.05);
+  for (rating::NodeId i = 0; i < n; ++i) m.set_global_reputation(i, 0.2, 0.05);
+  return m;
 }
 
 /// Runs `sweep` over a one-matrix snapshot of an n-node world, through

@@ -25,7 +25,6 @@
 #include "detect/ring_detector.h"
 #include "detect/snapshot.h"
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "service/service.h"
 #include "util/rng.h"
 
@@ -46,15 +45,15 @@ core::DetectorConfig config() {
 
 rating::RatingMatrix make_world(std::size_t n) {
   util::Rng rng(n);
-  rating::RatingStore store(n);
+  rating::RatingMatrix m(n, rating::ScanCost::kStored);
   // 5% of nodes are colluders in consecutive pairs.
   const std::size_t pairs = std::max<std::size_t>(1, n / 40);
   for (std::size_t p = 0; p < pairs; ++p) {
     const auto a = static_cast<rating::NodeId>(2 * p);
     const auto b = static_cast<rating::NodeId>(2 * p + 1);
     for (int k = 0; k < 40; ++k) {
-      store.ingest({a, b, rating::Score::kPositive, 0});
-      store.ingest({b, a, rating::Score::kPositive, 0});
+      m.add_rating(b, a, rating::Score::kPositive);
+      m.add_rating(a, b, rating::Score::kPositive);
     }
   }
   // Organic background load.
@@ -62,16 +61,15 @@ rating::RatingMatrix make_world(std::size_t n) {
     for (int k = 0; k < 6; ++k) {
       auto ratee = static_cast<rating::NodeId>(rng.next_below(n));
       if (ratee == rater) ratee = static_cast<rating::NodeId>((ratee + 1) % n);
-      store.ingest({rater, ratee,
-                    rng.chance(ratee < 2 * pairs ? 0.1 : 0.85)
-                        ? rating::Score::kPositive
-                        : rating::Score::kNegative,
-                    0});
+      m.add_rating(ratee, rater,
+                   rng.chance(ratee < 2 * pairs ? 0.1 : 0.85)
+                       ? rating::Score::kPositive
+                       : rating::Score::kNegative);
     }
   }
-  std::vector<double> reps(n, 0.2);  // everyone high-reputed: m = n
-  return rating::RatingMatrix::build(store, reps, 0.05, 0,
-                                     rating::ScanCost::kStored);
+  for (rating::NodeId i = 0; i < n; ++i)  // everyone high-reputed: m = n
+    m.set_global_reputation(i, 0.2, 0.05);
+  return m;
 }
 
 // Arg 0: n.
@@ -99,7 +97,7 @@ BENCHMARK(BM_BasicDetect)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
 /// buried in the same organic background as make_world.
 rating::RatingMatrix make_ring_world(std::size_t n) {
   util::Rng rng(n * 7 + 1);
-  rating::RatingStore store(n);
+  rating::RatingMatrix m(n, rating::ScanCost::kStored);
   const std::size_t rings = std::max<std::size_t>(1, n / 40);
   rating::NodeId next = 0;
   std::size_t members_total = 0;
@@ -108,8 +106,7 @@ rating::RatingMatrix make_ring_world(std::size_t n) {
     for (std::size_t i = 0; i < size; ++i) {
       const auto u = static_cast<rating::NodeId>(next + i);
       const auto v = static_cast<rating::NodeId>(next + (i + 1) % size);
-      for (int k = 0; k < 30; ++k)
-        store.ingest({u, v, rating::Score::kPositive, 0});
+      for (int k = 0; k < 30; ++k) m.add_rating(v, u, rating::Score::kPositive);
     }
     next = static_cast<rating::NodeId>(next + size);
     members_total += size;
@@ -118,16 +115,14 @@ rating::RatingMatrix make_ring_world(std::size_t n) {
     for (int k = 0; k < 6; ++k) {
       auto ratee = static_cast<rating::NodeId>(rng.next_below(n));
       if (ratee == rater) ratee = static_cast<rating::NodeId>((ratee + 1) % n);
-      store.ingest({rater, ratee,
-                    rng.chance(ratee < members_total ? 0.1 : 0.85)
-                        ? rating::Score::kPositive
-                        : rating::Score::kNegative,
-                    0});
+      m.add_rating(ratee, rater,
+                   rng.chance(ratee < members_total ? 0.1 : 0.85)
+                       ? rating::Score::kPositive
+                       : rating::Score::kNegative);
     }
   }
-  std::vector<double> reps(n, 0.2);
-  return rating::RatingMatrix::build(store, reps, 0.05, 0,
-                                     rating::ScanCost::kStored);
+  for (rating::NodeId i = 0; i < n; ++i) m.set_global_reputation(i, 0.2, 0.05);
+  return m;
 }
 
 void BM_OptimizedDetect(benchmark::State& state) {

@@ -14,7 +14,7 @@
 #include <unordered_set>
 
 #include "core/predicates.h"
-#include "rating/store.h"
+#include "rating/matrix.h"
 #include "trace/amazon.h"
 #include "trace/analysis.h"
 #include "util/table.h"
@@ -41,23 +41,20 @@ int main() {
   // flag (rater, seller) pairs where the rater is frequent and almost
   // exclusively positive while the seller's remaining raters are ordinary.
   const std::size_t id_space = config.num_sellers + config.num_buyers + 4096;
-  rating::RatingStore store(id_space);
-  for (const trace::MarketplaceRating& r : tr.ratings) {
-    store.ingest({.rater = r.rater, .ratee = r.ratee,
-                  .score = rating::score_from_stars(r.stars),
-                  .time = r.day});
-  }
+  rating::RatingMatrix matrix(id_space);
+  for (const trace::MarketplaceRating& r : tr.ratings)
+    matrix.add_rating(r.ratee, r.rater, rating::score_from_stars(r.stars));
   std::unordered_set<trace::UserId> detector_flagged;
   core::DetectorConfig dc;  // trace-calibrated defaults (T_a=0.8, T_b=0.2)
   for (trace::UserId seller = 0; seller < config.num_sellers; ++seller) {
-    store.for_each_window_rater(
-        seller, [&](rating::NodeId rater, const rating::PairStats& pair) {
+    matrix.for_each_nonzero_cell(
+        seller, [&](rating::NodeId, const rating::PairStats& pair) {
           if (!core::frequency_ok(pair, dc)) return;
           if (!core::positive_fraction_ok(pair, dc)) return;
           // Complement: the seller's other raters must look ordinary —
           // for a marketplace that means clearly *less* positive than the
           // campaign, not mostly negative (honest stores have b ~ 0.9).
-          const auto complement = store.window_complement(seller, rater);
+          const auto complement = matrix.totals(seller) - pair;
           if (complement.total == 0 ||
               complement.positive_fraction() <
                   pair.positive_fraction() - 0.02) {

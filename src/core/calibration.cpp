@@ -6,7 +6,7 @@
 
 namespace p2prep::core {
 
-CalibrationReport calibrate_thresholds(const rating::RatingStore& history,
+CalibrationReport calibrate_thresholds(const rating::RatingMatrix& history,
                                        const CalibrationOptions& options,
                                        const DetectorConfig& base) {
   CalibrationReport report;
@@ -19,8 +19,8 @@ CalibrationReport calibrate_thresholds(const rating::RatingStore& history,
   };
   std::vector<PairSample> pairs;
   rating::PairStats global;
-  for (rating::NodeId ratee = 0; ratee < history.num_nodes(); ++ratee) {
-    history.for_each_window_rater(
+  for (rating::NodeId ratee = 0; ratee < history.size(); ++ratee) {
+    history.for_each_nonzero_cell(
         ratee, [&](rating::NodeId rater, const rating::PairStats& stats) {
           pairs.push_back({ratee, rater, stats});
           global += stats;
@@ -57,7 +57,7 @@ CalibrationReport calibrate_thresholds(const rating::RatingStore& history,
     ++frequent;
     a_sum += p.stats.positive_fraction();
     const rating::PairStats complement =
-        history.window_totals(p.ratee) - p.stats;
+        history.totals(p.ratee) - p.stats;
     b_sum += complement.positive_fraction();
   }
   report.frequent_pairs = frequent;

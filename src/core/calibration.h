@@ -9,7 +9,7 @@
 // normal population, then take the a/b statistics of the pairs above T_N
 // (crawl averages a = 98.37%, b = 1.63%) and place T_a / T_b between the
 // frequent-pair population and the global baseline. This module implements
-// exactly that procedure over a RatingStore window:
+// exactly that procedure over the window a RatingMatrix holds:
 //
 //  * T_N  — the smallest count such that at most `frequent_pair_fraction`
 //           of rated pairs reach it (an upper-tail quantile of the pair
@@ -27,7 +27,7 @@
 #include <cstdint>
 
 #include "core/config.h"
-#include "rating/store.h"
+#include "rating/matrix.h"
 
 namespace p2prep::core {
 
@@ -53,10 +53,11 @@ struct CalibrationReport {
   double frequent_complement_fraction = 0.0;///< Mean b over their ratees.
 };
 
-/// Derives thresholds from the window horizon of `history`. `base` supplies
-/// the non-threshold fields of the returned config.
+/// Derives thresholds from the window cells of `history`, visited in
+/// ascending (ratee, rater) order. `base` supplies the non-threshold
+/// fields of the returned config.
 [[nodiscard]] CalibrationReport calibrate_thresholds(
-    const rating::RatingStore& history, const CalibrationOptions& options = {},
-    const DetectorConfig& base = {});
+    const rating::RatingMatrix& history,
+    const CalibrationOptions& options = {}, const DetectorConfig& base = {});
 
 }  // namespace p2prep::core

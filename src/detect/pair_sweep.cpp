@@ -148,9 +148,12 @@ core::DetectionReport sweep_basic(const EpochSnapshot& snapshot,
           const RatingMatrix::RowView row_i = mi.row_view(i);
           const std::uint64_t row_scan = row_scan_cells(mi, i);
           for (NodeId j = 0; j < n; ++j) {
-            // The paper's checked-pair marks: a high-reputed j < i already
-            // examined the pair from its own row.
-            if (j == i || (j < i && high[j] != 0)) continue;
+            // The paper's checked-pair marks: in mutual mode a
+            // high-reputed j < i already examined the pair from its own
+            // row. One-sided, that row checked only j's direction, so i's
+            // is checked here too.
+            if (j == i || (cfg.require_mutual && j < i && high[j] != 0))
+              continue;
             // Read R_j: in mutual mode the partner must be high-reputed
             // before any deep work; a one-sided Sybil booster never earns
             // reputation and must not be exempted by its obscurity.

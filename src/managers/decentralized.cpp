@@ -1,8 +1,9 @@
 #include "managers/decentralized.h"
 
-#include <algorithm>
 #include <cassert>
+#include <limits>
 #include <memory>
+#include <unordered_map>
 
 #include "detect/registry.h"
 #include "rating/matrix.h"
@@ -16,16 +17,22 @@ DecentralizedReputationSystem::DecentralizedReputationSystem(
     manager_ids.resize(config_.num_nodes);
     for (rating::NodeId i = 0; i < config_.num_nodes; ++i) manager_ids[i] = i;
   }
-  for (rating::NodeId id : manager_ids) ring_.add_node(id);
+  for (rating::NodeId id : manager_ids)
+    if (ring_.add_node(id)) add_shard(id);
   ring_.rebuild();
   assert(!ring_.empty());
 
   manager_index_.resize(config_.num_nodes, rating::kInvalidNode);
-  for (rating::NodeId id = 0; id < config_.num_nodes; ++id) {
-    const rating::NodeId mgr = ring_.manager_of(id);
-    manager_index_[id] = mgr;
-    shards_.try_emplace(mgr, config_.num_nodes);
-  }
+  for (rating::NodeId id = 0; id < config_.num_nodes; ++id)
+    manager_index_[id] = ring_.manager_of(id);
+}
+
+void DecentralizedReputationSystem::add_shard(rating::NodeId manager) {
+  rating::RatingMatrix& m =
+      shards_
+          .try_emplace(manager, config_.num_nodes, rating::ScanCost::kStored)
+          .first->second;
+  m.set_frequency_threshold(config_.detector.frequency_min);
 }
 
 bool DecentralizedReputationSystem::ingest(const rating::Rating& r) {
@@ -41,7 +48,8 @@ bool DecentralizedReputationSystem::ingest(const rating::Rating& r) {
       ring_.lookup(start, dht::hash_reputation_record(r.ratee));
   transport_messages_ += route.hops;
   assert(route.owner == manager_index_[r.ratee]);
-  return shards_.at(route.owner).ingest(r);
+  shards_.at(route.owner).add_rating(r.ratee, r.rater, r.score);
+  return true;
 }
 
 DecentralizedReputationSystem::ReputationAnswer
@@ -57,9 +65,10 @@ DecentralizedReputationSystem::query_reputation(rating::NodeId requester,
   transport_messages_ += route.hops;
   answer.hops = route.hops;
   answer.manager = route.owner;
-  answer.reputation = detected_.contains(target)
-                          ? 0
-                          : shards_.at(route.owner).reputation(target);
+  answer.reputation =
+      detected_.contains(target)
+          ? 0
+          : shards_.at(route.owner).window_reputation(target);
   return answer;
 }
 
@@ -70,14 +79,17 @@ DecentralizedReputationSystem::reassign_shards() {
     const rating::NodeId new_mgr = ring_.manager_of(id);
     const rating::NodeId old_mgr = manager_index_[id];
     if (new_mgr == old_mgr) continue;
-    shards_.try_emplace(new_mgr, config_.num_nodes);
-    rating::RatingStore& from = shards_.at(old_mgr);
-    rating::RatingStore& to = shards_.at(new_mgr);
-    stats.transferred_ratings += from.lifetime_totals(id).total;
-    from.transfer_ratee(to, id);
+    rating::RatingMatrix& to = shards_.at(new_mgr);
+    rating::RatingMatrix& from = shards_.at(old_mgr);
+    stats.transferred_ratings += from.totals(id).total;
+    const auto cells = from.take_row(id);
+    to.reserve_cells(id, cells.size());
+    for (const auto& [rater, cell] : cells) to.restore_cell(id, rater, cell);
+    // The old manager keeps no host meta (C1 flag) of a node it left.
+    from.set_global_reputation(id, 0.0,
+                               std::numeric_limits<double>::infinity());
     manager_index_[id] = new_mgr;
     ++stats.reassigned_nodes;
-    ++stats.transfer_messages;
   }
   return stats;
 }
@@ -86,6 +98,7 @@ std::optional<DecentralizedReputationSystem::HandoffStats>
 DecentralizedReputationSystem::add_manager(rating::NodeId id) {
   if (id >= config_.num_nodes || ring_.contains(id)) return std::nullopt;
   if (!ring_.add_node(id)) return std::nullopt;
+  add_shard(id);
   ring_.rebuild();
   return reassign_shards();
 }
@@ -103,13 +116,11 @@ DecentralizedReputationSystem::remove_manager(rating::NodeId id) {
 std::int64_t DecentralizedReputationSystem::reputation(
     rating::NodeId id) const {
   if (detected_.contains(id)) return 0;
-  return shards_.at(manager_index_.at(id))
-      .window_totals(id)
-      .reputation_delta();
+  return shards_.at(manager_index_.at(id)).window_reputation(id);
 }
 
 void DecentralizedReputationSystem::reset_window() {
-  for (auto& [mgr, shard] : shards_) shard.reset_window();
+  for (auto& [mgr, shard] : shards_) shard.clear_window();
 }
 
 DecentralizedReputationSystem::DetectionOutcome
@@ -119,28 +130,21 @@ DecentralizedReputationSystem::run_detection(std::string_view detector,
       detect::make_detector(detector, config_.detector);
   const std::size_t n = config_.num_nodes;
 
-  // Each manager freezes its own rows into one sparse matrix; the C1 view
-  // is the window sum of the nodes it owns (0 elsewhere, never read).
-  std::vector<rating::RatingMatrix> matrices;
-  matrices.reserve(shards_.size());
-  std::vector<std::uint32_t> owners(n);
-  std::vector<double> reps(n);
-  for (const auto& [mgr, shard] : shards_) {
-    std::fill(reps.begin(), reps.end(), 0.0);
-    for (rating::NodeId i = 0; i < n; ++i) {
-      if (manager_index_[i] != mgr) continue;
-      owners[i] = static_cast<std::uint32_t>(matrices.size());
-      reps[i] =
-          static_cast<double>(shard.window_totals(i).reputation_delta());
-    }
-    matrices.push_back(rating::RatingMatrix::build(
-        shard, reps, config_.detector.high_rep_threshold,
-        config_.detector.frequency_min, rating::ScanCost::kStored));
-  }
-
+  // Each manager's C1 view is the window sum of the nodes it owns, set on
+  // its own matrix only; the snapshot sweeps the live matrices.
   detect::EpochSnapshot snapshot;
-  for (const rating::RatingMatrix& m : matrices)
-    snapshot.matrices.push_back(&m);
+  std::unordered_map<rating::NodeId, std::uint32_t> position;
+  for (const auto& [mgr, matrix] : shards_) {
+    position.emplace(mgr, static_cast<std::uint32_t>(position.size()));
+    snapshot.matrices.push_back(&matrix);
+  }
+  std::vector<std::uint32_t> owners(n);
+  for (rating::NodeId i = 0; i < n; ++i) {
+    owners[i] = position.at(manager_index_[i]);
+    rating::RatingMatrix& m = shards_.at(manager_index_[i]);
+    m.set_global_reputation(i, static_cast<double>(m.window_reputation(i)),
+                            config_.detector.high_rep_threshold);
+  }
   snapshot.owners = owners;
 
   // The message model: the checking manager resolves the partner's side

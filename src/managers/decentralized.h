@@ -7,9 +7,13 @@
 // check request (another DHT-routed message) when a suspected pair spans
 // two managers (Sec. IV-D).
 //
-// Detection runs the shared kernels (detect/pair_sweep.h,
-// detect/accomplice_exchange.h) over one sparse matrix per manager, the
-// same multi-matrix EpochSnapshot the service's global epoch sweeps. The
+// Each manager keeps the rows of its responsible nodes in one live
+// standalone rating::RatingMatrix (ScanCost::kStored, frequent aggregates
+// at T_N): an Insert is one add_rating, and a handoff moves a node's row
+// with take_row and restore_cell. Detection sweeps those live matrices
+// with the shared kernels (detect/pair_sweep.h,
+// detect/accomplice_exchange.h) as one multi-matrix EpochSnapshot, the
+// same shape the service's global epoch sweeps; no matrix is rebuilt. The
 // message model rides on the snapshot's partner hook: each time a kernel
 // repeats a check from the partner's side, the partner's manager either
 // is the checking manager (a local check) or receives a routed request.
@@ -35,7 +39,7 @@
 #include "core/config.h"
 #include "core/evidence.h"
 #include "dht/chord.h"
-#include "rating/store.h"
+#include "rating/matrix.h"
 
 namespace p2prep::managers {
 
@@ -66,11 +70,12 @@ class DecentralizedReputationSystem {
 
   /// Publishes a rating: DHT-routes Insert(ID_ratee, r) from the rater (or
   /// its closest manager if the rater is not on the ring) to the ratee's
-  /// manager. Returns false for invalid ratings.
+  /// manager. Returns false for a self-rating or an id >= num_nodes.
   bool ingest(const rating::Rating& r);
 
   /// A client queries a node's reputation with Lookup(ID): routed through
-  /// the ring, hop-counted. Suppressed nodes report 0; a requester or
+  /// the ring, hop-counted; the answer is the window sum reputation()
+  /// returns. Suppressed nodes report 0; a requester or
   /// target id >= num_nodes gets the empty answer (0, no hops,
   /// kInvalidNode).
   struct ReputationAnswer {
@@ -84,15 +89,14 @@ class DecentralizedReputationSystem {
   /// Oracle (no routing): window summation reputation of `id`.
   [[nodiscard]] std::int64_t reputation(rating::NodeId id) const;
 
-  /// Starts a new detection window on every shard.
+  /// Starts a new detection window on every manager's matrix.
   void reset_window();
 
   // --- Manager churn (join/leave with shard handoff) ---
 
   struct HandoffStats {
     std::size_t reassigned_nodes = 0;    ///< Nodes whose manager changed.
-    std::uint64_t transferred_ratings = 0;  ///< Lifetime ratings moved.
-    std::uint64_t transfer_messages = 0; ///< Bulk row transfers (1/node).
+    std::uint64_t transferred_ratings = 0;  ///< Window ratings moved.
   };
 
   /// A node joins the management overlay: it takes ownership of the key
@@ -133,7 +137,9 @@ class DecentralizedReputationSystem {
   }
 
   [[nodiscard]] const dht::ChordRing& ring() const noexcept { return ring_; }
-  [[nodiscard]] const rating::RatingStore& shard(rating::NodeId manager) const {
+  /// Manager `manager`'s matrix: the rows of the nodes it owns.
+  [[nodiscard]] const rating::RatingMatrix& shard(
+      rating::NodeId manager) const {
     return shards_.at(manager);
   }
   [[nodiscard]] const std::unordered_set<rating::NodeId>& detected()
@@ -147,14 +153,16 @@ class DecentralizedReputationSystem {
 
  private:
   /// Recomputes node->manager assignments after a ring change and moves
-  /// every reassigned row to its new shard.
+  /// every reassigned row to its new manager's matrix.
   HandoffStats reassign_shards();
+  /// Gives a manager that joins the ring its empty matrix.
+  void add_shard(rating::NodeId manager);
 
   Config config_;
   CrossCheckObserver cross_check_observer_;
   dht::ChordRing ring_;
-  /// manager id -> that manager's shard ledger (rows of responsible nodes).
-  std::map<rating::NodeId, rating::RatingStore> shards_;
+  /// ring member id -> that manager's matrix (rows of responsible nodes).
+  std::map<rating::NodeId, rating::RatingMatrix> shards_;
   /// node id -> manager id; add_manager/remove_manager reassign it.
   std::vector<rating::NodeId> manager_index_;
   std::unordered_set<rating::NodeId> detected_;

@@ -49,39 +49,6 @@ void RatingMatrix::repartition(std::shared_ptr<const RowIndex> index) {
   index_ = std::move(index);
 }
 
-RatingMatrix RatingMatrix::build(const RatingStore& store,
-                                 std::span<const double> global_reps,
-                                 double high_rep_threshold,
-                                 std::uint32_t frequency_threshold,
-                                 ScanCost scan) {
-  const std::size_t n = store.num_nodes();
-  assert(global_reps.size() == n);
-  RatingMatrix m(n, scan);
-  m.frequency_threshold_ = frequency_threshold;
-  for (NodeId i = 0; i < n; ++i) {
-    m.set_global_reputation(i, global_reps[i], high_rep_threshold);
-    const PairStats& totals = store.window_totals(i);
-    if (totals.total == 0) continue;  // no window raters
-    m.materialize(i);  // one partition: node i's slot is i
-    // The row's final cell count is known: size its block exactly.
-    Row& row = m.resize_row(
-        i, static_cast<std::uint32_t>(store.window_rater_count(i)));
-    row.totals = totals;
-    store.for_each_window_rater(
-        i, [&m, i, frequency_threshold, &row](NodeId rater,
-                                              const PairStats& stats) {
-          assert(row.size < row.capacity);
-          row.cells()[row.size++] = {rater, m.store_counts(i, rater, stats)};
-          if (frequency_threshold > 0 && stats.total >= frequency_threshold)
-            row.frequent_totals += stats;
-        });
-    // The store enumerates raters unordered: sort once into the main run.
-    std::sort(row.cells(), row.cells() + row.size, RaterLess{});
-    row.main_len = row.size;
-  }
-  return m;
-}
-
 void RatingMatrix::insert_cell(std::uint32_t s, Cell cell) {
   Row* row = rows_[s].get();
   if (row->size == row->capacity) {

@@ -36,10 +36,11 @@
 // a row scan costs is a separate choice, fixed at construction:
 //  * kFullRow — a row scan visits all n columns, absent cells reading as
 //    empty stats: the paper's cost model (Sec. IV-B, Fig. 13), where the
-//    Basic method's complement scan charges n cells. build(), the
-//    standalone constructors and so every paper-figure path default to it.
+//    Basic method's complement scan charges n cells. The constructors
+//    default to it, and so every paper-figure path uses it.
 //  * kStored  — a row scan visits the row's stored cells only. Every
-//    service shard matrix uses this rule.
+//    service shard matrix, every decentralized manager's matrix and the
+//    CLI's detection matrix use this rule.
 // The rule changes for_each_cell and stored_cells() and nothing else:
 // cell reads, aggregates, for_each_nonzero_cell (checkpoints, take_row,
 // the ring detector) and every detector verdict are identical under both.
@@ -63,9 +64,8 @@
 // max(1, size / 4)), so a row grown by inserts never holds more than
 // max(1, size / 4) unused cells. Growth may move the block: a Row& is
 // stale after any insert. Where a row's final count is known the block is
-// sized exactly: build(), and restore_cell replay preceded by
-// reserve_cells() (checkpoint restore and the receiver of a take_row
-// handoff).
+// sized exactly: restore_cell replay preceded by reserve_cells()
+// (checkpoint restore and the receiver of a take_row handoff).
 //
 // Packed cells. A cell is its rater plus one word that packs N+ (11
 // bits), N- (11 bits) and the neutral count (10 bits); N is their sum.
@@ -115,7 +115,6 @@
 
 #include "rating/pair_stats.h"
 #include "rating/row_index.h"
-#include "rating/store.h"
 #include "rating/types.h"
 
 namespace p2prep::rating {
@@ -151,20 +150,6 @@ class RatingMatrix {
   /// Partition `part` of `index`: rows for the nodes it owns only.
   RatingMatrix(std::shared_ptr<const RowIndex> index, std::uint32_t part,
                ScanCost scan = ScanCost::kFullRow);
-
-  /// Snapshots the window horizon of `store` into a matrix with the given
-  /// scan-cost rule. `global_reps[i]` is the host system's reputation for
-  /// node i (its size must equal store.num_nodes()); rows with
-  /// global_reps[i] > high_rep_threshold are flagged live. When
-  /// `frequency_threshold` > 0, each row also carries the aggregate of its
-  /// frequent raters' cells (every rater with N_(i,k) >= frequency_threshold)
-  /// — the state a deployed manager keeps incrementally and the Optimized
-  /// detector's joint-complement test reads in O(1).
-  static RatingMatrix build(const RatingStore& store,
-                            std::span<const double> global_reps,
-                            double high_rep_threshold,
-                            std::uint32_t frequency_threshold = 0,
-                            ScanCost scan = ScanCost::kFullRow);
 
   [[nodiscard]] ScanCost scan_cost() const noexcept { return scan_; }
 
@@ -341,9 +326,13 @@ class RatingMatrix {
   [[nodiscard]] static std::size_t dense_footprint_bytes(
       std::size_t num_nodes) noexcept;
 
-  // --- Direct mutation (for tests and the centralized manager) ---
+  // --- Mutation (the managers, the CLI, benches and tests) ---
 
+  /// Sets node i's host meta: its global reputation, and the high-reputed
+  /// flag rep > high_rep_threshold.
   void set_global_reputation(NodeId i, double rep, double high_rep_threshold);
+  /// Adds one rating to cell (ratee, rater). The caller drops self-ratings
+  /// and out-of-range raters; they are only asserted against here.
   void add_rating(NodeId ratee, NodeId rater, Score score);
   /// Configures the frequency threshold for the incremental frequent
   /// aggregates. Call before the first add_rating.

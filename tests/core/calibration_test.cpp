@@ -12,8 +12,19 @@ namespace {
 /// World with planted colluders: normal pairs interact 1-4 times, colluder
 /// pairs 30-60 times with opposite score patterns.
 struct World {
-  rating::RatingStore store{200};
+  std::vector<rating::Rating> ratings;
   std::vector<std::pair<rating::NodeId, rating::NodeId>> planted;
+
+  /// The window matrix of `ratings`, frequent aggregates at
+  /// `frequency_threshold`.
+  [[nodiscard]] rating::RatingMatrix matrix(
+      std::uint32_t frequency_threshold = 0) const {
+    rating::RatingMatrix m(200);
+    m.set_frequency_threshold(frequency_threshold);
+    for (const rating::Rating& r : ratings)
+      m.add_rating(r.ratee, r.rater, r.score);
+    return m;
+  }
 };
 
 World make_world(std::uint64_t seed, std::size_t colluder_pairs = 4) {
@@ -25,8 +36,8 @@ World make_world(std::uint64_t seed, std::size_t colluder_pairs = 4) {
     w.planted.emplace_back(a, b);
     const auto count = 30 + rng.next_below(31);
     for (std::uint64_t k = 0; k < count; ++k) {
-      w.store.ingest({a, b, rating::Score::kPositive, k});
-      w.store.ingest({b, a, rating::Score::kPositive, k});
+      w.ratings.push_back({a, b, rating::Score::kPositive, k});
+      w.ratings.push_back({b, a, rating::Score::kPositive, k});
     }
   }
   for (rating::NodeId rater = 0; rater < 200; ++rater) {
@@ -43,11 +54,11 @@ World make_world(std::uint64_t seed, std::size_t colluder_pairs = 4) {
       }
       const std::size_t reps = 1 + rng.next_below(3);
       for (std::size_t r = 0; r < reps; ++r) {
-        w.store.ingest({rater, ratee,
+        w.ratings.push_back({rater, ratee,
                         rng.chance(colluder_target ? 0.05 : 0.85)
                             ? rating::Score::kPositive
-                            : rating::Score::kNegative,
-                        0});
+                                : rating::Score::kNegative,
+                            0});
       }
     }
   }
@@ -55,7 +66,7 @@ World make_world(std::uint64_t seed, std::size_t colluder_pairs = 4) {
 }
 
 TEST(CalibrationTest, EmptyHistoryKeepsBase) {
-  rating::RatingStore empty(10);
+  const rating::RatingMatrix empty(10);
   DetectorConfig base;
   base.positive_fraction_min = 0.77;
   const CalibrationReport r = calibrate_thresholds(empty, {}, base);
@@ -65,7 +76,7 @@ TEST(CalibrationTest, EmptyHistoryKeepsBase) {
 
 TEST(CalibrationTest, FrequencyThresholdSeparatesPopulations) {
   const World w = make_world(5);
-  const CalibrationReport r = calibrate_thresholds(w.store);
+  const CalibrationReport r = calibrate_thresholds(w.matrix());
   // Normal pairs rate a handful of times; colluders >= 30. T_N must land
   // strictly between the populations.
   EXPECT_GT(r.suggested.frequency_min, 5u);
@@ -77,7 +88,7 @@ TEST(CalibrationTest, FrequencyThresholdSeparatesPopulations) {
 
 TEST(CalibrationTest, PopulationStatisticsMatchConstruction) {
   const World w = make_world(7);
-  const CalibrationReport r = calibrate_thresholds(w.store);
+  const CalibrationReport r = calibrate_thresholds(w.matrix());
   // Frequent pairs are dominated by the all-positive collusion campaigns.
   EXPECT_GT(r.frequent_positive_fraction, 0.9);
   // Their ratees' complements are the 5%-positive organic ratings.
@@ -89,7 +100,7 @@ TEST(CalibrationTest, PopulationStatisticsMatchConstruction) {
 
 TEST(CalibrationTest, ThresholdsSitBetweenPopulations) {
   const World w = make_world(11);
-  const CalibrationReport r = calibrate_thresholds(w.store);
+  const CalibrationReport r = calibrate_thresholds(w.matrix());
   EXPECT_GT(r.suggested.positive_fraction_min,
             r.global_positive_fraction);
   EXPECT_LT(r.suggested.positive_fraction_min,
@@ -105,16 +116,15 @@ TEST(CalibrationTest, CalibratedDetectorFindsAllPlantedPairs) {
   // suggested thresholds, recover exactly the planted colluders.
   for (std::uint64_t seed : {13ull, 17ull, 19ull}) {
     const World w = make_world(seed);
-    const CalibrationReport r = calibrate_thresholds(w.store);
+    const CalibrationReport r = calibrate_thresholds(w.matrix());
 
-    std::vector<double> reps(200);
-    for (rating::NodeId i = 0; i < 200; ++i)
-      reps[i] = static_cast<double>(
-          w.store.window_totals(i).reputation_delta());
     DetectorConfig cfg = r.suggested;
     cfg.high_rep_threshold = 0.0;
-    const auto matrix = rating::RatingMatrix::build(
-        w.store, reps, cfg.high_rep_threshold, cfg.frequency_min);
+    rating::RatingMatrix matrix = w.matrix(cfg.frequency_min);
+    for (rating::NodeId i = 0; i < 200; ++i)
+      matrix.set_global_reputation(
+          i, static_cast<double>(matrix.window_reputation(i)),
+          cfg.high_rep_threshold);
 
     const auto report =
         detect::BasicDetector(cfg).on_epoch(detect::EpochSnapshot::of(matrix));
@@ -129,7 +139,7 @@ TEST(CalibrationTest, NoFrequentPairsRaisesTN) {
   World w = make_world(23, /*colluder_pairs=*/0);
   CalibrationOptions options;
   options.frequent_pair_fraction = 0.0;  // nothing qualifies
-  const CalibrationReport r = calibrate_thresholds(w.store, options);
+  const CalibrationReport r = calibrate_thresholds(w.matrix(), options);
   EXPECT_EQ(r.frequent_pairs, 0u);
   EXPECT_GT(static_cast<double>(r.suggested.frequency_min),
             r.max_pair_count);

@@ -10,7 +10,6 @@
 #include "detect/basic_detector.h"
 #include "detect/optimized_detector.h"
 #include "rating/matrix.h"
-#include "rating/store.h"
 
 namespace p2prep::core {
 namespace {
@@ -39,15 +38,15 @@ class DetectorGridTest : public ::testing::TestWithParam<GridPoint> {};
 rating::RatingMatrix build_world(const GridPoint& g) {
   // 2 colluders + 40 crowd raters; counts chosen so fractions are exact.
   constexpr std::size_t kNodes = 42;
-  rating::RatingStore store(kNodes);
+  rating::RatingMatrix m(kNodes);
+  m.set_frequency_threshold(g.t_n);
   const auto pair_pos = static_cast<std::uint32_t>(
       g.pair_positive_fraction * g.pair_total + 0.5);
   auto plant = [&](rating::NodeId rater, rating::NodeId ratee) {
     for (std::uint32_t k = 0; k < g.pair_total; ++k) {
-      store.ingest({rater, ratee,
-                    k < pair_pos ? rating::Score::kPositive
-                                 : rating::Score::kNegative,
-                    0});
+      m.add_rating(ratee, rater,
+                   k < pair_pos ? rating::Score::kPositive
+                                : rating::Score::kNegative);
     }
   };
   plant(0, 1);
@@ -57,12 +56,12 @@ rating::RatingMatrix build_world(const GridPoint& g) {
   for (rating::NodeId r = 2; r < kNodes; ++r) {
     const auto score = (r - 2) < comp_pos ? rating::Score::kPositive
                                           : rating::Score::kNegative;
-    store.ingest({r, 0, score, 0});
-    store.ingest({r, 1, score, 0});
+    m.add_rating(0, r, score);
+    m.add_rating(1, r, score);
   }
-  std::vector<double> reps(kNodes, 0.0);
-  reps[0] = reps[1] = 1.0;  // both high-reputed
-  return rating::RatingMatrix::build(store, reps, 0.05, g.t_n);
+  m.set_global_reputation(0, 1.0, 0.05);  // both high-reputed
+  m.set_global_reputation(1, 1.0, 0.05);
+  return m;
 }
 
 bool expected_flagged(const GridPoint& g) {

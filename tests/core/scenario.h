@@ -5,21 +5,22 @@
 #include <vector>
 
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "rating/types.h"
 
 namespace p2prep::core::testing {
 
 class Scenario {
  public:
-  explicit Scenario(std::size_t n) : store_(n), reps_(n, 0.0) {}
+  explicit Scenario(std::size_t n) : reps_(n, 0.0) {}
 
-  /// `rater` rates `ratee` `count` times with the given score.
+  /// `rater` rates `ratee` `count` times with the given score. A
+  /// self-rating is dropped: the paper's model has no such channel.
   Scenario& rate(rating::NodeId rater, rating::NodeId ratee,
                  std::size_t count, rating::Score score) {
+    if (rater == ratee) return *this;
     for (std::size_t k = 0; k < count; ++k) {
-      store_.ingest({.rater = rater, .ratee = ratee, .score = score,
-                     .time = static_cast<rating::Tick>(k)});
+      ratings_.push_back({.rater = rater, .ratee = ratee, .score = score,
+                          .time = static_cast<rating::Tick>(k)});
     }
     return *this;
   }
@@ -58,15 +59,20 @@ class Scenario {
     return *this;
   }
 
+  /// The scenario's window as a full-row matrix, node i high-reputed when
+  /// its reputation exceeds `high_rep_threshold`.
   [[nodiscard]] rating::RatingMatrix build(double high_rep_threshold = 0.05)
       const {
-    return rating::RatingMatrix::build(store_, reps_, high_rep_threshold);
+    rating::RatingMatrix m(reps_.size());
+    for (const rating::Rating& r : ratings_)
+      m.add_rating(r.ratee, r.rater, r.score);
+    for (rating::NodeId i = 0; i < reps_.size(); ++i)
+      m.set_global_reputation(i, reps_[i], high_rep_threshold);
+    return m;
   }
 
-  [[nodiscard]] const rating::RatingStore& store() const { return store_; }
-
  private:
-  rating::RatingStore store_;
+  std::vector<rating::Rating> ratings_;
   std::vector<double> reps_;
 };
 

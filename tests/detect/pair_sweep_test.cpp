@@ -25,7 +25,6 @@
 #include "detect/registry.h"
 #include "detect/snapshot.h"
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "tests/differential/trace_gen.h"
 #include "tests/rating/reference_matrix.h"
 
@@ -105,8 +104,11 @@ DetectionReport oracle_basic(const RatingMatrix& m, const DetectorConfig& cfg) {
       const bool i_side =
           basic_directional(m, cfg, i, j, ev.positive_fraction_first,
                             ev.complement_fraction_first, out.cost);
-      marks[i * n + j] = 1;
-      marks[j * n + i] = 1;
+      // One-sided, each direction is its own check: no marks.
+      if (cfg.require_mutual) {
+        marks[i * n + j] = 1;
+        marks[j * n + i] = 1;
+      }
       if (!i_side) continue;
       if (cfg.require_mutual &&
           !basic_directional(m, cfg, j, i, ev.positive_fraction_second,
@@ -197,21 +199,17 @@ struct World {
   World(const testgen::Trace& trace, const DetectorConfig& cfg,
         std::size_t num_shards, std::uint32_t threshold,
         ScanCost scan) {
-    rating::RatingStore all(trace.n);
-    std::vector<rating::RatingStore> parts(num_shards,
-                                           rating::RatingStore(trace.n));
+    std::vector<std::vector<rating::Rating>> parts(num_shards);
     for (std::size_t i = 0; i < trace.n; ++i)
       owners.push_back(static_cast<std::uint32_t>(i % num_shards));
-    for (const rating::Rating& r : trace.ratings) {
-      (void)all.ingest(r);
-      (void)parts[owners[r.ratee]].ingest(r);
-    }
-    const std::vector<double> reps = testgen::reputations_of(all);
-    combined = RatingMatrix::build(all, reps, cfg.high_rep_threshold,
-                                   threshold, scan);
-    for (const rating::RatingStore& part : parts) {
-      shards.push_back(RatingMatrix::build(part, reps, cfg.high_rep_threshold,
-                                           threshold, scan));
+    for (const rating::Rating& r : trace.ratings)
+      parts[owners[r.ratee]].push_back(r);
+    const std::vector<double> reps = testgen::reputations_of(trace);
+    combined = testgen::window_matrix(trace.ratings, reps,
+                                      cfg.high_rep_threshold, threshold, scan);
+    for (const std::vector<rating::Rating>& part : parts) {
+      shards.push_back(testgen::window_matrix(
+          part, reps, cfg.high_rep_threshold, threshold, scan));
     }
   }
 
@@ -337,6 +335,36 @@ TEST(PairSweepOracle, RejectsShortOwnerTable) {
                  std::invalid_argument)
         << name;
   }
+}
+
+// One-sided (require_mutual = false), a pair is flagged when either
+// direction passes, and under the joint complement Basic and Optimized
+// apply the same C2-C4 test to a direction. So they must flag the same
+// pairs, including a high/high pair that only the higher id's direction
+// flags: Basic may not skip that direction as already examined.
+TEST(PairSweepOracle, OneSidedBasicFlagsWhatOptimizedFlags) {
+  using Keys = std::vector<std::pair<NodeId, NodeId>>;
+  const auto keys = [](const DetectionReport& report) {
+    Keys out;
+    for (const core::PairEvidence& e : report.pairs)
+      out.emplace_back(e.first, e.second);
+    return out;
+  };
+  std::size_t flagged = 0;
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const testgen::Trace trace = testgen::make_trace(seed);
+    DetectorConfig cfg = testgen::config_for(seed);
+    cfg.joint_complement = true;
+    cfg.require_mutual = false;
+    cfg.flag_accomplices = false;
+    const World world(trace, cfg, 1, cfg.frequency_min, ScanCost::kStored);
+    const Keys optimized =
+        keys(detect::sweep_optimized(world.snapshot(), cfg));
+    EXPECT_EQ(keys(detect::sweep_basic(world.snapshot(), cfg)), optimized);
+    flagged += optimized.size();
+  }
+  EXPECT_GT(flagged, 0u);
 }
 
 // The partner hook (EpochSnapshot::on_partner_check) on a 3-matrix

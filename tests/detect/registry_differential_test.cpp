@@ -18,7 +18,6 @@
 #include "detect/registry.h"
 #include "detect/snapshot.h"
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "service/shard.h"
 #include "tests/differential/trace_gen.h"
 
@@ -26,9 +25,7 @@ namespace p2prep {
 namespace {
 
 using rating::NodeId;
-using rating::Rating;
 using rating::RatingMatrix;
-using rating::RatingStore;
 
 class RegistryDifferentialTest
     : public ::testing::TestWithParam<std::uint64_t> {
@@ -37,11 +34,10 @@ class RegistryDifferentialTest
     const std::uint64_t seed = GetParam();
     trace_ = testgen::make_trace(seed);
     cfg_ = testgen::config_for(seed);
-    RatingStore store(trace_.n);
-    for (const Rating& r : trace_.ratings) ASSERT_TRUE(store.ingest(r));
-    const std::vector<double> reps = testgen::reputations_of(store);
-    matrix_ = RatingMatrix::build(store, reps, cfg_.high_rep_threshold,
-                                  cfg_.frequency_min);
+    matrix_ = testgen::window_matrix(
+        trace_.ratings, testgen::reputations_of(trace_),
+        cfg_.high_rep_threshold, cfg_.frequency_min,
+        rating::ScanCost::kFullRow);
   }
 
   [[nodiscard]] core::DetectionReport via_registry(const char* name) const {

@@ -1,17 +1,18 @@
 // Reference-model differential tests for the rating matrix.
 //
 // For randomized rating traces (skewed organic traffic with colluding
-// pairs injected per Fig. 3), every matrix — built from a store by
-// build(), filled rating by rating, or maintained by the incremental
-// manager, under both scan-cost rules — must read exactly as the
+// pairs injected per Fig. 3), every matrix — filled rating by rating, or
+// maintained by the centralized manager, under both scan-cost rules —
+// must read exactly as the
 // test-only reference model (tests/rating/reference_matrix.h): an ordered
 // map of cells that recomputes totals and frequent aggregates from its own
 // cells. Every detector (Basic, Optimized, Group) plus the incremental
 // manager must then emit byte-identical reports under both rules, since
 // the rule changes what a row scan charges and nothing a verdict reads.
 // The suite and test names predate the reference model, when a dense
-// n x n matrix was the oracle; the reference model answers every cell of
-// the same n x n grid.
+// n x n matrix was the oracle and a window snapshot was built from a
+// separate rating store; the reference model answers every cell of the
+// same n x n grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +25,6 @@
 #include "detect/optimized_detector.h"
 #include "managers/centralized.h"
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "reputation/summation.h"
 #include "service/shard.h"
 #include "tests/differential/trace_gen.h"
@@ -38,7 +38,6 @@ using rating::NodeId;
 using rating::PairStats;
 using rating::Rating;
 using rating::RatingMatrix;
-using rating::RatingStore;
 using rating::ScanCost;
 using rating::Score;
 
@@ -46,6 +45,7 @@ using testgen::Trace;
 using testgen::config_for;
 using testgen::make_trace;
 using testgen::reputations_of;
+using testgen::window_matrix;
 using testref::ReferenceMatrix;
 using testref::expect_matches;
 
@@ -97,33 +97,23 @@ class MatrixBackendDifferentialTest
 TEST_P(MatrixBackendDifferentialTest, SnapshotBuildMatchesDenseOracle) {
   const std::uint64_t seed = GetParam();
   const Trace trace = make_trace(seed);
-  RatingStore store(trace.n);
-  for (const Rating& r : trace.ratings) ASSERT_TRUE(store.ingest(r));
-  const std::vector<double> reps = reputations_of(store);
+  const std::vector<double> reps = reputations_of(trace);
   const core::DetectorConfig cfg = config_for(seed);
   const ReferenceMatrix ref = ReferenceMatrix::of(
       trace.ratings, reps, cfg.high_rep_threshold, cfg.frequency_min);
 
+  // The window rating by rating under each rule: add_rating's incremental
+  // frequent aggregates against the model's recomputed ones.
   const RatingMatrix full =
-      RatingMatrix::build(store, reps, cfg.high_rep_threshold,
-                          cfg.frequency_min, ScanCost::kFullRow);
+      window_matrix(trace.ratings, reps, cfg.high_rep_threshold,
+                    cfg.frequency_min, ScanCost::kFullRow);
   const RatingMatrix stored =
-      RatingMatrix::build(store, reps, cfg.high_rep_threshold,
-                          cfg.frequency_min, ScanCost::kStored);
+      window_matrix(trace.ratings, reps, cfg.high_rep_threshold,
+                    cfg.frequency_min, ScanCost::kStored);
   EXPECT_EQ(full.scan_cost(), ScanCost::kFullRow);
   EXPECT_EQ(stored.scan_cost(), ScanCost::kStored);
   expect_matches(full, ref);
   expect_matches(stored, ref);
-
-  // The same window rating by rating: add_rating's incremental frequent
-  // aggregates against the model's recomputed ones.
-  RatingMatrix added(trace.n, ScanCost::kStored);
-  added.set_frequency_threshold(cfg.frequency_min);
-  for (const Rating& r : trace.ratings)
-    added.add_rating(r.ratee, r.rater, r.score);
-  for (NodeId i = 0; i < trace.n; ++i)
-    added.set_global_reputation(i, reps[i], cfg.high_rep_threshold);
-  expect_matches(added, ref);
 
   detect::BasicDetector basic(cfg);
   detect::OptimizedDetector optimized(cfg);
@@ -139,10 +129,10 @@ TEST_P(MatrixBackendDifferentialTest, SnapshotBuildMatchesDenseOracle) {
   // Without precomputed frequent aggregates the Optimized joint-complement
   // path falls back to a full row recompute — the other row-scan code
   // path; it must agree under both rules too.
-  const RatingMatrix full_recompute = RatingMatrix::build(
-      store, reps, cfg.high_rep_threshold, 0, ScanCost::kFullRow);
-  const RatingMatrix stored_recompute = RatingMatrix::build(
-      store, reps, cfg.high_rep_threshold, 0, ScanCost::kStored);
+  const RatingMatrix full_recompute = window_matrix(
+      trace.ratings, reps, cfg.high_rep_threshold, 0, ScanCost::kFullRow);
+  const RatingMatrix stored_recompute = window_matrix(
+      trace.ratings, reps, cfg.high_rep_threshold, 0, ScanCost::kStored);
   expect_matches(stored_recompute, ReferenceMatrix::of(
                                        trace.ratings, reps,
                                        cfg.high_rep_threshold, 0));

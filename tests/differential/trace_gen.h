@@ -8,10 +8,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.h"
-#include "rating/store.h"
+#include "rating/matrix.h"
 #include "util/distributions.h"
 #include "util/rng.h"
 
@@ -89,19 +90,37 @@ inline Trace make_zipf_trace(std::uint64_t seed, std::size_t n,
   return t;
 }
 
-/// Host reputations derived deterministically from the store's lifetime
-/// summation values, normalized to [0, 1]. Colluding pairs land high (C1).
-inline std::vector<double> reputations_of(const rating::RatingStore& store) {
-  std::int64_t max_rep = 1;
-  for (rating::NodeId i = 0; i < store.num_nodes(); ++i)
-    max_rep = std::max(max_rep, store.reputation(i));
-  std::vector<double> reps(store.num_nodes(), 0.0);
-  for (rating::NodeId i = 0; i < store.num_nodes(); ++i) {
-    const std::int64_t r = store.reputation(i);
-    if (r > 0)
-      reps[i] = static_cast<double>(r) / static_cast<double>(max_rep);
+/// Host reputations derived deterministically from each node's summation
+/// value N+_i - N-_i over `t`'s ratings, normalized to [0, 1]. Colluding
+/// pairs land high (C1).
+inline std::vector<double> reputations_of(const Trace& t) {
+  std::vector<std::int64_t> sums(t.n, 0);
+  for (const rating::Rating& r : t.ratings)
+    sums[r.ratee] += rating::score_value(r.score);
+  const std::int64_t max_rep =
+      std::max<std::int64_t>(1, *std::max_element(sums.begin(), sums.end()));
+  std::vector<double> reps(t.n, 0.0);
+  for (rating::NodeId i = 0; i < t.n; ++i) {
+    if (sums[i] > 0)
+      reps[i] = static_cast<double>(sums[i]) / static_cast<double>(max_rep);
   }
   return reps;
+}
+
+/// The window matrix of `ratings` over `reps.size()` nodes under `scan`:
+/// frequent aggregates at `frequency_threshold`, node i high-reputed when
+/// reps[i] > high_rep_threshold.
+inline rating::RatingMatrix window_matrix(
+    std::span<const rating::Rating> ratings, std::span<const double> reps,
+    double high_rep_threshold, std::uint32_t frequency_threshold,
+    rating::ScanCost scan) {
+  rating::RatingMatrix m(reps.size(), scan);
+  m.set_frequency_threshold(frequency_threshold);
+  for (const rating::Rating& r : ratings)
+    m.add_rating(r.ratee, r.rater, r.score);
+  for (rating::NodeId i = 0; i < reps.size(); ++i)
+    m.set_global_reputation(i, reps[i], high_rep_threshold);
+  return m;
 }
 
 /// Per-seed threshold/feature mix so the differential coverage spans the

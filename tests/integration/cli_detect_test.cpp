@@ -66,6 +66,41 @@ TEST(CliDetect, PaperScaleIdsRunEveryMethod) {
   std::filesystem::remove(path);
 }
 
+// The paper's model has no self-rating channel, and the matrix takes
+// none: `detect` and `calibrate` drop a self-rating row, so a file with
+// one reads exactly as the same file without it.
+TEST(CliDetect, SelfRatingRowsAreDropped) {
+  const std::string rows =
+      "rater,ratee,score,time\n"
+      "0,1,1,0\n1,0,1,1\n0,1,1,2\n1,0,1,3\n2,1,-1,4\n3,0,-1,5\n";
+  const auto write = [](const std::string& name, const std::string& text) {
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("p2prep_cli_" + name + std::to_string(::getpid()) + ".csv");
+    std::ofstream(path) << text;
+    return path;
+  };
+  const std::filesystem::path clean = write("clean_", rows);
+  const std::filesystem::path with_self =
+      write("self_", rows + "1,1,1,6\n0,0,-1,7\n3,3,1,8\n");
+  for (const std::string command :
+       {"detect --tn 2 --tr 0 --tb 0.5 --method basic",
+        "detect --tn 2 --tr 0 --tb 0.5 --method optimized",
+        "calibrate"}) {
+    const CliRun want = run_cli(command + " --in " + clean.string());
+    const CliRun got = run_cli(command + " --in " + with_self.string());
+    EXPECT_EQ(want.exit_code, 0) << command << ":\n" << want.output;
+    EXPECT_EQ(got.exit_code, 0) << command << ":\n" << got.output;
+    EXPECT_EQ(got.output, want.output) << command;
+  }
+  const CliRun flagged =
+      run_cli("detect --tn 2 --tr 0 --tb 0.5 --in " + with_self.string());
+  EXPECT_NE(flagged.output.find("pair(0, 1)"), std::string::npos)
+      << flagged.output;
+  std::filesystem::remove(clean);
+  std::filesystem::remove(with_self);
+}
+
 // A misspelled flag used to be ignored: `serve-replay --detecter ring`
 // silently ran the default detector. Now it exits 2 naming the flag and
 // the subcommand, and so does a flag another subcommand owns.

@@ -117,7 +117,7 @@ TEST(EndToEndTest, CompromisedPretrustedDetected) {
 }
 
 TEST(EndToEndTest, TraceToDetectorPipeline) {
-  // Overstock trace -> +/-1 rating store -> Basic detector finds exactly
+  // Overstock trace -> +/-1 rating matrix -> Basic detector finds exactly
   // the injected colluding pairs.
   trace::OverstockTraceConfig tc;
   tc.num_users = 400;
@@ -126,17 +126,12 @@ TEST(EndToEndTest, TraceToDetectorPipeline) {
   tc.seed = 99;
   const trace::OverstockTrace tr = trace::generate_overstock_trace(tc);
 
-  rating::RatingStore store(tc.num_users);
-  for (const trace::MarketplaceRating& r : tr.ratings) {
-    store.ingest({.rater = r.rater,
-                  .ratee = r.ratee,
-                  .score = rating::score_from_stars(r.stars),
-                  .time = r.day});
-  }
-  std::vector<double> reps(tc.num_users);
+  rating::RatingMatrix matrix(tc.num_users);
+  for (const trace::MarketplaceRating& r : tr.ratings)
+    matrix.add_rating(r.ratee, r.rater, rating::score_from_stars(r.stars));
   for (rating::NodeId i = 0; i < tc.num_users; ++i)
-    reps[i] = static_cast<double>(store.window_totals(i).reputation_delta());
-  const auto matrix = rating::RatingMatrix::build(store, reps, 0.0);
+    matrix.set_global_reputation(
+        i, static_cast<double>(matrix.window_reputation(i)), 0.0);
 
   core::DetectorConfig dc;
   dc.positive_fraction_min = 0.8;

@@ -49,7 +49,7 @@ TEST_P(FuzzSeedTest, TraceParserNeverCrashesOnGarbage) {
 TEST_P(FuzzSeedTest, DetectorsSaneOnRandomMatrices) {
   util::Rng rng(GetParam() ^ 0x1234);
   constexpr std::size_t kN = 25;
-  rating::RatingStore store(kN);
+  std::vector<rating::Rating> ratings;
   // Arbitrary rating soup, including extreme frequencies.
   const std::size_t events = 200 + rng.next_below(3000);
   for (std::size_t k = 0; k < events; ++k) {
@@ -60,7 +60,7 @@ TEST_P(FuzzSeedTest, DetectorsSaneOnRandomMatrices) {
     r.score = dice < 0.45 ? rating::Score::kPositive
                           : (dice < 0.9 ? rating::Score::kNegative
                                         : rating::Score::kNeutral);
-    store.ingest(r);
+    if (r.rater != r.ratee) ratings.push_back(r);
   }
   std::vector<double> reps(kN);
   for (auto& rep : reps) rep = rng.uniform(-1.0, 1.0);
@@ -70,8 +70,12 @@ TEST_P(FuzzSeedTest, DetectorsSaneOnRandomMatrices) {
   config.complement_fraction_max = rng.uniform(0.0, 0.9);
   config.frequency_min = 1 + static_cast<std::uint32_t>(rng.next_below(50));
   config.high_rep_threshold = rng.uniform(-0.5, 0.5);
-  const auto matrix = rating::RatingMatrix::build(
-      store, reps, config.high_rep_threshold, config.frequency_min);
+  rating::RatingMatrix matrix(kN);
+  matrix.set_frequency_threshold(config.frequency_min);
+  for (const rating::Rating& r : ratings)
+    matrix.add_rating(r.ratee, r.rater, r.score);
+  for (rating::NodeId i = 0; i < kN; ++i)
+    matrix.set_global_reputation(i, reps[i], config.high_rep_threshold);
 
   const auto snapshot = detect::EpochSnapshot::of(matrix);
   const auto basic = detect::BasicDetector(config).on_epoch(snapshot);

@@ -63,7 +63,7 @@ TEST(DecentralizedTest, IngestRoutesToCorrectShard) {
   DecentralizedReputationSystem sys(config(30));
   EXPECT_TRUE(sys.ingest(make(5, 7, Score::kPositive)));
   const rating::NodeId mgr = sys.manager_of(7);
-  EXPECT_EQ(sys.shard(mgr).window_pair(7, 5).total, 1u);
+  EXPECT_EQ(sys.shard(mgr).cell(7, 5).total, 1u);
   EXPECT_EQ(sys.reputation(7), 1);
   EXPECT_FALSE(sys.ingest(make(5, 5, Score::kPositive)));
   EXPECT_GT(sys.transport_messages(), 0u);
@@ -76,6 +76,20 @@ TEST(DecentralizedTest, QueryReputationRoutesAndAnswers) {
   const auto answer = sys.query_reputation(3, 7);
   EXPECT_EQ(answer.reputation, 2);
   EXPECT_EQ(answer.manager, sys.manager_of(7));
+}
+
+// The routed query answers the window sum the oracle reputation()
+// answers, before and after a window reset.
+TEST(DecentralizedTest, QueryMatchesOracleAfterWindowReset) {
+  DecentralizedReputationSystem sys(config(30));
+  for (int k = 0; k < 5; ++k) sys.ingest(make(5, 7, Score::kPositive));
+  EXPECT_EQ(sys.query_reputation(3, 7).reputation, 5);
+  sys.reset_window();
+  EXPECT_EQ(sys.reputation(7), 0);
+  EXPECT_EQ(sys.query_reputation(3, 7).reputation, sys.reputation(7));
+  sys.ingest(make(6, 7, Score::kNegative));
+  EXPECT_EQ(sys.reputation(7), -1);
+  EXPECT_EQ(sys.query_reputation(3, 7).reputation, sys.reputation(7));
 }
 
 TEST(DecentralizedTest, OutOfRangeRequesterGetsTheEmptyAnswer) {
@@ -131,14 +145,13 @@ TEST(DecentralizedTest, AgreesWithCentralizedDetection) {
     cfg.num_nodes = trace.n;
     cfg.detector = testgen::config_for(seed);
 
-    rating::RatingStore merged(trace.n);
-    for (const Rating& r : trace.ratings) (void)merged.ingest(r);
-    std::vector<double> reps(trace.n);
+    rating::RatingMatrix matrix(trace.n);
+    for (const Rating& r : trace.ratings)
+      matrix.add_rating(r.ratee, r.rater, r.score);
     for (rating::NodeId i = 0; i < trace.n; ++i)
-      reps[i] =
-          static_cast<double>(merged.window_totals(i).reputation_delta());
-    const auto matrix = rating::RatingMatrix::build(
-        merged, reps, cfg.detector.high_rep_threshold);
+      matrix.set_global_reputation(
+          i, static_cast<double>(matrix.window_reputation(i)),
+          cfg.detector.high_rep_threshold);
 
     for (const std::size_t managers : {std::size_t{1}, std::size_t{7},
                                        trace.n}) {

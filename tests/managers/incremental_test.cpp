@@ -4,7 +4,6 @@
 
 #include "detect/basic_detector.h"
 #include "detect/optimized_detector.h"
-#include "rating/store.h"
 #include "reputation/summation.h"
 #include "util/rng.h"
 
@@ -46,30 +45,32 @@ void stream_workload(std::uint64_t seed, std::size_t n, Fn&& deliver) {
   }
 }
 
-// The live matrix detects exactly what a matrix rebuilt from a rating
-// ledger (RatingMatrix::build over a RatingStore) detects.
+// The live matrix detects exactly what a matrix filled after the fact
+// from the same ratings detects.
 TEST(IncrementalManagerTest, MatchesSnapshotManagerDetection) {
   constexpr std::size_t kN = 50;
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     reputation::SummationEngine engine_a;
     reputation::SummationEngine engine_b;
     engine_a.resize(kN);
-    rating::RatingStore store(kN);
+    std::vector<Rating> accepted;
     CentralizedManager incremental(kN, engine_b, config());
 
     stream_workload(seed, kN, [&](const Rating& r) {
-      const bool stored = store.ingest(r);
-      if (stored) engine_a.ingest(r);
-      EXPECT_EQ(stored, incremental.ingest(r));
+      EXPECT_TRUE(incremental.ingest(r));
+      engine_a.ingest(r);
+      accepted.push_back(r);
     });
     engine_a.update_epoch();
     incremental.update_reputations();
 
-    std::vector<double> reps(kN);
+    rating::RatingMatrix snapshot(kN);
+    snapshot.set_frequency_threshold(config().frequency_min);
+    for (const Rating& r : accepted)
+      snapshot.add_rating(r.ratee, r.rater, r.score);
     for (rating::NodeId i = 0; i < kN; ++i)
-      reps[i] = engine_a.detection_reputation(i);
-    const rating::RatingMatrix snapshot = rating::RatingMatrix::build(
-        store, reps, config().high_rep_threshold, config().frequency_min);
+      snapshot.set_global_reputation(i, engine_a.detection_reputation(i),
+                                     config().high_rep_threshold);
 
     detect::OptimizedDetector detector(config());
     const auto ra = detector.on_epoch(detect::EpochSnapshot::of(snapshot));

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "service/wal.h"
 #include "tests/rating/reference_matrix.h"
 #include "util/rng.h"
@@ -346,13 +345,6 @@ TEST_P(RatingMatrixHeavyPairDifferentialTest, SparseMatchesDenseOracle) {
       restored.restore_cell(c.ratee, c.rater, c.stats);
   }
   for (const RatingMatrix& x : m) expect_same(ref, x);
-
-  // The same half through a window snapshot (build), under both rules.
-  RatingStore store(kDiffNodes);
-  for (std::size_t k = 0; k < half; ++k) ASSERT_TRUE(store.ingest(stream[k]));
-  const std::vector<double> reps(kDiffNodes, 0.0);
-  for (const ScanCost scan : {ScanCost::kFullRow, ScanCost::kStored})
-    expect_same(ref, RatingMatrix::build(store, reps, 0.5, tn, scan));
 
   const NodeId heavy = stream.back().ratee;
   for (std::size_t k = half; k < stream.size(); ++k) {

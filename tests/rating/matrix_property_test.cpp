@@ -1,11 +1,12 @@
 // Property: the incrementally-maintained RatingMatrix (add_rating with a
-// frequency threshold) agrees with a from-scratch snapshot build on random
-// rating streams — cells, totals, and the frequent-rater aggregates the
-// Optimized detector's joint-complement test depends on.
+// frequency threshold) agrees with a from-scratch recompute — the
+// reference model (tests/rating/reference_matrix.h) — on random rating
+// streams: cells, totals, and the frequent-rater aggregates the Optimized
+// detector's joint-complement test depends on.
 #include <gtest/gtest.h>
 
 #include "rating/matrix.h"
-#include "rating/store.h"
+#include "tests/rating/reference_matrix.h"
 #include "util/rng.h"
 
 namespace p2prep::rating {
@@ -19,7 +20,7 @@ TEST_P(MatrixIncrementalTest, IncrementalMatchesSnapshot) {
   constexpr std::uint32_t kThreshold = 5;
   util::Rng rng(GetParam());
 
-  RatingStore store(kNodes);
+  testref::ReferenceMatrix snapshot(kNodes, kThreshold);
   RatingMatrix incremental(kNodes);
   incremental.set_frequency_threshold(kThreshold);
 
@@ -31,19 +32,16 @@ TEST_P(MatrixIncrementalTest, IncrementalMatchesSnapshot) {
     const double s = rng.next_double();
     r.score = s < 0.6 ? Score::kPositive
                       : (s < 0.9 ? Score::kNegative : Score::kNeutral);
-    store.ingest(r);
+    snapshot.add_rating(r.ratee, r.rater, r.score);
     incremental.add_rating(r.ratee, r.rater, r.score);
   }
-
-  std::vector<double> reps(kNodes, 0.1);
-  const RatingMatrix snapshot =
-      RatingMatrix::build(store, reps, 0.05, kThreshold);
 
   for (NodeId i = 0; i < kNodes; ++i) {
     EXPECT_EQ(incremental.totals(i), snapshot.totals(i)) << "row " << i;
     EXPECT_EQ(incremental.frequent_totals(i), snapshot.frequent_totals(i))
         << "row " << i;
-    EXPECT_EQ(incremental.window_reputation(i), snapshot.window_reputation(i));
+    EXPECT_EQ(incremental.window_reputation(i),
+              snapshot.totals(i).reputation_delta());
     for (NodeId j = 0; j < kNodes; ++j)
       EXPECT_EQ(incremental.cell(i, j), snapshot.cell(i, j))
           << i << "," << j;

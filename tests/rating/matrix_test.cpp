@@ -15,20 +15,21 @@
 namespace p2prep::rating {
 namespace {
 
-RatingStore populated_store() {
-  RatingStore store(4);
-  // Node 1 rated by 0 (2 pos), by 2 (1 neg); node 2 rated by 3 (1 pos).
-  store.ingest({.rater = 0, .ratee = 1, .score = Score::kPositive, .time = 0});
-  store.ingest({.rater = 0, .ratee = 1, .score = Score::kPositive, .time = 1});
-  store.ingest({.rater = 2, .ratee = 1, .score = Score::kNegative, .time = 2});
-  store.ingest({.rater = 3, .ratee = 2, .score = Score::kPositive, .time = 3});
-  return store;
+/// Node 1 rated by 0 (2 pos), by 2 (1 neg); node 2 rated by 3 (1 pos).
+/// Node i's global reputation is reps[i], against T_R = 0.05.
+RatingMatrix populated_matrix(const std::vector<double>& reps) {
+  RatingMatrix m(reps.size());
+  m.add_rating(1, 0, Score::kPositive);
+  m.add_rating(1, 0, Score::kPositive);
+  m.add_rating(1, 2, Score::kNegative);
+  m.add_rating(2, 3, Score::kPositive);
+  for (NodeId i = 0; i < reps.size(); ++i)
+    m.set_global_reputation(i, reps[i], 0.05);
+  return m;
 }
 
 TEST(RatingMatrixTest, BuildCopiesWindowAggregates) {
-  const RatingStore store = populated_store();
-  const std::vector<double> reps{0.0, 0.5, 0.02, 0.1};
-  const RatingMatrix m = RatingMatrix::build(store, reps, 0.05);
+  const RatingMatrix m = populated_matrix({0.0, 0.5, 0.02, 0.1});
 
   EXPECT_EQ(m.size(), 4u);
   EXPECT_EQ(m.cell(1, 0).total, 2u);
@@ -41,9 +42,7 @@ TEST(RatingMatrixTest, BuildCopiesWindowAggregates) {
 }
 
 TEST(RatingMatrixTest, HighReputedFlagFollowsThreshold) {
-  const RatingStore store = populated_store();
-  const std::vector<double> reps{0.0, 0.5, 0.02, 0.1};
-  const RatingMatrix m = RatingMatrix::build(store, reps, 0.05);
+  const RatingMatrix m = populated_matrix({0.0, 0.5, 0.02, 0.1});
 
   EXPECT_FALSE(m.high_reputed(0));
   EXPECT_TRUE(m.high_reputed(1));
@@ -54,9 +53,9 @@ TEST(RatingMatrixTest, HighReputedFlagFollowsThreshold) {
 }
 
 TEST(RatingMatrixTest, ThresholdIsStrict) {
-  RatingStore store(2);
-  const std::vector<double> reps{0.05, 0.050001};
-  const RatingMatrix m = RatingMatrix::build(store, reps, 0.05);
+  RatingMatrix m(2);
+  m.set_global_reputation(0, 0.05, 0.05);
+  m.set_global_reputation(1, 0.050001, 0.05);
   EXPECT_FALSE(m.high_reputed(0));  // R > T_R, not >=
   EXPECT_TRUE(m.high_reputed(1));
 }
@@ -416,8 +415,8 @@ TEST_F(HotSparseRowTest, TakeRowAndClearWindowFreeThenRefill) {
 
 // A full row grows its block by ~1.25x, so a row grown by inserts
 // keeps at most max(1, size / 4) unused cells, and a row whose final count
-// is known (build(), a restore_cell replay after reserve_cells, a take_row
-// handoff) is sized exactly. Growth moves the block: checking every cell
+// is known (a restore_cell replay after reserve_cells, a take_row handoff)
+// is sized exactly. Growth moves the block: checking every cell
 // and aggregate against a per-row reference at each growth step catches
 // a row reference held across the move. Threshold 1 makes every new cell
 // join the frequent aggregate in the same add_rating that grows the row.
@@ -427,7 +426,6 @@ TEST(RatingMatrixTest, SparseRowSlackIsBounded) {
                                            63, 64, 65,  100, 1000, 20'000};
   RatingMatrix m(kNodes, ScanCost::kStored);
   m.set_frequency_threshold(1);
-  RatingStore store(kNodes);
   std::vector<std::vector<PairStats>> oracle(row_sizes.size());
   std::vector<PairStats> totals(row_sizes.size());
 
@@ -449,7 +447,6 @@ TEST(RatingMatrixTest, SparseRowSlackIsBounded) {
   };
 
   util::Rng rng(21);
-  Tick tick = 0;
   for (NodeId ratee = 0; ratee < row_sizes.size(); ++ratee) {
     std::vector<NodeId> raters;
     for (NodeId k = 0; k < kNodes; ++k)
@@ -463,7 +460,6 @@ TEST(RatingMatrixTest, SparseRowSlackIsBounded) {
     for (const NodeId rater : raters) {
       const Score score = rater % 2 == 0 ? Score::kPositive : Score::kNegative;
       m.add_rating(ratee, rater, score);
-      store.ingest({rater, ratee, score, tick++});
       oracle[ratee][rater].add(score);
       totals[ratee].add(score);
       const std::size_t size = m.stored_cells(ratee);
@@ -481,17 +477,11 @@ TEST(RatingMatrixTest, SparseRowSlackIsBounded) {
     expect_row_matches(ratee);
 
   // Rows whose final count is known have no slack.
-  const std::vector<double> reps(kNodes, 0.0);
-  const RatingMatrix built =
-      RatingMatrix::build(store, reps, 0.5, 1, ScanCost::kStored);
   RatingMatrix replayed(kNodes, ScanCost::kStored);
   RatingMatrix handed_off(kNodes, ScanCost::kStored);
   replayed.set_frequency_threshold(1);
   handed_off.set_frequency_threshold(1);
   for (NodeId ratee = 0; ratee < row_sizes.size(); ++ratee) {
-    EXPECT_EQ(built.stored_cells(ratee), row_sizes[ratee]);
-    EXPECT_EQ(built.cell_capacity(ratee), row_sizes[ratee]) << "build()";
-
     replayed.reserve_cells(ratee, row_sizes[ratee]);
     m.for_each_nonzero_cell(ratee, [&](NodeId k, const PairStats& stats) {
       replayed.restore_cell(ratee, k, stats);
@@ -505,11 +495,9 @@ TEST(RatingMatrixTest, SparseRowSlackIsBounded) {
     EXPECT_EQ(handed_off.cell_capacity(ratee), row_sizes[ratee]) << "handoff";
 
     for (NodeId k = 0; k < kNodes; ++k) {
-      ASSERT_EQ(built.cell(ratee, k), oracle[ratee][k]);
       ASSERT_EQ(replayed.cell(ratee, k), oracle[ratee][k]);
       ASSERT_EQ(handed_off.cell(ratee, k), oracle[ratee][k]);
     }
-    EXPECT_EQ(built.totals(ratee), totals[ratee]);
     EXPECT_EQ(replayed.totals(ratee), totals[ratee]);
     EXPECT_EQ(handed_off.totals(ratee), totals[ratee]);
     EXPECT_EQ(replayed.frequent_totals(ratee), totals[ratee]);
@@ -580,9 +568,7 @@ TEST(RatingMatrixTest, SparseReadsMatchReferenceUnderAnyProbeOrder) {
 }
 
 TEST(RatingMatrixTest, BuildFlagsNothingWhenAllLow) {
-  RatingStore store(3);
-  const std::vector<double> reps{0.0, 0.0, 0.0};
-  const RatingMatrix m = RatingMatrix::build(store, reps, 0.05);
+  const RatingMatrix m = populated_matrix({0.0, 0.0, 0.0, 0.0});
   EXPECT_EQ(m.high_reputed_count(), 0u);
 }
 

@@ -45,8 +45,8 @@ class ReferenceMatrix {
         reps_(num_nodes, 0.0),
         high_(num_nodes, false) {}
 
-  /// The model of RatingMatrix::build over a window holding `ratings`,
-  /// with `global_reps[i]` > `high_rep_threshold` flagging node i live.
+  /// The model of a matrix whose window holds `ratings`, with
+  /// `global_reps[i]` > `high_rep_threshold` flagging node i live.
   static ReferenceMatrix of(std::span<const rating::Rating> ratings,
                             std::span<const double> global_reps,
                             double high_rep_threshold,

@@ -1,57 +1,54 @@
-// Model-based property test: RatingStore against a naive reference model
-// over randomized operation sequences (ingest / reset_window /
-// transfer_ratee), parameterized by seed.
+// Model-based property test of the rating ledger a manager keeps, its
+// RatingMatrix, against the reference model (tests/rating/reference_matrix.h)
+// over randomized operation sequences: add_rating, clear_window and the
+// take_row / restore_cell handoff of a node's row between two managers'
+// matrices, parameterized by seed. The suite name predates the matrix
+// ledger, when a separate rating store held the ratings.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
+#include <array>
 #include <vector>
 
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "tests/rating/reference_matrix.h"
 #include "util/rng.h"
 
 namespace p2prep::rating {
 namespace {
 
-/// The obviously-correct reference: plain maps, recomputed aggregates.
-struct ModelStore {
-  struct Cell {
-    PairStats window;
-    PairStats lifetime;
-  };
-  std::map<std::pair<NodeId, NodeId>, Cell> cells;  // (ratee, rater)
+Score random_score(util::Rng& rng) {
+  const double s = rng.next_double();
+  return s < 0.5 ? Score::kPositive
+                 : (s < 0.85 ? Score::kNegative : Score::kNeutral);
+}
 
-  void ingest(const Rating& r) {
-    if (r.rater == r.ratee) return;
-    auto& cell = cells[{r.ratee, r.rater}];
-    cell.window.add(r.score);
-    cell.lifetime.add(r.score);
+/// Two managers' matrices over the same nodes: node i's row lives in
+/// matrix owner[i] only, and a handoff moves it to the other one.
+struct TwoManagers {
+  std::array<RatingMatrix, 2> matrices;
+  std::vector<int> owner;
+
+  TwoManagers(std::size_t nodes, ScanCost scan, std::uint32_t threshold)
+      : matrices{RatingMatrix(nodes, scan), RatingMatrix(nodes, scan)},
+        owner(nodes, 0) {
+    for (RatingMatrix& m : matrices) m.set_frequency_threshold(threshold);
   }
-  void reset_window() {
-    for (auto& [key, cell] : cells) cell.window = PairStats{};
+  void add_rating(NodeId ratee, NodeId rater, Score score) {
+    matrices[owner[ratee]].add_rating(ratee, rater, score);
   }
-  void transfer(NodeId ratee) {
-    // Transfer within the model is a no-op on totals: the data moves
-    // between shards but the union is unchanged. Handled by the harness.
-    (void)ratee;
+  void hand_off(NodeId ratee) {
+    RatingMatrix& from = matrices[owner[ratee]];
+    owner[ratee] = 1 - owner[ratee];
+    RatingMatrix& to = matrices[owner[ratee]];
+    const auto cells = from.take_row(ratee);
+    to.reserve_cells(ratee, cells.size());
+    for (const auto& [rater, stats] : cells) to.restore_cell(ratee, rater, stats);
   }
-  [[nodiscard]] PairStats window_totals(NodeId ratee) const {
-    PairStats total;
-    for (const auto& [key, cell] : cells)
-      if (key.first == ratee) total += cell.window;
-    return total;
+  [[nodiscard]] const RatingMatrix& of(NodeId ratee) const {
+    return matrices[owner[ratee]];
   }
-  [[nodiscard]] PairStats lifetime_totals(NodeId ratee) const {
-    PairStats total;
-    for (const auto& [key, cell] : cells)
-      if (key.first == ratee) total += cell.lifetime;
-    return total;
-  }
-  [[nodiscard]] PairStats window_pair(NodeId ratee, NodeId rater) const {
-    auto it = cells.find({ratee, rater});
-    return it == cells.end() ? PairStats{} : it->second.window;
+  [[nodiscard]] const RatingMatrix& other(NodeId ratee) const {
+    return matrices[1 - owner[ratee]];
   }
 };
 
@@ -60,156 +57,104 @@ class StoreModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(StoreModelTest, RandomOperationSequencesAgree) {
   constexpr std::size_t kNodes = 12;
   util::Rng rng(GetParam());
-  RatingStore store(kNodes);
-  ModelStore model;
+  RatingMatrix m(kNodes, ScanCost::kStored);
+  m.set_frequency_threshold(3);
+  testref::ReferenceMatrix model(kNodes, 3);
 
   for (int op = 0; op < 3000; ++op) {
     const double dice = rng.next_double();
     if (dice < 0.9) {
-      Rating r;
-      r.rater = static_cast<NodeId>(rng.next_below(kNodes));
-      r.ratee = static_cast<NodeId>(rng.next_below(kNodes));
-      const double s = rng.next_double();
-      r.score = s < 0.5 ? Score::kPositive
-                        : (s < 0.85 ? Score::kNegative : Score::kNeutral);
-      const bool accepted = store.ingest(r);
-      EXPECT_EQ(accepted, r.rater != r.ratee);
-      model.ingest(r);
+      const auto rater = static_cast<NodeId>(rng.next_below(kNodes));
+      const auto ratee = static_cast<NodeId>(rng.next_below(kNodes));
+      const Score score = random_score(rng);
+      if (rater == ratee) continue;
+      m.add_rating(ratee, rater, score);
+      model.add_rating(ratee, rater, score);
     } else if (dice < 0.95) {
-      store.reset_window();
-      model.reset_window();
+      m.clear_window();
+      model.clear_window();
     } else {
       // Spot-check a random ratee against the model.
       const auto ratee = static_cast<NodeId>(rng.next_below(kNodes));
-      EXPECT_EQ(store.window_totals(ratee), model.window_totals(ratee));
-      EXPECT_EQ(store.lifetime_totals(ratee), model.lifetime_totals(ratee));
+      EXPECT_EQ(m.totals(ratee), model.totals(ratee));
+      EXPECT_EQ(m.frequent_totals(ratee), model.frequent_totals(ratee));
       const auto rater = static_cast<NodeId>(rng.next_below(kNodes));
-      EXPECT_EQ(store.window_pair(ratee, rater),
-                model.window_pair(ratee, rater));
+      EXPECT_EQ(m.cell(ratee, rater), model.cell(ratee, rater));
     }
   }
-
-  // Full final audit.
-  for (NodeId ratee = 0; ratee < kNodes; ++ratee) {
-    EXPECT_EQ(store.window_totals(ratee), model.window_totals(ratee));
-    EXPECT_EQ(store.lifetime_totals(ratee), model.lifetime_totals(ratee));
-    EXPECT_EQ(store.reputation(ratee),
-              model.lifetime_totals(ratee).reputation_delta());
-    for (NodeId rater = 0; rater < kNodes; ++rater) {
-      EXPECT_EQ(store.window_pair(ratee, rater),
-                model.window_pair(ratee, rater));
-    }
-  }
+  testref::expect_matches(m, model);
 }
 
 TEST_P(StoreModelTest, TransferPreservesUnion) {
   constexpr std::size_t kNodes = 10;
   util::Rng rng(GetParam() ^ 0xabcdef);
-  RatingStore a(kNodes);
-  RatingStore b(kNodes);
-  RatingStore reference(kNodes);
+  TwoManagers managers(kNodes, ScanCost::kStored, 3);
+  testref::ReferenceMatrix reference(kNodes, 3);
 
   for (int op = 0; op < 1000; ++op) {
-    Rating r;
-    r.rater = static_cast<NodeId>(rng.next_below(kNodes));
-    r.ratee = static_cast<NodeId>(rng.next_below(kNodes));
-    if (r.rater == r.ratee) continue;
-    r.score = rng.chance(0.7) ? Score::kPositive : Score::kNegative;
-    (rng.chance(0.5) ? a : b).ingest(r);
-    reference.ingest(r);
+    const auto rater = static_cast<NodeId>(rng.next_below(kNodes));
+    const auto ratee = static_cast<NodeId>(rng.next_below(kNodes));
+    if (rater == ratee) continue;
+    const Score score =
+        rng.chance(0.7) ? Score::kPositive : Score::kNegative;
+    managers.add_rating(ratee, rater, score);
+    reference.add_rating(ratee, rater, score);
 
-    if (op % 100 == 99) {
-      // Shuffle a random ratee's rows between the two stores.
-      const auto ratee = static_cast<NodeId>(rng.next_below(kNodes));
-      if (rng.chance(0.5)) a.transfer_ratee(b, ratee);
-      else b.transfer_ratee(a, ratee);
-    }
+    if (op % 100 == 99)  // move a random ratee's row to the other manager
+      managers.hand_off(static_cast<NodeId>(rng.next_below(kNodes)));
   }
 
   for (NodeId ratee = 0; ratee < kNodes; ++ratee) {
-    const PairStats combined =
-        a.window_totals(ratee) + b.window_totals(ratee);
-    EXPECT_EQ(combined, reference.window_totals(ratee)) << "ratee " << ratee;
-    const PairStats lifetime =
-        a.lifetime_totals(ratee) + b.lifetime_totals(ratee);
-    EXPECT_EQ(lifetime, reference.lifetime_totals(ratee));
+    EXPECT_EQ(managers.of(ratee).totals(ratee), reference.totals(ratee))
+        << "ratee " << ratee;
+    EXPECT_EQ(managers.other(ratee).totals(ratee).total, 0u);
+    EXPECT_EQ(managers.of(ratee).frequent_totals(ratee),
+              reference.frequent_totals(ratee));
     for (NodeId rater = 0; rater < kNodes; ++rater) {
-      EXPECT_EQ(a.window_pair(ratee, rater) + b.window_pair(ratee, rater),
-                reference.window_pair(ratee, rater));
+      EXPECT_EQ(managers.of(ratee).cell(ratee, rater),
+                reference.cell(ratee, rater));
     }
   }
 }
 
 TEST_P(StoreModelTest, SparseSnapshotSurvivesTransferInterleavings) {
   constexpr std::size_t kNodes = 14;
-  util::Rng rng(GetParam() ^ 0x517cc1b7u);
-  RatingStore a(kNodes);
-  RatingStore b(kNodes);
-  RatingStore reference(kNodes);
+  for (const ScanCost scan : {ScanCost::kFullRow, ScanCost::kStored}) {
+    SCOPED_TRACE(testref::arm_name(scan));
+    util::Rng rng(GetParam() ^ 0x517cc1b7u);
+    TwoManagers managers(kNodes, scan, 3);
+    testref::ReferenceMatrix reference(kNodes, 3);
 
-  for (int op = 0; op < 2000; ++op) {
-    const double dice = rng.next_double();
-    if (dice < 0.85) {
-      Rating r;
-      r.rater = static_cast<NodeId>(rng.next_below(kNodes));
-      r.ratee = static_cast<NodeId>(rng.next_below(kNodes));
-      if (r.rater == r.ratee) continue;
-      r.score = rng.chance(0.6) ? Score::kPositive : Score::kNegative;
-      (rng.chance(0.5) ? a : b).ingest(r);
-      reference.ingest(r);
-    } else if (dice < 0.90) {
-      // Window rollover hits every shard and the reference in the same
-      // step — the two horizons must never diverge across shards.
-      a.reset_window();
-      b.reset_window();
-      reference.reset_window();
-    } else if (dice < 0.97) {
-      // Shard handoff mid-window.
-      const auto ratee = static_cast<NodeId>(rng.next_below(kNodes));
-      if (rng.chance(0.5)) a.transfer_ratee(b, ratee);
-      else b.transfer_ratee(a, ratee);
-    } else {
-      const auto ratee = static_cast<NodeId>(rng.next_below(kNodes));
-      EXPECT_EQ(a.window_totals(ratee) + b.window_totals(ratee),
-                reference.window_totals(ratee));
-      EXPECT_EQ(a.lifetime_totals(ratee) + b.lifetime_totals(ratee),
-                reference.lifetime_totals(ratee));
+    for (int op = 0; op < 2000; ++op) {
+      const double dice = rng.next_double();
+      if (dice < 0.85) {
+        const auto rater = static_cast<NodeId>(rng.next_below(kNodes));
+        const auto ratee = static_cast<NodeId>(rng.next_below(kNodes));
+        if (rater == ratee) continue;
+        const Score score =
+            rng.chance(0.6) ? Score::kPositive : Score::kNegative;
+        managers.add_rating(ratee, rater, score);
+        reference.add_rating(ratee, rater, score);
+      } else if (dice < 0.90) {
+        // Window rollover hits every manager and the reference in the
+        // same step.
+        for (RatingMatrix& m : managers.matrices) m.clear_window();
+        reference.clear_window();
+      } else if (dice < 0.97) {
+        // Handoff mid-window.
+        managers.hand_off(static_cast<NodeId>(rng.next_below(kNodes)));
+      } else {
+        const auto ratee = static_cast<NodeId>(rng.next_below(kNodes));
+        EXPECT_EQ(managers.of(ratee).totals(ratee), reference.totals(ratee));
+      }
     }
-  }
 
-  // Consolidate every row into one store (a transfer storm in itself)
-  // and require it to reproduce the reference at both horizons.
-  for (NodeId ratee = 0; ratee < kNodes; ++ratee) b.transfer_ratee(a, ratee);
-  for (NodeId ratee = 0; ratee < kNodes; ++ratee) {
-    EXPECT_EQ(a.window_totals(ratee), reference.window_totals(ratee));
-    EXPECT_EQ(a.lifetime_totals(ratee), reference.lifetime_totals(ratee));
-    for (NodeId rater = 0; rater < kNodes; ++rater) {
-      EXPECT_EQ(a.window_pair(ratee, rater),
-                reference.window_pair(ratee, rater));
-    }
+    // Consolidate every row into matrix 0 (a handoff storm in itself);
+    // it must then read as the reference model.
+    for (NodeId ratee = 0; ratee < kNodes; ++ratee)
+      if (managers.owner[ratee] != 0) managers.hand_off(ratee);
+    testref::expect_matches(managers.matrices[0], reference);
   }
-
-  // The snapshot a manager would take of the transferred store must read,
-  // under both scan-cost rules, as the reference model of the reference
-  // store's window.
-  std::int64_t max_rep = 1;
-  for (NodeId i = 0; i < kNodes; ++i)
-    max_rep = std::max(max_rep, reference.reputation(i));
-  std::vector<double> reps(kNodes, 0.0);
-  for (NodeId i = 0; i < kNodes; ++i) {
-    if (reference.reputation(i) > 0)
-      reps[i] = static_cast<double>(reference.reputation(i)) /
-                static_cast<double>(max_rep);
-  }
-  testref::ReferenceMatrix model(kNodes, 3);
-  for (NodeId i = 0; i < kNodes; ++i) {
-    model.set_global_reputation(i, reps[i], 0.05);
-    for (NodeId j = 0; j < kNodes; ++j)
-      model.restore_cell(i, j, reference.window_pair(i, j));
-  }
-  for (const ScanCost scan : {ScanCost::kFullRow, ScanCost::kStored})
-    testref::expect_matches(RatingMatrix::build(a, reps, 0.05, 3, scan),
-                            model);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreModelTest,

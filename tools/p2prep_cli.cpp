@@ -44,7 +44,6 @@
 #include "rpc/server.h"
 #include "service/service.h"
 #include "rating/matrix.h"
-#include "rating/store.h"
 #include "trace/amazon.h"
 #include "trace/analysis.h"
 #include "trace/io.h"
@@ -206,12 +205,20 @@ bool load_ratings(const Args& args, std::vector<rating::Rating>& out) {
   return true;
 }
 
-rating::RatingStore build_store(const std::vector<rating::Rating>& ratings) {
+/// The window matrix of `ratings`, sized to the largest id. Row scans
+/// charge the stored cells: on a paper-scale trace (100,000 Overstock
+/// users) a full-row rule would charge n per scan. Self-ratings are
+/// dropped: the paper's model has no self-rating channel.
+rating::RatingMatrix window_matrix(const std::vector<rating::Rating>& ratings,
+                                   std::uint32_t frequency_threshold = 0) {
   rating::NodeId max_id = 0;
   for (const auto& r : ratings) max_id = std::max({max_id, r.rater, r.ratee});
-  rating::RatingStore store(static_cast<std::size_t>(max_id) + 1);
-  for (const auto& r : ratings) store.ingest(r);
-  return store;
+  rating::RatingMatrix matrix(static_cast<std::size_t>(max_id) + 1,
+                              rating::ScanCost::kStored);
+  matrix.set_frequency_threshold(frequency_threshold);
+  for (const auto& r : ratings)
+    if (r.rater != r.ratee) matrix.add_rating(r.ratee, r.rater, r.score);
+  return matrix;
 }
 
 int cmd_trace(const Args& args) {
@@ -318,17 +325,12 @@ core::DetectorConfig detector_config_from(const Args& args) {
 int cmd_detect(const Args& args) {
   std::vector<rating::Rating> ratings;
   if (!load_ratings(args, ratings)) return 1;
-  const rating::RatingStore store = build_store(ratings);
-
   const core::DetectorConfig dc = detector_config_from(args);
-  std::vector<double> reps(store.num_nodes());
-  for (rating::NodeId i = 0; i < store.num_nodes(); ++i)
-    reps[i] = static_cast<double>(store.window_totals(i).reputation_delta());
-  // Row scans charge the stored cells: on a paper-scale trace (100,000
-  // Overstock users) a full-row rule would charge n per scan.
-  const auto matrix = rating::RatingMatrix::build(
-      store, reps, dc.high_rep_threshold, dc.frequency_min,
-      rating::ScanCost::kStored);
+  rating::RatingMatrix matrix = window_matrix(ratings, dc.frequency_min);
+  for (rating::NodeId i = 0; i < matrix.size(); ++i)
+    matrix.set_global_reputation(
+        i, static_cast<double>(matrix.window_reputation(i)),
+        dc.high_rep_threshold);
 
   const std::string method = args.get("method", "optimized");
   std::unique_ptr<detect::Detector> detector;
@@ -354,8 +356,8 @@ int cmd_detect(const Args& args) {
 int cmd_calibrate(const Args& args) {
   std::vector<rating::Rating> ratings;
   if (!load_ratings(args, ratings)) return 1;
-  const rating::RatingStore store = build_store(ratings);
-  const core::CalibrationReport r = core::calibrate_thresholds(store);
+  const core::CalibrationReport r =
+      core::calibrate_thresholds(window_matrix(ratings));
   std::printf("pairs=%llu frequent=%llu mean_count=%.2f max_count=%.0f\n"
               "global_pos=%.4f frequent_pos=%.4f frequent_complement=%.4f\n"
               "suggested: --tn %u --ta %.4f --tb %.4f\n",
